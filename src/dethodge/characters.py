@@ -36,7 +36,8 @@ def dim_irrep(lam, N: int) -> int:
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     value, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"product formula for {lam} left remainder {rem}")
     return value
 
 

@@ -38,11 +38,9 @@ from .mhmweights import (
 )
 from .oracle import RankConstrainedSampler, dcep_cross_validation
 from .qseries import (
-    DecompositionTable,
     closed_form_OYp,
     pushforward_structure_checks,
     pushforward_DpY,
-    pushforward_prefactor,
     solve_pushforward_OYp,
     verify_qbinomial_identity,
 )
@@ -201,16 +199,8 @@ def cmd_weights_table(args) -> int:
 
 def cmd_decompose(args) -> int:
     space = MatrixSpace(args.m, args.n)
-    if args.solve:
-        base = solve_pushforward_OYp(space, args.p)
-        prefactor = pushforward_prefactor(space, args.p)
-        table = DecompositionTable(
-            space, args.p, {i: prefactor * poly for i, poly in base.entries.items()}
-        )
-        route = "solver"
-    else:
-        table = pushforward_DpY(space, args.p)
-        route = "closed"
+    route = "solver" if args.solve else "closed"
+    table = pushforward_DpY(space, args.p, route=route)
 
     if args.format == "json":
         payload = _payload("decompose", route=route, **table.to_json_obj())
@@ -406,6 +396,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _seed(text: str) -> int | str:
+    """A seed given in canonical decimal form as an int, any other seed as
+    given. Samplers format the seed as text, so their streams are the same
+    either way."""
+    try:
+        value = int(text)
+    except ValueError:
+        return text
+    return value if str(value) == text else text
+
+
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -466,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--dmax", type=_nonneg, default=4)
     p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--lmax", type=_nonneg, default=6, help="max size of tested partitions")
     add_format(p)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p.add_argument("--seed", default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     add_format(p)

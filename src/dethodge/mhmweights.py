@@ -61,7 +61,8 @@ def square_weight_layer(space: MatrixSpace, p: int) -> tuple[int, int]:
         raise ValueError(f"stratum index p={p} outside 0..{n}")
     w = n * n + n - p
     k = -comb(n - p + 1, 2)
-    assert w == dim_stratum(Stratum(space, p)) - 2 * k
+    if w != dim_stratum(Stratum(space, p)) - 2 * k:
+        raise RuntimeError(f"weight layer w={w}, k={k} breaks w = d_p - 2k at p={p}")
     return w, k
 
 
@@ -115,8 +116,10 @@ def local_cohomology_weight(space: MatrixSpace, p: int) -> tuple[int, int]:
         raise ValueError(f"stratum index p={p} outside 0..{n}")
     w = m * n + (n - p) * (m - n + 1)
     k = -comb(n - p + 1, 2) - (n - p) * (m - n)
-    assert w == dim_stratum(Stratum(space, p)) - 2 * k
-    assert w == (n - p) * (m - n) + (m * n + n - p)
+    if w != dim_stratum(Stratum(space, p)) - 2 * k:
+        raise RuntimeError(f"local weight w={w}, k={k} breaks w = d_p - 2k at p={p}")
+    if w != (n - p) * (m - n) + (m * n + n - p):
+        raise RuntimeError(f"local weight w={w} breaks the degree identity at p={p}")
     return w, k
 
 
@@ -186,5 +189,6 @@ def generation_level_Sdet(space: MatrixSpace) -> int:
     n = space.n
     levels = [comb(n - p, 2) for p in range(n + 1)]
     top = max(levels)
-    assert top == levels[0] == comb(n, 2)
+    if not top == levels[0] == comb(n, 2):
+        raise RuntimeError(f"start levels {levels} do not peak at p = 0")
     return top

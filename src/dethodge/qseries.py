@@ -10,21 +10,43 @@ Gaussian binomials at q^2 (up to a shift), and the multiplicity
 polynomials f_i(q) are pinned down by a triangular system solvable by
 exact back-substitution. The closed form is a shifted q-binomial, so the
 solver doubles as an identity checker.
+
+A `LaurentPoly` is dense: the exponent of its lowest term and the tuple
+of coefficients from there to its highest term, with no zeros at either
+end. Long operands are multiplied by Kronecker substitution: each
+coefficient list is packed into one Python integer, in slots wide enough
+for any coefficient of the product (max|a| * max|b| * min(len a, len b)),
+so one C-level big-integer product does the whole convolution; signed
+operands are split into their positive and negative parts first. Short
+operands use the schoolbook convolution. `q_binomial(a, b)` multiplies by
+(1 - q^(a-b+j)) and divides by (1 - q^j) for j = 1..b (after replacing b
+by min(b, a-b)), so every intermediate is the Gaussian binomial
+qbin(a-b+j, j); each division checks that its remainder is zero.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
+from array import array
 from functools import lru_cache
-from math import comb
 
 from .matrixspace import MatrixSpace, Stratum, dim_stratum
 from .reporting import VerificationReport
 
+# Below this product of operand lengths the schoolbook convolution beats
+# packing into big integers.
+SCHOOLBOOK_BELOW = 64
+
 
 class LaurentPoly:
-    """Integer Laurent polynomial in one variable q. Immutable, exact."""
+    """Integer Laurent polynomial in one variable q. Immutable, exact.
 
-    __slots__ = ("_c",)
+    `_c` holds the coefficients of q^_lo, q^(_lo+1), ..., q^max_exp; its
+    first and last entries are nonzero. The zero polynomial has
+    `_c == ()` and `_lo == 0`."""
+
+    __slots__ = ("_lo", "_c")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -33,7 +55,13 @@ class LaurentPoly:
             for e, v in items:
                 if v:
                     c[int(e)] = int(v)
-        self._c = c
+        self._lo, self._c = 0, ()
+        if c:
+            lo = min(c)
+            dense = [0] * (max(c) - lo + 1)
+            for e, v in c.items():
+                dense[e - lo] = v
+            self._lo, self._c = lo, tuple(dense)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -52,25 +80,27 @@ class LaurentPoly:
         return not self._c
 
     def items(self):
-        return self._c.items()
+        """(exponent, coefficient) of each nonzero term, by increasing exponent."""
+        return [(e, v) for e, v in enumerate(self._c, self._lo) if v]
 
     def coefficient(self, exp: int) -> int:
-        return self._c.get(exp, 0)
+        i = exp - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     def coefficients(self):
-        return list(self._c.values())
+        return [v for v in self._c if v]
 
     @property
     def min_exp(self) -> int:
         if not self._c:
             raise ValueError("the zero polynomial has no support")
-        return min(self._c)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
         if not self._c:
             raise ValueError("the zero polynomial has no support")
-        return max(self._c)
+        return self._lo + len(self._c) - 1
 
     def __bool__(self):
         return bool(self._c)
@@ -80,36 +110,38 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        return self._lo == other._lo and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((self._lo, self._c))
 
     def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return _dense(self._lo, tuple(-v for v in self._c))
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if isinstance(other, int):
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            elif e in c:
-                del c[e]
-        out = LaurentPoly()
-        out._c = c
-        return out
+        if not other._c:
+            return self
+        if not self._c:
+            return other if op is operator.add else -other
+        lo = min(self._lo, other._lo)
+        out = [0] * (max(self._lo + len(self._c), other._lo + len(other._c)) - lo)
+        i = self._lo - lo
+        out[i : i + len(self._c)] = self._c
+        j = other._lo - lo
+        out[j : j + len(other._c)] = map(op, out[j : j + len(other._c)], other._c)
+        return _trimmed(lo, out)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -118,21 +150,13 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly()
-            return LaurentPoly({e: v * other for e, v in self._c.items()})
+            return _dense(self._lo, tuple(v * other for v in self._c))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                nv = c.get(e, 0) + v1 * v2
-                if nv:
-                    c[e] = nv
-                elif e in c:
-                    del c[e]
-        out = LaurentPoly()
-        out._c = c
-        return out
+        if not self._c or not other._c:
+            return LaurentPoly()
+        # The end coefficients multiply to nonzero ends: nothing to trim.
+        return _dense(self._lo + other._lo, tuple(_convolve(self._c, other._c)))
 
     __rmul__ = __mul__
 
@@ -150,11 +174,18 @@ class LaurentPoly:
 
     def shift(self, d: int) -> "LaurentPoly":
         """Multiply by q^d."""
-        return LaurentPoly({e + d: v for e, v in self._c.items()})
+        return _dense(self._lo + d, self._c)
 
     def stretch(self, factor: int) -> "LaurentPoly":
         """Substitute q -> q^factor."""
-        return LaurentPoly({factor * e: v for e, v in self._c.items()})
+        if not self._c:
+            return self
+        if factor == 0:
+            return LaurentPoly({0: self.at_one()})
+        step = abs(factor)
+        out = [0] * ((len(self._c) - 1) * step + 1)
+        out[::step] = self._c if factor > 0 else self._c[::-1]
+        return _dense(min(factor * self._lo, factor * self.max_exp), tuple(out))
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ArithmeticError on any nonzero remainder.
@@ -166,31 +197,29 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly()
-        lead_e = other.max_exp
-        lead_c = other._c[lead_e]
-        floor_e = self.min_exp - other.min_exp
-        rem = dict(self._c)
-        quo = {}
-        while rem:
-            e = max(rem)
-            qe = e - lead_e
-            qc, r = divmod(rem[e], lead_c)
-            if r or qe < floor_e:
+        d = other._c
+        rem = list(self._c)
+        size = len(rem) - len(d) + 1
+        if size < 1:
+            raise ArithmeticError(f"inexact division of {self} by {other}")
+        quo = [0] * size
+        for k in range(size - 1, -1, -1):
+            qc, r = divmod(rem[k + len(d) - 1], d[-1])
+            if r:
                 raise ArithmeticError(f"inexact division of {self} by {other}")
-            quo[qe] = qc
-            for oe, ov in other._c.items():
-                ne = qe + oe
-                nv = rem.get(ne, 0) - qc * ov
-                if nv:
-                    rem[ne] = nv
-                elif ne in rem:
-                    del rem[ne]
-        return LaurentPoly(quo)
+            if qc:
+                quo[k] = qc
+                for i, v in enumerate(d, k):
+                    rem[i] -= qc * v
+        if any(rem[: len(d) - 1]):
+            raise ArithmeticError(f"inexact division of {self} by {other}")
+        # An exact quotient of two trimmed polynomials is trimmed.
+        return _dense(self._lo - other._lo, tuple(quo))
 
     def evaluate(self, x: int) -> int:
         """Value at an integer x (x must be nonzero if exponents dip below 0)."""
         total = 0
-        for e, v in self._c.items():
+        for e, v in self.items():
             if e >= 0:
                 total += v * x**e
             else:
@@ -202,20 +231,14 @@ class LaurentPoly:
         return total
 
     def at_one(self) -> int:
-        return sum(self._c.values())
+        return sum(self._c)
 
     def is_palindromic(self) -> bool:
         """Coefficient list symmetric under reversal of the support."""
-        if self.is_zero:
-            return True
-        lo, hi = self.min_exp, self.max_exp
-        return all(
-            self.coefficient(lo + i) == self.coefficient(hi - i)
-            for i in range(hi - lo + 1)
-        )
+        return self._c == self._c[::-1]
 
     def to_coeff_map(self) -> dict:
-        return {str(e): v for e, v in sorted(self._c.items())}
+        return {str(e): v for e, v in self.items()}
 
     @classmethod
     def from_coeff_map(cls, obj: dict) -> "LaurentPoly":
@@ -225,8 +248,7 @@ class LaurentPoly:
         if not self._c:
             return "0"
         parts = []
-        for e in sorted(self._c):
-            v = self._c[e]
+        for e, v in self.items():
             mag = abs(v)
             if e == 0:
                 term = str(mag)
@@ -240,7 +262,106 @@ class LaurentPoly:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"LaurentPoly({self._c!r})"
+        return f"LaurentPoly({dict(self.items())!r})"
+
+
+def _dense(lo: int, coeffs: tuple) -> LaurentPoly:
+    """A LaurentPoly from coefficients already free of end zeros."""
+    out = object.__new__(LaurentPoly)
+    out._lo, out._c = (lo, coeffs) if coeffs else (0, ())
+    return out
+
+
+def _trimmed(lo: int, coeffs: list) -> LaurentPoly:
+    """A LaurentPoly from coefficients of q^lo, q^(lo+1), ... that may
+    start or end with zeros."""
+    start, end = 0, len(coeffs)
+    while start < end and not coeffs[start]:
+        start += 1
+    while end > start and not coeffs[end - 1]:
+        end -= 1
+    return _dense(lo + start, tuple(coeffs[start:end]))
+
+
+# Array typecodes by item size, for packing slots of 1, 2, 4 or 8 bytes at C speed.
+_TYPECODES = {array(t).itemsize: t for t in "QLIHB"}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for values up to bound: a power of two up to 8, else exact."""
+    width = (bound.bit_length() + 7) // 8
+    for size in (1, 2, 4, 8):
+        if width <= size:
+            return size
+    return width
+
+
+def _pack(coeffs, width: int) -> int:
+    """Nonnegative coefficients as the base-256^width digits of one integer."""
+    if width in _TYPECODES:
+        return int.from_bytes(array(_TYPECODES[width], coeffs).tobytes(), sys.byteorder)
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    """The first `count` base-256^width digits of a nonnegative integer."""
+    if width in _TYPECODES:
+        return array(_TYPECODES[width], value.to_bytes(width * count, sys.byteorder)).tolist()
+    raw = value.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _pack_signed(coeffs, width: int) -> tuple[int, int]:
+    """Packed positive parts and packed magnitudes of the negative parts."""
+    if min(coeffs) >= 0:
+        return _pack(coeffs, width), 0
+    return (
+        _pack([c if c > 0 else 0 for c in coeffs], width),
+        _pack([-c if c < 0 else 0 for c in coeffs], width),
+    )
+
+
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two nonempty coefficient sequences."""
+    if len(a) * len(b) < SCHOOLBOOK_BELOW:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return out
+    # Kronecker substitution. Each slot of a partial product below sums at
+    # most min(len a, len b) terms of size at most max|a| * max|b|, since a
+    # coefficient lies in either the positive or the negative part.
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = _slot_width(bound)
+    count = len(a) + len(b) - 1
+    a_pos, a_neg = _pack_signed(a, width)
+    b_pos, b_neg = _pack_signed(b, width)
+    out = _unpack(a_pos * b_pos + a_neg * b_neg, width, count)
+    if a_neg or b_neg:
+        negative = _unpack(a_pos * b_neg + a_neg * b_pos, width, count)
+        out = list(map(operator.sub, out, negative))
+    return out
+
+
+def _times_one_minus_q(coeffs: list, s: int) -> list:
+    """Coefficients of f(q) * (1 - q^s), from those of a polynomial f."""
+    out = list(coeffs) + [0] * s
+    out[s:] = map(operator.sub, out[s:], coeffs)
+    return out
+
+
+def _divide_one_minus_q(coeffs: list, j: int) -> list:
+    """Coefficients of f(q) / (1 - q^j), from those of a polynomial f;
+    raises ArithmeticError unless the division is exact. The quotient h
+    satisfies h[i] = f[i] + h[i-j], which is filled in blocks of j."""
+    h = list(coeffs)
+    for i in range(j, len(h), j):
+        h[i : i + j] = map(operator.add, h[i : i + j], h[i - j : i])
+    if len(h) <= j or any(h[len(h) - j :]):
+        raise ArithmeticError(f"inexact division by 1 - q^{j}")
+    return h[: len(h) - j]
 
 
 @lru_cache(maxsize=None)
@@ -249,19 +370,20 @@ def q_binomial(a: int, b: int) -> LaurentPoly:
 
         (1-q^a)(1-q^(a-1))...(1-q^(a-b+1)) / ((1-q^b)...(1-q)),
 
-    zero when a < b. The division is exact; the result has degree b*(a-b),
-    nonnegative palindromic coefficients, and value comb(a, b) at q = 1.
+    zero when a < b. The result has degree b*(a-b), nonnegative
+    palindromic coefficients, and value comb(a, b) at q = 1. It is built
+    one factor pair at a time, qbin(a-b+j, j) = qbin(a-b+j-1, j-1) *
+    (1-q^(a-b+j)) / (1-q^j), and each division is checked to be exact.
     """
     if b < 0:
         raise ValueError("lower index must be nonnegative")
     if a < b:
         return LaurentPoly()
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    for i in range(b):
-        num = num * LaurentPoly({0: 1, a - i: -1})
-        den = den * LaurentPoly({0: 1, b - i: -1})
-    return num.divexact(den)
+    b = min(b, a - b)
+    coeffs = [1]
+    for j in range(1, b + 1):
+        coeffs = _divide_one_minus_q(_times_one_minus_q(coeffs, a - b + j), j)
+    return _dense(0, tuple(coeffs))
 
 
 def substitute_q2(f: LaurentPoly) -> LaurentPoly:
@@ -307,7 +429,7 @@ class DecompositionTable:
                 continue
             if not 0 <= i <= p:
                 raise ValueError(f"summand index {i} outside 0..{p}")
-            if any(v < 0 for v in poly.coefficients()):
+            if min(poly.coefficients()) < 0:
                 raise ValueError(f"negative multiplicity in entry {i}: {poly}")
             clean[i] = poly
         self.space = space
@@ -354,9 +476,9 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
         qbin(m-k, p-k)@q^2 =
             sum_{i=k}^p f_i(q) * q^((p-i)(m+n-p-i)) * qbin(n-k, i-k)@q^2
 
-    by back-substitution from k = p down to k = 0. Every division along
-    the way is by a monomial and must be exact; a nonzero remainder would
-    signal an implementation bug and raises."""
+    by back-substitution from k = p down to k = 0. Each step divides by
+    the monomial q^((p-k)(m+n-p-k)), which for Laurent polynomials is a
+    shift and always exact."""
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
@@ -366,7 +488,7 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
         for i in range(k + 1, p + 1):
             term = f[i] * substitute_q2(q_binomial(n - k, i - k))
             acc = acc - term.shift((p - i) * (m + n - p - i))
-        f[k] = acc.divexact(LaurentPoly.monomial((p - k) * (m + n - p - k)))
+        f[k] = acc.shift(-(p - k) * (m + n - p - k))
     return DecompositionTable(space, p, f)
 
 
@@ -391,18 +513,27 @@ def pushforward_prefactor(space: MatrixSpace, p: int) -> LaurentPoly:
     return substitute_q2(q_binomial(m - p, n - p)).shift(-(n - p) * (m - n))
 
 
-def pushforward_DpY(space: MatrixSpace, p: int) -> DecompositionTable:
+def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> DecompositionTable:
     """Full multiplicity table for the pushforward of the rank-p simple
     module on the maximal-rank resolution:
 
         entries[i] = q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2
                      * q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2.
+
+    The second factor, the table of the rank-p resolution's structure
+    sheaf, comes from `closed_form_OYp` on route "closed" and from the
+    triangular solver `solve_pushforward_OYp` on route "solver".
     """
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    if route == "closed":
+        base = closed_form_OYp(space, p)
+    elif route == "solver":
+        base = solve_pushforward_OYp(space, p)
+    else:
+        raise ValueError(f"unknown route {route!r}; expected 'closed' or 'solver'")
     prefactor = pushforward_prefactor(space, p)
-    closed = closed_form_OYp(space, p)
-    entries = {i: prefactor * poly for i, poly in closed.entries.items()}
+    entries = {i: prefactor * poly for i, poly in base.entries.items()}
     return DecompositionTable(space, p, entries)
 
 

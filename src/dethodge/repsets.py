@@ -130,8 +130,8 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
     n, m = space.n, space.m
     mu = tuple((p - m) - lam[n - i] for i in range(1, n - p + 1))
     gamma = tuple(lam[i] - (p - n) for i in range(p))
-    assert not mu or is_partition(mu)
-    assert not gamma or is_partition(gamma)
+    if (mu and not is_partition(mu)) or (gamma and not is_partition(gamma)):
+        raise RuntimeError(f"{lam} split into non-partitions mu={mu}, gamma={gamma}")
     return mu, gamma
 
 

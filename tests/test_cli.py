@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dethodge.cli import main
+from dethodge.matrixspace import MatrixSpace
+from dethodge.oracle import RankConstrainedSampler
 
 
 def run(capsys, *argv):
@@ -152,9 +154,9 @@ def test_oracle_check(capsys):
     )
     assert code == 0
     assert payload["ok"] is True
-    assert payload["seed"] == "99"
+    assert payload["seed"] == 99
     report = payload["reports"][0]
-    assert report["seed"] == "99"
+    assert report["seed"] == 99
     assert all(v["agrees"] for v in report["details"])
 
 
@@ -192,3 +194,33 @@ def test_invalid_space_exits_2(capsys):
     code = main(["weights-table", "--m", "2", "--n", "3"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "seed_args,expected",
+    [
+        ([], 1729),
+        (["--seed", "1729"], 1729),
+        (["--seed", "-4"], -4),
+        (["--seed", "3:0"], "3:0"),
+        (["--seed", "007"], "007"),
+    ],
+)
+def test_seed_is_reported_as_a_number_when_numeric(capsys, seed_args, expected):
+    for argv in (
+        ["verify", "decomposition", "--m", "2", "--n", "1"],
+        ["oracle-check", "--n", "2", "--p", "2", "--dmax", "1", "--lmax", "2"],
+    ):
+        code, payload = run_json(capsys, *argv, *seed_args)
+        assert code == 0
+        assert payload["seed"] == expected and type(payload["seed"]) is type(expected)
+
+
+def test_numeric_seed_keeps_the_sampler_stream():
+    # Only seeds whose text is str(int(text)) become ints, and the sampler
+    # seeds its generator from f"{seed}", so its stream does not change.
+    space = MatrixSpace(2, 2)
+    by_int = RankConstrainedSampler(space, 1, 7, 99)
+    by_text = RankConstrainedSampler(space, 1, 7, "99")
+    assert [by_int.sample() for _ in range(5)] == [by_text.sample() for _ in range(5)]
+    assert by_int.reseeded("x").sample() == by_text.reseeded("x").sample()

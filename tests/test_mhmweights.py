@@ -117,3 +117,18 @@ def test_filtration_support_small():
         filtration_support_check(MatrixSpace(3, 2), 4, 9)
     with pytest.raises(ValueError):
         filtration_support_check(MatrixSpace(3, 3), 4, 2)
+
+
+def test_ledger_invariants_raise_when_broken(monkeypatch):
+    # The identities are checked with explicit raises, which `python -O`
+    # keeps; a wrong stratum dimension must trip them.
+    import dethodge.mhmweights as mhm
+
+    monkeypatch.setattr(mhm, "dim_stratum", lambda stratum: -1)
+    with pytest.raises(RuntimeError):
+        square_weight_layer(MatrixSpace(3, 3), 1)
+    with pytest.raises(RuntimeError):
+        local_cohomology_weight(MatrixSpace(4, 2), 1)
+    monkeypatch.setattr(mhm, "comb", lambda a, b: -a)
+    with pytest.raises(RuntimeError):
+        generation_level_Sdet(MatrixSpace(3, 3))

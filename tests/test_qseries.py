@@ -2,9 +2,13 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from dethodge import qseries
 from dethodge.matrixspace import MatrixSpace, Stratum, dim_stratum
 from dethodge.qseries import (
+    SCHOOLBOOK_BELOW,
     DecompositionTable,
     LaurentPoly,
     closed_form_OYp,
@@ -74,7 +78,7 @@ def test_q_binomial_examples():
 
 
 def test_q_binomial_against_subset_oracle():
-    for a in range(11):
+    for a in range(13):
         for b in range(a + 1):
             assert q_binomial(a, b) == qbin_by_subsets(a, b), (a, b)
 
@@ -227,3 +231,211 @@ def test_decomposition_table_validation():
 def test_decomposition_table_json_round_trip():
     table = pushforward_DpY(MatrixSpace(4, 3), 2)
     assert DecompositionTable.from_json_obj(table.to_json_obj()) == table
+
+
+# -- dense arithmetic against a sparse reference ---------------------------
+
+
+def ref_mul(f, g):
+    """Sparse dict convolution, the reference for LaurentPoly.__mul__."""
+    out = {}
+    for e1, v1 in f.items():
+        for e2, v2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_add(f, g, sign=1):
+    """Sparse dict sum f + sign * g, the reference for + and -."""
+    out = dict(f.items())
+    for e, v in g.items():
+        out[e] = out.get(e, 0) + sign * v
+    return {e: v for e, v in out.items() if v}
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**20), 2**20),
+    st.integers(-(2**80), 2**80),
+)
+
+
+@st.composite
+def polys(draw, max_len=40):
+    """Laurent polynomials with signed, small or huge coefficients, gaps,
+    and exponents on both sides of zero."""
+    lo = draw(st.integers(-30, 30))
+    coeffs = draw(st.lists(COEFFS, max_size=max_len))
+    return LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
+
+
+def sparse(f):
+    return dict(f.items())
+
+
+def assert_trimmed(f):
+    terms = f.items()
+    if terms:
+        assert (terms[0][0], terms[-1][0]) == (f.min_exp, f.max_exp)
+        assert f.coefficient(f.min_exp) and f.coefficient(f.max_exp)
+    else:
+        assert f == LaurentPoly.zero() and not f
+
+
+@given(polys(), polys())
+def test_mul_and_add_match_sparse_reference(f, g):
+    product = f * g
+    assert sparse(product) == ref_mul(f, g)
+    assert sparse(f + g) == ref_add(f, g)
+    assert sparse(f - g) == ref_add(f, g, -1)
+    for result in (product, f + g, f - g):
+        assert_trimmed(result)
+
+
+@given(polys(max_len=12), polys(max_len=12), polys(max_len=12))
+def test_ring_laws(f, g, h):
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) + h == f + (g + h)
+    assert f * one == f and f + zero == f and f * zero == zero
+    assert f - f == zero and f + (-f) == zero
+    assert f - g == -(g - f)
+    assert 3 - f == -(f - 3) and 2 * f == f + f == f * 2
+    assert hash(f * g) == hash(g * f)
+
+
+@given(polys(), st.integers(-40, 40))
+def test_shift_and_monomial_products(f, d):
+    assert f.shift(d) == f * LaurentPoly.monomial(d)
+    assert sparse(f * LaurentPoly.monomial(d, -7)) == ref_mul(f, LaurentPoly({d: -7}))
+    assert f.shift(d).shift(-d) == f
+
+
+@given(polys(), st.integers(-3, 3))
+def test_stretch_matches_sparse_substitution(f, factor):
+    expected = {}
+    for e, v in f.items():
+        expected[factor * e] = expected.get(factor * e, 0) + v
+    assert sparse(f.stretch(factor)) == {e: v for e, v in expected.items() if v}
+
+
+@given(polys(max_len=15), polys(max_len=15))
+def test_divexact_recovers_a_factor(f, g):
+    if g.is_zero:
+        return
+    assert (f * g).divexact(g) == f
+    if g.max_exp > g.min_exp:
+        with pytest.raises(ArithmeticError):
+            (f * g + 1).divexact(g)
+
+
+def test_huge_coefficients():
+    big = 2**64
+    f = LaurentPoly({-3: big + 1, 5: -(big**2), 9: 7})
+    g = LaurentPoly({i: (-1) ** i * (big + i) for i in range(-4, 60)})
+    assert sparse(f * g) == ref_mul(f, g)
+    assert sparse(g * g) == ref_mul(g, g)
+    assert sparse(f * f) == ref_mul(f, f)
+
+
+CUTOFF_PAIRS = [
+    (1, 1),
+    (1, SCHOOLBOOK_BELOW - 1),
+    (1, SCHOOLBOOK_BELOW),
+    (7, 9),
+    (8, 8),
+    (9, 8),
+    (SCHOOLBOOK_BELOW + 1, SCHOOLBOOK_BELOW),
+]
+
+
+@pytest.mark.parametrize("la,lb", CUTOFF_PAIRS)
+@pytest.mark.parametrize("magnitude", [1, 10, 100, 10**4, 2**40])
+@pytest.mark.parametrize("signed", [False, True])
+def test_mul_on_both_sides_of_the_schoolbook_cutoff(la, lb, magnitude, signed):
+    # The magnitudes give packed slots of 1, 2, 4 and 8 bytes, and wider.
+    def poly(length, lo, seed):
+        low = -magnitude if signed else 1
+        coeffs = [low + (seed * 7919 + 104729 * i) % (magnitude - low + 1) for i in range(length)]
+        coeffs[0] = coeffs[-1] = magnitude
+        return LaurentPoly({lo + i: c for i, c in enumerate(coeffs)})
+
+    f, g = poly(la, -la // 2, 1), poly(lb, 3, 2)
+    assert sparse(f * g) == ref_mul(f, g)
+    assert sparse(g * f) == ref_mul(f, g)
+
+
+def test_zero_and_monomial_operands():
+    zero, f = LaurentPoly.zero(), LaurentPoly({-2: 5, 0: -1, 70: 3})
+    assert f * zero == zero * f == zero and (f * 0).is_zero
+    assert f * LaurentPoly.monomial(-5, -2) == LaurentPoly({-7: -10, -5: 2, 65: -6})
+    assert zero.shift(4) == zero and zero.stretch(3) == zero
+    assert zero - f == -f and zero + f == f
+
+
+def test_dense_api_details():
+    f = LaurentPoly([(3, 0), (-2, 4), (1, -1)])
+    assert f.items() == [(-2, 4), (1, -1)] and f.coefficients() == [4, -1]
+    assert (f.min_exp, f.max_exp) == (-2, 1) and f.coefficient(0) == 0
+    assert f.coefficient(-9) == 0 and f.coefficient(9) == 0
+    assert repr(f) == "LaurentPoly({-2: 4, 1: -1})"
+    assert f == LaurentPoly({1: -1, -2: 4}) and LaurentPoly({0: 5}) == 5
+    assert f.stretch(0) == LaurentPoly({0: 3}) and f.stretch(-1) == LaurentPoly({2: 4, -1: -1})
+    with pytest.raises(ValueError):
+        LaurentPoly.zero().max_exp
+
+
+# -- q-binomial: shape, recurrences and the exactness guard -----------------
+
+
+def test_q_binomial_symmetry_pascal_and_value_at_one():
+    q = LaurentPoly.monomial(1)
+    for a in range(1, 61):
+        for b in range(min(a, 30) + 1):
+            f = q_binomial(a, b)
+            assert f == q_binomial(a, a - b), (a, b)
+            assert f.at_one() == comb(a, b), (a, b)
+            if 0 < b < a:
+                lower, upper = q_binomial(a - 1, b - 1), q_binomial(a - 1, b)
+                assert f == lower + q**b * upper, (a, b)
+                assert f == q ** (a - b) * lower + upper, (a, b)
+
+
+def test_q_binomial_division_steps_are_checked(monkeypatch):
+    with pytest.raises(ArithmeticError):
+        qseries._divide_one_minus_q([1, 1, 1], 1)
+    assert qseries._divide_one_minus_q([1, 0, -1], 1) == [1, 1]
+
+    original = qseries._times_one_minus_q
+
+    def corrupted(coeffs, s):
+        out = original(coeffs, s)
+        out[-1] += 1
+        return out
+
+    q_binomial.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(qseries, "_times_one_minus_q", corrupted)
+            with pytest.raises(ArithmeticError):
+                q_binomial(7, 3)
+    finally:
+        q_binomial.cache_clear()
+    assert q_binomial(7, 3) == qbin_by_subsets(7, 3)
+
+
+def test_solver_matches_closed_form_40x20():
+    space = MatrixSpace(40, 20)
+    for p in range(space.n + 1):
+        assert solve_pushforward_OYp(space, p) == closed_form_OYp(space, p), p
+
+
+def test_pushforward_routes_agree():
+    for m, n in ((5, 3), (7, 4), (12, 6)):
+        space = MatrixSpace(m, n)
+        for p in range(n + 1):
+            assert pushforward_DpY(space, p, route="solver") == pushforward_DpY(space, p)
+    with pytest.raises(ValueError):
+        pushforward_DpY(MatrixSpace(3, 2), 1, route="guess")

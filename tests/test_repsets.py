@@ -237,3 +237,11 @@ def test_layers_partition_the_support():
             assert d >= 0
             hits = [e for e in range(d + 3) if in_Wpd(lam, p, e, space)]
             assert hits == [d]
+
+
+def test_decompose_weight_raises_on_a_non_partition_split(monkeypatch):
+    import dethodge.repsets as repsets
+
+    monkeypatch.setattr(repsets, "_wp_member", lambda lam, p, space: True)
+    with pytest.raises(RuntimeError):
+        decompose_weight((0, 0), 0, MatrixSpace(2, 2))
