@@ -9,6 +9,7 @@ walks through the basic moves.
 from dethodge import (
     MatrixSpace,
     WeightBox,
+    WeightSet,
     classify,
     decompose_weight,
     delta_p,
@@ -17,6 +18,7 @@ from dethodge import (
     in_Wpd,
     lambda_of_p,
     minimal_elements,
+    parse_weight_set,
 )
 
 space = MatrixSpace(3, 3)
@@ -48,6 +50,13 @@ print("Layers W^p_d are indexed by how far the tail sum drops below its")
 print("maximum; their minimal elements are labeled by partitions of d:")
 for d in range(4):
     print(f"  p=1, d={d}: {minimal_elements(1, d, space)}")
+print()
+
+print("A WeightSet names such a set and enumerates it over a box; its")
+print("descriptor is what `dethodge hilbert --set` reads back:")
+layer = WeightSet(space, "Wpd", 1, 2)
+print(f"  {layer.descriptor()} in [-3, 3]: {layer.members(3)}")
+print(f"  Wp(m=3,n=3,p=1) reads as {parse_weight_set('Wp(m=3,n=3,p=1)').descriptor()}")
 print()
 
 print("Every member of W^p splits as delta^p + mu^dual + gamma with mu the")

@@ -9,12 +9,14 @@ script shows both and confronts them exhaustively.
 """
 
 from dethodge import (
-    IdealWeightSet,
     MatrixSpace,
+    WeightSet,
     hilbert_function,
     hodge_ideal_exponents,
     in_Fk_Sdet,
     in_hodge_ideal,
+    minimal_generators,
+    parse_weight_set,
     translate,
     verify_equivalence,
 )
@@ -35,6 +37,8 @@ print("So I_0 = I_1 = S, and I_2 demands vanishing along the submaximal")
 print("rank locus once: I_2 = J_2 here. Membership of some partitions in I_3:")
 for mu in [(1, 1, 1), (2, 2, 0), (3, 1, 0), (2, 1, 1)]:
     print(f"  {mu}: {in_hodge_ideal(mu, 3, space)}")
+print("Its minimal partitions, the highest weights of its minimal generators:")
+print(f"  {minimal_generators(3, space)}")
 print()
 
 print("The same ideal seen through the Hodge filtration: a partition mu")
@@ -60,6 +64,13 @@ print("Graded dimensions (Hilbert function) of I_k for 2x2 matrices, where")
 print("I_k is the (k-1)-st power of the irrelevant ideal:")
 small = MatrixSpace(2, 2)
 for k in range(4):
-    ideal = IdealWeightSet(small, "HodgeIdeal", param=k)
+    ideal = WeightSet(small, "HodgeIdeal", param=k)
     dims = [hilbert_function(ideal, small, d) for d in range(7)]
     print(f"  k={k}: {dims}")
+print()
+
+print("A weight set is named by a descriptor, as `dethodge hilbert --set`")
+print("takes it; the ideals write theirs with keywords:")
+for text in ["Ik(2,3)", "Jpd(n=3,p=2,d=2)", "FkSdet(k=1,n=2)"]:
+    wset = parse_weight_set(text)
+    print(f"  {text} -> {wset.kind}, written {wset.descriptor()}")

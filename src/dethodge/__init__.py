@@ -15,12 +15,14 @@ from .characters import (
     tensor_expansion,
 )
 from .hodgeideals import (
-    IdealWeightSet,
+    WeightSet,
+    grF_Dp_layer,
     hodge_ideal_exponents,
     in_Fk_Sdet,
     in_hodge_ideal,
     in_symbolic_power,
-    parse_ideal_descriptor,
+    minimal_generators,
+    parse_weight_set,
     translate,
     verify_equivalence,
 )
@@ -68,17 +70,14 @@ from .qseries import (
 )
 from .reporting import VerificationReport
 from .repsets import (
-    StratumWeightSet,
     classify,
     compose_weight,
     decompose_weight,
-    grF_Dp_layer,
     in_Ukp,
     in_Wp,
     in_Wpd,
     lambda_p_mu,
     minimal_elements,
-    parse_descriptor,
 )
 from .weights import (
     WeightBox,

@@ -13,11 +13,11 @@ import sys
 
 from .characters import hilbert_function
 from .hodgeideals import (
-    IdealWeightSet,
+    WeightSet,
     hodge_ideal_exponents,
     in_Fk_Sdet,
-    in_hodge_ideal,
-    parse_ideal_descriptor,
+    minimal_generators,
+    parse_weight_set,
     verify_equivalence,
 )
 from .matrixspace import (
@@ -45,8 +45,8 @@ from .qseries import (
     verify_qbinomial_identity,
 )
 from .reporting import VerificationReport
-from .repsets import classify, parse_descriptor
-from .weights import WeightBox, dominant_tuples, leq, partitions_of, strip_zeros
+from .repsets import classify
+from .weights import partitions_of, strip_zeros
 
 SCHEMA = "detl-hodge/1"
 DEFAULT_SEED = 1729
@@ -73,33 +73,14 @@ def _fmt_weight(lam) -> str:
     return "(" + ",".join(str(x) for x in lam) + ")"
 
 
-def _minimal_members(space: MatrixSpace, k: int) -> list[tuple[int, ...]]:
-    # Minimal partitions in the k-th Hodge ideal weight set. Any minimal
-    # member has largest part at most the largest exponent (shrinking a
-    # larger first part keeps every inequality).
-    n = space.n
-    cap = max([0, *hodge_ideal_exponents(k, space)])
-    members = [
-        mu
-        for mu in dominant_tuples(n, 0, cap)
-        if in_hodge_ideal(mu, k, space)
-    ]
-    return sorted(
-        mu
-        for mu in members
-        if not any(other != mu and leq(other, mu) for other in members)
-    )
-
-
 def cmd_hodge_ideal(args) -> int:
     space = MatrixSpace(args.n, args.n)
     exponents = hodge_ideal_exponents(args.k, space)
     unit = all(e <= 0 for e in exponents)
-    minimal = _minimal_members(space, args.k)
+    minimal = minimal_generators(args.k, space)
     members = None
     if args.box is not None:
-        ideal = IdealWeightSet(space, "HodgeIdeal", param=args.k)
-        members = ideal.members(args.box)
+        members = WeightSet(space, "HodgeIdeal", param=args.k).members(args.box)
 
     if args.format == "json":
         payload = _payload(
@@ -145,9 +126,7 @@ def cmd_filtration(args) -> int:
         result.update(weight=list(args.weight), p=p, member=member)
         lines.append(f"weight {_fmt_weight(args.weight)}: stratum p={p}, member={member}")
     if args.box is not None:
-        members = [
-            lam for lam in WeightBox(args.n, args.box) if in_Fk_Sdet(lam, args.k, space)
-        ]
+        members = WeightSet(space, "FkSdet", param=args.k).members(args.box)
         result["members"] = [list(lam) for lam in members]
         lines.append(f"members with entries in [-{args.box}, {args.box}]:")
         lines.extend(f"  {_fmt_weight(lam)}" for lam in members)
@@ -217,23 +196,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    try:
-        weight_set = parse_ideal_descriptor(args.set)
-    except ValueError:
-        try:
-            weight_set = parse_descriptor(args.set)
-        except ValueError:
-            print(f"error: cannot parse set descriptor {args.set!r}", file=sys.stderr)
-            return 2
-    space = weight_set.space
-    if not weight_set.partitions_only and args.box is None:
-        print(
-            "error: this weight set contains non-partition weights; pass --box",
-            file=sys.stderr,
-        )
-        return 2
+    weight_set = parse_weight_set(args.set)
     values = [
-        {"d": d, "dim": hilbert_function(weight_set, space, d, box=args.box)}
+        {"d": d, "dim": hilbert_function(weight_set, weight_set.space, d, box=args.box)}
         for d in range(args.dmax + 1)
     ]
 
@@ -318,7 +283,7 @@ def _suite_qidentity(args) -> list[VerificationReport]:
 
 
 def _spaces_for(args) -> list[MatrixSpace]:
-    if args.m is not None and args.n is not None:
+    if args.m is not None:
         return [MatrixSpace(args.m, args.n)]
     return [
         MatrixSpace(m, n) for m in range(1, 7) for n in range(1, min(m, 4) + 1)
@@ -371,6 +336,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if (args.m is None) != (args.n is None):
+        raise ValueError("verify takes both --m and --n, or neither")
     if args.suite == "all":
         names = list(SUITES)
     else:

@@ -1,4 +1,5 @@
-"""Hodge ideals of the determinant hypersurface, as weight predicates.
+"""Hodge ideals of the determinant hypersurface, and the weight sets that
+name GL-stable ideals and Hodge-graded pieces.
 
 Two equivalent descriptions are implemented side by side for square
 matrix spaces, and an exhaustive verifier confronts them over weight
@@ -11,22 +12,31 @@ boxes:
   localization of the coordinate ring at the determinant, a disjoint
   union of the filtration sets U^p_k;
 * ``translate``: the change of frame mu -> mu - ((k+1)^n) between the two
-  (twisting by the (k+1)-st power of the determinant).
+  (twisting by the (k+1)-st power of the determinant);
+* ``minimal_generators``: the minimal partitions of I_k, the highest
+  weights of its minimal generators.
 
 GL-stable ideals are identified with their sets of dominant weights, so
-all ideal arithmetic here is predicate arithmetic on partitions. The
-polynomial-level ground truth lives in the oracle module.
+all ideal arithmetic here is predicate arithmetic on partitions. A
+``WeightSet`` names one such set: a stratum support W^p, a layer W^p_d, a
+filtration set U^p_k, the empty set, a symbolic power J_p^(d), a Hodge
+ideal I_k or a filtration level F_k. One table, ``_SPECS``, holds what each
+kind takes and how its descriptor reads; ``parse_weight_set`` reads the
+descriptors back. The polynomial-level ground truth lives in the oracle
+module.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
+from typing import Callable, NamedTuple
 
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
-from .repsets import _descriptor_args, _pull, classify, in_Ukp
-from .weights import WeightBox, check_weight
+from .repsets import classify, in_Ukp, in_Wp, in_Wpd
+from .weights import WeightBox, check_weight, dominant_tuples
 
 
 def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
@@ -69,6 +79,36 @@ def in_hodge_ideal(mu, k: int, space: MatrixSpace) -> bool:
         if sum(mu[p - 1:]) < (n - p) * (k - 1) - comb(n - p, 2):
             return False
     return True
+
+
+def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
+    """The minimal partitions of the k-th Hodge ideal's weight set, in
+    lexicographic order: the highest weights of its minimal generators.
+
+    A member mu is minimal iff every position i where it can drop by one
+    (mu_i > mu_{i+1}, with mu_{n+1} = 0) has some p <= i whose tail
+    inequality is tight, mu_p + ... + mu_n = e_p. If instead a member
+    nu < mu exists, let i be the last position with nu_i < mu_i: mu can
+    drop at i, and for every p <= i its tail sum exceeds nu's, so none is
+    tight.
+    """
+    n = space.n
+    bounds = hodge_ideal_exponents(k, space) + (0,)
+    # A minimal member has largest part at most the largest exponent:
+    # shrinking a larger first part keeps every inequality.
+    cap = max(bounds)
+    generators = []
+    for mu in dominant_tuples(n, 0, cap):
+        if not in_hodge_ideal(mu, k, space):
+            continue
+        tight = False
+        for i in range(n):
+            tight = tight or sum(mu[i:]) == bounds[i]
+            if not tight and mu[i] > (mu[i + 1] if i + 1 < n else 0):
+                break
+        else:
+            generators.append(mu)
+    return generators
 
 
 def in_Fk_Sdet(lam, k: int, space: MatrixSpace) -> bool:
@@ -122,73 +162,133 @@ def verify_equivalence(space: MatrixSpace, k: int, bound: int) -> VerificationRe
     return report
 
 
-_IDEAL_KINDS = ("SymbolicPower", "HodgeIdeal", "FkSdet")
+class _Spec(NamedTuple):
+    name: str  # descriptor name
+    args: tuple[str, ...]  # descriptor arguments in order; past m, n, p: the parameter
+    square: bool  # defined on square spaces only
+    p_min: int | None  # the stratum index runs over p_min..n; None: takes none
+    param_min: float | None  # lower bound on the parameter; None: takes none
+    partitions_only: bool
+    keywords: bool  # descriptor written "Ik(n=2,k=3)" rather than "Wp(3,2,1)"
+    contains: Callable  # (lam, weight_set) -> bool
+
+
+# The membership lambdas look the predicates up when called, so a rebound
+# predicate (a test's monkeypatch, a call-counting wrapper) takes effect.
+_SPECS = {
+    "Wp": _Spec("Wp", ("m", "n", "p"), False, 0, None, False, False,
+                lambda lam, s: in_Wp(lam, s.p, s.space)),
+    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), False, 0, 0, False, False,
+                 lambda lam, s: in_Wpd(lam, s.p, s.param, s.space)),
+    "Ukp": _Spec("Ukp", ("n", "p", "k"), True, 0, -inf, False, False,
+                 lambda lam, s: in_Ukp(lam, s.p, s.param, s.space)),
+    "empty": _Spec("Empty", ("m", "n", "p"), False, 0, None, False, False,
+                   lambda lam, s: False),
+    "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), True, 1, -inf, True, True,
+                           lambda lam, s: in_symbolic_power(lam, s.p, s.param, s.space)),
+    "HodgeIdeal": _Spec("Ik", ("n", "k"), True, None, 0, True, True,
+                        lambda lam, s: in_hodge_ideal(lam, s.param, s.space)),
+    "FkSdet": _Spec("FkSdet", ("n", "k"), True, None, 0, False, True,
+                    lambda lam, s: in_Fk_Sdet(lam, s.param, s.space)),
+}
+_KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
 
 
 @dataclass(frozen=True)
-class IdealWeightSet:
-    """Weight set of a GL-stable ideal (or filtration piece) on a square
-    matrix space: a symbolic power J_p^(d), a Hodge ideal I_k, or a Hodge
-    filtration level F_k of the localization at the determinant."""
+class WeightSet:
+    """A set of dominant weights on a matrix space, of one of the kinds in
+    ``_SPECS``: W^p, a layer W^p_d, a filtration set U^p_k, the empty set,
+    a symbolic power J_p^(d), a Hodge ideal I_k or a Hodge filtration level
+    F_k. Supports membership tests and bounded enumeration."""
 
     space: MatrixSpace
     kind: str
     p: int | None = None
-    param: int = 0
+    param: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _IDEAL_KINDS:
-            raise ValueError(f"unknown ideal weight set kind {self.kind!r}")
-        if not self.space.is_square:
-            raise ValueError("ideal weight sets are defined on square spaces")
-        if self.kind == "SymbolicPower":
-            if self.p is None or not 1 <= self.p <= self.space.n:
-                raise ValueError("SymbolicPower needs 1 <= p <= n")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} takes no stratum index")
-        if self.kind in ("HodgeIdeal", "FkSdet") and self.param < 0:
-            raise ValueError(f"{self.kind} is indexed by k >= 0")
+        spec = _SPECS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown weight-set kind {self.kind!r}")
+        if spec.square and not self.space.is_square:
+            raise ValueError(f"{spec.name} is defined on square matrix spaces")
+        if spec.p_min is None:
+            if self.p is not None:
+                raise ValueError(f"{spec.name} takes no stratum index")
+        elif self.p is None or not spec.p_min <= self.p <= self.space.n:
+            raise ValueError(f"stratum index p={self.p} outside {spec.p_min}..{self.space.n}")
+        if spec.param_min is None:
+            if self.param is not None:
+                raise ValueError(f"{spec.name} takes no parameter")
+        elif self.param is None:
+            raise ValueError(f"{spec.name} needs its parameter {spec.args[-1]}")
+        elif self.param < spec.param_min:
+            raise ValueError(f"{spec.name} needs {spec.args[-1]} >= {spec.param_min}")
 
     @property
     def partitions_only(self) -> bool:
-        return self.kind != "FkSdet"
+        return _SPECS[self.kind].partitions_only
 
     def contains(self, lam) -> bool:
-        if self.kind == "SymbolicPower":
-            return in_symbolic_power(lam, self.p, self.param, self.space)
-        if self.kind == "HodgeIdeal":
-            return in_hodge_ideal(lam, self.param, self.space)
-        return in_Fk_Sdet(lam, self.param, self.space)
+        return _SPECS[self.kind].contains(lam, self)
 
     def members(self, bound: int) -> list[tuple[int, ...]]:
-        out = []
-        for lam in WeightBox(self.space.n, bound):
-            if self.partitions_only and lam[-1] < 0:
-                continue
-            if self.contains(lam):
-                out.append(lam)
-        return out
+        """All members with entries in [-bound, bound], lexicographic; a set
+        of partitions enumerates only the partitions."""
+        if bound < 0:
+            raise ValueError("box bound must be nonnegative")
+        lo = 0 if self.partitions_only else -bound
+        return [lam for lam in dominant_tuples(self.space.n, lo, bound) if self.contains(lam)]
 
     def descriptor(self) -> str:
-        n = self.space.n
-        if self.kind == "SymbolicPower":
-            return f"Jpd(n={n},p={self.p},d={self.param})"
-        if self.kind == "HodgeIdeal":
-            return f"Ik(n={n},k={self.param})"
-        return f"FkSdet(n={n},k={self.param})"
+        spec = _SPECS[self.kind]
+        fields = {"m": self.space.m, "n": self.space.n, "p": self.p}
+        values = [(arg, fields.get(arg, self.param)) for arg in spec.args]
+        body = ",".join(f"{arg}={v}" if spec.keywords else str(v) for arg, v in values)
+        return f"{spec.name}({body})"
 
 
-def parse_ideal_descriptor(text: str) -> IdealWeightSet:
-    """Parse "Ik(n=2,k=3)", "Jpd(n=3,p=1,d=2)" or "FkSdet(n=2,k=1)"
-    (positional forms like "Ik(2,3)" are accepted too)."""
-    name, pos, kw = _descriptor_args(text)
-    if name == "Ik":
-        n, k = _pull(pos, kw, ("n", "k"))
-        return IdealWeightSet(MatrixSpace(n, n), "HodgeIdeal", param=k)
-    if name == "Jpd":
-        n, p, d = _pull(pos, kw, ("n", "p", "d"))
-        return IdealWeightSet(MatrixSpace(n, n), "SymbolicPower", p=p, param=d)
-    if name == "FkSdet":
-        n, k = _pull(pos, kw, ("n", "k"))
-        return IdealWeightSet(MatrixSpace(n, n), "FkSdet", param=k)
-    raise ValueError(f"unknown ideal weight set {name!r}")
+def grF_Dp_layer(p: int, level: int, start: int, space: MatrixSpace) -> WeightSet:
+    """Weight support of the Hodge-graded piece of the rank-p simple module
+    at the given filtration level, when the filtration starts at `start`:
+    empty below the start, and the layer W^p_{level-start} from there on."""
+    if level < start:
+        return WeightSet(space, "empty", p)
+    return WeightSet(space, "Wpd", p, level - start)
+
+
+_DESCRIPTOR_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
+
+
+def parse_weight_set(text: str) -> WeightSet:
+    """Read a descriptor such as "Wp(3,2,1)" or "Ik(n=2,k=3)", the inverse
+    of ``WeightSet.descriptor``: a kind's name and every one of its
+    arguments, either all positional in order or all as keywords in any
+    order."""
+    match = _DESCRIPTOR_RE.match(text)
+    name, body = match.groups() if match else (None, "")
+    if name not in _KIND_NAMED:
+        raise ValueError(f"unknown or malformed set descriptor {text!r}")
+    kind = _KIND_NAMED[name]
+    args = _SPECS[kind].args
+    pieces = [piece.partition("=") for piece in body.split(",")]
+    if not any(sep for _, sep, _ in pieces):
+        if len(pieces) != len(args):
+            raise ValueError(f"{name} takes {len(args)} arguments ({','.join(args)})")
+        pieces = [(arg, "=", value) for arg, (value, _, _) in zip(args, pieces)]
+    values = {}
+    for key, sep, value in pieces:
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{name} mixes positional and keyword arguments")
+        if key not in args or key in values:
+            raise ValueError(f"{name} takes each of {','.join(args)} once, not {key!r}")
+        values[key] = int(value)
+    missing = [arg for arg in args if arg not in values]
+    if missing:
+        raise ValueError(f"{name} is missing {','.join(missing)}")
+    n = values.pop("n")
+    space = MatrixSpace(values.pop("m", n), n)
+    p = values.pop("p", None)
+    # What is left is the parameter, if the kind takes one.
+    return WeightSet(space, kind, p, values.popitem()[1] if values else None)

@@ -14,7 +14,7 @@ from dethodge.characters import (
     tensor_decomposition_check,
 )
 from dethodge.hodgeideals import (
-    IdealWeightSet,
+    WeightSet,
     in_hodge_ideal,
     in_symbolic_power,
     verify_equivalence,
@@ -163,7 +163,7 @@ def test_criterion_09_oracle_agreement():
 def test_criterion_10_hilbert_oracle():
     space = MatrixSpace(2, 2)
     for k in range(7):
-        ideal = IdealWeightSet(space, "HodgeIdeal", param=k)
+        ideal = WeightSet(space, "HodgeIdeal", param=k)
         truth = ideal_power_hilbert(space, k, 12)
         for d in range(13):
             assert hilbert_function(ideal, space, d) == truth[d], (k, d)

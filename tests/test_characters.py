@@ -11,9 +11,8 @@ from dethodge.characters import (
     tensor_decomposition_check,
     tensor_expansion,
 )
-from dethodge.hodgeideals import IdealWeightSet, parse_ideal_descriptor
+from dethodge.hodgeideals import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
-from dethodge.repsets import StratumWeightSet
 from dethodge.weights import partitions_of
 
 
@@ -143,27 +142,27 @@ def test_cauchy_examples():
 
 def test_hilbert_function_examples():
     space = MatrixSpace(2, 2)
-    ik2 = IdealWeightSet(space, "HodgeIdeal", param=2)
+    ik2 = WeightSet(space, "HodgeIdeal", param=2)
     assert hilbert_function(ik2, space, 2) == 10
-    j13 = IdealWeightSet(space, "SymbolicPower", p=1, param=3)
+    j13 = WeightSet(space, "SymbolicPower", p=1, param=3)
     assert hilbert_function(j13, space, 2) == 0
-    ik3 = IdealWeightSet(space, "HodgeIdeal", param=3)
+    ik3 = WeightSet(space, "HodgeIdeal", param=3)
     assert hilbert_function(ik3, space, 3) == 20
 
 
 def test_hilbert_function_whole_ring():
     # the unit ideal gives the full polynomial ring dimensions
     space = MatrixSpace(3, 2)
-    unit = IdealWeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=0)
+    unit = WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=0)
     for d in range(6):
         assert hilbert_function(unit, MatrixSpace(2, 2), d) == comb(4 + d - 1, d)
-    sym = parse_ideal_descriptor("Jpd(n=2,p=1,d=0)")
+    sym = parse_weight_set("Jpd(n=2,p=1,d=0)")
     assert hilbert_function(sym, MatrixSpace(2, 2), 3) == comb(6, 3)
 
 
 def test_hilbert_function_box_requirement():
     space = MatrixSpace(2, 2)
-    wset = StratumWeightSet(space, 2, "Wp")
+    wset = WeightSet(space, "Wp", 2)
     with pytest.raises(ValueError):
         hilbert_function(wset, space, 2)
     # rank-n support consists of partitions, so a generous box is exact
@@ -172,7 +171,7 @@ def test_hilbert_function_box_requirement():
 
 def test_hilbert_function_degree_zero():
     space = MatrixSpace(2, 2)
-    full = IdealWeightSet(space, "HodgeIdeal", param=1)
+    full = WeightSet(space, "HodgeIdeal", param=1)
     assert hilbert_function(full, space, 0) == 1
 
 
@@ -182,7 +181,7 @@ def test_hilbert_function_symbolic_powers_of_irrelevant_ideal():
     # degree d on, zero below
     space = MatrixSpace(2, 2)
     for d in range(7):
-        wset = IdealWeightSet(space, "SymbolicPower", p=1, param=d)
+        wset = WeightSet(space, "SymbolicPower", p=1, param=d)
         for e in range(13):
             expected = comb(e + 3, 3) if e >= d else 0
             assert hilbert_function(wset, space, e) == expected, (d, e)

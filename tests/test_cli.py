@@ -145,6 +145,33 @@ def test_hilbert_bad_descriptor(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "descriptor,reason",
+    [
+        ("Ik(n=2,k=3,x=1)", "once, not 'x'"),
+        ("Wp(m=3,n=2,p=1,d=4)", "once, not 'd'"),
+        ("Wp(3,2,5)", "p=5 outside 0..2"),
+        ("Wpd(3,2,1)", "takes 4 arguments (m,n,p,d)"),
+        ("Ukp(2,p=1,k=0)", "mixes positional and keyword"),
+    ],
+)
+def test_hilbert_rejects_a_bad_descriptor_with_its_reason(capsys, descriptor, reason):
+    code = main(["hilbert", "--set", descriptor, "--box", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("lone", [["--m", "2"], ["--n", "2"]])
+def test_verify_with_only_one_of_m_and_n_is_a_usage_error(capsys, lone):
+    code = main(["verify", "decomposition", *lone])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--m and --n" in captured.err
+
+
 def test_oracle_check(capsys):
     code, payload = run_json(
         capsys,

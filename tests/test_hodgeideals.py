@@ -3,18 +3,19 @@ from math import comb
 import pytest
 
 from dethodge.hodgeideals import (
-    IdealWeightSet,
+    WeightSet,
     hodge_ideal_exponents,
     in_Fk_Sdet,
     in_hodge_ideal,
     in_symbolic_power,
-    parse_ideal_descriptor,
+    minimal_generators,
+    parse_weight_set,
     translate,
     untranslate,
     verify_equivalence,
 )
 from dethodge.matrixspace import MatrixSpace
-from dethodge.weights import WeightBox, leq
+from dethodge.weights import WeightBox, dominant_tuples, leq
 
 
 def partitions_in_box(n, bound):
@@ -70,6 +71,11 @@ def test_in_hodge_ideal_examples():
 
 
 def test_hodge_ideal_chain_and_interval():
+    # Upward closure in the box is checked on covers: each member's steps
+    # mu + e_i that stay dominant and inside the box are members. That is
+    # the same as closure under <=, because any mu <= nu in the box are
+    # joined by such steps: raising mu at the first coordinate where it
+    # differs from nu keeps it dominant and <= nu.
     for n in (2, 3, 4):
         space = MatrixSpace(n, n)
         box = partitions_in_box(n, 10)
@@ -78,9 +84,30 @@ def test_hodge_ideal_chain_and_interval():
             nxt = {mu for mu in box if in_hodge_ideal(mu, k + 1, space)}
             assert nxt <= members
             for mu in members:
-                for nu in box:
-                    if leq(mu, nu):
-                        assert nu in members
+                for i in range(n):
+                    if mu[i] < 10 and (i == 0 or mu[i - 1] > mu[i]):
+                        assert mu[:i] + (mu[i] + 1,) + mu[i + 1:] in members
+
+
+def pairwise_minimal(k, space):
+    # Reference: every member up to the largest exponent, then the pairwise
+    # componentwise-order filter.
+    cap = max([0, *hodge_ideal_exponents(k, space)])
+    members = [
+        mu for mu in dominant_tuples(space.n, 0, cap) if in_hodge_ideal(mu, k, space)
+    ]
+    return sorted(
+        mu for mu in members if not any(nu != mu and leq(nu, mu) for nu in members)
+    )
+
+
+def test_minimal_generators_match_the_pairwise_filter():
+    for n in range(1, 6):
+        space = MatrixSpace(n, n)
+        for k in range(9):
+            assert minimal_generators(k, space) == pairwise_minimal(k, space), (n, k)
+    assert minimal_generators(3, MatrixSpace(3, 3)) == [(1, 1, 1), (2, 2, 0)]
+    assert minimal_generators(0, MatrixSpace(4, 4)) == [(0, 0, 0, 0)]
 
 
 def test_hodge_ideal_inside_coarse_symbolic_bound():
@@ -131,32 +158,82 @@ def test_rank_one_filtration_levels():
 
 
 def test_ideal_weight_set_and_descriptors():
-    ideal = parse_ideal_descriptor("Ik(n=2,k=3)")
+    ideal = parse_weight_set("Ik(n=2,k=3)")
     assert ideal.kind == "HodgeIdeal" and ideal.param == 3
     assert ideal.contains((2, 0))
     assert not ideal.contains((1, 0))
-    assert parse_ideal_descriptor(ideal.descriptor()) == ideal
+    assert parse_weight_set(ideal.descriptor()) == ideal
+    assert parse_weight_set("Ik(2,3)") == ideal
 
-    sym = parse_ideal_descriptor("Jpd(n=3,p=2,d=2)")
+    sym = parse_weight_set("Jpd(n=3,p=2,d=2)")
     assert sym.contains((2, 1, 1))
     assert not sym.contains((3, 1, 0))
-    assert parse_ideal_descriptor(sym.descriptor()) == sym
+    assert parse_weight_set(sym.descriptor()) == sym
 
-    filt = parse_ideal_descriptor("FkSdet(n=2,k=1)")
+    filt = parse_weight_set("FkSdet(n=2,k=1)")
     assert not filt.partitions_only
     assert filt.contains((0, -2))
-    assert parse_ideal_descriptor(filt.descriptor()) == filt
+    assert parse_weight_set(filt.descriptor()) == filt
 
     with pytest.raises(ValueError):
-        parse_ideal_descriptor("Ik(n=2)")
+        parse_weight_set("Ik(n=2)")
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("Ik(n=2,k=3,x=1)", "once, not 'x'"),
+        ("Wp(m=3,n=2,p=1,d=4)", "once, not 'd'"),
+        ("Wp(3,2,1,4)", "takes 3 arguments"),
+        ("Wp()", "takes 3 arguments"),
+        ("Wpd(m=3,n=2,p=1)", "missing d"),
+        ("Wp(3,2)", "takes 3 arguments"),
+        ("Wp(3,n=2,p=1)", "mixes positional and keyword"),
+        ("Ik(n=2,n=2,k=1)", "once, not 'n'"),
+        ("Ik(n=2,k=x)", "invalid literal"),
+        ("Wp(3,,1)", "invalid literal"),
+        ("Nope(1,2)", "unknown or malformed"),
+        ("Wp(3,2,1", "unknown or malformed"),
+        ("Wp(3,2,5)", "p=5 outside 0..2"),
+        ("Jpd(n=3,p=0,d=1)", "p=0 outside 1..3"),
+        ("Ik(n=3,k=-1)", "k >= 0"),
+        ("Ukp(3,2,1,0)", "takes 3 arguments"),
+        ("Jpd(n=2,p=1)", "missing d"),
+    ],
+)
+def test_parse_weight_set_names_the_fault(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        parse_weight_set(text)
 
 
 def test_ideal_weight_set_members():
-    ideal = IdealWeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=2)
+    ideal = WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=2)
     members = ideal.members(2)
     assert (1, 0) in members and (2, 2) in members
     assert (0, 0) not in members
     assert all(mu[-1] >= 0 for mu in members)
+    box = [mu for mu in WeightBox(2, 2) if mu[-1] >= 0 and ideal.contains(mu)]
+    assert members == box
+
+
+def test_ideal_weight_set_validation():
+    square, rect = MatrixSpace(3, 3), MatrixSpace(4, 3)
+    for space, kind, p, param in [
+        (rect, "HodgeIdeal", None, 1),
+        (rect, "SymbolicPower", 1, 1),
+        (square, "SymbolicPower", 0, 1),
+        (square, "SymbolicPower", 4, 1),
+        (square, "SymbolicPower", None, 1),
+        (square, "SymbolicPower", 1, None),
+        (square, "HodgeIdeal", 1, 2),
+        (square, "HodgeIdeal", None, -1),
+        (square, "FkSdet", None, -1),
+        (square, "FkSdet", None, None),
+    ]:
+        with pytest.raises(ValueError):
+            WeightSet(space, kind, p, param)
+    # d <= 0 is the unit ideal
+    assert WeightSet(square, "SymbolicPower", 3, -2).contains((0, 0, 0))
 
 
 def test_unit_ideal_thresholds_match_membership():

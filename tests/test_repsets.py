@@ -1,18 +1,16 @@
 import pytest
 
+from dethodge.hodgeideals import WeightSet, grF_Dp_layer, parse_weight_set
 from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum
 from dethodge.repsets import (
-    StratumWeightSet,
     classify,
     compose_weight,
     decompose_weight,
-    grF_Dp_layer,
     in_Ukp,
     in_Wp,
     in_Wpd,
     lambda_p_mu,
     minimal_elements,
-    parse_descriptor,
 )
 from dethodge.weights import WeightBox, delta_p, leq
 
@@ -191,11 +189,11 @@ def test_decompose_weight_round_trip():
 
 def test_weight_set_membership_and_members():
     space = MatrixSpace(3, 3)
-    wset = StratumWeightSet(space, 1, "Wpd", 2)
+    wset = WeightSet(space, "Wpd", 1, 2)
     members = wset.members(4)
     assert (-2, -3, -3) in members
     assert all(in_Wpd(lam, 1, 2, space) for lam in members)
-    empty = StratumWeightSet(space, 1, "empty")
+    empty = WeightSet(space, "empty", 1)
     assert not empty.contains((-2, -2, -2))
     assert empty.members(3) == []
 
@@ -206,24 +204,38 @@ def test_descriptor_round_trip():
         ("Wpd(3,3,1,2)", "Wpd"),
         ("Ukp(2,1,2)", "Ukp"),
         ("Ukp(n=2,p=1,k=2)", "Ukp"),
+        ("Ukp(k=-3,n=2,p=0)", "Ukp"),
+        ("Empty(3,3,1)", "empty"),
     ]:
-        wset = parse_descriptor(text)
+        wset = parse_weight_set(text)
         assert wset.kind == kind
-        assert parse_descriptor(wset.descriptor()) == wset
+        assert parse_weight_set(wset.descriptor()) == wset
+    assert parse_weight_set("Wpd(m=3,n=2,p=1,d=4)").descriptor() == "Wpd(3,2,1,4)"
     with pytest.raises(ValueError):
-        parse_descriptor("Nope(1,2)")
+        parse_weight_set("Nope(1,2)")
     with pytest.raises(ValueError):
-        parse_descriptor("Wp(1,2")
+        parse_weight_set("Wp(1,2")
 
 
 def test_weight_set_validation():
     space = MatrixSpace(3, 2)
+    for p, kind, param in [
+        (1, "Ukp", 2),  # U-sets need a square space
+        (1, "Wpd", -1),
+        (1, "Wpd", None),
+        (3, "Wp", None),
+        (-1, "empty", None),
+        (None, "Wp", None),
+        (1, "Wp", 3),
+        (1, "empty", 0),
+        (1, "Nope", None),
+    ]:
+        with pytest.raises(ValueError):
+            WeightSet(space, kind, p, param)
+    square = MatrixSpace(2, 2)
+    assert WeightSet(square, "Ukp", 1, -5).param == -5
     with pytest.raises(ValueError):
-        StratumWeightSet(space, 1, "Ukp", 2)
-    with pytest.raises(ValueError):
-        StratumWeightSet(space, 1, "Wpd", -1)
-    with pytest.raises(ValueError):
-        StratumWeightSet(space, 1, "Wp", 3)
+        WeightSet(square, "Ukp", 1)
 
 
 def test_layers_partition_the_support():
