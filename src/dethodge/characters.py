@@ -15,7 +15,14 @@ from math import comb
 from .matrixspace import MatrixSpace, Stratum, codim_stratum
 from .reporting import VerificationReport
 from .repsets import compose_weight, lambda_p_mu
-from .weights import WeightBox, check_weight, is_partition, pad, partitions_of, strip_zeros
+from .weights import (
+    check_weight,
+    dominant_tuples,
+    is_partition,
+    pad,
+    partitions_of,
+    strip_zeros,
+)
 
 LR_SIZE_CAP = 20
 
@@ -187,8 +194,14 @@ def hilbert_function(weight_set, space: MatrixSpace, d: int, box: int | None = N
     Sets consisting of partitions are summed exactly. Sets containing
     weights with negative entries are infinite in each degree direction,
     so an explicit box bound is required and the result is truncated to
-    entries in [-box, box] (square spaces only).
+    entries in [-box, box] (square spaces only). Either way only the
+    weights of size d are enumerated. `space` must be the weight set's
+    own space.
     """
+    if space != weight_set.space:
+        raise ValueError(
+            f"weight set {weight_set.descriptor()} lives on {weight_set.space}, not {space}"
+        )
     n, m = space.n, space.m
     if weight_set.partitions_only:
         if d < 0:
@@ -205,8 +218,10 @@ def hilbert_function(weight_set, space: MatrixSpace, d: int, box: int | None = N
         )
     if not space.is_square:
         raise ValueError("box-truncated graded dimensions need a square space")
+    if box < 0:
+        raise ValueError("box bound must be nonnegative")
     total = 0
-    for lam in WeightBox(n, box):
-        if sum(lam) == d and weight_set.contains(lam):
+    for lam in dominant_tuples(n, -box, box, total=d):
+        if weight_set.contains(lam):
             total += dim_irrep(lam, n) ** 2
     return total

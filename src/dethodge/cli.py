@@ -338,6 +338,10 @@ SUITES = {
 def cmd_verify(args) -> int:
     if (args.m is None) != (args.n is None):
         raise ValueError("verify takes both --m and --n, or neither")
+    if args.m is not None and args.suite != "decomposition":
+        raise ValueError(
+            f"--m and --n apply only to the decomposition suite, not to {args.suite!r}"
+        )
     if args.suite == "all":
         names = list(SUITES)
     else:
@@ -442,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int, help="decomposition suite only: one space instead of the grid")
+    p.add_argument("--n", type=int, help="decomposition suite only")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

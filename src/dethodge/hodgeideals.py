@@ -91,24 +91,47 @@ def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
     nu < mu exists, let i be the last position with nu_i < mu_i: mu can
     drop at i, and for every p <= i its tail sum exceeds nu's, so none is
     tight.
+
+    The generators are built, not searched for: a depth-first walk fixes
+    the parts from right to left, mu_n first, carrying the tail sum
+    T_i = mu_i + ... + mu_n and one flag, "open": a drop has happened at
+    or after position i and no tail inequality from i on is tight. One
+    tight p <= i serves every drop at or after i, so one flag suffices.
+    A part is rejected when T_i < e_i; a tight T_i = e_i closes the flag;
+    at i = 1 a member is accepted exactly when the flag is closed. While
+    it is open some p < i must still be tight, and the smallest T_p can
+    be is T_i + (i-p)*mu_i, since every part before i is at least mu_i.
+    If that exceeds e_p for every p < i, no completion is minimal, and
+    none is for a larger mu_i either: it is a drop with T_i > e_i, so the
+    flag stays open and every such lower bound grows. The loop over mu_i
+    therefore stops there, and each level is finite. The work is
+    proportional to the prefixes that can still be completed, not to the
+    comb(cap+n, n) partitions below the largest exponent.
     """
+    if not space.is_square:
+        raise ValueError("the determinant hypersurface needs a square space")
     n = space.n
     bounds = hodge_ideal_exponents(k, space) + (0,)
-    # A minimal member has largest part at most the largest exponent:
-    # shrinking a larger first part keeps every inequality.
-    cap = max(bounds)
     generators = []
-    for mu in dominant_tuples(n, 0, cap):
-        if not in_hodge_ideal(mu, k, space):
-            continue
-        tight = False
-        for i in range(n):
-            tight = tight or sum(mu[i:]) == bounds[i]
-            if not tight and mu[i] > (mu[i + 1] if i + 1 < n else 0):
-                break
-        else:
-            generators.append(mu)
-    return generators
+
+    def extend(i, suffix, tail, is_open):
+        # Choose the part at 0-based position i, ahead of suffix (the parts
+        # after it, summing to tail); is_open is the flag for position i+1.
+        below = suffix[0] if suffix else 0
+        part = max(below, bounds[i] - tail)
+        while True:
+            total = tail + part
+            still_open = (is_open or part > below) and total != bounds[i]
+            if still_open and all(total + (i - p) * part > bounds[p] for p in range(i)):
+                return
+            if i == 0:
+                generators.append((part,) + suffix)
+            else:
+                extend(i - 1, (part,) + suffix, total, still_open)
+            part += 1
+
+    extend(n - 1, (), 0, False)
+    return sorted(generators)
 
 
 def in_Fk_Sdet(lam, k: int, space: MatrixSpace) -> bool:

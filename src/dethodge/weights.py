@@ -140,23 +140,39 @@ class WeightBox:
         return enumerate_box(self)
 
 
-def dominant_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+def dominant_tuples(
+    length: int, lo: int, hi: int, total: int | None = None
+) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing integer tuples of the given length with
-    entries in [lo, hi], in lexicographic order. Length 0 yields the
-    empty tuple."""
+    entries in [lo, hi], in lexicographic order; with `total`, only those
+    whose entries sum to it. Length 0 yields the empty tuple (when the
+    total is 0 or not given).
+
+    With a total every entry is drawn from the range that the remaining
+    entries can complete, so no prefix is a dead end: the next of `slots`
+    entries, after a previous entry `cap`, with `rest` still to place, is
+    at least ceil(rest/slots) (the later ones are at most it) and at most
+    rest - (slots-1)*lo (the later ones are at least lo).
+    """
     if length == 0:
-        yield ()
+        if total in (None, 0):
+            yield ()
         return
 
-    def rec(prefix, cap):
+    def rec(prefix, cap, rest):
         if len(prefix) == length:
             yield prefix
             return
-        for v in range(lo, cap + 1):
-            yield from rec(prefix + (v,), v)
+        if rest is None:
+            for v in range(lo, cap + 1):
+                yield from rec(prefix + (v,), v, None)
+            return
+        slots = length - len(prefix)
+        for v in range(max(lo, -(-rest // slots)), min(cap, rest - (slots - 1) * lo) + 1):
+            yield from rec(prefix + (v,), v, rest - v)
 
     if lo <= hi:
-        yield from rec((), hi)
+        yield from rec((), hi, total)
 
 
 def enumerate_box(box: WeightBox) -> Iterator[tuple[int, ...]]:

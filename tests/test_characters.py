@@ -13,7 +13,7 @@ from dethodge.characters import (
 )
 from dethodge.hodgeideals import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
-from dethodge.weights import partitions_of
+from dethodge.weights import WeightBox, partitions_of
 
 
 def ssyt_count(lam, N):
@@ -167,6 +167,35 @@ def test_hilbert_function_box_requirement():
         hilbert_function(wset, space, 2)
     # rank-n support consists of partitions, so a generous box is exact
     assert hilbert_function(wset, space, 2, box=6) == comb(5, 2)
+
+
+def test_hilbert_function_refuses_another_space():
+    ideal = WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=2)
+    assert [hilbert_function(ideal, MatrixSpace(2, 2), d) for d in range(4)] == [0, 4, 10, 20]
+    for d in range(4):
+        with pytest.raises(ValueError, match="lives on 2x2, not 5x2"):
+            hilbert_function(ideal, MatrixSpace(5, 2), d)
+    with pytest.raises(ValueError, match="not 3x3"):
+        hilbert_function(WeightSet(MatrixSpace(2, 2), "Wp", 1), MatrixSpace(3, 3), 0, box=2)
+
+
+def test_hilbert_function_box_matches_the_filtered_box():
+    # Reference: scan the whole box once and bucket members by size.
+    for n in range(1, 5):
+        space = MatrixSpace(n, n)
+        sets = [WeightSet(space, "Wp", p) for p in range(n + 1)]
+        sets += [WeightSet(space, "FkSdet", param=k) for k in range(3)]
+        sets += [WeightSet(space, "Ukp", n - 1, k) for k in (-1, 1)]
+        for bound in range(6):
+            for wset in sets:
+                by_size = {}
+                for lam in WeightBox(n, bound):
+                    if wset.contains(lam):
+                        by_size[sum(lam)] = by_size.get(sum(lam), 0) + dim_irrep(lam, n) ** 2
+                for d in range(-n * bound, n * bound + 1):
+                    assert hilbert_function(wset, space, d, box=bound) == by_size.get(d, 0), (
+                        wset.descriptor(), bound, d,
+                    )
 
 
 def test_hilbert_function_degree_zero():

@@ -42,6 +42,14 @@ def test_hodge_ideal_json(capsys):
     assert payload["minimal_generators"] == [[1, 1, 1], [2, 2, 0]]
 
 
+def test_hodge_ideal_large_case(capsys):
+    # comb(cap+n, n) = 4.3e13 candidates for a scan; the direct build is instant
+    code, payload = run_json(capsys, "hodge-ideal", "--n", "12", "--k", "12")
+    assert code == 0
+    assert len(payload["minimal_generators"]) == 15
+    assert payload["unit_ideal"] is False
+
+
 def test_hodge_ideal_box_members(capsys):
     code, payload = run_json(capsys, "hodge-ideal", "--n", "2", "--k", "2", "--box", "2")
     assert code == 0
@@ -170,6 +178,15 @@ def test_verify_with_only_one_of_m_and_n_is_a_usage_error(capsys, lone):
     assert code == 2
     assert captured.out == ""
     assert "--m and --n" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["all", "equivalence", "oracle", "qidentity", "weights"])
+def test_verify_refuses_m_and_n_outside_the_decomposition_suite(capsys, suite):
+    code = main(["verify", suite, "--m", "2", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"only to the decomposition suite, not to {suite!r}" in captured.err
 
 
 def test_oracle_check(capsys):

@@ -101,6 +101,57 @@ def pairwise_minimal(k, space):
     )
 
 
+def scan_minimal(k, space):
+    # Reference: scan every partition with parts up to the largest exponent
+    # (a minimal member's first part can always shrink to it) and keep a
+    # member iff each position where it can drop has a tight tail
+    # inequality at or before it.
+    n = space.n
+    bounds = hodge_ideal_exponents(k, space) + (0,)
+    generators = []
+    for mu in dominant_tuples(n, 0, max(bounds)):
+        if not in_hodge_ideal(mu, k, space):
+            continue
+        tight = False
+        for i in range(n):
+            tight = tight or sum(mu[i:]) == bounds[i]
+            if not tight and mu[i] > (mu[i + 1] if i + 1 < n else 0):
+                break
+        else:
+            generators.append(mu)
+    return generators
+
+
+def scan_size(k, n):
+    return comb(max(hodge_ideal_exponents(k, MatrixSpace(n, n)) + (0,)) + n, n)
+
+
+def test_minimal_generators_match_the_scan():
+    cases = [
+        (n, k) for n in range(1, 8) for k in range(11) if scan_size(k, n) <= 200_000
+    ]
+    assert len(cases) == 68
+    for n, k in cases:
+        space = MatrixSpace(n, n)
+        assert minimal_generators(k, space) == scan_minimal(k, space), (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(12, 12), (20, 20), (40, 10)])
+def test_minimal_generators_certificate(n, k):
+    # Beyond the scan's reach: each generator is a member, and lowering any
+    # part that can drop (keeping a partition) leaves the ideal, so each
+    # is minimal, since the ideal's weight set is upward closed.
+    space = MatrixSpace(n, n)
+    generators = minimal_generators(k, space)
+    assert generators and generators == sorted(set(generators))
+    for mu in generators:
+        assert in_hodge_ideal(mu, k, space)
+        for i in range(n):
+            if mu[i] > (mu[i + 1] if i + 1 < n else 0):
+                lowered = mu[:i] + (mu[i] - 1,) + mu[i + 1:]
+                assert not in_hodge_ideal(lowered, k, space), (mu, i)
+
+
 def test_minimal_generators_match_the_pairwise_filter():
     for n in range(1, 6):
         space = MatrixSpace(n, n)

@@ -144,3 +144,18 @@ def test_partitions_of():
 def test_dominant_tuples_degenerate():
     assert list(dominant_tuples(0, -3, 1)) == [()]
     assert list(dominant_tuples(2, 1, 0)) == []
+
+
+def test_dominant_tuples_with_a_total_match_the_filtered_box():
+    for length in range(1, 5):
+        for bound in range(6):
+            box = list(WeightBox(length, bound))
+            for total in range(-length * bound - 1, length * bound + 2):
+                expected = [lam for lam in box if sum(lam) == total]
+                assert list(dominant_tuples(length, -bound, bound, total=total)) == expected
+    assert list(dominant_tuples(3, 0, 4, total=5)) == sorted(
+        lam for lam in partitions_of(5, 3) if lam[0] <= 4
+    )
+    assert list(dominant_tuples(0, -3, 1, total=0)) == [()]
+    assert list(dominant_tuples(0, -3, 1, total=1)) == []
+    assert list(dominant_tuples(2, 1, 0, total=1)) == []
