@@ -225,6 +225,8 @@ def cmd_hilbert(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     space = MatrixSpace(args.n, args.n)
+    if not 1 <= args.p <= args.n:
+        raise ValueError(f"--p {args.p} outside 1..{args.n}")
     bound = max(7, 3, args.lmax)
     lambdas = [
         lam for size in range(args.lmax + 1) for lam in partitions_of(size, args.n)
@@ -385,6 +387,13 @@ def _nonneg(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("value must be at least 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dethodge",
@@ -437,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--dmax", type=_nonneg, default=4)
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--trials", type=_positive, default=8)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--lmax", type=_nonneg, default=6, help="max size of tested partitions")
     add_format(p)

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
-from .repsets import classify, in_Ukp, in_Wp, in_Wpd
+from .repsets import _classify, _in_Ukp, in_Ukp, in_Wp, in_Wpd
 from .weights import WeightBox, check_weight, dominant_tuples
 
 
@@ -113,24 +113,23 @@ def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
     n = space.n
     bounds = hodge_ideal_exponents(k, space) + (0,)
     generators = []
-
-    def extend(i, suffix, tail, is_open):
-        # Choose the part at 0-based position i, ahead of suffix (the parts
-        # after it, summing to tail); is_open is the flag for position i+1.
-        below = suffix[0] if suffix else 0
-        part = max(below, bounds[i] - tail)
-        while True:
-            total = tail + part
-            still_open = (is_open or part > below) and total != bounds[i]
-            if still_open and all(total + (i - p) * part > bounds[p] for p in range(i)):
-                return
-            if i == 0:
-                generators.append((part,) + suffix)
-            else:
-                extend(i - 1, (part,) + suffix, total, still_open)
-            part += 1
-
-    extend(n - 1, (), 0, False)
+    # Each entry tries one part at 0-based position i, ahead of suffix (the
+    # parts after it, summing to tail); is_open is the flag for position
+    # i+1. A stack instead of recursion, so n is not bounded by the
+    # interpreter's recursion limit.
+    stack = [(n - 1, (), 0, False, bounds[n - 1])]
+    while stack:
+        i, suffix, tail, is_open, part = stack.pop()
+        total = tail + part
+        still_open = (is_open or part > (suffix[0] if suffix else 0)) and total != bounds[i]
+        if still_open and all(total + (i - p) * part > bounds[p] for p in range(i)):
+            continue
+        stack.append((i, suffix, tail, is_open, part + 1))
+        if i == 0:
+            generators.append((part,) + suffix)
+        else:
+            start = max(part, bounds[i - 1] - total)
+            stack.append((i - 1, (part,) + suffix, total, still_open, start))
     return sorted(generators)
 
 
@@ -141,8 +140,7 @@ def in_Fk_Sdet(lam, k: int, space: MatrixSpace) -> bool:
     if not space.is_square:
         raise ValueError("the localization at the determinant needs a square space")
     lam = check_weight(lam, space.n)
-    p = classify(lam, space)
-    return in_Ukp(lam, p, k, space)
+    return _in_Ukp(lam, _classify(lam, space), k, space)
 
 
 def translate(mu, k: int) -> tuple[int, ...]:
@@ -174,9 +172,7 @@ def verify_equivalence(space: MatrixSpace, k: int, bound: int) -> VerificationRe
         report.checks += 1
         if lhs != rhs:
             report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
-    for mu in WeightBox(n, bound):
-        if mu[-1] < 0:
-            continue
+    for mu in dominant_tuples(n, 0, bound):
         ideal = in_hodge_ideal(mu, k, space)
         filt = in_Fk_Sdet(translate(mu, k), k, space)
         report.checks += 1

@@ -41,7 +41,11 @@ def classify(lam, space: MatrixSpace):
     statement, so the full (possibly empty) list of matching indices is
     returned instead.
     """
-    lam = check_weight(lam, space.n)
+    return _classify(check_weight(lam, space.n), space)
+
+
+def _classify(lam: tuple[int, ...], space: MatrixSpace):
+    # classify for a tuple already known to be dominant of length n.
     hits = [p for p in range(space.n + 1) if _wp_member(lam, p, space)]
     if space.is_square:
         if len(hits) != 1:
@@ -71,7 +75,13 @@ def in_Ukp(lam, p: int, k: int, space: MatrixSpace) -> bool:
     n = space.n
     if not 0 <= p <= n:
         raise ValueError(f"stratum index p={p} outside 0..{n}")
-    return _wp_member(lam, p, space) and sum(lam[p:]) >= -comb(n - p + 1, 2) - k
+    return _in_Ukp(lam, p, k, space)
+
+
+def _in_Ukp(lam: tuple[int, ...], p: int, k: int, space: MatrixSpace) -> bool:
+    # in_Ukp for a square space, p in 0..n and a tuple already known to be
+    # dominant of length n.
+    return _wp_member(lam, p, space) and sum(lam[p:]) >= -comb(space.n - p + 1, 2) - k
 
 
 def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:

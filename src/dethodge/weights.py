@@ -9,6 +9,7 @@ taken on padded forms (see `weights_equal`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -21,7 +22,7 @@ def is_dominant(entries) -> bool:
     v = tuple(entries)
     if not v:
         raise ValueError("weights have length at least 1")
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+    return all(map(operator.ge, v, v[1:]))
 
 
 def is_partition(entries) -> bool:
@@ -31,7 +32,7 @@ def is_partition(entries) -> bool:
 
 def check_weight(entries, length: int | None = None) -> tuple[int, ...]:
     """Validate dominance (and optionally the length), returning a tuple."""
-    v = tuple(int(x) for x in entries)
+    v = tuple(map(int, entries))
     if length is not None and len(v) != length:
         raise ValueError(f"expected a weight of length {length}, got {v}")
     if not is_dominant(v):

@@ -50,6 +50,17 @@ def test_hodge_ideal_large_case(capsys):
     assert payload["unit_ideal"] is False
 
 
+def test_hodge_ideal_beyond_the_recursion_limit(capsys):
+    # n = 1200 is deeper than the interpreter's default limit of 1000 frames
+    code, payload = run_json(capsys, "hodge-ideal", "--n", "1200", "--k", "0")
+    assert code == 0
+    assert payload["unit_ideal"] is True
+    assert payload["minimal_generators"] == [[0] * 1200]
+    code, out = run(capsys, "hodge-ideal", "--n", "1200", "--k", "0")
+    assert code == 0
+    assert "minimal generator weights: ()" in out
+
+
 def test_hodge_ideal_box_members(capsys):
     code, payload = run_json(capsys, "hodge-ideal", "--n", "2", "--k", "2", "--box", "2")
     assert code == 0
@@ -202,6 +213,31 @@ def test_oracle_check(capsys):
     report = payload["reports"][0]
     assert report["seed"] == 99
     assert all(v["agrees"] for v in report["details"])
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--p", "5"], "--p"),
+        (["--p", "0"], "--p"),
+        (["--p", "1", "--trials", "0"], "--trials"),
+        (["--p", "1", "--trials", "-3"], "--trials"),
+    ],
+)
+def test_oracle_check_refuses_p_and_trials_before_any_work(capsys, monkeypatch, argv, flag):
+    import dethodge.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("oracle work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "RankConstrainedSampler", no_work)
+    monkeypatch.setattr(cli, "dcep_cross_validation", no_work)
+    try:
+        code = main(["oracle-check", "--n", "2", *argv])
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_verify_qidentity(capsys):

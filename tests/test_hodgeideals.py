@@ -200,6 +200,30 @@ def test_verify_equivalence_small():
             assert report.checks > 0
 
 
+def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):
+    # Both sides of each comparison are computed by their own code: a
+    # filtration core that wrongly rejects the tight tail sums of U^p_k
+    # must show up on the inequality side and on the Hodge-ideal side.
+    import dethodge.hodgeideals as hodgeideals
+
+    core = hodgeideals._in_Ukp
+
+    def strict(lam, p, k, space):
+        tight = sum(lam[p:]) == -comb(space.n - p + 1, 2) - k
+        return core(lam, p, k, space) and not tight
+
+    monkeypatch.setattr(hodgeideals, "_in_Ukp", strict)
+    report = verify_equivalence(MatrixSpace(2, 2), 2, 6)
+    assert not report.ok
+    on_weights = [f for f in report.failures if "weight" in f]
+    on_partitions = [f for f in report.failures if "partition" in f]
+    assert on_weights and on_partitions
+    for failure in on_weights:
+        assert failure["inequalities"] and not failure["filtration"]
+    for failure in on_partitions:
+        assert failure["ideal"] and not failure["filtration"]
+
+
 def test_rank_one_filtration_levels():
     # both descriptions reduce to lam_1 >= -1-k when n = 1
     space = MatrixSpace(1, 1)

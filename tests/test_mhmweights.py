@@ -1,3 +1,4 @@
+from itertools import chain
 from math import comb
 
 import pytest
@@ -14,6 +15,8 @@ from dethodge.mhmweights import (
     start_level,
     weight_of,
 )
+from dethodge.repsets import in_Ukp
+from dethodge.weights import delta_p, dominant_tuples
 
 
 def test_weight_of_examples():
@@ -117,6 +120,52 @@ def test_filtration_support_small():
         filtration_support_check(MatrixSpace(3, 2), 4, 9)
     with pytest.raises(ValueError):
         filtration_support_check(MatrixSpace(3, 3), 4, 2)
+
+
+def scan_support_failures(space, kmax, box, tails=dominant_tuples):
+    # Reference for filtration_support_check's largest tail sum: every
+    # tail is tested against every level k below the threshold.
+    n = space.n
+    failures = []
+    for p in range(n + 1):
+        threshold = (n - p) ** 2
+        tail_sums = [sum(t) for t in tails(n - p, -box, p - n)]
+        witness = delta_p(p, space)
+        for k in range(kmax + 1):
+            expected = k >= threshold
+            if expected:
+                observed = in_Ukp(witness, p, k - comb(n - p + 1, 2), space)
+            else:
+                observed = not all(s < -k for s in tail_sums)
+            if observed != expected:
+                failures.append({"p": p, "k": k, "expected": expected, "observed": observed})
+    return failures
+
+
+def test_filtration_support_matches_the_per_k_scan():
+    for n in range(1, 7):
+        space, kmax, box = MatrixSpace(n, n), 2 * n * n, 3 * n
+        report = filtration_support_check(space, kmax, box)
+        assert report.failures == scan_support_failures(space, kmax, box) == []
+        assert report.checks == (n + 1) * (kmax + 1)
+
+
+@pytest.mark.parametrize("extra_sum", [0, -1, -3, -8])
+def test_filtration_support_and_the_scan_see_the_same_stray_tail(monkeypatch, extra_sum):
+    # One stray tail with the given sum, fed to both: the maximum must fail
+    # at exactly the levels where the per-k scan fails.
+    import dethodge.mhmweights as mhm
+
+    def with_stray(length, lo, hi):
+        stray = [(0,) * (length - 1) + (extra_sum,)] if length else []
+        return chain(dominant_tuples(length, lo, hi), stray)
+
+    space = MatrixSpace(3, 3)
+    monkeypatch.setattr(mhm, "dominant_tuples", with_stray)
+    report = filtration_support_check(space, 18, 9)
+    expected = scan_support_failures(space, 18, 9, with_stray)
+    assert expected
+    assert report.failures == expected
 
 
 def test_ledger_invariants_raise_when_broken(monkeypatch):

@@ -1,6 +1,6 @@
 import pytest
 
-from dethodge.hodgeideals import WeightSet, grF_Dp_layer, parse_weight_set
+from dethodge.hodgeideals import WeightSet, grF_Dp_layer, in_Fk_Sdet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum
 from dethodge.repsets import (
     classify,
@@ -12,7 +12,7 @@ from dethodge.repsets import (
     lambda_p_mu,
     minimal_elements,
 )
-from dethodge.weights import WeightBox, delta_p, leq
+from dethodge.weights import WeightBox, check_weight, delta_p, leq
 
 
 def test_in_Wp_examples():
@@ -257,3 +257,26 @@ def test_decompose_weight_raises_on_a_non_partition_split(monkeypatch):
     monkeypatch.setattr(repsets, "_wp_member", lambda lam, p, space: True)
     with pytest.raises(RuntimeError):
         decompose_weight((0, 0), 0, MatrixSpace(2, 2))
+
+
+@pytest.mark.parametrize(
+    "lam,message",
+    [
+        ((0, 1), "(0, 1) is not weakly decreasing"),
+        ((1, 0, 0), "expected a weight of length 2, got (1, 0, 0)"),
+        ((), "expected a weight of length 2, got ()"),
+    ],
+)
+def test_public_predicates_still_validate(lam, message):
+    # The cores skip validation; the public names must not.
+    space = MatrixSpace(2, 2)
+    calls = [
+        lambda: in_Ukp(lam, 1, 0, space),
+        lambda: classify(lam, space),
+        lambda: in_Fk_Sdet(lam, 0, space),
+        lambda: check_weight(lam, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

@@ -4,6 +4,7 @@ from dethodge.matrixspace import MatrixSpace
 from dethodge.repsets import in_Wp
 from dethodge.weights import (
     WeightBox,
+    check_weight,
     delta_p,
     dominant_tuples,
     dual,
@@ -26,6 +27,17 @@ def test_is_dominant_examples():
 def test_is_dominant_rejects_empty():
     with pytest.raises(ValueError):
         is_dominant(())
+
+
+def test_is_dominant_and_check_weight_accept_any_iterable():
+    assert is_dominant(x for x in (2, 2, 1))
+    assert is_dominant((5,))
+    assert not is_dominant(iter([1, 2]))
+    assert check_weight(iter(["3", 2.0, True])) == (3, 2, 1)
+    with pytest.raises(ValueError, match="weights have length at least 1"):
+        check_weight([])
+    with pytest.raises(ValueError, match=r"^\(1, 2\) is not weakly decreasing$"):
+        check_weight(["1", "2"])
 
 
 def test_dual_examples():
