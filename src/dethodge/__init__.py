@@ -48,8 +48,10 @@ from .oracle import (
     ExactPoly,
     RankConstrainedSampler,
     dcep_cross_validation,
+    dcep_cross_validation_upto,
     highest_weight_vector,
     ideal_power_hilbert,
+    line_vanishing_order,
     minor,
     symbolic_membership,
     vanishes_on_rank,

@@ -34,12 +34,17 @@ def dim_irrep(lam, N: int) -> int:
         prod_{i<j} (lam_i - lam_j + j - i) / (j - i).
 
     Invariant under adding a constant to every entry (determinant twist).
+    Pairs with lam_i = lam_j contribute 1 and are skipped, so the work
+    grows with the pairs of unequal entries, not with N^2.
     """
     lam = check_weight(lam, N)
     num = 1
     den = 1
-    for i in range(N):
-        for j in range(i + 1, N):
+    run_end = N  # the first index after the run of entries equal to lam[i]
+    for i in range(N - 1, -1, -1):
+        if i + 1 < N and lam[i + 1] != lam[i]:
+            run_end = i + 1
+        for j in range(run_end, N):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
     value, rem = divmod(num, den)

@@ -36,7 +36,7 @@ from .mhmweights import (
     square_weight_layer,
     start_level,
 )
-from .oracle import RankConstrainedSampler, dcep_cross_validation
+from .oracle import RankConstrainedSampler, dcep_cross_validation_upto
 from .qseries import (
     closed_form_OYp,
     pushforward_structure_checks,
@@ -227,16 +227,14 @@ def cmd_oracle_check(args) -> int:
     space = MatrixSpace(args.n, args.n)
     if not 1 <= args.p <= args.n:
         raise ValueError(f"--p {args.p} outside 1..{args.n}")
-    bound = max(7, 3, args.lmax)
+    bound = max(7, args.lmax)
     lambdas = [
         lam for size in range(args.lmax + 1) for lam in partitions_of(size, args.n)
     ]
-    reports = []
-    for d in range(1, args.dmax + 1):
-        sampler = RankConstrainedSampler(space, max(args.p - 1, 0), bound, args.seed)
-        reports.append(
-            dcep_cross_validation(space, lambdas, args.p, d, sampler, args.trials)
-        )
+    sampler = RankConstrainedSampler(space, args.p - 1, bound, args.seed)
+    reports = dcep_cross_validation_upto(
+        space, lambdas, args.p, args.dmax, sampler, args.trials
+    )
     ok = all(r.ok for r in reports)
 
     if args.format == "json":
@@ -310,11 +308,10 @@ def _suite_oracle(args) -> list[VerificationReport]:
         space = MatrixSpace(n, n)
         lambdas = [lam for size in range(7) for lam in partitions_of(size, n)]
         for p in range(1, n + 1):
-            for d in range(1, 5):
-                sampler = RankConstrainedSampler(space, p - 1, 7, args.seed)
-                reports.append(
-                    dcep_cross_validation(space, lambdas, p, d, sampler, trials=8)
-                )
+            sampler = RankConstrainedSampler(space, p - 1, 7, args.seed)
+            reports.extend(
+                dcep_cross_validation_upto(space, lambdas, p, 4, sampler, trials=8)
+            )
     return reports
 
 

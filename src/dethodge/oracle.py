@@ -1,34 +1,65 @@
 """Independent ground truth over the actual polynomial ring.
 
 The combinatorial predicates upstream are cross-checked here against
-exact multivariate arithmetic in the matrix entries: minors and highest
-weight vectors are expanded symbolically, membership in a symbolic power
-is decided by the differential criterion (all partials of order below d
-vanish along the locus), and vanishing along a rank stratum is tested by
-evaluation at random rank-constrained integer points.
+exact arithmetic in the matrix entries. Minors and highest weight vectors
+are expanded symbolically, and vanishing along a rank stratum is tested
+by evaluation at random rank-constrained integer points.
 
-Verdicts are one-sided: a nonzero evaluation is an exact certificate of
-non-vanishing, while a "vanishes" answer is randomized with failure
-probability decreasing in the number of trials and the entry bound.
-Derivatives are always computed symbolically and then evaluated; nothing
-here is numerical.
+Membership in the d-th symbolic power of the ideal of p-minors means
+vanishing to order at least d along the rank p-1 locus (Zariski-Nagata:
+every partial derivative of order below d vanishes there). Two routes
+decide it:
 
-False-accept analysis: a sample point is A*B with independent uniform
-entries in [-B, B], so a polynomial f of degree D that does not vanish
-identically on the rank <= r locus pulls back to a nonzero polynomial of
-degree at most 2D in the factor entries, and by the polynomial identity
-testing bound a single trial evaluates it to zero with probability at
-most 2D/(2B+1); independent trials multiply. With the defaults (B=7,
-trials=8) and desk-scale degrees this bound is already < 0.2, and the
-observed behavior is far better because the accidental zero locus is
-thin; the seed is recorded in every report so any run can be replayed.
+* the line test (`line_vanishing_order`, behind `dcep_cross_validation`
+  and the CLI). The highest weight vector of a partition lam is the
+  product of the leading principal minors raised to lam_i - lam_{i+1}.
+  Restricted to a line a + t*v through a sampled point a with a random
+  integer direction v, each minor is a univariate integer polynomial
+  M_i(t) = det(a_i + t*v_i) of degree at most i, found exactly from its
+  values at t = 0..i (fraction-free determinants, then Newton
+  interpolation). Orders add under products, so the order in t is
+  sum_i (lam_i - lam_{i+1}) * ord_t M_i, and its minimum over the trials
+  answers every d at once: lam is a member iff it is >= d.
+* the derivative test (`symbolic_membership`), which builds every
+  partial of order below d and evaluates it. It is the slow oracle that
+  the tests hold the line test to.
+
+Verdicts are one-sided. A nonzero evaluation is an exact certificate of
+non-vanishing. The order along a line through a is at least the order
+of f at a, which is at least its order at a general point of the locus,
+so a line order below d is an exact certificate of non-membership. A
+"vanishes" or "member" answer is randomized, with failure probability
+decreasing in the number of trials and the entry bound. Nothing here is
+numerical.
+
+False-accept analysis. A sample point is A*B with independent uniform
+entries in [-B, B]. A polynomial f of degree D that does not vanish
+identically on the rank <= r locus pulls back to a nonzero polynomial
+of degree at most 2D in the factor entries, so by the Schwartz-Zippel
+bound one trial of `vanishes_on_rank` evaluates it to zero with
+probability at most 2D/(2B+1). A line trial accepts a non-member, whose
+order e at a general point of the locus is below d, only if the point a
+is special (some partial of order e, of degree at most D, is nonzero on
+the locus but vanishes at a: probability at most 2D/(2B+1)) or the
+lowest-order form of f at a, of degree e < d, vanishes at the direction
+v (at most d/(2B+1)). So one trial errs with probability at most
+(2D + d)/(2B+1), and independent trials multiply. For example, at
+B = 7 and 8 trials a partition of size D = 3 checked at d = 2 is falsely
+accepted with probability at most (8/15)^8 < 0.007. The bound says
+nothing once 2D + d >= 2B + 1: at B = 7 (`verify oracle`) that is every
+check with D = 6 and d >= 3, and at `oracle-check --lmax 8` (B = 8) every
+check with D = 8, or D = 7 and d >= 3. The observed behaviour is far
+better, because the accidental zero loci are thin. Each check draws its
+points and directions from its own stream, keyed by (seed, rank, lam,
+trial), and the seed is recorded in every report, so any check can be
+replayed alone.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
-from math import comb
+from math import comb, factorial, inf
 
 from .hodgeideals import in_symbolic_power
 from .matrixspace import MatrixSpace
@@ -257,9 +288,10 @@ def highest_weight_vector(lam, space: MatrixSpace) -> ExactPoly:
 class RankConstrainedSampler:
     """Random integer m-by-n matrices of rank at most `rank`, produced as
     A*B with A of shape m-by-rank and B of shape rank-by-n, entries
-    uniform in [-bound, bound]. Deterministic given (seed, rank)."""
+    uniform in [-bound, bound]. Deterministic given (seed, rank, key); the
+    key names one check's own stream (see `keyed`)."""
 
-    def __init__(self, space: MatrixSpace, rank: int, bound: int = 7, seed=0):
+    def __init__(self, space: MatrixSpace, rank: int, bound: int = 7, seed=0, key=()):
         if not 0 <= rank <= space.n:
             raise ValueError(f"target rank {rank} outside 0..{space.n}")
         if bound < 1:
@@ -268,7 +300,8 @@ class RankConstrainedSampler:
         self.rank = rank
         self.bound = bound
         self.seed = seed
-        self._rng = random.Random(f"{seed}|rank={rank}")
+        self.key = tuple(key)
+        self._rng = random.Random(f"{seed}|rank={rank}" + "".join(f"|{k}" for k in self.key))
 
     def sample(self) -> tuple[tuple[int, ...], ...]:
         m, n, r, bound = self.space.m, self.space.n, self.rank, self.bound
@@ -278,6 +311,23 @@ class RankConstrainedSampler:
         return tuple(
             tuple(sum(left[i][t] * right[t][j] for t in range(r)) for j in range(n))
             for i in range(m)
+        )
+
+    def direction(self) -> tuple[tuple[int, ...], ...]:
+        """An m-by-n matrix with independent entries uniform in
+        [-bound, bound], from the same stream as `sample`."""
+        rng, bound = self._rng, self.bound
+        return tuple(
+            tuple(rng.randint(-bound, bound) for _ in range(self.space.n))
+            for _ in range(self.space.m)
+        )
+
+    def keyed(self, *key) -> "RankConstrainedSampler":
+        """The same sampler on a stream of its own, keyed by (seed, rank,
+        key): its draws do not depend on any other draw, so the check
+        that makes them can be replayed alone."""
+        return RankConstrainedSampler(
+            self.space, self.rank, self.bound, self.seed, self.key + key
         )
 
     def with_rank(self, rank: int) -> "RankConstrainedSampler":
@@ -351,6 +401,101 @@ def symbolic_membership(f: ExactPoly, p: int, d: int, sampler: RankConstrainedSa
     return True
 
 
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination with row swaps: every division is exact."""
+    a = [list(row) for row in rows]
+    size = len(a)
+    sign, previous = 1, 1
+    for c in range(size - 1):
+        if not a[c][c]:
+            swap = next((r for r in range(c + 1, size) if a[r][c]), None)
+            if swap is None:
+                return 0
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        top = a[c]
+        pivot = top[c]
+        for row in a[c + 1:]:
+            lead = row[c]
+            for j in range(c + 1, size):
+                row[j] = (pivot * row[j] - lead * top[j]) // previous
+        previous = pivot
+    return sign * a[-1][-1] if size else 1
+
+
+def _order_at_zero(values) -> int | float:
+    """The order at t = 0 of the integer polynomial of degree below
+    len(values) that takes these values at t = 0, 1, 2, ...; inf for the
+    zero polynomial. Newton's forward differences give its coefficients
+    in the falling factorials t(t-1)...(t-k+1), expanded here into
+    powers of t."""
+    differences = []
+    row = list(values)
+    while row:
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    coeffs = []  # powers of t, constant first
+    for k in range(len(differences) - 1, -1, -1):
+        newton, rem = divmod(differences[k], factorial(k))
+        if rem:
+            raise ArithmeticError(f"values {values} are not those of an integer polynomial")
+        shifted = [newton] + coeffs
+        for j, c in enumerate(coeffs):
+            shifted[j] -= k * c
+        coeffs = shifted
+    return next((k for k, c in enumerate(coeffs) if c), inf)
+
+
+def _minor_order_on_line(point, direction, i) -> int | float:
+    """ord_t det(point_i + t*direction_i) of the leading i-by-i blocks."""
+    values = []
+    for t in range(i + 1):
+        value = _det(
+            [[point[r][c] + t * direction[r][c] for c in range(i)] for r in range(i)]
+        )
+        if t == 0 and value:
+            return 0
+        values.append(value)
+    return _order_at_zero(values)
+
+
+def line_vanishing_order(
+    lam, space: MatrixSpace, p: int, sampler: RankConstrainedSampler, trials: int = 8
+) -> int | float:
+    """The least order of vanishing of the highest weight vector of the
+    partition lam along `trials` random lines a + t*v, each through a
+    point a of rank <= p-1 (inf if it vanishes on every line). Each trial
+    draws a and v from the sampler's stream keyed by (lam, trial). The
+    highest weight vector lies in the d-th symbolic power of the ideal of
+    p-minors iff this is >= d; a smaller value is an exact certificate
+    that it does not, a larger one is randomized (see the module
+    docstring). The sampler entry bound must be at least max(3, |lam|)."""
+    lam = check_weight(lam, space.n)
+    if lam[-1] < 0:
+        raise ValueError("highest weight vectors in the ring need a partition")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if sampler.bound < max(3, sum(lam)):
+        raise ValueError("sampler entry bound below max(3, deg f)")
+    parts = lam + (0,)
+    steps = [(i, parts[i - 1] - parts[i]) for i in range(1, space.n + 1) if parts[i - 1] > parts[i]]
+    s = sampler if sampler.rank == p - 1 else sampler.with_rank(p - 1)
+    best = inf
+    for trial in range(trials):
+        stream = s.keyed(f"lam={lam}", f"trial={trial}")
+        point, direction = stream.sample(), stream.direction()
+        order = 0
+        for i, step in steps:
+            order += step * _minor_order_on_line(point, direction, i)
+            if order >= best:
+                break  # this trial cannot lower the minimum
+        best = min(best, order)
+        if not best:
+            break
+    return best
+
+
 def dcep_cross_validation(
     space: MatrixSpace,
     lambdas,
@@ -359,32 +504,55 @@ def dcep_cross_validation(
     sampler: RankConstrainedSampler,
     trials: int = 8,
 ) -> VerificationReport:
-    """Confront the combinatorial symbolic-power predicate with the
-    differential test on highest weight vectors, for each partition in
-    `lambdas`. A disagreement is re-sampled once with a fresh seed before
-    being reported; the report records the master seed."""
+    """Confront the combinatorial symbolic-power predicate with the line
+    test on highest weight vectors, for each partition in `lambdas`, at
+    one order d. A disagreement is re-sampled once with a fresh seed
+    before being reported; the report records the master seed."""
+    return _cross_validate(space, lambdas, p, [d], sampler, trials)[0]
+
+
+def dcep_cross_validation_upto(
+    space: MatrixSpace,
+    lambdas,
+    p: int,
+    dmax: int,
+    sampler: RankConstrainedSampler,
+    trials: int = 8,
+) -> list[VerificationReport]:
+    """`dcep_cross_validation` for d = 1..dmax, one report per d, from
+    one line expansion per partition."""
+    return _cross_validate(space, lambdas, p, range(1, dmax + 1), sampler, trials)
+
+
+def _cross_validate(space, lambdas, p, ds, sampler, trials) -> list[VerificationReport]:
     if not space.is_square:
         raise ValueError("the weight-set membership criterion is stated for m = n")
-    report = VerificationReport(
-        "symbolic-power-cross-validation",
-        {"n": space.n, "p": p, "d": d, "trials": trials},
-        seed=sampler.seed,
-    )
+    reports = [
+        VerificationReport(
+            "symbolic-power-cross-validation",
+            {"n": space.n, "p": p, "d": d, "trials": trials},
+            seed=sampler.seed,
+        )
+        for d in ds
+    ]
+    if not reports:
+        return reports
     for lam in lambdas:
         lam = tuple(lam)
-        expected = in_symbolic_power(lam, p, d, space)
-        vector = highest_weight_vector(lam, space)
-        got = symbolic_membership(vector, p, d, sampler, trials)
-        report.checks += 1
-        if got != expected:
-            fresh = sampler.reseeded(f"retry:{lam}:{p}:{d}")
-            got = symbolic_membership(vector, p, d, fresh, trials)
-            if got != expected:
-                report.add_failure(weight=lam, combinatorial=expected, differential=got)
-        report.details.append(
-            {"weight": lam, "d": d, "member": expected, "agrees": got == expected}
-        )
-    return report
+        expected = [in_symbolic_power(lam, p, d, space) for d in ds]
+        order = line_vanishing_order(lam, space, p, sampler, trials)
+        for report, d, member in zip(reports, ds, expected):
+            got = order >= d
+            report.checks += 1
+            if got != member:
+                fresh = sampler.reseeded(f"retry:{lam}:{p}:{d}")
+                got = line_vanishing_order(lam, space, p, fresh, trials) >= d
+                if got != member:
+                    report.add_failure(weight=lam, combinatorial=member, differential=got)
+            report.details.append(
+                {"weight": lam, "d": d, "member": member, "agrees": got == member}
+            )
+    return reports
 
 
 def ideal_power_hilbert(space: MatrixSpace, k: int, dmax: int) -> dict[int, int]:

@@ -29,10 +29,6 @@ class VerificationReport:
     def add_failure(self, **info):
         self.failures.append(info)
 
-    def merge(self, other: "VerificationReport"):
-        self.checks += other.checks
-        self.failures.extend(other.failures)
-
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.failures)} counterexamples)"
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())

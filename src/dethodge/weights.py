@@ -155,25 +155,56 @@ def dominant_tuples(
     at least ceil(rest/slots) (the later ones are at most it) and at most
     rest - (slots-1)*lo (the later ones are at least lo).
     """
+    return _decreasing_tuples(length, lo, hi, total, descending=False)
+
+
+def _decreasing_tuples(length, lo, hi, total, descending):
+    # An odometer over the entries, without recursion, so the length is
+    # not bounded by the interpreter's recursion limit. Each entry runs
+    # over its range (see dominant_tuples) upwards, or downwards when
+    # descending; after the rightmost entry that can still move does, the
+    # entries right of it restart at the start of their ranges.
+    if length < 0:
+        raise ValueError(f"tuple length {length} is negative")
     if length == 0:
         if total in (None, 0):
             yield ()
         return
-
-    def rec(prefix, cap, rest):
-        if len(prefix) == length:
-            yield prefix
-            return
-        if rest is None:
-            for v in range(lo, cap + 1):
-                yield from rec(prefix + (v,), v, None)
-            return
-        slots = length - len(prefix)
-        for v in range(max(lo, -(-rest // slots)), min(cap, rest - (slots - 1) * lo) + 1):
-            yield from rec(prefix + (v,), v, rest - v)
-
-    if lo <= hi:
-        yield from rec((), hi, total)
+    values = [0] * length
+    ends = [0] * length  # the last value of each entry's range
+    rests = [0] * length  # with a total: what entries j.. must sum to
+    step = -1 if descending else 1
+    j, cap, rest = 0, hi, total
+    while True:
+        while j < length:
+            if total is None:
+                low, high = lo, cap
+            else:
+                slots = length - j
+                low = max(lo, -(-rest // slots))
+                high = min(cap, rest - (slots - 1) * lo)
+                rests[j] = rest
+            if low > high:
+                return  # only at j == 0: no later entry is a dead end
+            if descending:
+                values[j] = cap = high
+                ends[j] = low
+            else:
+                values[j] = cap = low
+                ends[j] = high
+            if total is not None:
+                rest -= cap
+            j += 1
+        yield tuple(values)
+        j = length - 1
+        while values[j] == ends[j]:
+            j -= 1
+            if j < 0:
+                return
+        values[j] = cap = values[j] + step
+        if total is not None:
+            rest = rests[j] - cap
+        j += 1
 
 
 def enumerate_box(box: WeightBox) -> Iterator[tuple[int, ...]]:
@@ -183,22 +214,7 @@ def enumerate_box(box: WeightBox) -> Iterator[tuple[int, ...]]:
 
 def partitions_of(size: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Partitions of `size` into at most `parts` parts, as zero-padded
-    tuples of length `parts`, in decreasing lexicographic order."""
-    if size < 0:
-        return
-    if parts == 0:
-        if size == 0:
-            yield ()
-        return
-
-    def rec(remaining, slots, cap):
-        if slots == 1:
-            if remaining <= cap:
-                yield (remaining,)
-            return
-        lo = -(-remaining // slots)
-        for a in range(min(cap, remaining), lo - 1, -1):
-            for rest in rec(remaining - a, slots - 1, a):
-                yield (a,) + rest
-
-    yield from rec(size, parts, size)
+    tuples of length `parts`, in decreasing lexicographic order: the
+    dominant tuples with entries in [0, size] summing to `size`, in
+    reverse order."""
+    return _decreasing_tuples(parts, 0, size, size, descending=True)

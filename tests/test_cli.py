@@ -61,6 +61,28 @@ def test_hodge_ideal_beyond_the_recursion_limit(capsys):
     assert "minimal generator weights: ()" in out
 
 
+@pytest.mark.parametrize(
+    "argv,field,expected",
+    [
+        (["hodge-ideal", "--n", "1200", "--k", "0", "--box", "0"], "members", [[0] * 1200]),
+        (["filtration", "--n", "1200", "--k", "0", "--box", "0"], "members", [[0] * 1200]),
+        (
+            ["hilbert", "--set", "Ik(n=1200,k=0)", "--dmax", "1"],
+            "values",
+            [{"d": 0, "dim": 1}, {"d": 1, "dim": 1200 * 1200}],
+        ),
+    ],
+)
+def test_enumerations_beyond_the_recursion_limit(capsys, argv, field, expected):
+    # 1200 entries are more than the interpreter's default 1000 frames
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    assert payload[field] == expected
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "Traceback" not in out
+
+
 def test_hodge_ideal_box_members(capsys):
     code, payload = run_json(capsys, "hodge-ideal", "--n", "2", "--k", "2", "--box", "2")
     assert code == 0
@@ -231,7 +253,7 @@ def test_oracle_check_refuses_p_and_trials_before_any_work(capsys, monkeypatch, 
         raise AssertionError("oracle work started before the arguments were checked")
 
     monkeypatch.setattr(cli, "RankConstrainedSampler", no_work)
-    monkeypatch.setattr(cli, "dcep_cross_validation", no_work)
+    monkeypatch.setattr(cli, "dcep_cross_validation_upto", no_work)
     try:
         code = main(["oracle-check", "--n", "2", *argv])
     except SystemExit as exit_:

@@ -1,14 +1,20 @@
+import json
 from fractions import Fraction
+from math import inf
 
 import pytest
 
+from dethodge import oracle
+from dethodge.hodgeideals import in_symbolic_power
 from dethodge.matrixspace import MatrixSpace
 from dethodge.oracle import (
     ExactPoly,
     RankConstrainedSampler,
     dcep_cross_validation,
+    dcep_cross_validation_upto,
     highest_weight_vector,
     ideal_power_hilbert,
+    line_vanishing_order,
     minor,
     symbolic_membership,
     vanishes_on_rank,
@@ -211,3 +217,145 @@ def test_ideal_power_hilbert():
         ideal_power_hilbert(MatrixSpace(3, 3), 2, 6)
     with pytest.raises(ValueError):
         ideal_power_hilbert(S22, 2, 17)
+
+
+def test_det_matches_the_cofactor_expansion():
+    for size in range(1, 6):
+        for rank in range(size + 1):
+            s = RankConstrainedSampler(MatrixSpace(size, size), rank, bound=4, seed=size)
+            for _ in range(4):
+                rows = [list(r) for r in s.sample()]
+                assert oracle._det(rows) == numeric_det(rows)
+    # a zero leading entry forces a row swap
+    rows = [[0, 2, 1], [3, 0, 5], [1, 1, 0]]
+    assert oracle._det(rows) == numeric_det(rows)
+    assert oracle._det([]) == 1
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0,), (5,), (0, 3), (2, -1), (0, 0, 7), (0, 0, 0, -2, 1), (4, 0, 0, 0, 0, 1), (0, 6, -6, 1)],
+)
+def test_order_at_zero_reads_the_lowest_coefficient(coeffs):
+    degree = len(coeffs) - 1
+    values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(degree + 1)]
+    expected = next((k for k, c in enumerate(coeffs) if c), inf)
+    assert oracle._order_at_zero(values) == expected
+
+
+def test_order_at_zero_refuses_non_polynomial_values():
+    # 0, 0, 1 at t = 0, 1, 2 is t(t-1)/2, which has no integer coefficients
+    with pytest.raises(ArithmeticError):
+        oracle._order_at_zero([0, 0, 1])
+
+
+def test_keyed_streams_do_not_depend_on_other_draws():
+    sampler = RankConstrainedSampler(S33, 1, bound=7, seed=5)
+    first = sampler.keyed("lam=(2, 1, 0)", "trial=3")
+    point, direction = first.sample(), first.direction()
+    for _ in range(3):
+        sampler.sample()
+    sampler.keyed("lam=(1, 0, 0)", "trial=3").sample()
+    again = sampler.keyed("lam=(2, 1, 0)", "trial=3")
+    assert (again.sample(), again.direction()) == (point, direction)
+    assert matrix_rank(point) <= 1
+    assert all(abs(x) <= 7 for row in direction for x in row)
+    assert sampler.keyed("lam=(2, 1, 0)", "trial=4").sample() != point
+    assert sampler.keyed("a").keyed("b").key == ("a", "b")
+
+
+def test_line_trials_draw_from_streams_keyed_by_weight_and_trial(monkeypatch):
+    keys = []
+    keyed = RankConstrainedSampler.keyed
+
+    def spy(self, *key):
+        keys.append((self.seed, self.rank, *key))
+        return keyed(self, *key)
+
+    monkeypatch.setattr(RankConstrainedSampler, "keyed", spy)
+    sampler = RankConstrainedSampler(S33, 0, bound=7, seed=5)
+    assert line_vanishing_order((2, 1, 0), S33, 2, sampler, trials=3) == 1
+    assert keys == [(5, 1, "lam=(2, 1, 0)", f"trial={t}") for t in range(3)]
+
+
+def test_line_order_is_the_tail_sum():
+    # On a general line through a general rank p-1 point, the order of the
+    # highest weight vector is lam_p + ... + lam_n.
+    for n in (2, 3, 4):
+        space = MatrixSpace(n, n)
+        for p in range(1, n + 1):
+            sampler = RankConstrainedSampler(space, p - 1, bound=7, seed=3)
+            for size in range(6):
+                for lam in partitions_of(size, n):
+                    assert line_vanishing_order(lam, space, p, sampler) == sum(lam[p - 1:])
+
+
+def test_line_order_validation():
+    sampler = RankConstrainedSampler(S22, 0, bound=7, seed=0)
+    with pytest.raises(ValueError, match="length 2"):
+        line_vanishing_order((1, 0, 0), S22, 1, sampler)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        line_vanishing_order((0, 1), S22, 1, sampler)
+    with pytest.raises(ValueError, match="need a partition"):
+        line_vanishing_order((1, -1), S22, 1, sampler)
+    with pytest.raises(ValueError, match="at least one trial"):
+        line_vanishing_order((1, 0), S22, 1, sampler, trials=0)
+    with pytest.raises(ValueError, match="bound below"):
+        line_vanishing_order((8, 0), S22, 1, sampler)
+    assert line_vanishing_order((8, 0), S22, 1, RankConstrainedSampler(S22, 0, 8, 0)) == 8
+
+
+def test_cross_validation_refuses_a_non_square_space():
+    sampler = RankConstrainedSampler(MatrixSpace(3, 2), 0, bound=7, seed=0)
+    with pytest.raises(ValueError, match="m = n"):
+        dcep_cross_validation(MatrixSpace(3, 2), [(1, 0)], 1, 1, sampler)
+    with pytest.raises(ValueError, match="m = n"):
+        dcep_cross_validation_upto(MatrixSpace(3, 2), [(1, 0)], 1, 2, sampler)
+
+
+@pytest.mark.parametrize("seed", [1729, 7])
+@pytest.mark.parametrize("n,max_size", [(2, 6), (3, 6), (4, 4)])
+def test_line_test_agrees_with_the_derivative_test(n, max_size, seed):
+    space = MatrixSpace(n, n)
+    lambdas = [lam for size in range(max_size + 1) for lam in partitions_of(size, n)]
+    for p in range(1, n + 1):
+        sampler = RankConstrainedSampler(space, p - 1, bound=7, seed=seed)
+        reports = dcep_cross_validation_upto(space, lambdas, p, 4, sampler)
+        assert [r.params["d"] for r in reports] == [1, 2, 3, 4]
+        for lam in lambdas:
+            order = line_vanishing_order(lam, space, p, sampler)
+            vector = highest_weight_vector(lam, space)
+            for report in reports:
+                d = report.params["d"]
+                derivative = symbolic_membership(vector, p, d, sampler)
+                predicate = in_symbolic_power(lam, p, d, space)
+                assert (order >= d) == derivative == predicate, (lam, p, d, order)
+        for report in reports:
+            assert report.ok and report.checks == len(lambdas)
+            assert [x["weight"] for x in report.details] == lambdas
+            single = dcep_cross_validation(space, lambdas, p, report.params["d"], sampler)
+            assert single.to_json_obj() == report.to_json_obj()
+
+
+def test_raised_line_orders_make_the_suite_fail(monkeypatch, capsys):
+    true_order = oracle.line_vanishing_order
+
+    def raised(*args, **kwargs):
+        return true_order(*args, **kwargs) + 1
+
+    monkeypatch.setattr(oracle, "line_vanishing_order", raised)
+    sampler = RankConstrainedSampler(S22, 1, bound=7, seed=0)
+    report = dcep_cross_validation(S22, [(1, 0), (1, 1)], 2, 1, sampler)
+    # (1, 0) has order 0 along the rank-1 locus; raised, it passes for d = 1
+    assert report.failures == [{"weight": (1, 0), "combinatorial": False, "differential": True}]
+
+    from dethodge.cli import main
+
+    assert main(["verify", "oracle", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    failed = [r for r in payload["reports"] if not r["ok"]]
+    assert failed
+    for r in failed:
+        assert all(f["differential"] and not f["combinatorial"] for f in r["failures"])
+    assert main(["oracle-check", "--n", "3", "--p", "2", "--dmax", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out

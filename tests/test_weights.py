@@ -171,3 +171,75 @@ def test_dominant_tuples_with_a_total_match_the_filtered_box():
     assert list(dominant_tuples(0, -3, 1, total=0)) == [()]
     assert list(dominant_tuples(0, -3, 1, total=1)) == []
     assert list(dominant_tuples(2, 1, 0, total=1)) == []
+
+
+def recursive_dominant_tuples(length, lo, hi, total=None):
+    """The recursive enumeration that the odometer replaced, as an oracle."""
+    if length == 0:
+        if total in (None, 0):
+            yield ()
+        return
+
+    def rec(prefix, cap, rest):
+        if len(prefix) == length:
+            yield prefix
+            return
+        if rest is None:
+            for v in range(lo, cap + 1):
+                yield from rec(prefix + (v,), v, None)
+            return
+        slots = length - len(prefix)
+        for v in range(max(lo, -(-rest // slots)), min(cap, rest - (slots - 1) * lo) + 1):
+            yield from rec(prefix + (v,), v, rest - v)
+
+    if lo <= hi:
+        yield from rec((), hi, total)
+
+
+def recursive_partitions_of(size, parts):
+    if size < 0:
+        return
+    if parts == 0:
+        if size == 0:
+            yield ()
+        return
+
+    def rec(remaining, slots, cap):
+        if slots == 1:
+            if remaining <= cap:
+                yield (remaining,)
+            return
+        for a in range(min(cap, remaining), -(-remaining // slots) - 1, -1):
+            for rest in rec(remaining - a, slots - 1, a):
+                yield (a,) + rest
+
+    yield from rec(size, parts, size)
+
+
+def test_dominant_tuples_match_the_recursive_enumeration():
+    for length in range(6):
+        for lo in range(-3, 3):
+            for hi in range(lo - 1, 4):
+                expected = list(recursive_dominant_tuples(length, lo, hi))
+                assert list(dominant_tuples(length, lo, hi)) == expected
+                for total in range(length * lo - 1, length * hi + 2):
+                    expected = list(recursive_dominant_tuples(length, lo, hi, total))
+                    assert list(dominant_tuples(length, lo, hi, total=total)) == expected
+
+
+def test_partitions_of_match_the_recursive_enumeration():
+    for size in range(-2, 13):
+        for parts in range(7):
+            assert list(partitions_of(size, parts)) == list(recursive_partitions_of(size, parts))
+
+
+def test_enumerations_longer_than_the_recursion_limit():
+    assert list(dominant_tuples(3000, 0, 0)) == [(0,) * 3000]
+    assert list(dominant_tuples(3000, -1, 0, total=-1)) == [(0,) * 2999 + (-1,)]
+    assert list(partitions_of(1, 3000)) == [(1,) + (0,) * 2999]
+    assert len(list(partitions_of(3, 3000))) == 3
+
+
+def test_dominant_tuples_refuse_a_negative_length():
+    with pytest.raises(ValueError, match="negative"):
+        list(dominant_tuples(-1, 0, 1))
