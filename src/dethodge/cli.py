@@ -8,6 +8,7 @@ fixed documented default seed unless --seed is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -197,6 +198,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_hilbert(args) -> int:
     weight_set = parse_weight_set(args.set)
+    if args.box is not None and weight_set.partitions_only:
+        raise ValueError(
+            f"--box does not apply to {weight_set.descriptor()}: "
+            "a set of partitions is summed exactly, without truncation"
+        )
     values = [
         {"d": d, "dim": hilbert_function(weight_set, weight_set.space, d, box=args.box)}
         for d in range(args.dmax + 1)
@@ -392,6 +398,8 @@ def _positive(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command line, on every call. Subcommand
+    ``x-y`` runs ``cmd_x_y``."""
     parser = argparse.ArgumentParser(
         prog="dethodge",
         description="Exact combinatorics of Hodge ideals and filtrations on determinantal strata.",
@@ -406,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--box", type=_nonneg, help="also list members with entries in [0, L]")
     add_format(p)
-    p.set_defaults(func=cmd_hodge_ideal)
 
     p = sub.add_parser("filtration", help="Hodge filtration membership on the localization")
     p.add_argument("--n", type=int, required=True)
@@ -414,13 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=_parse_weight, help='weight, e.g. "0,-3"')
     p.add_argument("--box", type=_nonneg, help="list members with entries in [-L, L]")
     add_format(p)
-    p.set_defaults(func=cmd_filtration)
 
     p = sub.add_parser("weights-table", help="per-stratum weight and twist ledger")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     add_format(p)
-    p.set_defaults(func=cmd_weights_table)
 
     p = sub.add_parser("decompose", help="pushforward multiplicity table")
     p.add_argument("--m", type=int, required=True)
@@ -430,14 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--solve", action="store_true", help="triangular back-substitution route")
     route.add_argument("--closed", action="store_true", help="closed form (default)")
     add_format(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("hilbert", help="graded dimensions of a weight-set module")
     p.add_argument("--set", required=True, help='e.g. "Ik(n=2,k=3)", "Jpd(n=3,p=1,d=2)", "Wp(3,2,1)"')
     p.add_argument("--dmax", type=_nonneg, default=12)
     p.add_argument("--box", type=_nonneg, help="truncation bound for non-partition sets")
     add_format(p)
-    p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("oracle-check", help="differential test vs weight predicate")
     p.add_argument("--n", type=int, required=True)
@@ -447,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--lmax", type=_nonneg, default=6, help="max size of tested partitions")
     add_format(p)
-    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
@@ -455,16 +457,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="decomposition suite only: one space instead of the grid")
     p.add_argument("--n", type=int, help="decomposition suite only")
     add_format(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. May be called any number of times in one
+    process: the parser is built on the first call and reused, and it holds
+    no state between calls. The subcommand's ``cmd_*`` function is looked
+    up by name on each call, so a rebound name takes effect."""
+    args = _shared_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,8 +1,13 @@
+import argparse
+import importlib
 import json
+import sys
 
 import pytest
 
-from dethodge.cli import main
+import dethodge
+from dethodge import cli
+from dethodge.cli import build_parser, main
 from dethodge.matrixspace import MatrixSpace
 from dethodge.oracle import RankConstrainedSampler
 
@@ -178,6 +183,16 @@ def test_hilbert_stratum_set_needs_box(capsys):
     )
     assert code == 0
     assert payload["truncated"] is True
+    assert payload["box"] == 6
+
+
+@pytest.mark.parametrize("descriptor", ["Ik(n=2,k=1)", "Jpd(n=3,p=2,d=2)"])
+def test_hilbert_refuses_box_on_a_set_of_partitions(capsys, descriptor):
+    code = main(["hilbert", "--set", descriptor, "--box", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--box does not apply to {descriptor}" in captured.err
 
 
 def test_hilbert_bad_descriptor(capsys):
@@ -326,3 +341,61 @@ def test_numeric_seed_keeps_the_sampler_stream():
     by_text = RankConstrainedSampler(space, 1, 7, "99")
     assert [by_int.sample() for _ in range(5)] == [by_text.sample() for _ in range(5)]
     assert by_int.reseeded("x").sample() == by_text.reseeded("x").sample()
+
+
+MIXED_CALLS = [
+    ["weights-table", "--m", "3", "--n", "2"],
+    ["hodge-ideal", "--n", "3", "--k", "2", "--format", "json"],
+    ["decompose", "--m", "3", "--n", "2", "--p", "1", "--solve"],
+    ["verify", "nonsense"],
+    ["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "3"],
+]
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    made = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # A fresh import of the module, restored to the shared one afterwards.
+    monkeypatch.delitem(sys.modules, "dethodge.cli")
+    monkeypatch.setattr(dethodge, "cli", cli)
+    fresh = importlib.import_module("dethodge.cli")
+    assert fresh is not cli
+    assert made == []
+
+    builds = []
+    real_build = fresh.build_parser
+    monkeypatch.setattr(fresh, "build_parser", lambda: builds.append(1) or real_build())
+    for i in range(20):
+        argv = MIXED_CALLS[i % len(MIXED_CALLS)]
+        try:
+            code = fresh.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        assert code == (2 if argv == ["verify", "nonsense"] else 0), argv
+    capsys.readouterr()
+    assert builds == [1]
+
+
+def test_a_rebound_command_takes_effect_on_the_next_call(capsys, monkeypatch):
+    argv = ["decompose", "--m", "2", "--n", "1", "--p", "1"]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_decompose", lambda args: seen.append(args.p) or 7)
+    assert main(argv) == 7
+    assert seen == [1]
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert seen == [1]
+    capsys.readouterr()
+
+
+def test_build_parser_returns_a_new_parser_on_each_call():
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert first.format_help() == second.format_help()

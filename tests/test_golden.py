@@ -34,10 +34,13 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dethodge
 from dethodge.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -234,6 +237,21 @@ def test_one_process_replays_every_golden_in_shuffled_order():
     random.Random(20201).shuffle(cases)
     for name, argv in cases:
         assert invoke(argv, name) == recorded(name)[" ".join(argv)], argv
+
+
+def test_python_m_dethodge_prints_the_golden_help():
+    # A one-shot process prints what the in-process, reused parser printed.
+    src = str(Path(dethodge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COLUMNS=COLUMNS, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-m", "dethodge", "--help"],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    golden = recorded("usage.json")["--help"]
+    assert (run.returncode, run.stdout, run.stderr) == (
+        golden["exit"], golden["stdout"], golden["stderr"]
+    )
 
 
 if __name__ == "__main__":
