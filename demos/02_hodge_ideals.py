@@ -65,7 +65,7 @@ print("I_k is the (k-1)-st power of the irrelevant ideal:")
 small = MatrixSpace(2, 2)
 for k in range(4):
     ideal = WeightSet(small, "HodgeIdeal", param=k)
-    dims = [hilbert_function(ideal, small, d) for d in range(7)]
+    dims = [hilbert_function(ideal, d) for d in range(7)]
     print(f"  k={k}: {dims}")
 print()
 

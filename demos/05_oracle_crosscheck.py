@@ -17,7 +17,6 @@ from dethodge import (
     line_vanishing_order,
     minor,
     symbolic_membership,
-    vanishes_on_rank,
 )
 from dethodge.weights import partitions_of
 
@@ -35,12 +34,13 @@ for lam in [(1, 1, 0), (2, 1, 0), (2, 2, 2)]:
     print(f"  lam={lam}: degree {f.total_degree}, {len(f._c)} terms")
 print()
 
-print("Vanishing on a rank stratum is tested by evaluation at products of")
-print("random integer matrices (a nonzero value is an exact certificate):")
+print("Vanishing on a rank stratum (membership at order d = 1) is tested by")
+print("evaluation at products of random integer matrices (a nonzero value is")
+print("an exact certificate):")
 sampler = RankConstrainedSampler(space, 1, bound=7, seed=SEED)
 m2 = minor(space, (0, 1), (0, 1))
-print(f"  2x2 minor on rank<=1 points: vanishes = {vanishes_on_rank(m2, 1, sampler)}")
-print(f"  2x2 minor on rank<=2 points: vanishes = {vanishes_on_rank(m2, 2, sampler)}\n")
+print(f"  2x2 minor on rank<=1 points: vanishes = {symbolic_membership(m2, 2, 1, sampler)}")
+print(f"  2x2 minor on rank<=2 points: vanishes = {symbolic_membership(m2, 3, 1, sampler)}\n")
 
 print("Membership in a symbolic power means vanishing to a prescribed order d")
 print("along the rank p-1 locus. The derivative test asks that every partial")

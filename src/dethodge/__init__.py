@@ -34,7 +34,6 @@ from .matrixspace import (
     local_cohomology_degree,
 )
 from .mhmweights import (
-    HodgeModuleTag,
     filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
@@ -42,7 +41,6 @@ from .mhmweights import (
     square_start_levels_consistency,
     square_weight_layer,
     start_level,
-    weight_of,
 )
 from .oracle import (
     ExactPoly,
@@ -54,7 +52,6 @@ from .oracle import (
     line_vanishing_order,
     minor,
     symbolic_membership,
-    vanishes_on_rank,
 )
 from .qseries import (
     DecompositionTable,
@@ -67,7 +64,6 @@ from .qseries import (
     q_binomial,
     solve_pushforward_OYp,
     stalk_poly,
-    substitute_q2,
     verify_qbinomial_identity,
 )
 from .reporting import VerificationReport
@@ -86,7 +82,6 @@ from .weights import (
     delta_p,
     dominant_tuples,
     dual,
-    enumerate_box,
     is_dominant,
     is_partition,
     lambda_of_p,
@@ -94,7 +89,6 @@ from .weights import (
     pad,
     partitions_of,
     strip_zeros,
-    weights_equal,
 )
 
 __version__ = "0.1.0"

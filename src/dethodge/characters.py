@@ -191,24 +191,25 @@ def cauchy_check(space: MatrixSpace, d: int) -> bool:
     return total == comb(m * n + d - 1, d)
 
 
-def hilbert_function(weight_set, space: MatrixSpace, d: int, box: int | None = None) -> int:
+def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
     """Dimension of the degree-d graded piece of the module whose weight
-    set is given: the sum of dim(V_lam^(m)) * dim(V_lam^(n)) over members
-    lam of total size d.
+    set is given, on the weight set's own space: the sum of
+    dim(V_lam^(m)) * dim(V_lam^(n)) over members lam of total size d.
 
-    Sets consisting of partitions are summed exactly. Sets containing
-    weights with negative entries are infinite in each degree direction,
-    so an explicit box bound is required and the result is truncated to
-    entries in [-box, box] (square spaces only). Either way only the
-    weights of size d are enumerated. `space` must be the weight set's
-    own space.
+    Sets consisting of partitions are summed exactly and refuse a box.
+    Sets containing weights with negative entries are infinite in each
+    degree direction, so an explicit box bound is required and the result
+    is truncated to entries in [-box, box] (square spaces only). Either
+    way only the weights of size d are enumerated.
     """
-    if space != weight_set.space:
-        raise ValueError(
-            f"weight set {weight_set.descriptor()} lives on {weight_set.space}, not {space}"
-        )
+    space = weight_set.space
     n, m = space.n, space.m
     if weight_set.partitions_only:
+        if box is not None:
+            raise ValueError(
+                f"--box does not apply to {weight_set.descriptor()}: "
+                "a set of partitions is summed exactly, without truncation"
+            )
         if d < 0:
             raise ValueError("graded pieces of ideals sit in degrees d >= 0")
         total = 0

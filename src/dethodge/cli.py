@@ -1,4 +1,5 @@
-"""Command line front end: tables, enumerations, and verification suites.
+"""Command line front end: tables, enumerations, and the verification
+suites of `suites`.
 
 Exit codes: 0 on success, 1 when a verification suite finds
 counterexamples, 2 on usage errors. All randomized suites run with a
@@ -12,6 +13,7 @@ import functools
 import json
 import sys
 
+from . import suites
 from .characters import hilbert_function
 from .hodgeideals import (
     WeightSet,
@@ -19,7 +21,6 @@ from .hodgeideals import (
     in_Fk_Sdet,
     minimal_generators,
     parse_weight_set,
-    verify_equivalence,
 )
 from .matrixspace import (
     MatrixSpace,
@@ -29,23 +30,13 @@ from .matrixspace import (
     local_cohomology_degree,
 )
 from .mhmweights import (
-    filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
-    local_weight_ledger_check,
-    square_start_levels_consistency,
     square_weight_layer,
     start_level,
 )
 from .oracle import RankConstrainedSampler, dcep_cross_validation_upto
-from .qseries import (
-    closed_form_OYp,
-    pushforward_structure_checks,
-    pushforward_DpY,
-    solve_pushforward_OYp,
-    verify_qbinomial_identity,
-)
-from .reporting import VerificationReport
+from .qseries import pushforward_DpY
 from .repsets import classify
 from .weights import partitions_of, strip_zeros
 
@@ -198,13 +189,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_hilbert(args) -> int:
     weight_set = parse_weight_set(args.set)
-    if args.box is not None and weight_set.partitions_only:
-        raise ValueError(
-            f"--box does not apply to {weight_set.descriptor()}: "
-            "a set of partitions is summed exactly, without truncation"
-        )
     values = [
-        {"d": d, "dim": hilbert_function(weight_set, weight_set.space, d, box=args.box)}
+        {"d": d, "dim": hilbert_function(weight_set, d, box=args.box)}
         for d in range(args.dmax + 1)
     ]
 
@@ -265,81 +251,6 @@ def cmd_oracle_check(args) -> int:
     return 0 if ok else 1
 
 
-EQUIVALENCE_GRID = {1: 12, 2: 12, 3: 10, 4: 8}
-
-
-def _suite_equivalence(args) -> list[VerificationReport]:
-    return [
-        verify_equivalence(MatrixSpace(n, n), k, box)
-        for n, box in EQUIVALENCE_GRID.items()
-        for k in range(6)
-    ]
-
-
-def _suite_qidentity(args) -> list[VerificationReport]:
-    cap = 12
-    report = VerificationReport("q-binomial-identity", {"max": cap})
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            for c in range(cap + 1):
-                report.checks += 1
-                if not verify_qbinomial_identity(a, b, c):
-                    report.add_failure(a=a, b=b, c=c)
-    return [report]
-
-
-def _spaces_for(args) -> list[MatrixSpace]:
-    if args.m is not None:
-        return [MatrixSpace(args.m, args.n)]
-    return [
-        MatrixSpace(m, n) for m in range(1, 7) for n in range(1, min(m, 4) + 1)
-    ]
-
-
-def _suite_decomposition(args) -> list[VerificationReport]:
-    reports = []
-    solver_report = VerificationReport("solver-vs-closed-form", {})
-    for space in _spaces_for(args):
-        for p in range(space.n + 1):
-            solver_report.checks += 1
-            if solve_pushforward_OYp(space, p) != closed_form_OYp(space, p):
-                solver_report.add_failure(m=space.m, n=space.n, p=p)
-            reports.append(pushforward_structure_checks(space, p))
-    return [solver_report] + reports
-
-
-def _suite_oracle(args) -> list[VerificationReport]:
-    reports = []
-    for n in (2, 3):
-        space = MatrixSpace(n, n)
-        lambdas = [lam for size in range(7) for lam in partitions_of(size, n)]
-        for p in range(1, n + 1):
-            sampler = RankConstrainedSampler(space, p - 1, 7, args.seed)
-            reports.extend(
-                dcep_cross_validation_upto(space, lambdas, p, 4, sampler, trials=8)
-            )
-    return reports
-
-
-def _suite_weights(args) -> list[VerificationReport]:
-    reports = [square_start_levels_consistency(MatrixSpace(n, n)) for n in range(1, 9)]
-    reports.append(local_weight_ledger_check(8))
-    for n in range(1, 7):
-        reports.append(
-            filtration_support_check(MatrixSpace(n, n), 2 * n * n, 3 * n)
-        )
-    return reports
-
-
-SUITES = {
-    "equivalence": _suite_equivalence,
-    "qidentity": _suite_qidentity,
-    "decomposition": _suite_decomposition,
-    "oracle": _suite_oracle,
-    "weights": _suite_weights,
-}
-
-
 def cmd_verify(args) -> int:
     if (args.m is None) != (args.n is None):
         raise ValueError("verify takes both --m and --n, or neither")
@@ -347,13 +258,8 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"--m and --n apply only to the decomposition suite, not to {args.suite!r}"
         )
-    if args.suite == "all":
-        names = list(SUITES)
-    else:
-        names = [args.suite]
-    reports = []
-    for name in names:
-        reports.extend(SUITES[name](args))
+    spaces = suites.DESK_SPACES if args.m is None else [MatrixSpace(args.m, args.n)]
+    reports = suites.run(args.suite, args.seed, spaces)
     ok = all(r.ok for r in reports)
 
     if args.format == "json":
@@ -452,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--m", type=int, help="decomposition suite only: one space instead of the grid")
     p.add_argument("--n", type=int, help="decomposition suite only")

@@ -149,10 +149,6 @@ def translate(mu, k: int) -> tuple[int, ...]:
     return tuple(x - (k + 1) for x in mu)
 
 
-def untranslate(lam, k: int) -> tuple[int, ...]:
-    return tuple(x + (k + 1) for x in lam)
-
-
 def verify_equivalence(space: MatrixSpace, k: int, bound: int) -> VerificationReport:
     """Exhaustively confront the two descriptions of the Hodge filtration
     over a weight box: the filtration predicate must agree with the tail
@@ -302,7 +298,10 @@ def parse_weight_set(text: str) -> WeightSet:
             raise ValueError(f"{name} mixes positional and keyword arguments")
         if key not in args or key in values:
             raise ValueError(f"{name} takes each of {','.join(args)} once, not {key!r}")
-        values[key] = int(value)
+        try:
+            values[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{name} needs an integer {key}, not {value.strip()!r}") from None
     missing = [arg for arg in args if arg not in values]
     if missing:
         raise ValueError(f"{name} is missing {','.join(missing)}")

@@ -31,12 +31,6 @@ class MatrixSpace:
     def is_square(self) -> bool:
         return self.m == self.n
 
-    def stratum(self, p: int) -> "Stratum":
-        return Stratum(self, p)
-
-    def strata(self) -> list["Stratum"]:
-        return [Stratum(self, p) for p in range(self.n + 1)]
-
     def __str__(self):
         return f"{self.m}x{self.n}"
 
@@ -51,13 +45,6 @@ class Stratum:
     def __post_init__(self):
         if not 0 <= self.p <= self.space.n:
             raise ValueError(f"rank bound p={self.p} outside 0..{self.space.n}")
-
-    def to_json_obj(self) -> dict:
-        return {"m": self.space.m, "n": self.space.n, "p": self.p}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Stratum":
-        return cls(MatrixSpace(obj["m"], obj["n"]), obj["p"])
 
 
 def dim_stratum(s: Stratum) -> int:

@@ -10,36 +10,12 @@ cohomology modules for m > n) and cross-check the resulting numerology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum
 from .reporting import VerificationReport
 from .repsets import in_Ukp
 from .weights import delta_p, dominant_tuples
-
-
-@dataclass(frozen=True)
-class HodgeModuleTag:
-    """A pure module label: support stratum p plus a Tate twist. The
-    weight is always recomputed as d_p - 2k, never stored."""
-
-    space: MatrixSpace
-    p: int
-    tate_twist: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.p <= self.space.n:
-            raise ValueError(f"stratum index p={self.p} outside 0..{self.space.n}")
-
-    @property
-    def weight(self) -> int:
-        return weight_of(self)
-
-
-def weight_of(tag: HodgeModuleTag) -> int:
-    """Weight d_p - 2k of the twisted pure module on the rank-p locus."""
-    return dim_stratum(Stratum(tag.space, tag.p)) - 2 * tag.tate_twist
 
 
 def start_level(space: MatrixSpace, p: int, k: int) -> int:

@@ -36,13 +36,13 @@ False-accept analysis. A sample point is A*B with independent uniform
 entries in [-B, B]. A polynomial f of degree D that does not vanish
 identically on the rank <= r locus pulls back to a nonzero polynomial
 of degree at most 2D in the factor entries, so by the Schwartz-Zippel
-bound one trial of `vanishes_on_rank` evaluates it to zero with
-probability at most 2D/(2B+1). A line trial accepts a non-member, whose
-order e at a general point of the locus is below d, only if the point a
-is special (some partial of order e, of degree at most D, is nonzero on
-the locus but vanishes at a: probability at most 2D/(2B+1)) or the
-lowest-order form of f at a, of degree e < d, vanishes at the direction
-v (at most d/(2B+1)). So one trial errs with probability at most
+bound one trial of `symbolic_membership` at d = 1 evaluates it to zero
+with probability at most 2D/(2B+1). A line trial accepts a non-member,
+whose order e at a general point of the locus is below d, only if the
+point a is special (some partial of order e, of degree at most D, is
+nonzero on the locus but vanishes at a: probability at most 2D/(2B+1))
+or the lowest-order form of f at a, of degree e < d, vanishes at the
+direction v (at most d/(2B+1)). So one trial errs with probability at most
 (2D + d)/(2B+1), and independent trials multiply. For example, at
 B = 7 and 8 trials a partition of size D = 3 checked at d = 2 is falsely
 accepted with probability at most (8/15)^8 < 0.007. The bound says
@@ -343,23 +343,6 @@ def _flat(matrix):
     return [x for row in matrix for x in row]
 
 
-def vanishes_on_rank(f: ExactPoly, r: int, sampler: RankConstrainedSampler, trials: int = 8) -> bool:
-    """Does f vanish on the locus of rank <= r matrices? A False answer is
-    an exact certificate; True is randomized. The sampler entry bound must
-    be at least max(3, deg f)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if f.is_zero:
-        return True
-    if sampler.bound < max(3, f.total_degree):
-        raise ValueError("sampler entry bound below max(3, deg f)")
-    s = sampler if sampler.rank == r else sampler.with_rank(r)
-    for _ in range(trials):
-        if f.evaluate(_flat(s.sample())) != 0:
-            return False
-    return True
-
-
 def _derivatives_below_order(f: ExactPoly, order: int) -> list[ExactPoly]:
     # Distinct nonzero partials of order 0..order, deduplicated by the
     # sorted multi-index of differentiations.
@@ -383,8 +366,10 @@ def _derivatives_below_order(f: ExactPoly, order: int) -> list[ExactPoly]:
 def symbolic_membership(f: ExactPoly, p: int, d: int, sampler: RankConstrainedSampler, trials: int = 8) -> bool:
     """Does f vanish to order at least d along the rank p-1 locus? Decided
     by the differential criterion: every partial derivative of order
-    below d must vanish there. One-sided like vanishes_on_rank; d <= 0 is
-    the unit ideal and returns True."""
+    below d must vanish there; at d = 1, f itself must vanish on the rank
+    p-1 locus. A False answer is an exact certificate; True is randomized.
+    The sampler entry bound must be at least max(3, deg f). d <= 0 is the
+    unit ideal and returns True."""
     if d <= 0:
         return True
     if trials < 1:

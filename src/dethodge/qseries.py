@@ -187,49 +187,6 @@ class LaurentPoly:
         out[::step] = self._c if factor > 0 else self._c[::-1]
         return _dense(min(factor * self._lo, factor * self.max_exp), tuple(out))
 
-    def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ArithmeticError on any nonzero remainder.
-        Used as the internal consistency guard wherever a division is
-        mathematically forced to be exact."""
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly()
-        d = other._c
-        rem = list(self._c)
-        size = len(rem) - len(d) + 1
-        if size < 1:
-            raise ArithmeticError(f"inexact division of {self} by {other}")
-        quo = [0] * size
-        for k in range(size - 1, -1, -1):
-            qc, r = divmod(rem[k + len(d) - 1], d[-1])
-            if r:
-                raise ArithmeticError(f"inexact division of {self} by {other}")
-            if qc:
-                quo[k] = qc
-                for i, v in enumerate(d, k):
-                    rem[i] -= qc * v
-        if any(rem[: len(d) - 1]):
-            raise ArithmeticError(f"inexact division of {self} by {other}")
-        # An exact quotient of two trimmed polynomials is trimmed.
-        return _dense(self._lo - other._lo, tuple(quo))
-
-    def evaluate(self, x: int) -> int:
-        """Value at an integer x (x must be nonzero if exponents dip below 0)."""
-        total = 0
-        for e, v in self.items():
-            if e >= 0:
-                total += v * x**e
-            else:
-                num, den = v, x ** (-e)
-                q, r = divmod(num, den)
-                if r:
-                    raise ValueError("non-integer evaluation")
-                total += q
-        return total
-
     def at_one(self) -> int:
         return sum(self._c)
 
@@ -239,10 +196,6 @@ class LaurentPoly:
 
     def to_coeff_map(self) -> dict:
         return {str(e): v for e, v in self.items()}
-
-    @classmethod
-    def from_coeff_map(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(e): v for e, v in obj.items()})
 
     def __str__(self):
         if not self._c:
@@ -386,18 +339,13 @@ def q_binomial(a: int, b: int) -> LaurentPoly:
     return _dense(0, tuple(coeffs))
 
 
-def substitute_q2(f: LaurentPoly) -> LaurentPoly:
-    """Substitute q -> q^2 (double every exponent)."""
-    return f.stretch(2)
-
-
 def grassmannian_poincare(r: int, N: int) -> LaurentPoly:
     """Poincare polynomial of the Grassmannian of r-dimensional quotients
     of an N-dimensional space: the q-binomial comb(N, r) at q^2. Zero when
     r > N, matching the q-binomial convention."""
     if r < 0:
         raise ValueError("quotient rank must be nonnegative")
-    return substitute_q2(q_binomial(N, r))
+    return q_binomial(N, r).stretch(2)
 
 
 def stalk_poly(i: int, k: int, space: MatrixSpace) -> LaurentPoly:
@@ -409,7 +357,7 @@ def stalk_poly(i: int, k: int, space: MatrixSpace) -> LaurentPoly:
     if not 0 <= k <= i:
         raise ValueError(f"stalk formula needs 0 <= k <= i, got k={k}, i={i}")
     d_i = dim_stratum(Stratum(space, i))
-    return substitute_q2(q_binomial(space.n - k, i - k)).shift(-d_i)
+    return q_binomial(space.n - k, i - k).stretch(2).shift(-d_i)
 
 
 class DecompositionTable:
@@ -461,13 +409,6 @@ class DecompositionTable:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DecompositionTable":
-        entries = {
-            row["i"]: LaurentPoly.from_coeff_map(row["poly"]) for row in obj["entries"]
-        }
-        return cls(MatrixSpace(obj["m"], obj["n"]), obj["p"], entries)
-
 
 def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
     """Multiplicities f_i(q) in the pushforward of the structure sheaf of
@@ -484,9 +425,9 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
     m, n = space.m, space.n
     f: dict[int, LaurentPoly] = {}
     for k in range(p, -1, -1):
-        acc = substitute_q2(q_binomial(m - k, p - k))
+        acc = q_binomial(m - k, p - k).stretch(2)
         for i in range(k + 1, p + 1):
-            term = f[i] * substitute_q2(q_binomial(n - k, i - k))
+            term = f[i] * q_binomial(n - k, i - k).stretch(2)
             acc = acc - term.shift((p - i) * (m + n - p - i))
         f[k] = acc.shift(-(p - k) * (m + n - p - k))
     return DecompositionTable(space, p, f)
@@ -499,7 +440,7 @@ def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
     entries = {
-        i: substitute_q2(q_binomial(m - n, p - i)).shift(-(m - n - p + i) * (p - i))
+        i: q_binomial(m - n, p - i).stretch(2).shift(-(m - n - p + i) * (p - i))
         for i in range(p + 1)
     }
     return DecompositionTable(space, p, entries)
@@ -510,7 +451,7 @@ def pushforward_prefactor(space: MatrixSpace, p: int) -> LaurentPoly:
     relating the rank-p simple module on the maximal-rank resolution to
     the structure sheaf of the rank-p resolution."""
     m, n = space.m, space.n
-    return substitute_q2(q_binomial(m - p, n - p)).shift(-(n - p) * (m - n))
+    return q_binomial(m - p, n - p).stretch(2).shift(-(n - p) * (m - n))
 
 
 def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> DecompositionTable:

@@ -3,8 +3,7 @@
 A weight of length N is a weakly decreasing tuple of integers; a partition
 is a dominant weight with nonnegative entries. Weights carry their length
 explicitly: embedding a partition into more variables is an explicit `pad`,
-never implicit. Display strips trailing zeros of partitions; equality is
-taken on padded forms (see `weights_equal`).
+never implicit. Display strips trailing zeros of partitions.
 """
 
 from __future__ import annotations
@@ -72,13 +71,6 @@ def strip_zeros(lam) -> tuple[int, ...]:
     return lam
 
 
-def weights_equal(a, b) -> bool:
-    """Equality after zero-padding to a common length."""
-    a, b = tuple(a), tuple(b)
-    length = max(len(a), len(b))
-    return pad(a, length) == pad(b, length)
-
-
 def _wp_member(lam, p: int, space: MatrixSpace) -> bool:
     # Core membership test for the rank-p stratum weight support: the head
     # must satisfy lam_p >= p-n (vacuous for p=0) and the tail
@@ -138,7 +130,7 @@ class WeightBox:
         return comb(2 * self.bound + self.length, self.length)
 
     def __iter__(self):
-        return enumerate_box(self)
+        return dominant_tuples(self.length, -self.bound, self.bound)
 
 
 def dominant_tuples(
@@ -205,11 +197,6 @@ def _decreasing_tuples(length, lo, hi, total, descending):
         if total is not None:
             rest = rests[j] - cap
         j += 1
-
-
-def enumerate_box(box: WeightBox) -> Iterator[tuple[int, ...]]:
-    """Yield the box members in lexicographic order."""
-    return dominant_tuples(box.length, -box.bound, box.bound)
 
 
 def partitions_of(size: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -8,35 +8,23 @@ one-sided with a fixed seed and a single re-sample on disagreement.
 import time
 from math import comb
 
+from dethodge import suites
 from dethodge.characters import (
     cauchy_check,
     hilbert_function,
     tensor_decomposition_check,
 )
-from dethodge.hodgeideals import (
-    WeightSet,
-    in_hodge_ideal,
-    in_symbolic_power,
-    verify_equivalence,
-)
+from dethodge.hodgeideals import WeightSet, in_hodge_ideal, in_symbolic_power
 from dethodge.matrixspace import MatrixSpace
 from dethodge.mhmweights import (
-    filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
     square_start_levels_consistency,
     square_weight_layer,
     start_level,
 )
-from dethodge.oracle import RankConstrainedSampler, dcep_cross_validation, ideal_power_hilbert
-from dethodge.qseries import (
-    LaurentPoly,
-    closed_form_OYp,
-    pushforward_structure_checks,
-    pushforward_DpY,
-    solve_pushforward_OYp,
-    verify_qbinomial_identity,
-)
+from dethodge.oracle import ideal_power_hilbert
+from dethodge.qseries import LaurentPoly, pushforward_DpY
 from dethodge.repsets import classify, compose_weight, decompose_weight, minimal_elements
 from dethodge.weights import WeightBox, leq, partitions_of
 
@@ -49,12 +37,10 @@ def _passed(num, text):
 
 def test_criterion_01_filtration_ideal_equivalence():
     start = time.perf_counter()
-    boxes = {1: 12, 2: 12, 3: 10, 4: 8}
-    for n, bound in boxes.items():
-        space = MatrixSpace(n, n)
-        for k in range(6):
-            report = verify_equivalence(space, k, bound)
-            assert report.ok, (n, k, report.failures[:3])
+    reports = suites.equivalence()
+    assert {r.params["n"] for r in reports} >= {1, 2, 3, 4}
+    for report in reports:
+        assert report.ok, (report.params, report.failures[:3])
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"equivalence sweep took {elapsed:.1f}s"
     _passed(1, f"Hodge ideal / filtration equivalence, n<=4 ({elapsed:.1f}s)")
@@ -76,21 +62,19 @@ def test_criterion_02_low_hodge_ideals():
 
 def test_criterion_03_qbinomial_identity():
     start = time.perf_counter()
-    for a in range(13):
-        for b in range(13):
-            for c in range(13):
-                assert verify_qbinomial_identity(a, b, c), (a, b, c)
+    [report] = suites.qidentity()
+    assert report.params["max"] >= 12 and report.checks == (report.params["max"] + 1) ** 3
+    assert report.ok, report.failures[:3]
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"identity sweep took {elapsed:.1f}s"
     _passed(3, f"q-binomial convolution identity, a,b,c<=12 ({elapsed:.1f}s)")
 
 
 def test_criterion_04_solver_equals_closed_form():
-    for m in range(1, 7):
-        for n in range(1, min(m, 4) + 1):
-            space = MatrixSpace(m, n)
-            for p in range(n + 1):
-                assert solve_pushforward_OYp(space, p) == closed_form_OYp(space, p)
+    solver_report = suites.decomposition(suites.DESK_SPACES)[0]
+    assert solver_report.name == "solver-vs-closed-form"
+    assert solver_report.checks == sum(space.n + 1 for space in suites.DESK_SPACES)
+    assert solver_report.ok, solver_report.failures
     _passed(4, "triangular solver matches the closed form, m<=6, n<=4")
 
 
@@ -105,12 +89,8 @@ def test_criterion_05_pushforward_sanity_cases():
 
 
 def test_criterion_06_pushforward_structure():
-    for m in range(1, 7):
-        for n in range(1, min(m, 4) + 1):
-            space = MatrixSpace(m, n)
-            for p in range(n + 1):
-                report = pushforward_structure_checks(space, p)
-                assert report.ok, (m, n, p, report.failures)
+    for report in suites.decomposition(suites.DESK_SPACES)[1:]:
+        assert report.ok, (report.params, report.failures)
     _passed(6, "summand range, top degree, and middle degree checks, m<=6, n<=4")
 
 
@@ -139,22 +119,22 @@ def test_criterion_07_weight_ledger():
 
 
 def test_criterion_08_filtration_start_levels():
-    for n in range(1, 7):
-        report = filtration_support_check(MatrixSpace(n, n), 2 * n * n, 3 * n)
-        assert report.ok, (n, report.failures[:5])
+    reports = suites.weights()
+    support = [r for r in reports if r.name == "filtration-support"]
+    assert {r.params["n"] for r in support} >= set(range(1, 7))
+    for report in reports:
+        assert report.ok, (report.name, report.params, report.failures[:5])
     _passed(8, "level-k support nonempty iff k >= (n-p)^2, n<=6, box 3n")
 
 
 def test_criterion_09_oracle_agreement():
     start = time.perf_counter()
-    for n in (2, 3):
-        space = MatrixSpace(n, n)
-        lambdas = [lam for size in range(7) for lam in partitions_of(size, n)]
-        for p in range(1, n + 1):
-            for d in range(1, 5):
-                sampler = RankConstrainedSampler(space, p - 1, bound=7, seed=SEED)
-                report = dcep_cross_validation(space, lambdas, p, d, sampler, trials=8)
-                assert report.ok, (n, p, d, report.failures)
+    reports = suites.oracle(SEED)
+    covered = {(r.params["n"], r.params["p"], r.params["d"]) for r in reports}
+    assert covered >= {(n, p, d) for n in (2, 3) for p in range(1, n + 1) for d in range(1, 5)}
+    for report in reports:
+        assert report.seed == SEED
+        assert report.ok, (report.params, report.failures)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f}s"
     _passed(9, f"differential oracle agrees with the weight predicate ({elapsed:.1f}s)")
@@ -166,7 +146,7 @@ def test_criterion_10_hilbert_oracle():
         ideal = WeightSet(space, "HodgeIdeal", param=k)
         truth = ideal_power_hilbert(space, k, 12)
         for d in range(13):
-            assert hilbert_function(ideal, space, d) == truth[d], (k, d)
+            assert hilbert_function(ideal, d) == truth[d], (k, d)
     for m in range(1, 4):
         for n in range(1, m + 1):
             for d in range(11):

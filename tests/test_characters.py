@@ -143,40 +143,43 @@ def test_cauchy_examples():
 def test_hilbert_function_examples():
     space = MatrixSpace(2, 2)
     ik2 = WeightSet(space, "HodgeIdeal", param=2)
-    assert hilbert_function(ik2, space, 2) == 10
+    assert [hilbert_function(ik2, d) for d in range(4)] == [0, 4, 10, 20]
     j13 = WeightSet(space, "SymbolicPower", p=1, param=3)
-    assert hilbert_function(j13, space, 2) == 0
+    assert hilbert_function(j13, 2) == 0
     ik3 = WeightSet(space, "HodgeIdeal", param=3)
-    assert hilbert_function(ik3, space, 3) == 20
+    assert hilbert_function(ik3, 3) == 20
 
 
 def test_hilbert_function_whole_ring():
     # the unit ideal gives the full polynomial ring dimensions
-    space = MatrixSpace(3, 2)
     unit = WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=0)
     for d in range(6):
-        assert hilbert_function(unit, MatrixSpace(2, 2), d) == comb(4 + d - 1, d)
+        assert hilbert_function(unit, d) == comb(4 + d - 1, d)
     sym = parse_weight_set("Jpd(n=2,p=1,d=0)")
-    assert hilbert_function(sym, MatrixSpace(2, 2), 3) == comb(6, 3)
+    assert hilbert_function(sym, 3) == comb(6, 3)
 
 
-def test_hilbert_function_box_requirement():
-    space = MatrixSpace(2, 2)
-    wset = WeightSet(space, "Wp", 2)
-    with pytest.raises(ValueError):
-        hilbert_function(wset, space, 2)
-    # rank-n support consists of partitions, so a generous box is exact
-    assert hilbert_function(wset, space, 2, box=6) == comb(5, 2)
-
-
-def test_hilbert_function_refuses_another_space():
-    ideal = WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=2)
-    assert [hilbert_function(ideal, MatrixSpace(2, 2), d) for d in range(4)] == [0, 4, 10, 20]
-    for d in range(4):
-        with pytest.raises(ValueError, match="lives on 2x2, not 5x2"):
-            hilbert_function(ideal, MatrixSpace(5, 2), d)
-    with pytest.raises(ValueError, match="not 3x3"):
-        hilbert_function(WeightSet(MatrixSpace(2, 2), "Wp", 1), MatrixSpace(3, 3), 0, box=2)
+@pytest.mark.parametrize(
+    "wset,refused,reason,accepted,dim",
+    [
+        # Wp needs a box; the rank-n support consists of partitions, so a
+        # generous box is exact.
+        (WeightSet(MatrixSpace(2, 2), "Wp", 2), None, "explicit box bound", 6, comb(5, 2)),
+        # A set of partitions is summed exactly and refuses a box.
+        (
+            WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=1),
+            1,
+            r"--box does not apply to Ik\(n=2,k=1\): a set of partitions is summed exactly",
+            None,
+            10,
+        ),
+    ],
+    ids=["Wp", "Ik"],
+)
+def test_hilbert_function_box_requirement(wset, refused, reason, accepted, dim):
+    with pytest.raises(ValueError, match=reason):
+        hilbert_function(wset, 2, box=refused)
+    assert hilbert_function(wset, 2, box=accepted) == dim
 
 
 def test_hilbert_function_box_matches_the_filtered_box():
@@ -193,7 +196,7 @@ def test_hilbert_function_box_matches_the_filtered_box():
                     if wset.contains(lam):
                         by_size[sum(lam)] = by_size.get(sum(lam), 0) + dim_irrep(lam, n) ** 2
                 for d in range(-n * bound, n * bound + 1):
-                    assert hilbert_function(wset, space, d, box=bound) == by_size.get(d, 0), (
+                    assert hilbert_function(wset, d, box=bound) == by_size.get(d, 0), (
                         wset.descriptor(), bound, d,
                     )
 
@@ -201,7 +204,7 @@ def test_hilbert_function_box_matches_the_filtered_box():
 def test_hilbert_function_degree_zero():
     space = MatrixSpace(2, 2)
     full = WeightSet(space, "HodgeIdeal", param=1)
-    assert hilbert_function(full, space, 0) == 1
+    assert hilbert_function(full, 0) == 1
 
 
 def test_hilbert_function_symbolic_powers_of_irrelevant_ideal():
@@ -213,4 +216,4 @@ def test_hilbert_function_symbolic_powers_of_irrelevant_ideal():
         wset = WeightSet(space, "SymbolicPower", p=1, param=d)
         for e in range(13):
             expected = comb(e + 3, 3) if e >= d else 0
-            assert hilbert_function(wset, space, e) == expected, (d, e)
+            assert hilbert_function(wset, e) == expected, (d, e)

@@ -5,7 +5,6 @@ import pytest
 
 from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum
 from dethodge.mhmweights import (
-    HodgeModuleTag,
     filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
@@ -13,27 +12,9 @@ from dethodge.mhmweights import (
     square_start_levels_consistency,
     square_weight_layer,
     start_level,
-    weight_of,
 )
 from dethodge.repsets import in_Ukp
 from dethodge.weights import delta_p, dominant_tuples
-
-
-def test_weight_of_examples():
-    assert weight_of(HodgeModuleTag(MatrixSpace(4, 4), 4, 0)) == 16
-    assert weight_of(HodgeModuleTag(MatrixSpace(3, 3), 2, -1)) == 10
-    assert weight_of(HodgeModuleTag(MatrixSpace(2, 2), 1, -1)) == 5
-    assert HodgeModuleTag(MatrixSpace(2, 2), 1, -1).weight == 5
-
-
-def test_weight_parity():
-    for m in range(1, 6):
-        for n in range(1, m + 1):
-            space = MatrixSpace(m, n)
-            for p in range(n + 1):
-                for k in range(-3, 4):
-                    w = weight_of(HodgeModuleTag(space, p, k))
-                    assert (w - dim_stratum(Stratum(space, p))) % 2 == 0
 
 
 def test_square_weight_layer_values():
@@ -105,11 +86,10 @@ def test_start_level_matches_weight():
             space = MatrixSpace(m, n)
             for p in range(n + 1):
                 for k in range(-4, 5):
-                    tag = HodgeModuleTag(space, p, k)
                     lhs = m * n + codim_stratum(Stratum(space, p)) - 2 * start_level(
                         space, p, k
                     )
-                    assert lhs == weight_of(tag)
+                    assert lhs == dim_stratum(Stratum(space, p)) - 2 * k
 
 
 def test_filtration_support_small():

@@ -17,7 +17,6 @@ from dethodge.oracle import (
     line_vanishing_order,
     minor,
     symbolic_membership,
-    vanishes_on_rank,
     variable_matrix,
 )
 from dethodge.weights import partitions_of
@@ -138,39 +137,41 @@ def test_sampler_validation():
         RankConstrainedSampler(S22, 1, 0, 0)
 
 
-def test_vanishes_on_rank():
-    det2 = minor(S22, (0, 1), (0, 1))
-    sampler = RankConstrainedSampler(S22, 1, bound=7, seed=5)
-    assert vanishes_on_rank(det2, 1, sampler)
-    x00 = variable_matrix(S22)[0][0]
-    assert not vanishes_on_rank(x00, 1, RankConstrainedSampler(S22, 1, 7, 5))
-    # 2x2 minors of the 3x3 matrix vanish on rank <= 1 but not rank <= 2
-    m2 = minor(S33, (0, 1), (0, 1))
-    assert vanishes_on_rank(m2, 1, RankConstrainedSampler(S33, 1, 7, 5))
-    assert not vanishes_on_rank(m2, 2, RankConstrainedSampler(S33, 2, 7, 5))
+DET2 = minor(S22, (0, 1), (0, 1))
+M2 = minor(S33, (0, 1), (0, 1))
+MIXED = variable_matrix(S33)[0][0] * M2
 
 
-def test_vanishes_on_rank_bound_guard():
-    det2 = minor(S22, (0, 1), (0, 1))
-    f = det2**4  # degree 8 beyond the default bound
+@pytest.mark.parametrize(
+    "f,p,d,sampler,member",
+    [
+        (DET2, 1, 2, RankConstrainedSampler(S22, 0, 7, 9), True),
+        (DET2, 1, 3, RankConstrainedSampler(S22, 0, 7, 9), False),
+        (minor(S33, (0, 1, 2), (0, 1, 2)), 2, 2, RankConstrainedSampler(S33, 1, 7, 9), True),
+        (MIXED, 2, 2, RankConstrainedSampler(S33, 1, 7, 9), False),
+        (MIXED, 2, 0, RankConstrainedSampler(S33, 1, 7, 9), True),
+        (MIXED, 2, -1, RankConstrainedSampler(S33, 1, 7, 9), True),
+        # At d = 1: does f vanish on the rank p-1 locus? The 2x2 minors
+        # vanish on rank <= 1 but not on rank <= 2; x00 on neither.
+        (DET2, 2, 1, RankConstrainedSampler(S22, 1, 7, 5), True),
+        (variable_matrix(S22)[0][0], 2, 1, RankConstrainedSampler(S22, 1, 7, 5), False),
+        (M2, 2, 1, RankConstrainedSampler(S33, 1, 7, 5), True),
+        (M2, 3, 1, RankConstrainedSampler(S33, 2, 7, 5), False),
+    ],
+    ids=[
+        "det2-p1-d2", "det2-p1-d3", "det3-p2-d2", "mixed-p2-d2", "mixed-p2-d0",
+        "mixed-p2-d-1", "det2-p2-d1", "x00-p2-d1", "m2-p2-d1", "m2-p3-d1",
+    ],
+)
+def test_symbolic_membership_examples(f, p, d, sampler, member):
+    assert symbolic_membership(f, p, d, sampler) == member
+
+
+def test_symbolic_membership_bound_guard():
+    f = DET2**4  # degree 8 beyond the default bound
     with pytest.raises(ValueError):
-        vanishes_on_rank(f, 1, RankConstrainedSampler(S22, 1, bound=7, seed=0))
-    assert vanishes_on_rank(f, 1, RankConstrainedSampler(S22, 1, bound=8, seed=0))
-
-
-def test_symbolic_membership_examples():
-    det2 = minor(S22, (0, 1), (0, 1))
-    sampler = RankConstrainedSampler(S22, 0, bound=7, seed=9)
-    assert symbolic_membership(det2, 1, 2, sampler)
-    assert not symbolic_membership(det2, 1, 3, sampler)
-
-    det3 = minor(S33, (0, 1, 2), (0, 1, 2))
-    s3 = RankConstrainedSampler(S33, 1, bound=7, seed=9)
-    assert symbolic_membership(det3, 2, 2, s3)
-    mixed = variable_matrix(S33)[0][0] * minor(S33, (0, 1), (0, 1))
-    assert not symbolic_membership(mixed, 2, 2, s3)
-    assert symbolic_membership(mixed, 2, 0, s3)
-    assert symbolic_membership(mixed, 2, -1, s3)
+        symbolic_membership(f, 2, 1, RankConstrainedSampler(S22, 1, bound=7, seed=0))
+    assert symbolic_membership(f, 2, 1, RankConstrainedSampler(S22, 1, bound=8, seed=0))
 
 
 def test_symbolic_membership_monotone_in_d():

@@ -19,7 +19,6 @@ from dethodge.qseries import (
     q_binomial,
     solve_pushforward_OYp,
     stalk_poly,
-    substitute_q2,
     verify_qbinomial_identity,
 )
 
@@ -45,7 +44,6 @@ def test_laurent_arithmetic():
     assert f.stretch(2) == LaurentPoly({-2: 1, 4: 3})
     assert LaurentPoly({0: 1, 1: 1}) ** 2 == LaurentPoly({0: 1, 1: 2, 2: 1})
     assert f.at_one() == 4
-    assert f.evaluate(1) == 4
 
 
 def test_laurent_str_and_json():
@@ -53,20 +51,7 @@ def test_laurent_str_and_json():
     assert str(f) == "q^-2 + 2 + q^2"
     assert str(LaurentPoly.zero()) == "0"
     assert str(LaurentPoly({1: -1, 3: 5})) == "-q + 5*q^3"
-    assert LaurentPoly.from_coeff_map(f.to_coeff_map()) == f
     assert f.to_coeff_map() == {"-2": 1, "0": 2, "2": 1}
-
-
-def test_laurent_divexact():
-    f = LaurentPoly({0: 1, 1: 2, 2: 1})
-    g = LaurentPoly({0: 1, 1: 1})
-    assert f.divexact(g) == g
-    shifted = f.shift(-3)
-    assert shifted.divexact(g) == g.shift(-3)
-    with pytest.raises(ArithmeticError):
-        LaurentPoly({0: 1, 1: 1, 2: 1}).divexact(LaurentPoly({0: 1, 1: 1}))
-    with pytest.raises(ZeroDivisionError):
-        f.divexact(LaurentPoly.zero())
 
 
 def test_q_binomial_examples():
@@ -94,10 +79,10 @@ def test_q_binomial_shape():
                 assert f.min_exp == 0 and f.max_exp == b * (a - b)
 
 
-def test_substitute_q2():
-    assert substitute_q2(LaurentPoly({0: 1, 1: 1})) == LaurentPoly({0: 1, 2: 1})
-    assert substitute_q2(LaurentPoly({-1: 1})) == LaurentPoly({-2: 1})
-    assert substitute_q2(q_binomial(3, 1)) == LaurentPoly({0: 1, 2: 1, 4: 1})
+def test_stretch_by_two_substitutes_q2():
+    assert LaurentPoly({0: 1, 1: 1}).stretch(2) == LaurentPoly({0: 1, 2: 1})
+    assert LaurentPoly({-1: 1}).stretch(2) == LaurentPoly({-2: 1})
+    assert q_binomial(3, 1).stretch(2) == LaurentPoly({0: 1, 2: 1, 4: 1})
 
 
 def test_grassmannian_poincare():
@@ -228,11 +213,6 @@ def test_decomposition_table_validation():
     assert 0 not in table.entries
 
 
-def test_decomposition_table_json_round_trip():
-    table = pushforward_DpY(MatrixSpace(4, 3), 2)
-    assert DecompositionTable.from_json_obj(table.to_json_obj()) == table
-
-
 # -- dense arithmetic against a sparse reference ---------------------------
 
 
@@ -319,16 +299,6 @@ def test_stretch_matches_sparse_substitution(f, factor):
     for e, v in f.items():
         expected[factor * e] = expected.get(factor * e, 0) + v
     assert sparse(f.stretch(factor)) == {e: v for e, v in expected.items() if v}
-
-
-@given(polys(max_len=15), polys(max_len=15))
-def test_divexact_recovers_a_factor(f, g):
-    if g.is_zero:
-        return
-    assert (f * g).divexact(g) == f
-    if g.max_exp > g.min_exp:
-        with pytest.raises(ArithmeticError):
-            (f * g + 1).divexact(g)
 
 
 def test_huge_coefficients():

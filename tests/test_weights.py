@@ -14,7 +14,6 @@ from dethodge.weights import (
     pad,
     partitions_of,
     strip_zeros,
-    weights_equal,
 )
 
 
@@ -113,7 +112,7 @@ def test_lambda_of_p_output_dominant():
                         assert is_dominant(out)
 
 
-def test_enumerate_box_small():
+def test_weight_box_small():
     assert list(WeightBox(1, 1)) == [(-1,), (0,), (1,)]
     assert list(WeightBox(2, 1)) == [
         (-1, -1),
@@ -125,7 +124,7 @@ def test_enumerate_box_small():
     ]
 
 
-def test_enumerate_box_counts_and_order():
+def test_weight_box_counts_and_order():
     for n in range(1, 5):
         for bound in range(6):
             box = WeightBox(n, bound)
@@ -140,7 +139,6 @@ def test_pad_and_strip():
     assert pad((2, 1), 4) == (2, 1, 0, 0)
     assert strip_zeros((2, 1, 0, 0)) == (2, 1)
     assert strip_zeros((0, 0)) == ()
-    assert weights_equal((2, 1), (2, 1, 0))
     with pytest.raises(ValueError):
         pad((1, -1), 3)
 
