@@ -55,8 +55,7 @@ print()
 
 print("The two descriptions agree everywhere; an exhaustive sweep over a")
 print("weight box reports zero counterexamples:")
-for k in range(4):
-    report = verify_equivalence(space, k, bound=8)
+for report in verify_equivalence(space, range(4), bound=8):
     print(f"  {report.summary()}")
 print()
 

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="differential test vs weight predicate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--dmax", type=_nonneg, default=4)
+    p.add_argument("--dmax", type=_positive, default=4)
     p.add_argument("--trials", type=_positive, default=8)
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--lmax", type=_nonneg, default=6, help="max size of tested partitions")

@@ -14,7 +14,9 @@ boxes:
 * ``translate``: the change of frame mu -> mu - ((k+1)^n) between the two
   (twisting by the (k+1)-st power of the determinant);
 * ``minimal_generators``: the minimal partitions of I_k, the highest
-  weights of its minimal generators.
+  weights of its minimal generators;
+* ``verify_equivalence``: the exhaustive confrontation, walking each
+  weight box once for all the levels k it checks.
 
 GL-stable ideals are identified with their sets of dominant weights, so
 all ideal arithmetic here is predicate arithmetic on partitions. A
@@ -28,8 +30,10 @@ module.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, inf
 from typing import Callable, NamedTuple
 
@@ -149,32 +153,50 @@ def translate(mu, k: int) -> tuple[int, ...]:
     return tuple(x - (k + 1) for x in mu)
 
 
-def verify_equivalence(space: MatrixSpace, k: int, bound: int) -> VerificationReport:
+def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationReport]:
     """Exhaustively confront the two descriptions of the Hodge filtration
-    over a weight box: the filtration predicate must agree with the tail
-    inequality family
+    over a weight box, one report for each k in ks: the filtration
+    predicate must agree with the tail inequality family
 
         lam_{s+1} + ... + lam_n >= -comb(n-s+1, 2) - k  for 0 <= s <= n-1,
 
     and on partitions the Hodge-ideal predicate must match the filtration
-    predicate through the translate change of frame."""
+    predicate through the translate change of frame.
+
+    The box is walked once for every k: each weight is classified once,
+    and its tail sums fold the family into one slack,
+    min_s (lam_{s+1} + ... + lam_n + comb(n-s+1, 2)), so the family holds
+    at level k exactly when the slack is at least -k. The filtration side
+    still comes from the U^p_k core, level by level. Each report lists
+    its box failures first, then its partition failures."""
+    if not space.is_square:
+        raise ValueError("the localization at the determinant needs a square space")
     n = space.n
-    report = VerificationReport(
-        "hodge-filtration-equivalence", {"n": n, "k": k, "box": bound}
-    )
+    ks = tuple(ks)
+    reports = [
+        VerificationReport("hodge-filtration-equivalence", {"n": n, "k": k, "box": bound})
+        for k in ks
+    ]
+    # comb(n-s+1, 2) for s = n-1 down to 0, in step with the tail sums
+    # accumulated from lam_n leftwards.
+    offsets = [comb(n - s + 1, 2) for s in range(n - 1, -1, -1)]
     for lam in WeightBox(n, bound):
-        lhs = in_Fk_Sdet(lam, k, space)
-        rhs = all(sum(lam[s:]) >= -comb(n - s + 1, 2) - k for s in range(n))
-        report.checks += 1
-        if lhs != rhs:
-            report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
+        p = _classify(lam, space)
+        slack = min(map(operator.add, accumulate(reversed(lam)), offsets))
+        for k, report in zip(ks, reports):
+            lhs = _in_Ukp(lam, p, k, space)
+            rhs = slack >= -k
+            report.checks += 1
+            if lhs != rhs:
+                report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
     for mu in dominant_tuples(n, 0, bound):
-        ideal = in_hodge_ideal(mu, k, space)
-        filt = in_Fk_Sdet(translate(mu, k), k, space)
-        report.checks += 1
-        if ideal != filt:
-            report.add_failure(partition=mu, ideal=ideal, filtration=filt)
-    return report
+        for k, report in zip(ks, reports):
+            ideal = in_hodge_ideal(mu, k, space)
+            filt = in_Fk_Sdet(translate(mu, k), k, space)
+            report.checks += 1
+            if ideal != filt:
+                report.add_failure(partition=mu, ideal=ideal, filtration=filt)
+    return reports
 
 
 class _Spec(NamedTuple):

@@ -478,6 +478,37 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
     return DecompositionTable(space, p, entries)
 
 
+class _Packing:
+    """A polynomial with its value at q = 1 (None if a coefficient is
+    negative) and its coefficients packed once per slot width."""
+
+    __slots__ = ("poly", "total", "_by_width")
+
+    def __init__(self, poly: LaurentPoly):
+        self.poly = poly
+        self.total = poly.at_one() if all(v >= 0 for v in poly._c) else None
+        self._by_width = {}
+
+    def packed(self, width: int) -> int:
+        value = self._by_width.get(width)
+        if value is None:
+            value = self._by_width[width] = _pack(self.poly._c, width)
+        return value
+
+
+_PACKINGS: dict[tuple[int, int], _Packing] = {}
+
+
+def _packing(a: int, b: int) -> _Packing:
+    """The packing of q_binomial(a, b), rebuilt whenever q_binomial returns
+    another object than the one it was built from."""
+    poly = q_binomial(a, b)
+    entry = _PACKINGS.get((a, b))
+    if entry is None or entry.poly is not poly:
+        entry = _PACKINGS[a, b] = _Packing(poly)
+    return entry
+
+
 def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:
     """Check the q-Vandermonde convolution
 
@@ -485,18 +516,34 @@ def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:
 
     as an exact polynomial equality. (The exponent comes from comparing
     z^c coefficients in the factorization of the q-Pochhammer symbol:
-    b*j + comb(j, 2) + comb(c-j, 2) - comb(c, 2) = j*(b-c+j).)"""
-    lhs = q_binomial(a + b, c)
-    rhs = LaurentPoly.zero()
+    b*j + comb(j, 2) + comb(c-j, 2) - comb(c, 2) = j*(b-c+j).)
+
+    Both sides are compared as single integers, each polynomial evaluated
+    at q = 256^w by packing its coefficients into w-byte slots. This is
+    exact: every coefficient is nonnegative and at most its side's value
+    at q = 1, which w bytes exceed, so no slot carries into the next and
+    equal integers mean equal coefficients. An operand with a negative
+    coefficient makes the check fail."""
+    lhs = _packing(a + b, c)
+    terms = []
     for j in range(c + 1):
-        left = q_binomial(a, j)
-        if left.is_zero:
+        left = _packing(a, j)
+        if left.poly.is_zero:
             continue
-        right = q_binomial(b, c - j)
-        if right.is_zero:
+        right = _packing(b, c - j)
+        if right.poly.is_zero:
             continue
-        rhs = rhs + (left * right).shift(j * (b - c + j))
-    return lhs == rhs
+        terms.append((j * (b - c + j) + left.poly._lo + right.poly._lo, left, right))
+    if lhs.total is None or any(l.total is None or r.total is None for _, l, r in terms):
+        return False
+    width = _slot_width(max(lhs.total, sum(l.total * r.total for _, l, r in terms)))
+    # Exponents from the lowest one on either side, so every shift is >= 0.
+    lo = min([lhs.poly._lo] + [exp for exp, _, _ in terms])
+    bits = 8 * width
+    rhs = 0
+    for exp, left, right in terms:
+        rhs += (left.packed(width) * right.packed(width)) << (bits * (exp - lo))
+    return lhs.packed(width) << (bits * (lhs.poly._lo - lo)) == rhs
 
 
 def pushforward_structure_checks(space: MatrixSpace, p: int) -> VerificationReport:

@@ -37,9 +37,9 @@ DESK_SPACES = tuple(
 
 def equivalence() -> list[VerificationReport]:
     return [
-        verify_equivalence(MatrixSpace(n, n), k, box)
+        report
         for n, box in EQUIVALENCE_GRID.items()
-        for k in range(6)
+        for report in verify_equivalence(MatrixSpace(n, n), range(6), box)
     ]
 
 

@@ -150,6 +150,7 @@ def usage_cases() -> list[list[str]]:
         ["hodge-ideal", "--n", "3", "--k", "-1"],
         ["filtration", "--n", "2", "--k", "1", "--weight=a"],
         ["decompose", "--m", "3", "--n", "2", "--p", "1", "--solve", "--closed"],
+        ["oracle-check", "--n", "2", "--p", "1", "--dmax", "0"],
         # ValueError refusals, printed by main with exit code 2.
         ["weights-table", "--m", "2", "--n", "3"],
         ["hilbert", "--set", "Wp(3,2,5)", "--box", "2"],

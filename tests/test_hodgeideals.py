@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from dethodge import hodgeideals, suites
 from dethodge.hodgeideals import (
     WeightSet,
     hodge_ideal_exponents,
@@ -14,6 +15,7 @@ from dethodge.hodgeideals import (
     verify_equivalence,
 )
 from dethodge.matrixspace import MatrixSpace
+from dethodge.reporting import VerificationReport
 from dethodge.weights import WeightBox, dominant_tuples, leq
 
 
@@ -190,20 +192,32 @@ def test_translate():
     assert translate((2, 1, 1), 3) == (-2, -3, -3)
 
 
-def test_verify_equivalence_small():
-    for n, bound in ((1, 12), (2, 10)):
-        for k in range(4):
-            report = verify_equivalence(MatrixSpace(n, n), k, bound)
-            assert report.ok, report.failures[:3]
-            assert report.checks > 0
+def per_k_reference(space, k, bound):
+    """Slow reference for one level: the box walked once per k, every
+    weight validated and classified through the public predicate, and the
+    inequality family evaluated term by term."""
+    n = space.n
+    report = VerificationReport(
+        "hodge-filtration-equivalence", {"n": n, "k": k, "box": bound}
+    )
+    for lam in WeightBox(n, bound):
+        lhs = in_Fk_Sdet(lam, k, space)
+        rhs = all(sum(lam[s:]) >= -comb(n - s + 1, 2) - k for s in range(n))
+        report.checks += 1
+        if lhs != rhs:
+            report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
+    for mu in dominant_tuples(n, 0, bound):
+        ideal = in_hodge_ideal(mu, k, space)
+        filt = in_Fk_Sdet(translate(mu, k), k, space)
+        report.checks += 1
+        if ideal != filt:
+            report.add_failure(partition=mu, ideal=ideal, filtration=filt)
+    return report
 
 
-def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):
-    # Both sides of each comparison are computed by their own code: a
-    # filtration core that wrongly rejects the tight tail sums of U^p_k
-    # must show up on the inequality side and on the Hodge-ideal side.
-    import dethodge.hodgeideals as hodgeideals
-
+def strict_core(monkeypatch):
+    """Rebind the U^p_k core to one that wrongly rejects the tight tail
+    sums, the boundary of every U^p_k."""
     core = hodgeideals._in_Ukp
 
     def strict(lam, p, k, space):
@@ -211,7 +225,64 @@ def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):
         return core(lam, p, k, space) and not tight
 
     monkeypatch.setattr(hodgeideals, "_in_Ukp", strict)
-    report = verify_equivalence(MatrixSpace(2, 2), 2, 6)
+
+
+def test_verify_equivalence_small():
+    for n, bound in ((1, 12), (2, 10)):
+        reports = verify_equivalence(MatrixSpace(n, n), range(4), bound)
+        assert [report.params["k"] for report in reports] == [0, 1, 2, 3]
+        for report in reports:
+            assert report.ok, report.failures[:3]
+            assert report.checks > 0
+
+
+def test_verify_equivalence_needs_a_square_space():
+    with pytest.raises(ValueError):
+        verify_equivalence(MatrixSpace(3, 2), range(2), 2)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["real-core", "strict-core"])
+@pytest.mark.parametrize("n,bound", [(1, 6), (2, 5), (3, 3)])
+def test_one_walk_matches_the_per_k_loop(monkeypatch, strict, n, bound):
+    if strict:
+        strict_core(monkeypatch)
+    space = MatrixSpace(n, n)
+    ks = [0, 1, 2, 3, 4, 5]
+    walked = verify_equivalence(space, ks, bound)
+    reference = [per_k_reference(space, k, bound) for k in ks]
+    assert [vars(report) for report in walked] == [vars(report) for report in reference]
+    assert any(not report.ok for report in reference) == strict
+
+
+def test_equivalence_suite_classifies_each_box_weight_once(monkeypatch):
+    calls = []
+    classify = hodgeideals._classify
+
+    def counting(lam, space):
+        calls.append(lam)
+        return classify(lam, space)
+
+    monkeypatch.setattr(hodgeideals, "_classify", counting)
+    reports = suites.equivalence()
+    levels = 6
+    box_weights = sum(WeightBox(n, box).count for n, box in suites.EQUIVALENCE_GRID.items())
+    partitions = sum(
+        len(list(dominant_tuples(n, 0, box))) for n, box in suites.EQUIVALENCE_GRID.items()
+    )
+    assert box_weights == 6966
+    # The box side once per weight; the partition side once per level,
+    # inside in_Fk_Sdet.
+    assert len(calls) == box_weights + levels * partitions
+    assert len(reports) == levels * len(suites.EQUIVALENCE_GRID)
+    assert sum(report.checks for report in reports) == levels * (box_weights + partitions)
+
+
+def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):
+    # Both sides of each comparison are computed by their own code: a
+    # filtration core that wrongly rejects the tight tail sums of U^p_k
+    # must show up on the inequality side and on the Hodge-ideal side.
+    strict_core(monkeypatch)
+    [report] = verify_equivalence(MatrixSpace(2, 2), [2], 6)
     assert not report.ok
     on_weights = [f for f in report.failures if "weight" in f]
     on_partitions = [f for f in report.failures if "partition" in f]

@@ -174,13 +174,77 @@ def test_pushforward_prefactor_consistency():
         assert rebuilt == pushforward_DpY(space, p)
 
 
+def laurent_identity(a, b, c):
+    """Oracle: both sides of the q-Vandermonde convolution built as
+    LaurentPoly sums and products, from whatever qseries.q_binomial
+    returns at call time."""
+    rhs = LaurentPoly.zero()
+    for j in range(c + 1):
+        term = qseries.q_binomial(a, j) * qseries.q_binomial(b, c - j)
+        rhs = rhs + term.shift(j * (b - c + j))
+    return qseries.q_binomial(a + b, c) == rhs
+
+
 def test_qbinomial_identity_examples():
     assert verify_qbinomial_identity(1, 1, 1)
     assert verify_qbinomial_identity(0, 0, 0)
     for a in range(9):
         for b in range(9):
             for c in range(9):
+                # The packed comparison and the Laurent sum both hold.
                 assert verify_qbinomial_identity(a, b, c), (a, b, c)
+                assert laurent_identity(a, b, c), (a, b, c)
+
+
+def _top_term_added(poly, b):
+    # The top coefficient raised by one: same support, at_one one higher.
+    return poly + LaurentPoly.monomial(poly.max_exp)
+
+
+def _negative_term_added(poly, b):
+    return poly - LaurentPoly.monomial(poly.max_exp + 1)
+
+
+def _unit_moved_up(poly, b):
+    # The constant term's unit moved above the top: the value at q = 1 is
+    # unchanged, and the lowest exponent becomes 1.
+    return poly - 1 + LaurentPoly.monomial(poly.max_exp + 1)
+
+
+def _shifted_by_lower_index(poly, b):
+    # qbin(a, b) * q^b: the exponents on both sides of the convolution grow
+    # by c, so the identity still holds with every lowest exponent above 0.
+    return poly.shift(b)
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [_top_term_added, _negative_term_added, _unit_moved_up, _shifted_by_lower_index],
+    ids=lambda f: f.__name__,
+)
+def test_packed_identity_sees_a_perturbed_q_binomial(monkeypatch, perturb):
+    genuine = qseries.q_binomial
+
+    def perturbed(a, b):
+        poly = genuine(a, b)
+        return perturb(poly, b) if poly else poly
+
+    monkeypatch.setattr(qseries, "q_binomial", perturbed)
+    cases = [(a, b, c) for a in range(7) for b in range(7) for c in range(7)]
+    verdicts = [verify_qbinomial_identity(*case) for case in cases]
+    if perturb in (_top_term_added, _negative_term_added):
+        # Where c > a + b both sides are zero, and zero is left as it is.
+        # Elsewhere an extra term breaks the value at q = 1, and a negative
+        # coefficient must never pass, even where the sums would agree.
+        assert verdicts == [c > a + b for a, b, c in cases]
+    else:
+        # Coefficients stay nonnegative: the packed check decides as the
+        # Laurent sum does.
+        assert verdicts == [laurent_identity(*case) for case in cases]
+        assert all(verdicts) == (perturb is _shifted_by_lower_index)
+    monkeypatch.undo()
+    # No packing of a perturbed polynomial outlives the perturbation.
+    assert all(verify_qbinomial_identity(*case) for case in cases)
 
 
 def test_pushforward_structure_reports():
