@@ -49,10 +49,16 @@ accepted with probability at most (8/15)^8 < 0.007. The bound says
 nothing once 2D + d >= 2B + 1: at B = 7 (`verify oracle`) that is every
 check with D = 6 and d >= 3, and at `oracle-check --lmax 8` (B = 8) every
 check with D = 8, or D = 7 and d >= 3. The observed behaviour is far
-better, because the accidental zero loci are thin. Each check draws its
-points and directions from its own stream, keyed by (seed, rank, lam,
-trial), and the seed is recorded in every report, so any check can be
-replayed alone.
+better, because the accidental zero loci are thin.
+
+Each trial draws its point and direction from a stream keyed by (seed,
+rank, trial), shared by every partition: the sampler keeps each trial's
+line and the orders of its minors, so a cross-validation draws and
+expands each line once, however many partitions it tests. The bound per
+check above is unchanged, but checks that share lines are correlated: a
+special line can make several partitions err together. A check's lines
+depend on nothing but (seed, rank, trial), and the seed is recorded in
+every report, so any check can be replayed alone.
 """
 
 from __future__ import annotations
@@ -289,7 +295,8 @@ class RankConstrainedSampler:
     """Random integer m-by-n matrices of rank at most `rank`, produced as
     A*B with A of shape m-by-rank and B of shape rank-by-n, entries
     uniform in [-bound, bound]. Deterministic given (seed, rank, key); the
-    key names one check's own stream (see `keyed`)."""
+    key names one stream of its own (see `keyed`). The line test keeps the
+    lines it draws here, one per trial (see `_line`)."""
 
     def __init__(self, space: MatrixSpace, rank: int, bound: int = 7, seed=0, key=()):
         if not 0 <= rank <= space.n:
@@ -302,6 +309,7 @@ class RankConstrainedSampler:
         self.seed = seed
         self.key = tuple(key)
         self._rng = random.Random(f"{seed}|rank={rank}" + "".join(f"|{k}" for k in self.key))
+        self._lines = {}
 
     def sample(self) -> tuple[tuple[int, ...], ...]:
         m, n, r, bound = self.space.m, self.space.n, self.rank, self.bound
@@ -331,12 +339,28 @@ class RankConstrainedSampler:
         )
 
     def with_rank(self, rank: int) -> "RankConstrainedSampler":
-        return RankConstrainedSampler(self.space, rank, self.bound, self.seed)
+        """The sampler with the same seed and key at another rank; at its
+        own rank, the sampler itself, so its stream and lines carry on."""
+        if rank == self.rank:
+            return self
+        return RankConstrainedSampler(self.space, rank, self.bound, self.seed, self.key)
 
     def reseeded(self, salt) -> "RankConstrainedSampler":
         return RankConstrainedSampler(
             self.space, self.rank, self.bound, f"{self.seed}#{salt}"
         )
+
+    def _line(self, trial: int):
+        """(point, direction, orders) of one line-test trial: a point of
+        rank at most `rank` and a direction, drawn on first use from the
+        stream keyed by (seed, rank, trial), and the dict from i to ord_t
+        of the leading i-by-i minor on that line, filled in as orders are
+        needed. Every partition tested on this sampler reads these lines."""
+        line = self._lines.get(trial)
+        if line is None:
+            stream = self.keyed(f"trial={trial}")
+            line = self._lines[trial] = (stream.sample(), stream.direction(), {})
+        return line
 
 
 def _flat(matrix):
@@ -377,7 +401,7 @@ def symbolic_membership(f: ExactPoly, p: int, d: int, sampler: RankConstrainedSa
     if not f.is_zero and sampler.bound < max(3, f.total_degree):
         raise ValueError("sampler entry bound below max(3, deg f)")
     derivs = _derivatives_below_order(f, d - 1)
-    s = sampler if sampler.rank == p - 1 else sampler.with_rank(p - 1)
+    s = sampler.with_rank(p - 1)
     for _ in range(trials):
         point = _flat(s.sample())
         for g in derivs:
@@ -451,7 +475,9 @@ def line_vanishing_order(
     """The least order of vanishing of the highest weight vector of the
     partition lam along `trials` random lines a + t*v, each through a
     point a of rank <= p-1 (inf if it vanishes on every line). Each trial
-    draws a and v from the sampler's stream keyed by (lam, trial). The
+    takes a and v from the stream keyed by (seed, rank, trial), shared by
+    every partition: the rank p-1 sampler keeps each line and its minor
+    orders, so later partitions on it reuse them. The
     highest weight vector lies in the d-th symbolic power of the ideal of
     p-minors iff this is >= d; a smaller value is an exact certificate
     that it does not, a larger one is randomized (see the module
@@ -465,14 +491,15 @@ def line_vanishing_order(
         raise ValueError("sampler entry bound below max(3, deg f)")
     parts = lam + (0,)
     steps = [(i, parts[i - 1] - parts[i]) for i in range(1, space.n + 1) if parts[i - 1] > parts[i]]
-    s = sampler if sampler.rank == p - 1 else sampler.with_rank(p - 1)
+    s = sampler.with_rank(p - 1)
     best = inf
     for trial in range(trials):
-        stream = s.keyed(f"lam={lam}", f"trial={trial}")
-        point, direction = stream.sample(), stream.direction()
+        point, direction, orders = s._line(trial)
         order = 0
         for i, step in steps:
-            order += step * _minor_order_on_line(point, direction, i)
+            if i not in orders:
+                orders[i] = _minor_order_on_line(point, direction, i)
+            order += step * orders[i]
             if order >= best:
                 break  # this trial cannot lower the minimum
         best = min(best, order)
@@ -505,7 +532,7 @@ def dcep_cross_validation_upto(
     trials: int = 8,
 ) -> list[VerificationReport]:
     """`dcep_cross_validation` for d = 1..dmax, one report per d, from
-    one line expansion per partition."""
+    one expansion of each line, shared by every partition."""
     return _cross_validate(space, lambdas, p, range(1, dmax + 1), sampler, trials)
 
 
@@ -522,15 +549,17 @@ def _cross_validate(space, lambdas, p, ds, sampler, trials) -> list[Verification
     ]
     if not reports:
         return reports
+    # One sampler at rank p-1 for every partition, so all read its lines.
+    s = sampler.with_rank(p - 1)
     for lam in lambdas:
         lam = tuple(lam)
         expected = [in_symbolic_power(lam, p, d, space) for d in ds]
-        order = line_vanishing_order(lam, space, p, sampler, trials)
+        order = line_vanishing_order(lam, space, p, s, trials)
         for report, d, member in zip(reports, ds, expected):
             got = order >= d
             report.checks += 1
             if got != member:
-                fresh = sampler.reseeded(f"retry:{lam}:{p}:{d}")
+                fresh = s.reseeded(f"retry:{lam}:{p}:{d}")
                 got = line_vanishing_order(lam, space, p, fresh, trials) >= d
                 if got != member:
                     report.add_failure(weight=lam, combinatorial=member, differential=got)

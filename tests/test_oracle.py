@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import inf
 
@@ -265,7 +266,7 @@ def test_keyed_streams_do_not_depend_on_other_draws():
     assert sampler.keyed("a").keyed("b").key == ("a", "b")
 
 
-def test_line_trials_draw_from_streams_keyed_by_weight_and_trial(monkeypatch):
+def test_line_trials_draw_from_streams_keyed_by_trial_alone(monkeypatch):
     keys = []
     keyed = RankConstrainedSampler.keyed
 
@@ -274,9 +275,89 @@ def test_line_trials_draw_from_streams_keyed_by_weight_and_trial(monkeypatch):
         return keyed(self, *key)
 
     monkeypatch.setattr(RankConstrainedSampler, "keyed", spy)
-    sampler = RankConstrainedSampler(S33, 0, bound=7, seed=5)
+    sampler = RankConstrainedSampler(S33, 1, bound=7, seed=5)
     assert line_vanishing_order((2, 1, 0), S33, 2, sampler, trials=3) == 1
-    assert keys == [(5, 1, "lam=(2, 1, 0)", f"trial={t}") for t in range(3)]
+    assert keys == [(5, 1, f"trial={t}") for t in range(3)]
+    # a second partition reads the lines the first one drew
+    assert line_vanishing_order((1, 1, 1), S33, 2, sampler, trials=3) == 2
+    assert keys == [(5, 1, f"trial={t}") for t in range(3)]
+    # a sampler at another rank draws the same lines afresh
+    keys.clear()
+    other_rank = RankConstrainedSampler(S33, 0, bound=7, seed=5)
+    assert line_vanishing_order((2, 1, 0), S33, 2, other_rank, trials=3) == 1
+    assert keys == [(5, 1, f"trial={t}") for t in range(3)]
+
+
+def test_with_rank_keeps_the_key_and_reseeded_drops_it():
+    sampler = RankConstrainedSampler(S33, 0, 7, 5).keyed("x")
+    moved = sampler.with_rank(1)
+    assert (moved.rank, moved.seed, moved.key) == (1, 5, ("x",))
+    assert moved.sample() == RankConstrainedSampler(S33, 1, 7, 5).keyed("x").sample()
+    assert RankConstrainedSampler(S33, 1, 7, 5).keyed("x").sample() != (
+        RankConstrainedSampler(S33, 1, 7, 5).sample()
+    )
+    assert moved.with_rank(1) is moved
+    fresh = sampler.reseeded("retry")
+    assert (fresh.rank, fresh.seed, fresh.key) == (0, "5#retry", ())
+
+
+def line_order_without_memo(lam, space, p, sampler, trials=8):
+    """The line test drawn afresh: every trial re-draws its line from the
+    stream keyed by its index and expands every minor the partition
+    needs, with nothing kept between calls."""
+    s = RankConstrainedSampler(space, p - 1, sampler.bound, sampler.seed, sampler.key)
+    parts = tuple(lam) + (0,)
+    best = inf
+    for trial in range(trials):
+        stream = s.keyed(f"trial={trial}")
+        point, direction = stream.sample(), stream.direction()
+        best = min(best, sum(
+            (parts[i - 1] - parts[i]) * oracle._minor_order_on_line(point, direction, i)
+            for i in range(1, space.n + 1)
+            if parts[i - 1] > parts[i]
+        ))
+    return best
+
+
+@pytest.mark.parametrize("seed", [1729, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shared_lines_give_the_orders_of_lines_drawn_afresh(n, seed):
+    space = MatrixSpace(n, n)
+    lambdas = [lam for size in range(7) for lam in partitions_of(size, n)]
+    for p in range(1, n + 1):
+        expected = {
+            lam: line_order_without_memo(lam, space, p, RankConstrainedSampler(space, p - 1, 7, seed))
+            for lam in lambdas
+        }
+        shared = RankConstrainedSampler(space, p - 1, bound=7, seed=seed)
+        shuffled = list(lambdas)
+        random.Random(seed + p).shuffle(shuffled)
+        for lam in shuffled:
+            assert line_vanishing_order(lam, space, p, shared) == expected[lam], (lam, p)
+        for lam in lambdas:
+            alone = RankConstrainedSampler(space, p - 1, bound=7, seed=seed)
+            assert line_vanishing_order(lam, space, p, alone) == expected[lam], (lam, p)
+
+
+def test_a_cross_validation_expands_each_minor_once_per_trial(monkeypatch):
+    calls = []
+    true_order = oracle._minor_order_on_line
+
+    def counted(point, direction, i):
+        calls.append(i)
+        return true_order(point, direction, i)
+
+    monkeypatch.setattr(oracle, "_minor_order_on_line", counted)
+    trials = 8
+    for n in (2, 3, 4):
+        space = MatrixSpace(n, n)
+        lambdas = [lam for size in range(7) for lam in partitions_of(size, n)]
+        for p in range(1, n + 1):
+            calls.clear()
+            sampler = RankConstrainedSampler(space, 0, bound=7, seed=1729)
+            reports = dcep_cross_validation_upto(space, lambdas, p, 4, sampler, trials)
+            assert all(r.ok for r in reports)
+            assert 0 < len(calls) <= trials * n, (n, p, len(calls))
 
 
 def test_line_order_is_the_tail_sum():

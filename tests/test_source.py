@@ -1,7 +1,8 @@
 """Lint of the package source, by its syntax tree: invariants are raised,
-never asserted (``python -O`` drops asserts), and every absolute import
+never asserted (``python -O`` drops asserts), every absolute import
 is from the standard library, so the package has no runtime
-dependencies."""
+dependencies, and every random draw comes from a seeded generator, so
+every run can be replayed."""
 
 import ast
 import sys
@@ -33,6 +34,38 @@ def outside_imports(tree):
     return found
 
 
+def unseeded_draws(tree):
+    """(line, use) for every use of the ``random`` module other than a
+    seeded ``random.Random(...)`` construction: the module's own functions
+    draw from its global generator, which no report records."""
+    seeded = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "Random"
+        and (node.args or node.keywords)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [(node.lineno, f"from random import {alias.name}") for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [
+                (node.lineno, f"import random as {alias.asname}")
+                for alias in node.names
+                if alias.name == "random" and alias.asname not in (None, "random")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "random"
+            and id(node) not in seeded
+        ):
+            found.append((node.lineno, f"random.{node.attr}"))
+    return sorted(found)
+
+
 def _trees():
     assert SOURCES
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -46,9 +79,22 @@ def test_the_lint_finds_what_it_looks_for():
         "from __future__ import annotations\n"
         "def f(x):\n"
         "    assert x\n"
+        "rng = random.Random(f'{seed}|rank={rank}')\n"
+        "x = rng.randint(0, 9) + random.randint(0, 9)\n"
+        "y = random.random() + random.Random().random()\n"
+        "from random import choice\n"
+        "import random as r\n"
     )
     assert asserts(tree) == [6]
     assert outside_imports(tree) == [(1, "numpy"), (2, "hypothesis")]
+    assert unseeded_draws(tree) == [
+        (8, "random.randint"),
+        (9, "random.Random"),
+        (9, "random.random"),
+        (10, "from random import choice"),
+        (11, "import random as r"),
+    ]
+    assert unseeded_draws(ast.parse("import random\nrng = random.Random(7)\n")) == []
 
 
 def test_no_module_asserts():
@@ -59,3 +105,8 @@ def test_no_module_asserts():
 def test_every_absolute_import_is_stdlib():
     found = {name: hits for name, tree in _trees().items() if (hits := outside_imports(tree))}
     assert not found, f"imports from outside the standard library: {found}"
+
+
+def test_every_draw_is_seeded():
+    found = {name: hits for name, tree in _trees().items() if (hits := unseeded_draws(tree))}
+    assert not found, f"draws outside a seeded random.Random: {found}"
