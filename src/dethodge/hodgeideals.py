@@ -53,9 +53,12 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if mu[-1] < 0:
         raise ValueError("symbolic powers live in the polynomial ring; need a partition")
-    if d <= 0:
-        return True
-    return sum(mu[p - 1:]) >= d
+    return _in_symbolic_power(mu, p, d)
+
+
+def _in_symbolic_power(mu: tuple[int, ...], p: int, d: int) -> bool:
+    """`in_symbolic_power` for a partition mu and p already validated."""
+    return d <= 0 or sum(mu[p - 1:]) >= d
 
 
 def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:

@@ -67,7 +67,7 @@ import random
 from itertools import permutations
 from math import comb, factorial, inf
 
-from .hodgeideals import in_symbolic_power
+from .hodgeideals import _in_symbolic_power
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
 from .weights import check_weight
@@ -482,6 +482,14 @@ def line_vanishing_order(
     p-minors iff this is >= d; a smaller value is an exact certificate
     that it does not, a larger one is randomized (see the module
     docstring). The sampler entry bound must be at least max(3, |lam|)."""
+    lam = _line_test_partition(lam, space, sampler, trials)
+    return _line_order(lam, sampler.with_rank(p - 1), trials)
+
+
+def _line_test_partition(
+    lam, space: MatrixSpace, sampler: RankConstrainedSampler, trials: int
+) -> tuple[int, ...]:
+    """lam as a tuple, checked to be a partition the line test can take."""
     lam = check_weight(lam, space.n)
     if lam[-1] < 0:
         raise ValueError("highest weight vectors in the ring need a partition")
@@ -489,9 +497,14 @@ def line_vanishing_order(
         raise ValueError("need at least one trial")
     if sampler.bound < max(3, sum(lam)):
         raise ValueError("sampler entry bound below max(3, deg f)")
+    return lam
+
+
+def _line_order(lam: tuple[int, ...], s: RankConstrainedSampler, trials: int) -> int | float:
+    """`line_vanishing_order` for a validated lam, on the lines of the
+    sampler s at rank p-1."""
     parts = lam + (0,)
-    steps = [(i, parts[i - 1] - parts[i]) for i in range(1, space.n + 1) if parts[i - 1] > parts[i]]
-    s = sampler.with_rank(p - 1)
+    steps = [(i, parts[i - 1] - parts[i]) for i in range(1, len(parts)) if parts[i - 1] > parts[i]]
     best = inf
     for trial in range(trials):
         point, direction, orders = s._line(trial)
@@ -549,18 +562,21 @@ def _cross_validate(space, lambdas, p, ds, sampler, trials) -> list[Verification
     ]
     if not reports:
         return reports
+    if not 1 <= p <= space.n:
+        raise ValueError(f"minor size p={p} outside 1..{space.n}")
     # One sampler at rank p-1 for every partition, so all read its lines.
     s = sampler.with_rank(p - 1)
     for lam in lambdas:
-        lam = tuple(lam)
-        expected = [in_symbolic_power(lam, p, d, space) for d in ds]
-        order = line_vanishing_order(lam, space, p, s, trials)
-        for report, d, member in zip(reports, ds, expected):
+        # Validated once here; the predicate and the line test take it as it is.
+        lam = _line_test_partition(lam, space, s, trials)
+        order = _line_order(lam, s, trials)
+        for report, d in zip(reports, ds):
+            member = _in_symbolic_power(lam, p, d)
             got = order >= d
             report.checks += 1
             if got != member:
                 fresh = s.reseeded(f"retry:{lam}:{p}:{d}")
-                got = line_vanishing_order(lam, space, p, fresh, trials) >= d
+                got = _line_order(lam, fresh, trials) >= d
                 if got != member:
                     report.add_failure(weight=lam, combinatorial=member, differential=got)
             report.details.append(

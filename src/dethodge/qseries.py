@@ -9,7 +9,9 @@ bookkeeping into Laurent polynomial identities: stalks of IC sheaves are
 Gaussian binomials at q^2 (up to a shift), and the multiplicity
 polynomials f_i(q) are pinned down by a triangular system solvable by
 exact back-substitution. The closed form is a shifted q-binomial, so the
-solver doubles as an identity checker.
+solver doubles as an identity checker. The solver works in t = q^2 on
+the shifted unknowns g_i = f_i * q^((p-i)(m+n-p-i)), where the system has
+no shifts, and sums each row's products as one packed big integer.
 
 A `LaurentPoly` is dense: the exponent of its lowest term and the tuple
 of coefficients from there to its highest term, with no zeros at either
@@ -18,10 +20,15 @@ coefficient list is packed into one Python integer, in slots wide enough
 for any coefficient of the product (max|a| * max|b| * min(len a, len b)),
 so one C-level big-integer product does the whole convolution; signed
 operands are split into their positive and negative parts first. Short
-operands use the schoolbook convolution. `q_binomial(a, b)` multiplies by
-(1 - q^(a-b+j)) and divides by (1 - q^j) for j = 1..b (after replacing b
-by min(b, a-b)), so every intermediate is the Gaussian binomial
-qbin(a-b+j, j); each division checks that its remainder is zero.
+operands use the schoolbook convolution. Two polynomials in q^2, such as
+the stretched q-binomials, are multiplied through their even slots.
+
+`q_binomial(a, b)` (after replacing b by min(b, a-b)) lies on the
+diagonal qbin(c+j, j) with c = a-b. Each diagonal is built once, in
+order, multiplying by (1 - q^(c+j)) and dividing by (1 - q^j) for each
+j; each division checks that its remainder is zero. A cold request
+continues from the longest prefix of its diagonal built so far, so a
+lone request does min(b, a-b) steps and a table's requests share theirs.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
+from math import comb
 
 from .matrixspace import MatrixSpace, Stratum, dim_stratum
 from .reporting import VerificationReport
@@ -153,10 +161,19 @@ class LaurentPoly:
             return _dense(self._lo, tuple(v * other for v in self._c))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._c or not other._c:
+        a, b = self._c, other._c
+        if not a or not b:
             return LaurentPoly()
+        lo = self._lo + other._lo
         # The end coefficients multiply to nonzero ends: nothing to trim.
-        return _dense(self._lo + other._lo, tuple(_convolve(self._c, other._c)))
+        if len(a) * len(b) >= SCHOOLBOOK_BELOW and not any(a[1::2]) and not any(b[1::2]):
+            # Both are polynomials in q^2 (times a power of q), as every
+            # stretch(2) is: convolve the even slots and widen the result.
+            half = _convolve(a[::2], b[::2])
+            out = [0] * (2 * len(half) - 1)
+            out[::2] = half
+            return _dense(lo, tuple(out))
+        return _dense(lo, tuple(_convolve(a, b)))
 
     __rmul__ = __mul__
 
@@ -195,7 +212,7 @@ class LaurentPoly:
         return self._c == self._c[::-1]
 
     def to_coeff_map(self) -> dict:
-        return {str(e): v for e, v in self.items()}
+        return {str(e): v for e, v in enumerate(self._c, self._lo) if v}
 
     def __str__(self):
         if not self._c:
@@ -288,13 +305,23 @@ def _convolve(a, b) -> list:
     # coefficient lies in either the positive or the negative part.
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = _slot_width(bound)
-    count = len(a) + len(b) - 1
-    a_pos, a_neg = _pack_signed(a, width)
-    b_pos, b_neg = _pack_signed(b, width)
-    out = _unpack(a_pos * b_pos + a_neg * b_neg, width, count)
-    if a_neg or b_neg:
-        negative = _unpack(a_pos * b_neg + a_neg * b_pos, width, count)
-        out = list(map(operator.sub, out, negative))
+    pair = (_pack_signed(a, width), _pack_signed(b, width))
+    return _packed_sum([pair], width, len(a) + len(b) - 1)
+
+
+def _packed_sum(products, width: int, count: int) -> list:
+    """The first `count` coefficients of the sum of the products a*b, given
+    as pairs of `_pack_signed` packings of a and b in slots of `width`
+    bytes. The slots must hold the sum of the products of the positive
+    parts and the negative parts alike, or a slot carries into the next."""
+    positive = negative = 0
+    for (a_pos, a_neg), (b_pos, b_neg) in products:
+        positive += a_pos * b_pos + a_neg * b_neg
+        if a_neg or b_neg:
+            negative += a_pos * b_neg + a_neg * b_pos
+    out = _unpack(positive, width, count)
+    if negative:
+        out = list(map(operator.sub, out, _unpack(negative, width, count)))
     return out
 
 
@@ -317,6 +344,10 @@ def _divide_one_minus_q(coeffs: list, j: int) -> list:
     return h[: len(h) - j]
 
 
+# _DIAGONALS[c][j] holds the coefficients of qbin(c + j, j), built in order.
+_DIAGONALS: dict[int, list[tuple]] = {}
+
+
 @lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> LaurentPoly:
     """Gaussian binomial coefficient as an exact polynomial in q:
@@ -324,19 +355,23 @@ def q_binomial(a: int, b: int) -> LaurentPoly:
         (1-q^a)(1-q^(a-1))...(1-q^(a-b+1)) / ((1-q^b)...(1-q)),
 
     zero when a < b. The result has degree b*(a-b), nonnegative
-    palindromic coefficients, and value comb(a, b) at q = 1. It is built
-    one factor pair at a time, qbin(a-b+j, j) = qbin(a-b+j-1, j-1) *
-    (1-q^(a-b+j)) / (1-q^j), and each division is checked to be exact.
+    palindromic coefficients, and value comb(a, b) at q = 1. After b is
+    replaced by min(b, a-b), it lies on the diagonal qbin(c+j, j) with
+    c = a-b, and is built from the longest prefix of that diagonal built
+    so far, one factor pair at a time: qbin(c+j, j) = qbin(c+j-1, j-1) *
+    (1-q^(c+j)) / (1-q^j), each division checked to be exact.
     """
     if b < 0:
         raise ValueError("lower index must be nonnegative")
     if a < b:
         return LaurentPoly()
     b = min(b, a - b)
-    coeffs = [1]
-    for j in range(1, b + 1):
-        coeffs = _divide_one_minus_q(_times_one_minus_q(coeffs, a - b + j), j)
-    return _dense(0, tuple(coeffs))
+    c = a - b
+    diagonal = _DIAGONALS.setdefault(c, [(1,)])
+    for j in range(len(diagonal), b + 1):
+        step = _divide_one_minus_q(_times_one_minus_q(diagonal[-1], c + j), j)
+        diagonal.append(tuple(step))
+    return _dense(0, diagonal[b])
 
 
 def grassmannian_poincare(r: int, N: int) -> LaurentPoly:
@@ -377,7 +412,7 @@ class DecompositionTable:
                 continue
             if not 0 <= i <= p:
                 raise ValueError(f"summand index {i} outside 0..{p}")
-            if min(poly.coefficients()) < 0:
+            if min(poly._c) < 0:
                 raise ValueError(f"negative multiplicity in entry {i}: {poly}")
             clean[i] = poly
         self.space = space
@@ -417,19 +452,46 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
         qbin(m-k, p-k)@q^2 =
             sum_{i=k}^p f_i(q) * q^((p-i)(m+n-p-i)) * qbin(n-k, i-k)@q^2
 
-    by back-substitution from k = p down to k = 0. Each step divides by
-    the monomial q^((p-k)(m+n-p-k)), which for Laurent polynomials is a
-    shift and always exact."""
+    by back-substitution from k = p down to k = 0. In t = q^2 and
+    g_i = f_i * q^((p-i)(m+n-p-i)) the system reads
+
+        g_k(t) = qbin(m-k, p-k)(t) - sum_{i>k} g_i(t) * qbin(n-k, i-k)(t),
+
+    with no shifts. Each row's sum is one big integer (`_packed_sum`):
+    every g_i and q-binomial is packed into slots of one width, wide
+    enough for the sum at t = 1 of the row's products with every g_i
+    coefficient replaced by its absolute value, so no slot carries. A g_i
+    with a negative coefficient is split into its positive and negative
+    parts, as in `_convolve`. Each g_i is packed once per width."""
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
-    f: dict[int, LaurentPoly] = {}
+    g: dict[int, list] = {}  # coefficients of g_i(t) from t^0, no zeros at the top
+    norm: dict[int, int] = {}  # sum of |coefficients| of g_i
+    packed: dict[tuple[int, int], tuple[int, int]] = {}  # (i, width) -> _pack_signed
     for k in range(p, -1, -1):
-        acc = q_binomial(m - k, p - k).stretch(2)
-        for i in range(k + 1, p + 1):
-            term = f[i] * q_binomial(n - k, i - k).stretch(2)
-            acc = acc - term.shift((p - i) * (m + n - p - i))
-        f[k] = acc.shift(-(p - k) * (m + n - p - k))
+        row = list(q_binomial(m - k, p - k)._c)
+        terms = [i for i in range(k + 1, p + 1) if g[i]]
+        if terms:
+            width = _slot_width(sum(norm[i] * comb(n - k, i - k) for i in terms))
+            count = max(len(g[i]) + (i - k) * (n - i) for i in terms)
+            products = []
+            for i in terms:
+                if (i, width) not in packed:
+                    packed[i, width] = _pack_signed(g[i], width)
+                qbin = _packing(n - k, i - k).packed(width)
+                products.append((packed[i, width], (qbin, 0)))
+            total = _packed_sum(products, width, count)
+            row += [0] * (count - len(row))
+            row[:count] = map(operator.sub, row[:count], total)
+            while row and not row[-1]:
+                row.pop()
+        g[k], norm[k] = row, sum(map(abs, row))
+    f = {}
+    for k, row in g.items():
+        stretched = [0] * (2 * len(row) - 1) if row else []
+        stretched[::2] = row
+        f[k] = _trimmed(-(p - k) * (m + n - p - k), stretched)
     return DecompositionTable(space, p, f)
 
 

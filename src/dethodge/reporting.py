@@ -5,14 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 @dataclass
 class VerificationReport:
     name: str
@@ -38,14 +30,16 @@ class VerificationReport:
         return line
 
     def to_json_obj(self) -> dict:
+        """The report for `json.dumps`, which writes keys as strings and
+        tuples as lists itself."""
         obj = {
             "name": self.name,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "checks": self.checks,
             "ok": self.ok,
-            "failures": _jsonable(self.failures),
+            "failures": self.failures,
             "seed": self.seed,
         }
         if self.details:
-            obj["details"] = _jsonable(self.details)
+            obj["details"] = self.details
         return obj

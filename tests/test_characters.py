@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dethodge.characters import (
     cauchy_check,
@@ -119,6 +121,37 @@ def test_lr_dimension_sum_oracle():
                 gp = g + (0,) * (N - len(g))
                 bp = b + (0,) * (N - len(b))
                 assert total == dim_irrep(gp, N) * dim_irrep(bp, N)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda N: st.tuples(
+            st.just(N),
+            st.integers(0, N),
+            st.lists(st.integers(0, 4), min_size=N, max_size=N).map(
+                lambda v: tuple(sorted(v, reverse=True))
+            ),
+        )
+    )
+)
+def test_dim_irrep_branches_by_lr_coefficients(case):
+    # Restricted to GL_p x GL_(N-p), V_lam is the sum over gamma and beta
+    # of c^lam_(gamma, beta) copies of V_gamma (x) V_beta.
+    N, p, lam = case
+
+    def dim(part, rank):
+        # GL_0 has the one-dimensional representation of the empty partition only.
+        return dim_irrep(part + (0,) * (rank - len(part)), rank) if rank else 1
+
+    size = sum(lam)
+    total = 0
+    for k in range(size + 1):
+        for gamma in partitions_of(k, p):
+            for beta in partitions_of(size - k, N - p):
+                c = lr_coefficient(gamma, beta, lam)
+                if c:
+                    total += c * dim(gamma, p) * dim(beta, N - p)
+    assert total == dim_irrep(lam, N)
 
 
 def test_tensor_decomposition_check_examples():

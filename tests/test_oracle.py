@@ -419,13 +419,35 @@ def test_line_test_agrees_with_the_derivative_test(n, max_size, seed):
             assert single.to_json_obj() == report.to_json_obj()
 
 
+def test_cross_validation_validates_each_partition_once(monkeypatch):
+    from dethodge import hodgeideals
+
+    calls = []
+    original = oracle.check_weight
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(oracle, "check_weight", counted)
+    monkeypatch.setattr(hodgeideals, "check_weight", counted)
+    lambdas = [lam for size in range(6) for lam in partitions_of(size, 3)]
+    sampler = RankConstrainedSampler(S33, 1, bound=7, seed=3)
+    reports = dcep_cross_validation_upto(S33, lambdas, 2, 4, sampler)
+    assert all(r.ok and r.checks == len(lambdas) for r in reports)
+    assert calls == lambdas
+    with pytest.raises(ValueError, match="minor size p=4 outside 1..3"):
+        dcep_cross_validation(S33, lambdas, 4, 1, sampler)
+
+
 def test_raised_line_orders_make_the_suite_fail(monkeypatch, capsys):
-    true_order = oracle.line_vanishing_order
+    # The line test's core, behind line_vanishing_order and the cross-validation.
+    true_order = oracle._line_order
 
     def raised(*args, **kwargs):
         return true_order(*args, **kwargs) + 1
 
-    monkeypatch.setattr(oracle, "line_vanishing_order", raised)
+    monkeypatch.setattr(oracle, "_line_order", raised)
     sampler = RankConstrainedSampler(S22, 1, bound=7, seed=0)
     report = dcep_cross_validation(S22, [(1, 0), (1, 1)], 2, 1, sampler)
     # (1, 0) has order 0 along the rank-1 locus; raised, it passes for d = 1

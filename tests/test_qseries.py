@@ -2,7 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dethodge import qseries
@@ -401,6 +401,42 @@ def test_mul_on_both_sides_of_the_schoolbook_cutoff(la, lb, magnitude, signed):
     assert sparse(g * f) == ref_mul(f, g)
 
 
+def in_q_squared(length, lo, magnitude, seed):
+    """A signed q^lo * h(q^2) with 2*length - 1 slots and nonzero ends."""
+    coeffs = [(-1) ** i * (1 + (seed * 7919 + 104729 * i) % magnitude) for i in range(length)]
+    # Gaps inside: every fifth even slot below the top is zero.
+    keep = lambda i: i % 5 != 2 or i + 1 == length
+    return LaurentPoly({lo + 2 * i: c for i, c in enumerate(coeffs) if keep(i)})
+
+
+STRIDE_PAIRS = [(1, 40), (2, 2), (3, 3), (4, 5), (4, 6), (4, 8), (5, 7), (6, 6), (20, 33)]
+
+
+@pytest.mark.parametrize("la,lb", STRIDE_PAIRS)
+@pytest.mark.parametrize("magnitude", [3, 2**40])
+def test_mul_of_polynomials_in_q_squared(monkeypatch, la, lb, magnitude):
+    calls = []
+    original = qseries._convolve
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return original(a, b)
+
+    monkeypatch.setattr(qseries, "_convolve", spy)
+    f, g = in_q_squared(la, -7, magnitude, 1), in_q_squared(lb, 3, magnitude, 2)
+    # One slot more after the top: a nonzero odd slot.
+    odd = f + LaurentPoly.monomial(f.max_exp + 1, -5)
+    for x, y in ((f, g), (g, f), (odd, g), (g, odd)):
+        assert sparse(x * y) == ref_mul(x, y)
+    slots = (2 * la - 1) * (2 * lb - 1)
+    stride = slots >= SCHOOLBOOK_BELOW
+    # The even slots are convolved when the slot product reaches the cutoff;
+    # an operand with a nonzero odd slot takes the general path.
+    assert calls == [(la, lb) if stride else (2 * la - 1, 2 * lb - 1),
+                     (lb, la) if stride else (2 * lb - 1, 2 * la - 1),
+                     (2 * la, 2 * lb - 1), (2 * lb - 1, 2 * la)]
+
+
 def test_zero_and_monomial_operands():
     zero, f = LaurentPoly.zero(), LaurentPoly({-2: 5, 0: -1, 70: 3})
     assert f * zero == zero * f == zero and (f * 0).is_zero
@@ -449,15 +485,86 @@ def test_q_binomial_division_steps_are_checked(monkeypatch):
         out[-1] += 1
         return out
 
-    q_binomial.cache_clear()
+    clear_q_binomial_caches()
     try:
         with monkeypatch.context() as patch:
             patch.setattr(qseries, "_times_one_minus_q", corrupted)
             with pytest.raises(ArithmeticError):
                 q_binomial(7, 3)
     finally:
-        q_binomial.cache_clear()
+        clear_q_binomial_caches()
     assert q_binomial(7, 3) == qbin_by_subsets(7, 3)
+
+
+def clear_q_binomial_caches():
+    """Make every q_binomial cold: its lru_cache and its diagonals."""
+    q_binomial.cache_clear()
+    qseries._DIAGONALS.clear()
+
+
+def test_q_binomial_continues_along_its_diagonal(monkeypatch):
+    steps = []
+    original = qseries._divide_one_minus_q
+
+    def counted(coeffs, j):
+        steps.append(j)
+        return original(coeffs, j)
+
+    clear_q_binomial_caches()
+    monkeypatch.setattr(qseries, "_divide_one_minus_q", counted)
+    try:
+        # qbin(30, 12), qbin(29, 11) and qbin(31, 13) share the diagonal c = 18.
+        for (a, b), expected in [((30, 12), 12), ((29, 11), 0), ((31, 13), 1), ((31, 18), 0)]:
+            del steps[:]
+            assert q_binomial(a, b).at_one() == comb(a, b)
+            assert len(steps) == expected, (a, b, steps)
+        assert steps == [] and qseries._DIAGONALS[18][13] == q_binomial(31, 13)._c
+    finally:
+        clear_q_binomial_caches()
+
+
+def solve_by_stretched_substitution(space, p):
+    """Reference solver: the stalk identities back-substituted as Laurent
+    polynomials in q, the q-binomials stretched to q^2, each step undone
+    by a shift."""
+    m, n = space.m, space.n
+    f = {}
+    for k in range(p, -1, -1):
+        acc = q_binomial(m - k, p - k).stretch(2)
+        for i in range(k + 1, p + 1):
+            term = f[i] * q_binomial(n - k, i - k).stretch(2)
+            acc = acc - term.shift((p - i) * (m + n - p - i))
+        f[k] = acc.shift(-(p - k) * (m + n - p - k))
+    return DecompositionTable(space, p, f)
+
+
+def test_solver_matches_the_stretched_substitution():
+    for m in range(1, 15):
+        for n in range(1, m + 1):
+            space = MatrixSpace(m, n)
+            for p in range(n + 1):
+                expected = solve_by_stretched_substitution(space, p)
+                assert solve_pushforward_OYp(space, p) == expected, (m, n, p)
+
+
+@given(st.lists(st.tuples(polys(max_len=20), polys(max_len=20)), min_size=1, max_size=4))
+def test_packed_sum_matches_sparse_reference(pairs):
+    # The kernel reads coefficient lists from t^0: take each operand from its lowest term.
+    pairs = [(f.shift(-f.min_exp), g.shift(-g.min_exp)) for f, g in pairs if f and g]
+    assume(pairs)
+    expected = LaurentPoly.zero()
+    for f, g in pairs:
+        expected = LaurentPoly(ref_add(expected, LaurentPoly(ref_mul(f, g))))
+    # The slots hold the sum over the pairs of |f| * |g| at t = 1.
+    norm = lambda f: sum(map(abs, f.coefficients()))
+    width = qseries._slot_width(sum(norm(f) * norm(g) for f, g in pairs))
+    count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
+    products = [
+        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width)) for f, g in pairs
+    ]
+    got = qseries._packed_sum(products, width, count)
+    assert len(got) == count
+    assert sparse(LaurentPoly(enumerate(got))) == sparse(expected)
 
 
 def test_solver_matches_closed_form_40x20():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dethodge.hodgeideals import WeightSet, grF_Dp_layer, in_Fk_Sdet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum
@@ -185,6 +187,28 @@ def test_decompose_weight_round_trip():
         p = classify(lam, space)
         mu, gamma = decompose_weight(lam, p, space)
         assert compose_weight(mu, gamma, p, space) == lam
+
+
+@st.composite
+def weight_splits(draw):
+    """A space with m >= n, a stratum p, and partitions mu (at most n-p
+    parts) and gamma (at most p parts), padded or not."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(n, n + 3))
+    p = draw(st.integers(0, n))
+    mu = draw(st.lists(st.integers(0, 6), max_size=n - p).map(lambda v: sorted(v, reverse=True)))
+    gamma = draw(st.lists(st.integers(0, 6), max_size=p).map(lambda v: sorted(v, reverse=True)))
+    return MatrixSpace(m, n), p, tuple(mu), tuple(gamma)
+
+
+@given(weight_splits())
+def test_compose_then_decompose_is_the_identity(split):
+    space, p, mu, gamma = split
+    lam = compose_weight(mu, gamma, p, space)
+    strata = classify(lam, space)  # an int on square spaces, else a list
+    assert p in (strata if isinstance(strata, list) else [strata])
+    padded = (mu + (0,) * (space.n - p - len(mu)), gamma + (0,) * (p - len(gamma)))
+    assert decompose_weight(lam, p, space) == padded
 
 
 def test_weight_set_membership_and_members():
