@@ -10,13 +10,15 @@ boxes:
   at the rank p-1 locus;
 * ``in_Fk_Sdet``: the level-k piece of the Hodge filtration on the
   localization of the coordinate ring at the determinant, a disjoint
-  union of the filtration sets U^p_k;
+  union of the filtration sets U^p_k, so a weight is a member exactly
+  when k is at least its U^p_k level for its own stratum p;
 * ``translate``: the change of frame mu -> mu - ((k+1)^n) between the two
   (twisting by the (k+1)-st power of the determinant);
 * ``minimal_generators``: the minimal partitions of I_k, the highest
   weights of its minimal generators;
 * ``verify_equivalence``: the exhaustive confrontation, walking each
-  weight box once for all the levels k it checks.
+  weight box once for all the levels k it checks and deciding each
+  weight's filtration level (``repsets._Ukp_level``) once.
 
 GL-stable ideals are identified with their sets of dominant weights, so
 all ideal arithmetic here is predicate arithmetic on partitions. A
@@ -39,7 +41,7 @@ from typing import Callable, NamedTuple
 
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
-from .repsets import _classify, _in_Ukp, in_Ukp, in_Wp, in_Wpd
+from .repsets import _classify, _Ukp_level, in_Ukp, in_Wp, in_Wpd
 from .weights import WeightBox, check_weight, dominant_tuples
 
 
@@ -82,6 +84,12 @@ def in_hodge_ideal(mu, k: int, space: MatrixSpace) -> bool:
     mu = check_weight(mu, n)
     if mu[-1] < 0:
         raise ValueError("Hodge ideals live in the polynomial ring; need a partition")
+    return _in_hodge_ideal(mu, k, n)
+
+
+def _in_hodge_ideal(mu: tuple[int, ...], k: int, n: int) -> bool:
+    """`in_hodge_ideal` for a partition mu of length n and k >= 0 already
+    validated; stops at the first tail inequality that fails."""
     for p in range(1, n + 1):
         if sum(mu[p - 1:]) < (n - p) * (k - 1) - comb(n - p, 2):
             return False
@@ -147,7 +155,7 @@ def in_Fk_Sdet(lam, k: int, space: MatrixSpace) -> bool:
     if not space.is_square:
         raise ValueError("the localization at the determinant needs a square space")
     lam = check_weight(lam, space.n)
-    return _in_Ukp(lam, _classify(lam, space), k, space)
+    return k >= _Ukp_level(lam, _classify(lam, space), space)
 
 
 def translate(mu, k: int) -> tuple[int, ...]:
@@ -166,36 +174,53 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     and on partitions the Hodge-ideal predicate must match the filtration
     predicate through the translate change of frame.
 
-    The box is walked once for every k: each weight is classified once,
-    and its tail sums fold the family into one slack,
+    The box is walked once for every k, and each weight is decided once
+    on each side. Its filtration level, the least k with the weight in
+    U^p_k for its own stratum p, comes from the U^p_k core after one
+    classification. Its tail sums fold the family into one slack,
     min_s (lam_{s+1} + ... + lam_n + comb(n-s+1, 2)), so the family holds
-    at level k exactly when the slack is at least -k. The filtration side
-    still comes from the U^p_k core, level by level. Each report lists
-    its box failures first, then its partition failures."""
+    at level k exactly when k >= -slack. Both sides are thresholds in k,
+    so where the level equals -slack they agree at every k, and only the
+    other weights are compared level by level: the skip is exact. The
+    partition side reads the level of translate(mu, k) from the walk,
+    and classifies it on its own only when it lies outside the box,
+    which needs k + 1 > bound. A negative k is refused before the walk.
+    Each report lists its box failures first, then its partition
+    failures."""
     if not space.is_square:
         raise ValueError("the localization at the determinant needs a square space")
-    n = space.n
     ks = tuple(ks)
+    if any(k < 0 for k in ks):
+        raise ValueError("Hodge ideals are indexed by k >= 0")
+    n = space.n
+    box = WeightBox(n, bound)
     reports = [
-        VerificationReport("hodge-filtration-equivalence", {"n": n, "k": k, "box": bound})
+        VerificationReport(
+            "hodge-filtration-equivalence", {"n": n, "k": k, "box": bound}, box.count
+        )
         for k in ks
     ]
     # comb(n-s+1, 2) for s = n-1 down to 0, in step with the tail sums
     # accumulated from lam_n leftwards.
     offsets = [comb(n - s + 1, 2) for s in range(n - 1, -1, -1)]
-    for lam in WeightBox(n, bound):
-        p = _classify(lam, space)
+    levels = {}
+    for lam in box:
+        level = levels[lam] = _Ukp_level(lam, _classify(lam, space), space)
         slack = min(map(operator.add, accumulate(reversed(lam)), offsets))
+        if level == -slack:
+            continue
         for k, report in zip(ks, reports):
-            lhs = _in_Ukp(lam, p, k, space)
-            rhs = slack >= -k
-            report.checks += 1
+            lhs, rhs = k >= level, slack >= -k
             if lhs != rhs:
                 report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
     for mu in dominant_tuples(n, 0, bound):
         for k, report in zip(ks, reports):
-            ideal = in_hodge_ideal(mu, k, space)
-            filt = in_Fk_Sdet(translate(mu, k), k, space)
+            ideal = _in_hodge_ideal(mu, k, n)
+            lam = translate(mu, k)
+            level = levels.get(lam)
+            if level is None:
+                level = _Ukp_level(lam, _classify(lam, space), space)
+            filt = k >= level
             report.checks += 1
             if ideal != filt:
                 report.add_failure(partition=mu, ideal=ideal, filtration=filt)

@@ -8,7 +8,10 @@ sets) and enumerates them over weight boxes:
 
 * ``in_Wp``: the support W^p of the simple module of the rank-p stratum;
 * ``in_Wpd``: its layer W^p_d cut out by the tail sum -d - c_p;
-* ``in_Ukp``: the filtration sets U^p_k of the square case;
+* ``in_Ukp``: the filtration sets U^p_k of the square case. They grow
+  with k, so membership is a threshold: ``_Ukp_level`` gives the least
+  k with lam in U^p_k (infinite off W^p), and every U^p_k test, the
+  exhaustive verifier's included, is one comparison with it;
 * ``minimal_elements`` / ``lambda_p_mu``: the finitely many minimal
   members of a layer, indexed by partitions;
 * ``decompose_weight``: head/tail coordinates of a weight relative to its
@@ -17,7 +20,7 @@ sets) and enumerates them over weight boxes:
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, inf
 
 from .matrixspace import MatrixSpace, Stratum, codim_stratum
 from .weights import _wp_member, check_weight, is_partition, partitions_of
@@ -75,13 +78,16 @@ def in_Ukp(lam, p: int, k: int, space: MatrixSpace) -> bool:
     n = space.n
     if not 0 <= p <= n:
         raise ValueError(f"stratum index p={p} outside 0..{n}")
-    return _in_Ukp(lam, p, k, space)
+    return k >= _Ukp_level(lam, p, space)
 
 
-def _in_Ukp(lam: tuple[int, ...], p: int, k: int, space: MatrixSpace) -> bool:
-    # in_Ukp for a square space, p in 0..n and a tuple already known to be
-    # dominant of length n.
-    return _wp_member(lam, p, space) and sum(lam[p:]) >= -comb(space.n - p + 1, 2) - k
+def _Ukp_level(lam: tuple[int, ...], p: int, space: MatrixSpace) -> int | float:
+    """The least k with lam in U^p_k, -(lam_{p+1} + ... + lam_n) -
+    comb(n-p+1, 2), or inf when lam is not in W^p; for a square space,
+    p in 0..n and a tuple already known to be dominant of length n."""
+    if not _wp_member(lam, p, space):
+        return inf
+    return -sum(lam[p:]) - comb(space.n - p + 1, 2)
 
 
 def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:

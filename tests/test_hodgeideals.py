@@ -71,6 +71,21 @@ def test_in_hodge_ideal_examples():
         in_hodge_ideal((1, 0, 0), -1, space)
 
 
+def test_hodge_ideal_core_matches_the_public_predicate():
+    # The unvalidated core against the public predicate, and both against
+    # I_k read as the intersection of the symbolic powers J_p^(e_p).
+    for n, bound in ((1, 12), (2, 8), (3, 6), (4, 4), (5, 3)):
+        space = MatrixSpace(n, n)
+        for k in range(8):
+            exponents = hodge_ideal_exponents(k, space)
+            for mu in partitions_in_box(n, bound):
+                core = hodgeideals._in_hodge_ideal(mu, k, n)
+                assert core == in_hodge_ideal(mu, k, space), (mu, k)
+                assert core == all(
+                    in_symbolic_power(mu, p, e, space) for p, e in enumerate(exponents, 1)
+                ), (mu, k)
+
+
 def test_hodge_ideal_chain_and_interval():
     # Upward closure in the box is checked on covers: each member's steps
     # mu + e_i that stay dominant and inside the box are members. That is
@@ -215,16 +230,32 @@ def per_k_reference(space, k, bound):
     return report
 
 
+def shifted_core(monkeypatch, shift):
+    """Rebind the U^p_k core to one whose levels sit `shift` off."""
+    core = hodgeideals._Ukp_level
+    monkeypatch.setattr(
+        hodgeideals, "_Ukp_level", lambda lam, p, space: core(lam, p, space) + shift
+    )
+
+
 def strict_core(monkeypatch):
-    """Rebind the U^p_k core to one that wrongly rejects the tight tail
-    sums, the boundary of every U^p_k."""
-    core = hodgeideals._in_Ukp
+    """Rebind the U^p_k core to one whose levels sit one too high, so it
+    wrongly rejects the tight tail sums, the boundary of every U^p_k."""
+    shifted_core(monkeypatch, 1)
 
-    def strict(lam, p, k, space):
-        tight = sum(lam[p:]) == -comb(space.n - p + 1, 2) - k
-        return core(lam, p, k, space) and not tight
 
-    monkeypatch.setattr(hodgeideals, "_in_Ukp", strict)
+def counting_classify(monkeypatch):
+    """Rebind the verifier's classifier to one that records each weight it
+    classifies; returns the record."""
+    calls = []
+    classify = hodgeideals._classify
+
+    def counting(lam, space):
+        calls.append(lam)
+        return classify(lam, space)
+
+    monkeypatch.setattr(hodgeideals, "_classify", counting)
+    return calls
 
 
 def test_verify_equivalence_small():
@@ -241,28 +272,38 @@ def test_verify_equivalence_needs_a_square_space():
         verify_equivalence(MatrixSpace(3, 2), range(2), 2)
 
 
-@pytest.mark.parametrize("strict", [False, True], ids=["real-core", "strict-core"])
-@pytest.mark.parametrize("n,bound", [(1, 6), (2, 5), (3, 3)])
-def test_one_walk_matches_the_per_k_loop(monkeypatch, strict, n, bound):
-    if strict:
-        strict_core(monkeypatch)
+def test_verify_equivalence_refuses_a_negative_k_before_walking(monkeypatch):
+    calls = counting_classify(monkeypatch)
+    for ks in ([-1], [0, 3, -2]):
+        with pytest.raises(ValueError, match=r"Hodge ideals are indexed by k >= 0"):
+            verify_equivalence(MatrixSpace(2, 2), ks, 4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shift", [0, 1, -1], ids=["real-core", "strict-core", "loose-core"])
+@pytest.mark.parametrize("n,bound", [(1, 6), (2, 5), (3, 3), (4, 2)])
+def test_one_walk_matches_the_per_k_loop(monkeypatch, shift, n, bound):
+    # The strict core moves each level above the inequality side's, the
+    # loose one (admitting the tail sums one below the boundary) below it.
+    shifted_core(monkeypatch, shift)
+    calls = counting_classify(monkeypatch)
     space = MatrixSpace(n, n)
     ks = [0, 1, 2, 3, 4, 5]
     walked = verify_equivalence(space, ks, bound)
+    # One classification per box weight, and one per (partition, k) whose
+    # translate leaves the box, which needs k + 1 > bound.
+    outside = sum(
+        translate(mu, k)[-1] < -bound for mu in dominant_tuples(n, 0, bound) for k in ks
+    )
+    assert len(calls) == WeightBox(n, bound).count + outside
+    assert (outside > 0) == (max(ks) + 1 > bound)
     reference = [per_k_reference(space, k, bound) for k in ks]
     assert [vars(report) for report in walked] == [vars(report) for report in reference]
-    assert any(not report.ok for report in reference) == strict
+    assert any(not report.ok for report in reference) == (shift != 0)
 
 
 def test_equivalence_suite_classifies_each_box_weight_once(monkeypatch):
-    calls = []
-    classify = hodgeideals._classify
-
-    def counting(lam, space):
-        calls.append(lam)
-        return classify(lam, space)
-
-    monkeypatch.setattr(hodgeideals, "_classify", counting)
+    calls = counting_classify(monkeypatch)
     reports = suites.equivalence()
     levels = 6
     box_weights = sum(WeightBox(n, box).count for n, box in suites.EQUIVALENCE_GRID.items())
@@ -270,11 +311,20 @@ def test_equivalence_suite_classifies_each_box_weight_once(monkeypatch):
         len(list(dominant_tuples(n, 0, box))) for n, box in suites.EQUIVALENCE_GRID.items()
     )
     assert box_weights == 6966
-    # The box side once per weight; the partition side once per level,
-    # inside in_Fk_Sdet.
-    assert len(calls) == box_weights + levels * partitions
+    # The box side once per weight; every translate of the suite's
+    # partitions lies inside its box, so the partition side reads the
+    # levels the walk decided.
+    assert len(calls) == box_weights
     assert len(reports) == levels * len(suites.EQUIVALENCE_GRID)
     assert sum(report.checks for report in reports) == levels * (box_weights + partitions)
+
+
+@pytest.mark.parametrize("n,bound,checks", [(5, 6, 39_900), (6, 5, 50_820)])
+def test_verify_equivalence_beyond_the_suite_grid(n, bound, checks):
+    reports = verify_equivalence(MatrixSpace(n, n), range(6), bound)
+    assert sum(report.checks for report in reports) == checks
+    for report in reports:
+        assert report.ok, report.failures[:3]
 
 
 def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):

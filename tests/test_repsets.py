@@ -1,3 +1,5 @@
+from math import comb, inf
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from dethodge.hodgeideals import WeightSet, grF_Dp_layer, in_Fk_Sdet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum
 from dethodge.repsets import (
+    _Ukp_level,
     classify,
     compose_weight,
     decompose_weight,
@@ -14,7 +17,7 @@ from dethodge.repsets import (
     lambda_p_mu,
     minimal_elements,
 )
-from dethodge.weights import WeightBox, check_weight, delta_p, leq
+from dethodge.weights import WeightBox, _wp_member, check_weight, delta_p, leq
 
 
 def test_in_Wp_examples():
@@ -90,6 +93,28 @@ def test_in_Ukp_rank_one_interval():
         assert members1 == list(range(0, 5))
 
 
+def in_Ukp_by_definition(lam, p, k, n):
+    return _wp_member(lam, p, MatrixSpace(n, n)) and sum(lam[p:]) >= -comb(n - p + 1, 2) - k
+
+
+def test_Ukp_level_is_the_least_member_level():
+    # Oracle: U^p_k term by term, at every level k in -12..6. The level
+    # must be the least k with lam in U^p_k, and infinite exactly off W^p.
+    for n in (1, 2, 3):
+        space = MatrixSpace(n, n)
+        for lam in WeightBox(n, 5):
+            for p in range(n + 1):
+                level = _Ukp_level(lam, p, space)
+                assert (level == inf) == (not _wp_member(lam, p, space)), (lam, p)
+                for k in range(-12, 7):
+                    member = in_Ukp_by_definition(lam, p, k, n)
+                    assert (k >= level) == member, (lam, p, k)
+                    assert in_Ukp(lam, p, k, space) == member, (lam, p, k)
+                if level != inf:
+                    assert in_Ukp_by_definition(lam, p, level, n)
+                    assert not in_Ukp_by_definition(lam, p, level - 1, n)
+
+
 def test_Ukp_nested_and_inside_Wp():
     space = MatrixSpace(3, 3)
     for p in range(4):
@@ -101,8 +126,6 @@ def test_Ukp_nested_and_inside_Wp():
 
 
 def test_Ukp_difference_is_a_layer():
-    from math import comb
-
     space = MatrixSpace(3, 3)
     for p in range(4):
         lowest = comb(3 - p, 2)

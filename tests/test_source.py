@@ -2,9 +2,13 @@
 never asserted (``python -O`` drops asserts), every absolute import
 is from the standard library, so the package has no runtime
 dependencies, and every random draw comes from a seeded generator, so
-every run can be replayed."""
+every run can be replayed. Every name a module docstring quotes in
+double backticks must exist, so the docstrings cannot drift from the
+code they describe."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -66,6 +70,37 @@ def unseeded_draws(tree):
     return sorted(found)
 
 
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def unresolved_doc_names(module, package="dethodge"):
+    """Every name in double backticks in the module's docstring that is
+    neither an attribute (chain) of the module nor ``module.attr`` in the
+    package; quoted text that is not a dotted name, such as a command
+    line, is not a name."""
+    found = []
+    for text in re.findall(r"``([^`]+)``", module.__doc__ or ""):
+        if not DOTTED_NAME.fullmatch(text):
+            continue
+        head, *rest = text.split(".")
+        if hasattr(module, head):
+            target = getattr(module, head)
+        elif head == package:
+            target = importlib.import_module(package)
+        else:
+            try:
+                target = importlib.import_module(f"{package}.{head}")
+            except ImportError:
+                found.append(text)
+                continue
+        for attr in rest:
+            if not hasattr(target, attr):
+                found.append(text)
+                break
+            target = getattr(target, attr)
+    return found
+
+
 def _trees():
     assert SOURCES
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -95,6 +130,15 @@ def test_the_lint_finds_what_it_looks_for():
         (11, "import random as r"),
     ]
     assert unseeded_draws(ast.parse("import random\nrng = random.Random(7)\n")) == []
+    module = type(sys)("fake", (
+        "``WeightBox`` ``WeightBox.count`` ``hodgeideals.WeightSet.descriptor``\n"
+        "``python -m dethodge`` ``dethodge`` ``nope`` ``qseries.nope``\n"
+        "``nomodule.f`` ``WeightBox.nope``"
+    ))
+    module.WeightBox = importlib.import_module("dethodge.weights").WeightBox
+    assert unresolved_doc_names(module) == [
+        "nope", "qseries.nope", "nomodule.f", "WeightBox.nope"
+    ]
 
 
 def test_no_module_asserts():
@@ -110,3 +154,12 @@ def test_every_absolute_import_is_stdlib():
 def test_every_draw_is_seeded():
     found = {name: hits for name, tree in _trees().items() if (hits := unseeded_draws(tree))}
     assert not found, f"draws outside a seeded random.Random: {found}"
+
+
+def test_docstring_names_resolve():
+    found = {}
+    for path in SOURCES:
+        name = "dethodge" if path.stem == "__init__" else f"dethodge.{path.stem}"
+        if hits := unresolved_doc_names(importlib.import_module(name)):
+            found[path.name] = hits
+    assert not found, f"docstring names that do not resolve: {found}"
