@@ -2,8 +2,9 @@
 Decomposition Theorem multiplicities for determinantal rank strata.
 
 Everything is exact integer arithmetic: weight predicates, Gaussian
-binomials, dimension formulas, and a polynomial-level differential
-oracle for cross-validation.
+binomials, dimension formulas, and an oracle that cross-validates the
+symbolic-power predicate by orders of vanishing along random lines in
+the matrix entries.
 """
 
 from .characters import (
@@ -43,15 +44,10 @@ from .mhmweights import (
     start_level,
 )
 from .oracle import (
-    ExactPoly,
     RankConstrainedSampler,
-    dcep_cross_validation,
     dcep_cross_validation_upto,
-    highest_weight_vector,
     ideal_power_hilbert,
     line_vanishing_order,
-    minor,
-    symbolic_membership,
 )
 from .qseries import (
     DecompositionTable,

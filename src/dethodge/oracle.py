@@ -1,46 +1,38 @@
 """Independent ground truth over the actual polynomial ring.
 
-The combinatorial predicates upstream are cross-checked here against
-exact arithmetic in the matrix entries. Minors and highest weight vectors
-are expanded symbolically, and vanishing along a rank stratum is tested
-by evaluation at random rank-constrained integer points.
+The combinatorial symbolic-power predicate upstream is cross-checked
+here against exact integer arithmetic in the matrix entries, at random
+rank-constrained integer points. Membership in the d-th symbolic power
+of the ideal of p-minors means vanishing to order at least d along the
+rank p-1 locus (Zariski-Nagata: every partial derivative of order below
+d vanishes there).
 
-Membership in the d-th symbolic power of the ideal of p-minors means
-vanishing to order at least d along the rank p-1 locus (Zariski-Nagata:
-every partial derivative of order below d vanishes there). Two routes
-decide it:
+The line test (`line_vanishing_order`, behind `dcep_cross_validation_upto`
+and the CLI) decides it. The highest weight vector of a partition lam is
+the product of the leading principal minors raised to lam_i - lam_{i+1}.
+Restricted to a line a + t*v through a sampled point a with a random
+integer direction v, each minor is a univariate integer polynomial
+M_i(t) = det(a_i + t*v_i) of degree at most i, found exactly from its
+values at t = 0..i (fraction-free determinants, then Newton
+interpolation). Orders add under products, so the order in t is
+sum_i (lam_i - lam_{i+1}) * ord_t M_i, and its minimum over the trials
+answers every d at once: lam is a member iff it is >= d.
 
-* the line test (`line_vanishing_order`, behind `dcep_cross_validation`
-  and the CLI). The highest weight vector of a partition lam is the
-  product of the leading principal minors raised to lam_i - lam_{i+1}.
-  Restricted to a line a + t*v through a sampled point a with a random
-  integer direction v, each minor is a univariate integer polynomial
-  M_i(t) = det(a_i + t*v_i) of degree at most i, found exactly from its
-  values at t = 0..i (fraction-free determinants, then Newton
-  interpolation). Orders add under products, so the order in t is
-  sum_i (lam_i - lam_{i+1}) * ord_t M_i, and its minimum over the trials
-  answers every d at once: lam is a member iff it is >= d.
-* the derivative test (`symbolic_membership`), which builds every
-  partial of order below d and evaluates it. It is the slow oracle that
-  the tests hold the line test to.
-
-Verdicts are one-sided. A nonzero evaluation is an exact certificate of
-non-vanishing. The order along a line through a is at least the order
-of f at a, which is at least its order at a general point of the locus,
-so a line order below d is an exact certificate of non-membership. A
-"vanishes" or "member" answer is randomized, with failure probability
-decreasing in the number of trials and the entry bound. Nothing here is
-numerical.
+Verdicts are one-sided. The order along a line through a is at least the
+order of f at a, which is at least its order at a general point of the
+locus, so a line order below d is an exact certificate of
+non-membership. A "member" answer is randomized, with failure
+probability decreasing in the number of trials and the entry bound.
+Nothing here is numerical.
 
 False-accept analysis. A sample point is A*B with independent uniform
 entries in [-B, B]. A polynomial f of degree D that does not vanish
 identically on the rank <= r locus pulls back to a nonzero polynomial
-of degree at most 2D in the factor entries, so by the Schwartz-Zippel
-bound one trial of `symbolic_membership` at d = 1 evaluates it to zero
-with probability at most 2D/(2B+1). A line trial accepts a non-member,
-whose order e at a general point of the locus is below d, only if the
-point a is special (some partial of order e, of degree at most D, is
-nonzero on the locus but vanishes at a: probability at most 2D/(2B+1))
+of degree at most 2D in the factor entries. A line trial accepts a
+non-member, whose order e at a general point of the locus is below d,
+only if the point a is special (some partial of order e, of degree at
+most D, is nonzero on the locus but vanishes at a: by the
+Schwartz-Zippel bound, probability at most 2D/(2B+1))
 or the lowest-order form of f at a, of degree e < d, vanishes at the
 direction v (at most d/(2B+1)). So one trial errs with probability at most
 (2D + d)/(2B+1), and independent trials multiply. For example, at
@@ -64,231 +56,12 @@ every report, so any check can be replayed alone.
 from __future__ import annotations
 
 import random
-from itertools import permutations
 from math import comb, factorial, inf
 
 from .hodgeideals import _in_symbolic_power
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
 from .weights import check_weight
-
-
-class ExactPoly:
-    """Sparse polynomial in a fixed number of variables with arbitrary
-    precision integer coefficients. Monomials are exponent tuples."""
-
-    __slots__ = ("nvars", "_c")
-
-    def __init__(self, nvars: int, coeffs=None):
-        self.nvars = nvars
-        c = {}
-        if coeffs:
-            for mono, v in coeffs.items():
-                if v:
-                    mono = tuple(mono)
-                    if len(mono) != nvars:
-                        raise ValueError("exponent vector has wrong length")
-                    c[mono] = int(v)
-        self._c = c
-
-    @classmethod
-    def constant(cls, nvars: int, value: int) -> "ExactPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "ExactPoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} outside 0..{nvars - 1}")
-        mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {mono: 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    @property
-    def total_degree(self) -> int:
-        if not self._c:
-            return 0
-        return max(sum(mono) for mono in self._c)
-
-    def items(self):
-        return self._c.items()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = ExactPoly.constant(self.nvars, other)
-        if not isinstance(other, ExactPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self._c == other._c
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._c.items())))
-
-    def _coerce(self, other) -> "ExactPoly":
-        if isinstance(other, int):
-            return ExactPoly.constant(self.nvars, other)
-        if not isinstance(other, ExactPoly) or other.nvars != self.nvars:
-            raise TypeError("incompatible polynomial operands")
-        return other
-
-    def __neg__(self):
-        out = ExactPoly(self.nvars)
-        out._c = {mono: -v for mono, v in self._c.items()}
-        return out
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        c = dict(self._c)
-        for mono, v in other._c.items():
-            nv = c.get(mono, 0) + v
-            if nv:
-                c[mono] = nv
-            elif mono in c:
-                del c[mono]
-        out = ExactPoly(self.nvars)
-        out._c = c
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            out = ExactPoly(self.nvars)
-            if other:
-                out._c = {mono: v * other for mono, v in self._c.items()}
-            return out
-        other = self._coerce(other)
-        c = {}
-        for m1, v1 in self._c.items():
-            for m2, v2 in other._c.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                nv = c.get(mono, 0) + v1 * v2
-                if nv:
-                    c[mono] = nv
-                elif mono in c:
-                    del c[mono]
-        out = ExactPoly(self.nvars)
-        out._c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        out = ExactPoly.constant(self.nvars, 1)
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            base = base * base
-            power >>= 1
-        return out
-
-    def derivative(self, index: int) -> "ExactPoly":
-        """Exact partial derivative with respect to one variable."""
-        c = {}
-        for mono, v in self._c.items():
-            e = mono[index]
-            if e:
-                lowered = mono[:index] + (e - 1,) + mono[index + 1:]
-                c[lowered] = c.get(lowered, 0) + v * e
-        out = ExactPoly(self.nvars)
-        out._c = {mono: v for mono, v in c.items() if v}
-        return out
-
-    def evaluate(self, values) -> int:
-        """Value at an integer point (a flat sequence of length nvars)."""
-        values = tuple(values)
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        total = 0
-        for mono, v in self._c.items():
-            term = v
-            for x, e in zip(values, mono):
-                if e:
-                    term *= x**e
-            total += term
-        return total
-
-    def __str__(self):
-        if not self._c:
-            return "0"
-        bits = []
-        for mono in sorted(self._c, reverse=True):
-            v = self._c[mono]
-            vars_part = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(mono) if e
-            )
-            if not vars_part:
-                bits.append(f"{v:+d}")
-            elif abs(v) == 1:
-                bits.append(("+" if v > 0 else "-") + vars_part)
-            else:
-                bits.append(f"{v:+d}*{vars_part}")
-        text = " ".join(bits)
-        return text[1:] if text.startswith("+") else text
-
-
-def variable_matrix(space: MatrixSpace) -> list[list[ExactPoly]]:
-    """The generic matrix of variables x_{i,j}, flattened row-major."""
-    nv = space.m * space.n
-    return [
-        [ExactPoly.variable(nv, i * space.n + j) for j in range(space.n)]
-        for i in range(space.m)
-    ]
-
-
-def minor(space: MatrixSpace, rows, cols) -> ExactPoly:
-    """Determinant of the submatrix of variables on the given row and
-    column index sets (zero-based, equal sizes, no repeats), expanded
-    exactly over permutations."""
-    rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise ValueError("repeated row or column index")
-    if any(not 0 <= r < space.m for r in rows):
-        raise ValueError(f"row index outside 0..{space.m - 1}")
-    if any(not 0 <= c < space.n for c in cols):
-        raise ValueError(f"column index outside 0..{space.n - 1}")
-    rows, cols = sorted(rows), sorted(cols)
-    k = len(rows)
-    nv = space.m * space.n
-    c = {}
-    for perm in permutations(range(k)):
-        inversions = sum(
-            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-        )
-        sign = -1 if inversions % 2 else 1
-        expo = [0] * nv
-        for i in range(k):
-            expo[rows[i] * space.n + cols[perm[i]]] += 1
-        mono = tuple(expo)
-        c[mono] = c.get(mono, 0) + sign
-    out = ExactPoly(nv)
-    out._c = {mono: v for mono, v in c.items() if v}
-    return out
-
-
-def highest_weight_vector(lam, space: MatrixSpace) -> ExactPoly:
-    """The highest weight vector of the isotypic component of a partition
-    lam: the product of the leading principal i-by-i minors raised to the
-    powers lam_i - lam_{i+1}. Total degree |lam|."""
-    lam = check_weight(lam, space.n)
-    if lam[-1] < 0:
-        raise ValueError("highest weight vectors in the ring need a partition")
-    nv = space.m * space.n
-    out = ExactPoly.constant(nv, 1)
-    for i in range(1, space.n + 1):
-        step = lam[i - 1] - (lam[i] if i < space.n else 0)
-        if step:
-            out = out * minor(space, range(i), range(i)) ** step
-    return out
 
 
 class RankConstrainedSampler:
@@ -363,53 +136,6 @@ class RankConstrainedSampler:
         return line
 
 
-def _flat(matrix):
-    return [x for row in matrix for x in row]
-
-
-def _derivatives_below_order(f: ExactPoly, order: int) -> list[ExactPoly]:
-    # Distinct nonzero partials of order 0..order, deduplicated by the
-    # sorted multi-index of differentiations.
-    out = [f]
-    level = {(): f}
-    for _ in range(order):
-        nxt = {}
-        for midx, g in level.items():
-            start = midx[-1] if midx else 0
-            for v in range(start, f.nvars):
-                h = g.derivative(v)
-                if not h.is_zero:
-                    nxt[midx + (v,)] = h
-        out.extend(nxt.values())
-        if not nxt:
-            break
-        level = nxt
-    return out
-
-
-def symbolic_membership(f: ExactPoly, p: int, d: int, sampler: RankConstrainedSampler, trials: int = 8) -> bool:
-    """Does f vanish to order at least d along the rank p-1 locus? Decided
-    by the differential criterion: every partial derivative of order
-    below d must vanish there; at d = 1, f itself must vanish on the rank
-    p-1 locus. A False answer is an exact certificate; True is randomized.
-    The sampler entry bound must be at least max(3, deg f). d <= 0 is the
-    unit ideal and returns True."""
-    if d <= 0:
-        return True
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not f.is_zero and sampler.bound < max(3, f.total_degree):
-        raise ValueError("sampler entry bound below max(3, deg f)")
-    derivs = _derivatives_below_order(f, d - 1)
-    s = sampler.with_rank(p - 1)
-    for _ in range(trials):
-        point = _flat(s.sample())
-        for g in derivs:
-            if g.evaluate(point) != 0:
-                return False
-    return True
-
-
 def _det(rows) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination with row swaps: every division is exact."""
@@ -481,20 +207,34 @@ def line_vanishing_order(
     highest weight vector lies in the d-th symbolic power of the ideal of
     p-minors iff this is >= d; a smaller value is an exact certificate
     that it does not, a larger one is randomized (see the module
-    docstring). The sampler entry bound must be at least max(3, |lam|)."""
-    lam = _line_test_partition(lam, space, sampler, trials)
-    return _line_order(lam, sampler.with_rank(p - 1), trials)
+    docstring). The sampler must draw matrices of `space`, with entry
+    bound at least max(3, |lam|)."""
+    s = _line_sampler(space, p, sampler, trials)
+    return _line_order(_line_test_partition(lam, space, s), s, trials)
+
+
+def _line_sampler(
+    space: MatrixSpace, p: int, sampler: RankConstrainedSampler, trials: int
+) -> RankConstrainedSampler:
+    """The sampler at rank p-1 whose lines test highest weight vectors
+    against the p-minors of `space`, once p, the sampler's space and the
+    number of trials are checked."""
+    if not 1 <= p <= space.n:
+        raise ValueError(f"minor size p={p} outside 1..{space.n}")
+    if sampler.space != space:
+        raise ValueError(f"sampler draws {sampler.space} matrices, not {space}")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    return sampler.with_rank(p - 1)
 
 
 def _line_test_partition(
-    lam, space: MatrixSpace, sampler: RankConstrainedSampler, trials: int
+    lam, space: MatrixSpace, sampler: RankConstrainedSampler
 ) -> tuple[int, ...]:
     """lam as a tuple, checked to be a partition the line test can take."""
     lam = check_weight(lam, space.n)
     if lam[-1] < 0:
         raise ValueError("highest weight vectors in the ring need a partition")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if sampler.bound < max(3, sum(lam)):
         raise ValueError("sampler entry bound below max(3, deg f)")
     return lam
@@ -521,21 +261,6 @@ def _line_order(lam: tuple[int, ...], s: RankConstrainedSampler, trials: int) ->
     return best
 
 
-def dcep_cross_validation(
-    space: MatrixSpace,
-    lambdas,
-    p: int,
-    d: int,
-    sampler: RankConstrainedSampler,
-    trials: int = 8,
-) -> VerificationReport:
-    """Confront the combinatorial symbolic-power predicate with the line
-    test on highest weight vectors, for each partition in `lambdas`, at
-    one order d. A disagreement is re-sampled once with a fresh seed
-    before being reported; the report records the master seed."""
-    return _cross_validate(space, lambdas, p, [d], sampler, trials)[0]
-
-
 def dcep_cross_validation_upto(
     space: MatrixSpace,
     lambdas,
@@ -544,14 +269,16 @@ def dcep_cross_validation_upto(
     sampler: RankConstrainedSampler,
     trials: int = 8,
 ) -> list[VerificationReport]:
-    """`dcep_cross_validation` for d = 1..dmax, one report per d, from
-    one expansion of each line, shared by every partition."""
-    return _cross_validate(space, lambdas, p, range(1, dmax + 1), sampler, trials)
-
-
-def _cross_validate(space, lambdas, p, ds, sampler, trials) -> list[VerificationReport]:
+    """Confront the combinatorial symbolic-power predicate with the line
+    test on highest weight vectors, for each partition in `lambdas`: one
+    report per order d = 1..dmax, from one expansion of each line, shared
+    by every partition. A disagreement is re-sampled once with a fresh
+    seed before being reported; each report records the master seed."""
     if not space.is_square:
         raise ValueError("the weight-set membership criterion is stated for m = n")
+    # One sampler at rank p-1 for every partition, so all read its lines.
+    s = _line_sampler(space, p, sampler, trials)
+    ds = range(1, dmax + 1)
     reports = [
         VerificationReport(
             "symbolic-power-cross-validation",
@@ -562,13 +289,9 @@ def _cross_validate(space, lambdas, p, ds, sampler, trials) -> list[Verification
     ]
     if not reports:
         return reports
-    if not 1 <= p <= space.n:
-        raise ValueError(f"minor size p={p} outside 1..{space.n}")
-    # One sampler at rank p-1 for every partition, so all read its lines.
-    s = sampler.with_rank(p - 1)
     for lam in lambdas:
         # Validated once here; the predicate and the line test take it as it is.
-        lam = _line_test_partition(lam, space, s, trials)
+        lam = _line_test_partition(lam, space, s)
         order = _line_order(lam, s, trials)
         for report, d in zip(reports, ds):
             member = _in_symbolic_power(lam, p, d)

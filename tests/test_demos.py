@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package under src/."""
+"""Each demo script runs to completion against the package under src/,
+and prints no failed report."""
 
 import os
 import subprocess
@@ -27,3 +28,5 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    # a failed VerificationReport summary reads "FAIL (...)"
+    assert "FAIL" not in result.stdout, result.stdout

@@ -9,18 +9,20 @@ from dethodge import oracle
 from dethodge.hodgeideals import in_symbolic_power
 from dethodge.matrixspace import MatrixSpace
 from dethodge.oracle import (
-    ExactPoly,
     RankConstrainedSampler,
-    dcep_cross_validation,
     dcep_cross_validation_upto,
-    highest_weight_vector,
     ideal_power_hilbert,
     line_vanishing_order,
+)
+from dethodge.weights import partitions_of
+
+from derivative_reference import (
+    ExactPoly,
+    highest_weight_vector,
     minor,
     symbolic_membership,
     variable_matrix,
 )
-from dethodge.weights import partitions_of
 
 S22 = MatrixSpace(2, 2)
 S33 = MatrixSpace(3, 3)
@@ -189,9 +191,10 @@ def test_dcep_cross_validation_small():
         space = MatrixSpace(n, n)
         lambdas = [lam for size in range(5) for lam in partitions_of(size, n)]
         for p in p_range:
-            for d in (1, 2, 3):
-                sampler = RankConstrainedSampler(space, p - 1, bound=7, seed=1729)
-                report = dcep_cross_validation(space, lambdas, p, d, sampler)
+            sampler = RankConstrainedSampler(space, p - 1, bound=7, seed=1729)
+            reports = dcep_cross_validation_upto(space, lambdas, p, 3, sampler)
+            assert [r.params["d"] for r in reports] == [1, 2, 3]
+            for report in reports:
                 assert report.ok, report.failures
                 assert report.seed == 1729
                 assert len(report.details) == len(lambdas)
@@ -200,9 +203,9 @@ def test_dcep_cross_validation_small():
 def test_dcep_named_cases():
     space = MatrixSpace(3, 3)
     lambdas = [(1, 1, 0), (1, 1, 1), (2, 1, 1), (2, 2, 0)]
-    for d in (1, 2, 3):
-        sampler = RankConstrainedSampler(space, 1, bound=7, seed=8)
-        assert dcep_cross_validation(space, lambdas, 2, d, sampler).ok
+    sampler = RankConstrainedSampler(space, 1, bound=7, seed=8)
+    reports = dcep_cross_validation_upto(space, lambdas, 2, 3, sampler)
+    assert len(reports) == 3 and all(r.ok for r in reports)
 
 
 def test_ideal_power_hilbert():
@@ -385,14 +388,35 @@ def test_line_order_validation():
     with pytest.raises(ValueError, match="bound below"):
         line_vanishing_order((8, 0), S22, 1, sampler)
     assert line_vanishing_order((8, 0), S22, 1, RankConstrainedSampler(S22, 0, 8, 0)) == 8
+    # p is checked itself, not through the rank p-1 it asks the sampler for
+    for p in (0, 3):
+        with pytest.raises(ValueError, match=f"minor size p={p} outside 1..2"):
+            line_vanishing_order((1, 0), S22, p, sampler)
+    # at dmax = 0 there is nothing to check, but p is still refused
+    with pytest.raises(ValueError, match="minor size p=99 outside 1..2"):
+        dcep_cross_validation_upto(S22, [(1, 0)], 99, 0, sampler)
+    assert dcep_cross_validation_upto(S22, [(1, 0)], 1, 0, sampler) == []
+
+
+@pytest.mark.parametrize(
+    "space,sampler_space,lam",
+    [(S33, S22, (1, 1, 1)), (S22, S33, (1, 1))],
+    ids=["3x3-weight-on-2x2-lines", "2x2-weight-on-3x3-lines"],
+)
+def test_line_test_refuses_a_sampler_on_another_space(space, sampler_space, lam):
+    sampler = RankConstrainedSampler(sampler_space, 1, bound=7, seed=1)
+    message = f"sampler draws {sampler_space} matrices, not {space}"
+    with pytest.raises(ValueError, match=message):
+        line_vanishing_order(lam, space, 2, sampler)
+    with pytest.raises(ValueError, match=message):
+        dcep_cross_validation_upto(space, [lam], 2, 2, sampler)
 
 
 def test_cross_validation_refuses_a_non_square_space():
     sampler = RankConstrainedSampler(MatrixSpace(3, 2), 0, bound=7, seed=0)
-    with pytest.raises(ValueError, match="m = n"):
-        dcep_cross_validation(MatrixSpace(3, 2), [(1, 0)], 1, 1, sampler)
-    with pytest.raises(ValueError, match="m = n"):
-        dcep_cross_validation_upto(MatrixSpace(3, 2), [(1, 0)], 1, 2, sampler)
+    for dmax in (0, 1, 2):
+        with pytest.raises(ValueError, match="m = n"):
+            dcep_cross_validation_upto(MatrixSpace(3, 2), [(1, 0)], 1, dmax, sampler)
 
 
 @pytest.mark.parametrize("seed", [1729, 7])
@@ -415,8 +439,6 @@ def test_line_test_agrees_with_the_derivative_test(n, max_size, seed):
         for report in reports:
             assert report.ok and report.checks == len(lambdas)
             assert [x["weight"] for x in report.details] == lambdas
-            single = dcep_cross_validation(space, lambdas, p, report.params["d"], sampler)
-            assert single.to_json_obj() == report.to_json_obj()
 
 
 def test_cross_validation_validates_each_partition_once(monkeypatch):
@@ -437,7 +459,7 @@ def test_cross_validation_validates_each_partition_once(monkeypatch):
     assert all(r.ok and r.checks == len(lambdas) for r in reports)
     assert calls == lambdas
     with pytest.raises(ValueError, match="minor size p=4 outside 1..3"):
-        dcep_cross_validation(S33, lambdas, 4, 1, sampler)
+        dcep_cross_validation_upto(S33, lambdas, 4, 1, sampler)
 
 
 def test_raised_line_orders_make_the_suite_fail(monkeypatch, capsys):
@@ -449,7 +471,7 @@ def test_raised_line_orders_make_the_suite_fail(monkeypatch, capsys):
 
     monkeypatch.setattr(oracle, "_line_order", raised)
     sampler = RankConstrainedSampler(S22, 1, bound=7, seed=0)
-    report = dcep_cross_validation(S22, [(1, 0), (1, 1)], 2, 1, sampler)
+    [report] = dcep_cross_validation_upto(S22, [(1, 0), (1, 1)], 2, 1, sampler)
     # (1, 0) has order 0 along the rank-1 locus; raised, it passes for d = 1
     assert report.failures == [{"weight": (1, 0), "combinatorial": False, "differential": True}]
 

@@ -2,9 +2,9 @@
 never asserted (``python -O`` drops asserts), every absolute import
 is from the standard library, so the package has no runtime
 dependencies, and every random draw comes from a seeded generator, so
-every run can be replayed. Every name a module docstring quotes in
-double backticks must exist, so the docstrings cannot drift from the
-code they describe."""
+every run can be replayed. Every dotted name a module docstring quotes
+in single or double backticks must exist, so the docstrings cannot drift
+from the code they describe."""
 
 import ast
 import importlib
@@ -74,12 +74,12 @@ DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def unresolved_doc_names(module, package="dethodge"):
-    """Every name in double backticks in the module's docstring that is
-    neither an attribute (chain) of the module nor ``module.attr`` in the
-    package; quoted text that is not a dotted name, such as a command
-    line, is not a name."""
+    """Every name in single or double backticks in the module's docstring
+    that is neither an attribute (chain) of the module nor ``module.attr``
+    in the package; quoted text that is not a dotted name, such as a
+    command line, is not a name."""
     found = []
-    for text in re.findall(r"``([^`]+)``", module.__doc__ or ""):
+    for _, text in re.findall(r"(`{1,2})([^`]+)\1", module.__doc__ or ""):
         if not DOTTED_NAME.fullmatch(text):
             continue
         head, *rest = text.split(".")
@@ -133,11 +133,14 @@ def test_the_lint_finds_what_it_looks_for():
     module = type(sys)("fake", (
         "``WeightBox`` ``WeightBox.count`` ``hodgeideals.WeightSet.descriptor``\n"
         "``python -m dethodge`` ``dethodge`` ``nope`` ``qseries.nope``\n"
-        "``nomodule.f`` ``WeightBox.nope``"
+        "``nomodule.f`` ``WeightBox.nope``\n"
+        "`WeightBox.count` `oracle.line_vanishing_order` `verify oracle`\n"
+        "`gone` `oracle.symbolic_membership`"
     ))
     module.WeightBox = importlib.import_module("dethodge.weights").WeightBox
     assert unresolved_doc_names(module) == [
-        "nope", "qseries.nope", "nomodule.f", "WeightBox.nope"
+        "nope", "qseries.nope", "nomodule.f", "WeightBox.nope",
+        "gone", "oracle.symbolic_membership",
     ]
 
 
