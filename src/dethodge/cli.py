@@ -174,8 +174,9 @@ def cmd_decompose(args) -> int:
     table = pushforward_DpY(space, args.p, route=route)
 
     if args.format == "json":
-        payload = _payload("decompose", route=route, **table.to_json_obj())
-        _print_json(payload)
+        # The table's own fields follow the payload's, as json.dumps would write them.
+        head = json.dumps(_payload("decompose", route=route))
+        print(f"{head[:-1]}, {table.to_json()[1:]}")
         return 0
 
     print(

@@ -15,13 +15,26 @@ no shifts, and sums each row's products as one packed big integer.
 
 A `LaurentPoly` is dense: the exponent of its lowest term and the tuple
 of coefficients from there to its highest term, with no zeros at either
-end. Long operands are multiplied by Kronecker substitution: each
-coefficient list is packed into one Python integer, in slots wide enough
-for any coefficient of the product (max|a| * max|b| * min(len a, len b)),
-so one C-level big-integer product does the whole convolution; signed
-operands are split into their positive and negative parts first. Short
-operands use the schoolbook convolution. Two polynomials in q^2, such as
-the stretched q-binomials, are multiplied through their even slots.
+end. Its exponents and coefficients are ints; anything else, such as a
+float or a string, is refused with a TypeError. Long operands are
+multiplied by Kronecker substitution: each coefficient list is packed
+into one Python integer, in slots wide enough for any coefficient of the
+product, so one C-level big-integer product does the whole convolution;
+signed operands are split into their positive and negative parts first.
+A slot of a*b sums terms of at most |a_j| * |b_(s-j)|, so it holds at
+most min(max|a| * sum|b|, sum|a| * max|b|) (`_product_bound`); the
+solver sizes a row's slots by the sum of this bound over the row's
+products. Short operands use the schoolbook convolution. Two polynomials
+in q^2, such as the stretched q-binomials, are multiplied through their
+even slots.
+
+`LaurentPoly.to_json` and `DecompositionTable.to_json` write the JSON
+text that json.dumps would write for the map from each exponent, as a
+string, to its nonzero coefficient, straight from the dense
+coefficients: cached '"<e>": %d' key templates of the nonzero slots are
+joined and filled by one `%` with the nonzero coefficients. The
+templates are built in blocks of `JSON_KEY_BLOCK` exponents, on demand,
+so any exponent range is served.
 
 `q_binomial(a, b)` (after replacing b by min(b, a-b)) lies on the
 diagonal qbin(c+j, j) with c = a-b. Each diagonal is built once, in
@@ -37,7 +50,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
-from math import comb
+from itertools import chain, compress, islice
 
 from .matrixspace import MatrixSpace, Stratum, dim_stratum
 from .reporting import VerificationReport
@@ -61,6 +74,10 @@ class LaurentPoly:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for e, v in items:
+                if not (isinstance(e, int) and isinstance(v, int)):
+                    raise TypeError(
+                        f"exponents and coefficients must be int, got {v!r} at q^{e!r}"
+                    )
                 if v:
                     c[int(e)] = int(v)
         self._lo, self._c = 0, ()
@@ -211,8 +228,14 @@ class LaurentPoly:
         """Coefficient list symmetric under reversal of the support."""
         return self._c == self._c[::-1]
 
-    def to_coeff_map(self) -> dict:
-        return {str(e): v for e, v in enumerate(self._c, self._lo) if v}
+    def to_json(self) -> str:
+        """The text `json.dumps` writes for the map from each exponent, as
+        a string, to its nonzero coefficient, by increasing exponent."""
+        c = self._c
+        if not c:
+            return "{}"
+        keys = _json_keys(self._lo, len(c))
+        return "{" + ", ".join(compress(keys, c)) % tuple(compress(c, c)) + "}"
 
     def __str__(self):
         if not self._c:
@@ -235,6 +258,26 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
 
+# _JSON_KEYS[b][i] is the key template '"<e>": %d' of exponent
+# e = b * JSON_KEY_BLOCK + i; blocks are built when first asked for.
+JSON_KEY_BLOCK = 512
+_JSON_KEYS: dict[int, list[str]] = {}
+
+
+def _json_keys(lo: int, count: int):
+    """The key templates of the exponents lo, ..., lo + count - 1, in order."""
+    first, last = lo // JSON_KEY_BLOCK, (lo + count - 1) // JSON_KEY_BLOCK
+    blocks = []
+    for b in range(first, last + 1):
+        block = _JSON_KEYS.get(b)
+        if block is None:
+            base = b * JSON_KEY_BLOCK
+            block = _JSON_KEYS[b] = [f'"{e}": %d' for e in range(base, base + JSON_KEY_BLOCK)]
+        blocks.append(block)
+    start = lo - first * JSON_KEY_BLOCK
+    return islice(chain.from_iterable(blocks), start, start + count)
+
+
 def _dense(lo: int, coeffs: tuple) -> LaurentPoly:
     """A LaurentPoly from coefficients already free of end zeros."""
     out = object.__new__(LaurentPoly)
@@ -255,6 +298,16 @@ def _trimmed(lo: int, coeffs: list) -> LaurentPoly:
 
 # Array typecodes by item size, for packing slots of 1, 2, 4 or 8 bytes at C speed.
 _TYPECODES = {array(t).itemsize: t for t in "QLIHB"}
+
+
+def _product_bound(a_max: int, a_sum: int, b_max: int, b_sum: int) -> int:
+    """Largest slot of either the positive or the negative accumulation of
+    a*b (see `_packed_sum`), from the largest and the summed absolute
+    coefficients of a and b. Slot s sums, over j, a term that is at most
+    |a_j| * |b_(s-j)|, since a coefficient lies in either the positive or
+    the negative part; so it is at most max|a| * sum|b| and at most
+    sum|a| * max|b|."""
+    return min(a_max * b_sum, a_sum * b_max)
 
 
 def _slot_width(bound: int) -> int:
@@ -300,11 +353,9 @@ def _convolve(a, b) -> list:
                 for k, y in enumerate(b, i):
                     out[k] += x * y
         return out
-    # Kronecker substitution. Each slot of a partial product below sums at
-    # most min(len a, len b) terms of size at most max|a| * max|b|, since a
-    # coefficient lies in either the positive or the negative part.
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = _slot_width(bound)
+    # Kronecker substitution.
+    a_abs, b_abs = list(map(abs, a)), list(map(abs, b))
+    width = _slot_width(_product_bound(max(a_abs), sum(a_abs), max(b_abs), sum(b_abs)))
     pair = (_pack_signed(a, width), _pack_signed(b, width))
     return _packed_sum([pair], width, len(a) + len(b) - 1)
 
@@ -433,16 +484,14 @@ class DecompositionTable:
     def lines(self) -> list[str]:
         return [f"i={i}: {self.entries[i]}" for i in sorted(self.entries, reverse=True)]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.space.m,
-            "n": self.space.n,
-            "p": self.p,
-            "entries": [
-                {"i": i, "poly": self.entries[i].to_coeff_map()}
-                for i in sorted(self.entries)
-            ],
-        }
+    def to_json(self) -> str:
+        """The text `json.dumps` writes for {"m": m, "n": n, "p": p,
+        "entries": [{"i": i, "poly": coefficients}, ...]}, by increasing i,
+        each polynomial written by `LaurentPoly.to_json`."""
+        entries = ", ".join(
+            f'{{"i": {i}, "poly": {self.entries[i].to_json()}}}' for i in sorted(self.entries)
+        )
+        return f'{{"m": {self.space.m}, "n": {self.space.n}, "p": {self.p}, "entries": [{entries}]}}'
 
 
 def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
@@ -459,34 +508,41 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
 
     with no shifts. Each row's sum is one big integer (`_packed_sum`):
     every g_i and q-binomial is packed into slots of one width, wide
-    enough for the sum at t = 1 of the row's products with every g_i
-    coefficient replaced by its absolute value, so no slot carries. A g_i
-    with a negative coefficient is split into its positive and negative
-    parts, as in `_convolve`. Each g_i is packed once per width."""
+    enough for the sum over the row's products of `_product_bound`, so no
+    slot carries. The coefficients of B = qbin(n-k, i-k) are nonnegative
+    and sum to comb(n-k, i-k), so the bound of g_i * B is at most
+    max|g_i| * comb(n-k, i-k): it grows with the largest coefficient of
+    g_i, not with their sum. A g_i with a negative coefficient is split
+    into its positive and negative parts, as in `_convolve`. Each g_i is
+    packed once per width."""
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
     g: dict[int, list] = {}  # coefficients of g_i(t) from t^0, no zeros at the top
+    peak: dict[int, int] = {}  # max |coefficient| of g_i
     norm: dict[int, int] = {}  # sum of |coefficients| of g_i
     packed: dict[tuple[int, int], tuple[int, int]] = {}  # (i, width) -> _pack_signed
     for k in range(p, -1, -1):
         row = list(q_binomial(m - k, p - k)._c)
         terms = [i for i in range(k + 1, p + 1) if g[i]]
         if terms:
-            width = _slot_width(sum(norm[i] * comb(n - k, i - k) for i in terms))
+            qbins = {i: _packing(n - k, i - k) for i in terms}
+            width = _slot_width(
+                sum(_product_bound(peak[i], norm[i], qbins[i].peak, qbins[i].total) for i in terms)
+            )
             count = max(len(g[i]) + (i - k) * (n - i) for i in terms)
             products = []
             for i in terms:
                 if (i, width) not in packed:
                     packed[i, width] = _pack_signed(g[i], width)
-                qbin = _packing(n - k, i - k).packed(width)
-                products.append((packed[i, width], (qbin, 0)))
+                products.append((packed[i, width], (qbins[i].packed(width), 0)))
             total = _packed_sum(products, width, count)
             row += [0] * (count - len(row))
             row[:count] = map(operator.sub, row[:count], total)
             while row and not row[-1]:
                 row.pop()
-        g[k], norm[k] = row, sum(map(abs, row))
+        g[k] = row
+        peak[k], norm[k] = max(map(abs, row), default=0), sum(map(abs, row))
     f = {}
     for k, row in g.items():
         stretched = [0] * (2 * len(row) - 1) if row else []
@@ -542,13 +598,15 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
 
 class _Packing:
     """A polynomial with its value at q = 1 (None if a coefficient is
-    negative) and its coefficients packed once per slot width."""
+    negative), its largest absolute coefficient, and its coefficients
+    packed once per slot width."""
 
-    __slots__ = ("poly", "total", "_by_width")
+    __slots__ = ("poly", "total", "peak", "_by_width")
 
     def __init__(self, poly: LaurentPoly):
         self.poly = poly
         self.total = poly.at_one() if all(v >= 0 for v in poly._c) else None
+        self.peak = max(map(abs, poly._c), default=0)
         self._by_width = {}
 
     def packed(self, width: int) -> int:

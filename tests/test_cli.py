@@ -164,6 +164,23 @@ def test_decompose_json_poly_format(capsys):
     assert entries[1] == {"-1": 1, "1": 1}
 
 
+@pytest.mark.parametrize("m,n,p", [(40, 20, 7), (40, 20, 20), (400, 10, 10)])
+@pytest.mark.parametrize("route", [[], ["--solve"]])
+def test_decompose_json_is_what_json_dumps_writes(capsys, m, n, p, route):
+    # Beyond the golden files' m <= 6: the text equals json.dumps of its own
+    # parse, byte for byte, and holds the table.
+    code, out = run(capsys, "decompose", "--m", str(m), "--n", str(n), "--p", str(p), *route,
+                    "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"
+    table = dethodge.pushforward_DpY(MatrixSpace(m, n), p)
+    assert [row["i"] for row in payload["entries"]] == sorted(table.entries)
+    for row in payload["entries"]:
+        poly = table.entries[row["i"]]
+        assert row["poly"] == {str(e): v for e, v in poly.items()}
+
+
 def test_hilbert_ideal(capsys):
     code, payload = run_json(capsys, "hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "4")
     assert code == 0

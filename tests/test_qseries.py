@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from math import comb
 
@@ -51,7 +52,31 @@ def test_laurent_str_and_json():
     assert str(f) == "q^-2 + 2 + q^2"
     assert str(LaurentPoly.zero()) == "0"
     assert str(LaurentPoly({1: -1, 3: 5})) == "-q + 5*q^3"
-    assert f.to_coeff_map() == {"-2": 1, "0": 2, "2": 1}
+    assert f.to_json() == '{"-2": 1, "0": 2, "2": 1}'
+    assert LaurentPoly.zero().to_json() == "{}"
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {0: 1.5, "2": 2.9},  # once truncated, silently, to {0: 1, 2: 2}
+        {0: 1.5},
+        {0: 1.0},
+        {0: 2.9, 1: 1},
+        {"2": 1},
+        {2.0: 1},
+        {0: "3"},
+        {0: None},
+        {0: 0.0},
+        [(1, 2), (0.5, 1)],
+    ],
+    ids=repr,
+)
+def test_laurent_refuses_non_integers(coeffs):
+    with pytest.raises(TypeError):
+        LaurentPoly(coeffs)
+    # A bool is an int, and is stored as one.
+    assert LaurentPoly({0: True, 1: -2}).to_json() == '{"0": 1, "1": -2}'
 
 
 def test_q_binomial_examples():
@@ -368,7 +393,8 @@ def test_stretch_matches_sparse_substitution(f, factor):
 def test_huge_coefficients():
     big = 2**64
     f = LaurentPoly({-3: big + 1, 5: -(big**2), 9: 7})
-    g = LaurentPoly({i: (-1) ** i * (big + i) for i in range(-4, 60)})
+    # (-1) ** i is a float for i < 0: take the sign from i % 2 to stay exact.
+    g = LaurentPoly({i: (-1) ** (i % 2) * (big + i) for i in range(-4, 60)})
     assert sparse(f * g) == ref_mul(f, g)
     assert sparse(g * g) == ref_mul(g, g)
     assert sparse(f * f) == ref_mul(f, f)
@@ -580,3 +606,149 @@ def test_pushforward_routes_agree():
             assert pushforward_DpY(space, p, route="solver") == pushforward_DpY(space, p)
     with pytest.raises(ValueError):
         pushforward_DpY(MatrixSpace(3, 2), 1, route="guess")
+
+
+# -- slot widths at the coefficient-level bound ------------------------------
+
+
+def product_bound(f, g):
+    """`qseries._product_bound` of two polynomials, from their coefficients."""
+    fa, ga = [abs(v) for v in f._c], [abs(v) for v in g._c]
+    return qseries._product_bound(max(fa), sum(fa), max(ga), sum(ga))
+
+
+@st.composite
+def mixed_sign_polys(draw, max_len=20):
+    """Polynomials from t^0 with a positive and a negative end coefficient,
+    so both accumulations of `_packed_sum` are used."""
+    coeffs = draw(st.lists(COEFFS, min_size=2, max_size=max_len))
+    coeffs[0], coeffs[-1] = abs(coeffs[0]) or 1, -(abs(coeffs[-1]) or 1)
+    if draw(st.booleans()):
+        coeffs.reverse()
+    return LaurentPoly(enumerate(coeffs))
+
+
+@given(st.lists(st.tuples(mixed_sign_polys(), polys(max_len=20)), min_size=1, max_size=4))
+def test_packed_sum_at_the_coefficient_level_width(pairs):
+    # The kernel reads coefficient lists from t^0: take each g from its lowest term.
+    pairs = [(f, g.shift(-g.min_exp)) for f, g in pairs if g]
+    assume(pairs)
+    expected = LaurentPoly.zero()
+    for f, g in pairs:
+        expected = LaurentPoly(ref_add(expected, LaurentPoly(ref_mul(f, g))))
+    # The slots hold the sum over the pairs of min(max|f| sum|g|, sum|f| max|g|).
+    width = qseries._slot_width(sum(product_bound(f, g) for f, g in pairs))
+    count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
+    products = [
+        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width)) for f, g in pairs
+    ]
+    assert sparse(LaurentPoly(enumerate(qseries._packed_sum(products, width, count)))) == sparse(
+        expected
+    )
+
+
+# width -> n, a divisor of 256^width - 1 with n * n >= SCHOOLBOOK_BELOW.
+FULL_SLOT_LENGTHS = {1: 17, 2: 257, 3: 241, 4: 257, 8: 641}
+
+
+@pytest.mark.parametrize("width", sorted(FULL_SLOT_LENGTHS))
+def test_a_slot_filled_to_the_top_does_not_carry(width):
+    # a = [peak] * n and b = [1] * n meet in the middle slot of a*b, which is
+    # n * peak = 256^width - 1: exactly the largest value `width` bytes hold.
+    top, n = 256**width - 1, FULL_SLOT_LENGTHS[width]
+    peak = top // n
+    assert n * peak == top
+    a, b = [peak] * n, [1] * n
+    assert product_bound(LaurentPoly(enumerate(a)), LaurentPoly(enumerate(b))) == top
+    if width != 3:
+        # `_convolve` picks exactly `width` bytes; 3 bytes are rounded up to 4.
+        assert qseries._slot_width(top) == width < qseries._slot_width(top + 1)
+    expected = ref_mul(LaurentPoly(enumerate(a)), LaurentPoly(enumerate(b)))
+    assert max(expected.values()) == top
+    # Both the positive and the negative accumulation reach the top.
+    for sign_a, sign_b in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        sa, sb = [sign_a * v for v in a], [sign_b * v for v in b]
+        got = qseries._convolve(sa, sb)
+        assert dict(enumerate(got)) == {e: sign_a * sign_b * v for e, v in expected.items()}
+    # At exactly `width` bytes, as packed by the solver's kernel.
+    pair = (qseries._pack_signed(a, width), qseries._pack_signed([-v for v in b], width))
+    got = qseries._packed_sum([pair], width, 2 * n - 1)
+    assert got[n - 1] == -top and dict(enumerate(got)) == {e: -v for e, v in expected.items()}
+
+
+def test_the_solver_packs_the_40x20_tables_in_at_most_four_bytes(monkeypatch):
+    widths = []
+    original = qseries._packed_sum
+
+    def spy(products, width, count):
+        widths.append(width)
+        return original(products, width, count)
+
+    monkeypatch.setattr(qseries, "_packed_sum", spy)
+    space = MatrixSpace(40, 20)
+    for p in range(space.n + 1):
+        assert solve_pushforward_OYp(space, p) == closed_form_OYp(space, p), p
+    # The value at t = 1 of |g_i| * qbin(n-k, i-k) needs 8-byte slots here.
+    assert widths and max(widths) == 4
+
+
+# -- JSON text, against the dict route through json.dumps ---------------------
+
+
+def coeff_map(poly):
+    """Reference: the exponent-to-coefficient map that json.dumps writes."""
+    return {str(e): v for e, v in poly.items()}
+
+
+def table_payload(table):
+    """Reference: the dict that json.dumps writes for a table."""
+    return {
+        "m": table.space.m,
+        "n": table.space.n,
+        "p": table.p,
+        "entries": [{"i": i, "poly": coeff_map(table.entries[i])} for i in sorted(table.entries)],
+    }
+
+
+def test_table_json_matches_the_dict_route_on_every_2n_by_n_space():
+    for n in range(1, 21):
+        space = MatrixSpace(2 * n, n)
+        for p in range(n + 1):
+            for route in ("closed", "solver"):
+                table = pushforward_DpY(space, p, route=route)
+                assert table.to_json() == json.dumps(table_payload(table)), (n, p, route)
+
+
+@given(polys())
+def test_poly_json_matches_the_dict_route(f):
+    assert f.to_json() == json.dumps(coeff_map(f))
+
+
+def test_poly_json_edge_cases():
+    big = 2**64
+    cases = [
+        LaurentPoly({-5: 1, -3: -2, 0: 7}),  # negative exponents, an interior zero at -4
+        LaurentPoly({-1: -(big**3), 4: big + 1, 9: -big}),  # beyond 64 bits, both signs
+        LaurentPoly({0: 1, 600: 1}),  # 599 interior zeros, across a key block
+        LaurentPoly({-(10**9): 3, 4 - 10**9: -4}),  # far out: only one key block is built
+        LaurentPoly.monomial(10**9, -1),
+        LaurentPoly.monomial(-1, -1),
+    ]
+    for f in cases:
+        assert f.to_json() == json.dumps(coeff_map(f)), f
+    assert cases[0].to_json() == '{"-5": 1, "-3": -2, "0": 7}'
+
+
+def test_table_json_beyond_any_fixed_key_range():
+    # decompose --m 400 --n 10 --p 10: exponents from -3,800 to 3,800.
+    table = pushforward_DpY(MatrixSpace(400, 10), 10)
+    assert min(poly.min_exp for poly in table.entries.values()) == -3800
+    assert max(poly.max_exp for poly in table.entries.values()) == 3800
+    assert table.to_json() == json.dumps(table_payload(table))
+    # Entries far out on both sides, in one table.
+    far = DecompositionTable(
+        MatrixSpace(3, 2),
+        1,
+        {0: LaurentPoly({-(10**7): 2, 5 - 10**7: 1}), 1: LaurentPoly({10**7: 1, 10**7 + 2: 3})},
+    )
+    assert far.to_json() == json.dumps(table_payload(far))
