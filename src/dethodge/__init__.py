@@ -42,6 +42,7 @@ from .mhmweights import (
     square_start_levels_consistency,
     square_weight_layer,
     start_level,
+    weight_ledger,
 )
 from .oracle import (
     RankConstrainedSampler,

@@ -1,5 +1,7 @@
-"""Command line front end: tables, enumerations, and the verification
-suites of `suites`.
+"""Command line front end: argument parsing and rendering only. Each
+``cmd_*`` calls the library (the verification suites and the oracle grid
+of `suites`, the weight ledger `mhmweights.weight_ledger`, ...), builds
+its JSON fields and its text lines, and hands both to one render step.
 
 Exit codes: 0 on success, 1 when a verification suite finds
 counterexamples, 2 on usage errors. All randomized suites run with a
@@ -22,36 +24,24 @@ from .hodgeideals import (
     minimal_generators,
     parse_weight_set,
 )
-from .matrixspace import (
-    MatrixSpace,
-    Stratum,
-    codim_stratum,
-    dim_stratum,
-    local_cohomology_degree,
-)
-from .mhmweights import (
-    generation_level_Sdet,
-    local_cohomology_weight,
-    square_weight_layer,
-    start_level,
-)
-from .oracle import RankConstrainedSampler, dcep_cross_validation_upto
+from .matrixspace import MatrixSpace
+from .mhmweights import generation_level_Sdet, weight_ledger
 from .qseries import pushforward_DpY
 from .repsets import classify
-from .weights import partitions_of, strip_zeros
+from .weights import strip_zeros
 
 SCHEMA = "detl-hodge/1"
 DEFAULT_SEED = 1729
 
 
-def _payload(command: str, **fields) -> dict:
-    out = {"schema": SCHEMA, "command": command}
-    out.update(fields)
-    return out
-
-
-def _print_json(payload: dict):
-    print(json.dumps(payload))
+def _emit(args, fields: dict, lines: list[str], ok: bool = True) -> int:
+    """Print the command's JSON payload or its text lines, as --format
+    asks, and return its exit code."""
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, "command": args.command, **fields}))
+    else:
+        print("\n".join(lines))
+    return 0 if ok else 1
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
@@ -70,122 +60,87 @@ def cmd_hodge_ideal(args) -> int:
     exponents = hodge_ideal_exponents(args.k, space)
     unit = all(e <= 0 for e in exponents)
     minimal = minimal_generators(args.k, space)
-    members = None
+    fields = {
+        "n": args.n,
+        "k": args.k,
+        "exponents": [{"p": p, "e": e} for p, e in enumerate(exponents, start=1)],
+        "unit_ideal": unit,
+        "minimal_generators": [list(mu) for mu in minimal],
+    }
+    lines = [f"Hodge ideal I_{args.k} of the determinant on {space} matrices"]
+    if exponents:
+        lines.append("symbolic-power exponents by minor size p:")
+        lines.extend(f"  p={p}: e={e}" for p, e in enumerate(exponents, start=1))
+    if unit:
+        lines.append("unit ideal (every exponent is <= 0)")
+    elif args.k == 2:
+        lines.append(f"note: I_2 = J_{args.n - 1}, the ideal of {args.n - 1}x{args.n - 1} minors")
+    lines.append(
+        "minimal generator weights: "
+        + ", ".join(_fmt_weight(strip_zeros(mu)) for mu in minimal)
+    )
     if args.box is not None:
         members = WeightSet(space, "HodgeIdeal", param=args.k).members(args.box)
-
-    if args.format == "json":
-        payload = _payload(
-            "hodge-ideal",
-            n=args.n,
-            k=args.k,
-            exponents=[{"p": p, "e": e} for p, e in enumerate(exponents, start=1)],
-            unit_ideal=unit,
-            minimal_generators=[list(mu) for mu in minimal],
-        )
-        if members is not None:
-            payload["members"] = [list(mu) for mu in members]
-        _print_json(payload)
-        return 0
-
-    print(f"Hodge ideal I_{args.k} of the determinant on {space} matrices")
-    if exponents:
-        print("symbolic-power exponents by minor size p:")
-        for p, e in enumerate(exponents, start=1):
-            print(f"  p={p}: e={e}")
-    if unit:
-        print("unit ideal (every exponent is <= 0)")
-    elif args.k == 2:
-        print(f"note: I_2 = J_{args.n - 1}, the ideal of {args.n - 1}x{args.n - 1} minors")
-    print(
-        "minimal generator weights: "
-        + (", ".join(_fmt_weight(strip_zeros(mu)) or "()" for mu in minimal))
-    )
-    if members is not None:
-        print(f"members with entries in [0, {args.box}]:")
-        for mu in members:
-            print(f"  {_fmt_weight(mu)}")
-    return 0
+        fields["members"] = [list(mu) for mu in members]
+        lines.append(f"members with entries in [0, {args.box}]:")
+        lines.extend(f"  {_fmt_weight(mu)}" for mu in members)
+    return _emit(args, fields, lines)
 
 
 def cmd_filtration(args) -> int:
     space = MatrixSpace(args.n, args.n)
-    result: dict = {"n": args.n, "k": args.k}
+    fields: dict = {"n": args.n, "k": args.k}
     lines = [f"Hodge filtration level k={args.k} on {space} matrices"]
     if args.weight is not None:
         p = classify(args.weight, space)
         member = in_Fk_Sdet(args.weight, args.k, space)
-        result.update(weight=list(args.weight), p=p, member=member)
+        fields.update(weight=list(args.weight), p=p, member=member)
         lines.append(f"weight {_fmt_weight(args.weight)}: stratum p={p}, member={member}")
     if args.box is not None:
         members = WeightSet(space, "FkSdet", param=args.k).members(args.box)
-        result["members"] = [list(lam) for lam in members]
+        fields["members"] = [list(lam) for lam in members]
         lines.append(f"members with entries in [-{args.box}, {args.box}]:")
         lines.extend(f"  {_fmt_weight(lam)}" for lam in members)
     if args.weight is None and args.box is None:
         gen = generation_level_Sdet(space)
-        result["generation_level"] = gen
+        fields["generation_level"] = gen
         lines.append(f"generation level: {gen}")
-
-    if args.format == "json":
-        _print_json(_payload("filtration", **result))
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    return _emit(args, fields, lines)
 
 
 def cmd_weights_table(args) -> int:
     space = MatrixSpace(args.m, args.n)
-    rows = []
-    for p in range(space.n, -1, -1):
-        st = Stratum(space, p)
-        row = {"p": p, "dim": dim_stratum(st), "codim": codim_stratum(st)}
-        if space.is_square:
-            w, k = square_weight_layer(space, p)
-            row.update(weight=w, twist=k, start_level=start_level(space, p, k), layer=w)
-        else:
-            w, k = local_cohomology_weight(space, p)
-            degree = local_cohomology_degree(st) if p < space.n else None
-            row.update(weight=w, twist=k, start_level=start_level(space, p, k), degree=degree)
-        rows.append(row)
-
-    if args.format == "json":
-        _print_json(_payload("weights-table", m=args.m, n=args.n, rows=rows))
-        return 0
-
+    rows = weight_ledger(space)
     last = "layer" if space.is_square else "degree"
-    print(f"weight ledger for {space} matrices")
-    header = f"{'p':>3} {'d_p':>5} {'c_p':>5} {'weight':>7} {'twist':>6} {'start':>6} {last:>7}"
-    print(header)
+    lines = [
+        f"weight ledger for {space} matrices",
+        f"{'p':>3} {'d_p':>5} {'c_p':>5} {'weight':>7} {'twist':>6} {'start':>6} {last:>7}",
+    ]
     for row in rows:
-        tail = row[last]
-        tail = "-" if tail is None else tail
-        print(
+        tail = "-" if row[last] is None else row[last]
+        lines.append(
             f"{row['p']:>3} {row['dim']:>5} {row['codim']:>5} "
             f"{row['weight']:>7} {row['twist']:>6} {row['start_level']:>6} {tail:>7}"
         )
-    return 0
+    return _emit(args, {"m": args.m, "n": args.n, "rows": rows}, lines)
 
 
 def cmd_decompose(args) -> int:
     space = MatrixSpace(args.m, args.n)
     route = "solver" if args.solve else "closed"
     table = pushforward_DpY(space, args.p, route=route)
-
     if args.format == "json":
-        # The table's own fields follow the payload's, as json.dumps would write them.
-        head = json.dumps(_payload("decompose", route=route))
+        # The table's JSON text is written straight from its coefficients;
+        # its fields follow the payload's, as json.dumps would write them.
+        head = json.dumps({"schema": SCHEMA, "command": args.command, "route": route})
         print(f"{head[:-1]}, {table.to_json()[1:]}")
         return 0
-
-    print(
+    lines = [
         f"pushforward multiplicities for the rank-{args.p} simple module "
         f"on {space} matrices ({route} form)"
-    )
-    for line in table.lines():
-        print(f"  {line}")
-    return 0
+    ]
+    lines.extend(f"  {line}" for line in table.lines())
+    return _emit(args, {}, lines)
 
 
 def cmd_hilbert(args) -> int:
@@ -194,62 +149,35 @@ def cmd_hilbert(args) -> int:
         {"d": d, "dim": hilbert_function(weight_set, d, box=args.box)}
         for d in range(args.dmax + 1)
     ]
-
-    if args.format == "json":
-        payload = _payload(
-            "hilbert",
-            set=weight_set.descriptor(),
-            dmax=args.dmax,
-            truncated=not weight_set.partitions_only,
-            values=values,
-        )
-        if args.box is not None:
-            payload["box"] = args.box
-        _print_json(payload)
-        return 0
-
-    print(f"graded dimensions of {weight_set.descriptor()}")
+    fields = {
+        "set": weight_set.descriptor(),
+        "dmax": args.dmax,
+        "truncated": not weight_set.partitions_only,
+        "values": values,
+    }
+    lines = [f"graded dimensions of {weight_set.descriptor()}"]
+    if args.box is not None:
+        fields["box"] = args.box
     if not weight_set.partitions_only:
-        print(f"(truncated to entries in [-{args.box}, {args.box}])")
-    for row in values:
-        print(f"  d={row['d']}: {row['dim']}")
-    return 0
+        lines.append(f"(truncated to entries in [-{args.box}, {args.box}])")
+    lines.extend(f"  d={row['d']}: {row['dim']}" for row in values)
+    return _emit(args, fields, lines)
 
 
 def cmd_oracle_check(args) -> int:
     space = MatrixSpace(args.n, args.n)
     if not 1 <= args.p <= args.n:
         raise ValueError(f"--p {args.p} outside 1..{args.n}")
-    bound = max(7, args.lmax)
-    lambdas = [
-        lam for size in range(args.lmax + 1) for lam in partitions_of(size, args.n)
-    ]
-    sampler = RankConstrainedSampler(space, args.p - 1, bound, args.seed)
-    reports = dcep_cross_validation_upto(
-        space, lambdas, args.p, args.dmax, sampler, args.trials
-    )
+    reports = suites.oracle_check(space, args.p, args.lmax, args.dmax, args.trials, args.seed)
     ok = all(r.ok for r in reports)
-
-    if args.format == "json":
-        payload = _payload(
-            "oracle-check",
-            n=args.n,
-            p=args.p,
-            dmax=args.dmax,
-            trials=args.trials,
-            seed=args.seed,
-            ok=ok,
-            reports=[r.to_json_obj() for r in reports],
-        )
-        _print_json(payload)
-    else:
-        print(
-            f"symbolic-power oracle check on {space} matrices, p={args.p}, "
-            f"trials={args.trials}, seed={args.seed}"
-        )
-        for r in reports:
-            print(f"  {r.summary()}")
-    return 0 if ok else 1
+    fields = dict(n=args.n, p=args.p, dmax=args.dmax, trials=args.trials, seed=args.seed, ok=ok)
+    fields["reports"] = [r.to_json_obj() for r in reports]
+    lines = [
+        f"symbolic-power oracle check on {space} matrices, p={args.p}, "
+        f"trials={args.trials}, seed={args.seed}"
+    ]
+    lines.extend(f"  {r.summary()}" for r in reports)
+    return _emit(args, fields, lines, ok)
 
 
 def cmd_verify(args) -> int:
@@ -262,21 +190,11 @@ def cmd_verify(args) -> int:
     spaces = suites.DESK_SPACES if args.m is None else [MatrixSpace(args.m, args.n)]
     reports = suites.run(args.suite, args.seed, spaces)
     ok = all(r.ok for r in reports)
-
-    if args.format == "json":
-        payload = _payload(
-            "verify",
-            suite=args.suite,
-            seed=args.seed,
-            ok=ok,
-            reports=[r.to_json_obj() for r in reports],
-        )
-        _print_json(payload)
-    else:
-        for r in reports:
-            print(r.summary())
-        print(f"verify {args.suite}: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    fields = {"suite": args.suite, "seed": args.seed, "ok": ok}
+    fields["reports"] = [r.to_json_obj() for r in reports]
+    lines = [r.summary() for r in reports]
+    lines.append(f"verify {args.suite}: {'PASS' if ok else 'FAIL'}")
+    return _emit(args, fields, lines, ok)
 
 
 def _seed(text: str) -> int | str:

@@ -5,14 +5,15 @@ rank-p locus with Tate twist k has weight d_p - 2k, and its Hodge
 filtration starts in level c_p + k. The functions below specialize the
 twist to the two situations of interest (the weight-graded layers of the
 localization at the determinant for square spaces, and the local
-cohomology modules for m > n) and cross-check the resulting numerology.
+cohomology modules for m > n), gather them per stratum in
+`weight_ledger`, and cross-check the resulting numerology.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum
+from .matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum, local_cohomology_degree
 from .reporting import VerificationReport
 from .repsets import in_Ukp
 from .weights import delta_p, dominant_tuples
@@ -50,27 +51,23 @@ def square_start_levels_consistency(space: MatrixSpace) -> VerificationReport:
         raise ValueError("this consistency check needs m = n")
     n = space.n
     report = VerificationReport("square-weight-ledger", {"n": n})
-    layers = [square_weight_layer(space, p) for p in range(n + 1)]
-    levels = [start_level(space, p, layers[p][1]) for p in range(n + 1)]
-    for p in range(n + 1):
-        w, _ = layers[p]
+    rows = weight_ledger(space)[::-1]
+    for p, row in enumerate(rows):
         report.checks += 1
-        if levels[p] != comb(n - p, 2):
-            report.add_failure(check="start-level", p=p, level=levels[p])
+        if row["start_level"] != comb(n - p, 2):
+            report.add_failure(check="start-level", p=p, level=row["start_level"])
         report.checks += 1
-        if (dim_stratum(Stratum(space, p)) - w) % 2:
-            report.add_failure(check="parity", p=p, weight=w)
-    for p in range(n):
+        if (row["dim"] - row["weight"]) % 2:
+            report.add_failure(check="parity", p=p, weight=row["weight"])
+    for p, (row, after) in enumerate(zip(rows, rows[1:])):
+        w, w_next = row["weight"], after["weight"]
         report.checks += 1
-        if layers[p][0] - layers[p + 1][0] != 1:
-            report.add_failure(
-                check="weight-step", p=p, w=layers[p][0], w_next=layers[p + 1][0]
-            )
+        if w - w_next != 1:
+            report.add_failure(check="weight-step", p=p, w=w, w_next=w_next)
+        level, l_next = row["start_level"], after["start_level"]
         report.checks += 1
-        if levels[p + 1] + (n - p - 1) != levels[p]:
-            report.add_failure(
-                check="level-step", p=p, l=levels[p], l_next=levels[p + 1]
-            )
+        if l_next + (n - p - 1) != level:
+            report.add_failure(check="level-step", p=p, l=level, l_next=l_next)
     return report
 
 
@@ -145,17 +142,37 @@ def local_weight_ledger_check(mmax: int) -> VerificationReport:
     report = VerificationReport("local-cohomology-weights", {"mmax": mmax})
     for m in range(2, mmax + 1):
         for n in range(1, m):
-            space = MatrixSpace(m, n)
-            for p in range(n + 1):
-                w, k = local_cohomology_weight(space, p)
-                d_p = dim_stratum(Stratum(space, p))
+            for row in weight_ledger(MatrixSpace(m, n)):
+                p, w, k = row["p"], row["weight"], row["twist"]
                 report.checks += 1
-                if w != d_p - 2 * k:
+                if w != row["dim"] - 2 * k:
                     report.add_failure(check="weight-twist", m=m, n=n, p=p, w=w, k=k)
                 report.checks += 1
                 if w != (n - p) * (m - n) + (m * n + n - p):
                     report.add_failure(check="degree-identity", m=m, n=n, p=p, w=w)
     return report
+
+
+def weight_ledger(space: MatrixSpace) -> list[dict]:
+    """The per-stratum ledger, p = n down to 0: one row per stratum with
+    its dimension d_p, codimension c_p, weight, Tate twist and start level.
+    The twist is the weight layer's for square spaces, and the row's
+    "layer" is its weight; for m > n the twist is the local cohomology
+    module's, and the row's "degree" is its cohomological degree (None at
+    p = n, the localization itself)."""
+    weight_twist = square_weight_layer if space.is_square else local_cohomology_weight
+    rows = []
+    for p in range(space.n, -1, -1):
+        st = Stratum(space, p)
+        w, k = weight_twist(space, p)
+        row = {"p": p, "dim": dim_stratum(st), "codim": codim_stratum(st)}
+        row.update(weight=w, twist=k, start_level=start_level(space, p, k))
+        if space.is_square:
+            row["layer"] = w
+        else:
+            row["degree"] = local_cohomology_degree(st) if p < space.n else None
+        rows.append(row)
+    return rows
 
 
 def generation_level_Sdet(space: MatrixSpace) -> int:

@@ -4,7 +4,8 @@ defines their grids.
 Each suite returns its list of reports and takes only what it uses: the
 oracle suite its seed, the decomposition suite its spaces. `run` runs one
 suite, or all of them, by name. The acceptance tests run these same
-suites.
+suites. `oracle_check` is the one oracle grid: the oracle suite runs it
+at fixed sizes and `dethodge oracle-check` at the sizes it is given.
 """
 
 from __future__ import annotations
@@ -69,17 +70,23 @@ def decomposition(spaces) -> list[VerificationReport]:
     return [solver_report] + reports
 
 
+def oracle_check(space, p, lmax, dmax, trials, seed) -> list[VerificationReport]:
+    """The line test against the weight predicate on the rank-p stratum,
+    for every partition of size at most lmax and d = 1..dmax: one report
+    per d. Lines through rank p-1 points have entries bounded by
+    B = max(7, lmax), here and nowhere else."""
+    lambdas = [lam for size in range(lmax + 1) for lam in partitions_of(size, space.n)]
+    sampler = RankConstrainedSampler(space, p - 1, max(7, lmax), seed)
+    return dcep_cross_validation_upto(space, lambdas, p, dmax, sampler, trials)
+
+
 def oracle(seed) -> list[VerificationReport]:
-    reports = []
-    for n in (2, 3):
-        space = MatrixSpace(n, n)
-        lambdas = [lam for size in range(7) for lam in partitions_of(size, n)]
-        for p in range(1, n + 1):
-            sampler = RankConstrainedSampler(space, p - 1, 7, seed)
-            reports.extend(
-                dcep_cross_validation_upto(space, lambdas, p, 4, sampler, trials=8)
-            )
-    return reports
+    return [
+        report
+        for n in (2, 3)
+        for p in range(1, n + 1)
+        for report in oracle_check(MatrixSpace(n, n), p, 6, 4, 8, seed)
+    ]
 
 
 def weights() -> list[VerificationReport]:

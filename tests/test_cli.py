@@ -279,19 +279,40 @@ def test_oracle_check(capsys):
     ],
 )
 def test_oracle_check_refuses_p_and_trials_before_any_work(capsys, monkeypatch, argv, flag):
-    import dethodge.cli as cli
+    import dethodge.suites as suites
 
     def no_work(*args, **kwargs):
         raise AssertionError("oracle work started before the arguments were checked")
 
-    monkeypatch.setattr(cli, "RankConstrainedSampler", no_work)
-    monkeypatch.setattr(cli, "dcep_cross_validation_upto", no_work)
+    # The command's one call into the library, and what that call samples with.
+    monkeypatch.setattr(suites, "oracle_check", no_work)
+    monkeypatch.setattr(suites, "RankConstrainedSampler", no_work)
+    monkeypatch.setattr(suites, "dcep_cross_validation_upto", no_work)
     try:
         code = main(["oracle-check", "--n", "2", *argv])
     except SystemExit as exit_:
         code = exit_.code
     assert code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_oracle_check_reports_what_verify_oracle_reports(capsys):
+    # Both commands run suites.oracle_check; at the suite's sizes they
+    # must give the same reports for every (n, p).
+    code, suite = run_json(capsys, "verify", "oracle", "--seed", "7")
+    assert code == 0
+    for n, p in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
+        code, payload = run_json(
+            capsys,
+            "oracle-check", "--n", str(n), "--p", str(p), "--lmax", "6",
+            "--dmax", "4", "--trials", "8", "--seed", "7",
+        )
+        assert code == 0
+        expected = [
+            r for r in suite["reports"] if (r["params"]["n"], r["params"]["p"]) == (n, p)
+        ]
+        assert len(expected) == 4
+        assert payload["reports"] == expected
 
 
 def test_verify_qidentity(capsys):

@@ -12,6 +12,7 @@ from dethodge.mhmweights import (
     square_start_levels_consistency,
     square_weight_layer,
     start_level,
+    weight_ledger,
 )
 from dethodge.repsets import in_Ukp
 from dethodge.weights import delta_p, dominant_tuples
@@ -56,6 +57,28 @@ def test_square_ledger_report():
         assert report.ok, report.failures
     ws = [square_weight_layer(MatrixSpace(1, 1), p)[0] for p in (0, 1)]
     assert ws == [2, 1]
+
+
+@pytest.mark.parametrize("m,n", [(8, 8), (10, 8)])
+def test_weight_ledger_beyond_the_golden_grid(m, n):
+    # The golden files pin weights-table up to 5x5 and 7x5; these shapes
+    # are checked against the closed forms instead.
+    rows = weight_ledger(MatrixSpace(m, n))
+    assert [row["p"] for row in rows] == list(range(n, -1, -1))
+    last = "layer" if m == n else "degree"
+    for row in rows:
+        p, w, k = row["p"], row["weight"], row["twist"]
+        assert list(row) == ["p", "dim", "codim", "weight", "twist", "start_level", last]
+        d_p, c_p = p * (m + n - p), (m - p) * (n - p)
+        assert (row["dim"], row["codim"]) == (d_p, c_p)
+        assert w == d_p - 2 * k
+        assert row["start_level"] == c_p + k
+        if m == n:
+            assert row["layer"] == w
+        elif p == n:
+            assert row["degree"] is None
+        else:
+            assert row["degree"] == 1 + (n - p) * (m - n)
 
 
 def test_local_cohomology_weight_values():
