@@ -59,6 +59,7 @@ from .qseries import (
     pushforward_DpY,
     pushforward_prefactor,
     q_binomial,
+    qbinomial_identity_verdicts,
     solve_pushforward_OYp,
     stalk_poly,
     verify_qbinomial_identity,

@@ -17,8 +17,11 @@ boxes:
 * ``minimal_generators``: the minimal partitions of I_k, the highest
   weights of its minimal generators;
 * ``verify_equivalence``: the exhaustive confrontation, walking each
-  weight box once for all the levels k it checks and deciding each
-  weight's filtration level (``repsets._Ukp_level``) once.
+  weight box once for all the levels k it checks. Both descriptions are
+  thresholds in k, so each weight's filtration level
+  (``repsets._Ukp_level``, the least k with the weight in F_k) and each
+  partition's Hodge-ideal level (``_hodge_ideal_level``, the largest k
+  with the partition in I_k) is computed once and compared with every k.
 
 GL-stable ideals are identified with their sets of dominant weights, so
 all ideal arithmetic here is predicate arithmetic on partitions. A
@@ -94,6 +97,18 @@ def _in_hodge_ideal(mu: tuple[int, ...], k: int, n: int) -> bool:
         if sum(mu[p - 1:]) < (n - p) * (k - 1) - comb(n - p, 2):
             return False
     return True
+
+
+def _hodge_ideal_level(mu: tuple[int, ...], n: int) -> int | float:
+    """The largest k with the partition mu (of length n) in the k-th Hodge
+    ideal, or inf when n = 1: the tail inequality of p < n reads
+    (n-p)*(k-1) <= T_p + comb(n-p, 2), with T_p = mu_p + ... + mu_n, and
+    holds exactly for k <= 1 + (T_p + comb(n-p, 2)) // (n-p). Its right
+    side grows with k, so I_k shrinks as k grows and membership is the
+    threshold k <= level; the p = n inequality always holds."""
+    # T_p for p = n down to 1, paired with j = n - p.
+    tails = enumerate(accumulate(reversed(mu)))
+    return min((1 + (t + comb(j, 2)) // j for j, t in tails if j), default=inf)
 
 
 def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
@@ -181,10 +196,13 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     min_s (lam_{s+1} + ... + lam_n + comb(n-s+1, 2)), so the family holds
     at level k exactly when k >= -slack. Both sides are thresholds in k,
     so where the level equals -slack they agree at every k, and only the
-    other weights are compared level by level: the skip is exact. The
-    partition side reads the level of translate(mu, k) from the walk,
-    and classifies it on its own only when it lies outside the box,
-    which needs k + 1 > bound. A negative k is refused before the walk.
+    other weights are compared level by level: the skip is exact. On the
+    partition side, Hodge-ideal membership is a threshold in k too: each
+    partition's `_hodge_ideal_level`, the largest k with mu in I_k, is
+    computed once and compared with every k. The filtration side reads
+    the level of translate(mu, k) from the walk, and classifies it on its
+    own only when it lies outside the box, which needs k + 1 > bound.
+    A negative k is refused before the walk.
     Each report lists its box failures first, then its partition
     failures."""
     if not space.is_square:
@@ -214,8 +232,9 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
             if lhs != rhs:
                 report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
     for mu in dominant_tuples(n, 0, bound):
+        ideal_level = _hodge_ideal_level(mu, n)
         for k, report in zip(ks, reports):
-            ideal = _in_hodge_ideal(mu, k, n)
+            ideal = k <= ideal_level
             lam = translate(mu, k)
             level = levels.get(lam)
             if level is None:

@@ -16,7 +16,7 @@ from math import comb
 from .matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum, local_cohomology_degree
 from .reporting import VerificationReport
 from .repsets import in_Ukp
-from .weights import delta_p, dominant_tuples
+from .weights import delta_p
 
 
 def start_level(space: MatrixSpace, p: int, k: int) -> int:
@@ -101,12 +101,16 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     module (square spaces) is nonzero exactly when k >= (n-p)^2, i.e. the
     support set U^p_{k - comb(n-p+1, 2)} is nonempty exactly then.
 
-    Nonemptiness is witnessed by the distinguished weight of the stratum;
-    emptiness below the threshold is scanned exhaustively over the
-    box-bounded dominant tails, whose largest sum is taken once per p and
-    compared with each level. (Membership constrains the head only
-    through lam_p >= p-n, which the constant head p-n satisfies inside
-    any box with bound >= n, so scanning tails is exhaustive.)
+    Every level is decided by one witness, the distinguished weight
+    delta^p = ((p-n)^n), through `in_Ukp`. Membership in W^p bounds every
+    tail entry lam_{p+1}, ..., lam_n by p-n, so every tail sum is at most
+    -(n-p)^2, and delta^p attains that bound. U^p_k asks only for a tail
+    sum of at least -comb(n-p+1, 2) - k, so it is an up-set in the tail:
+    raising a member's tail entries to p-n keeps it a member. Hence U^p_k
+    is nonempty exactly when it contains delta^p. Membership constrains
+    the head only through lam_p >= p-n, which the constant head p-n
+    satisfies, so the same holds inside any box with bound >= n, which
+    contains delta^p: the box is validated and recorded, but not walked.
     """
     if not space.is_square:
         raise ValueError("the filtration support check needs m = n")
@@ -118,17 +122,11 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     )
     for p in range(n + 1):
         threshold = (n - p) ** 2
-        top = max(map(sum, dominant_tuples(n - p, -box, p - n)))
         witness = delta_p(p, space)
+        offset = comb(n - p + 1, 2)
         for k in range(kmax + 1):
             expected = k >= threshold
-            if expected:
-                # membership of delta^p exhibits nonemptiness
-                observed = in_Ukp(witness, p, k - comb(n - p + 1, 2), space)
-            else:
-                # tail sum >= -k is the membership condition at this level,
-                # met by some tail exactly when the largest tail sum meets it
-                observed = top >= -k
+            observed = in_Ukp(witness, p, k - offset, space)
             report.checks += 1
             if observed != expected:
                 report.add_failure(p=p, k=k, expected=expected, observed=observed)

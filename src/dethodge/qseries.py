@@ -42,6 +42,11 @@ order, multiplying by (1 - q^(c+j)) and dividing by (1 - q^j) for each
 j; each division checks that its remainder is zero. A cold request
 continues from the longest prefix of its diagonal built so far, so a
 lone request does min(b, a-b) steps and a table's requests share theirs.
+
+`qbinomial_identity_verdicts(a, b, cmax)` checks the q-Vandermonde
+convolution for every c <= cmax of one (a, b), comparing both sides as
+packed integers in one slot width; `verify_qbinomial_identity` is its
+verdict at one c.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import chain, compress, islice
+from math import comb
 
 from .matrixspace import MatrixSpace, Stratum, dim_stratum
 from .reporting import VerificationReport
@@ -223,10 +229,6 @@ class LaurentPoly:
 
     def at_one(self) -> int:
         return sum(self._c)
-
-    def is_palindromic(self) -> bool:
-        """Coefficient list symmetric under reversal of the support."""
-        return self._c == self._c[::-1]
 
     def to_json(self) -> str:
         """The text `json.dumps` writes for the map from each exponent, as
@@ -605,7 +607,7 @@ class _Packing:
 
     def __init__(self, poly: LaurentPoly):
         self.poly = poly
-        self.total = poly.at_one() if all(v >= 0 for v in poly._c) else None
+        self.total = poly.at_one() if min(poly._c, default=0) >= 0 else None
         self.peak = max(map(abs, poly._c), default=0)
         self._by_width = {}
 
@@ -629,41 +631,89 @@ def _packing(a: int, b: int) -> _Packing:
     return entry
 
 
-def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:
+def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
     """Check the q-Vandermonde convolution
 
         qbin(a+b, c) = sum_{j=0}^c q^(j*(b-c+j)) * qbin(a, j) * qbin(b, c-j)
 
-    as an exact polynomial equality. (The exponent comes from comparing
-    z^c coefficients in the factorization of the q-Pochhammer symbol:
-    b*j + comb(j, 2) + comb(c-j, 2) - comb(c, 2) = j*(b-c+j).)
+    as an exact polynomial equality for each c = 0..cmax, and return the
+    verdicts in order of c. (The exponent comes from comparing z^c
+    coefficients in the factorization of the q-Pochhammer symbol:
+    b*j + comb(j, 2) + comb(c-j, 2) - comb(c, 2) = j*(b-c+j).) Since
+    qbin(x, y) is zero for y > x, only the terms with j <= a and
+    c-j <= b are formed, and qbin(a, j) and qbin(b, i) are fetched once
+    for all c.
 
-    Both sides are compared as single integers, each polynomial evaluated
-    at q = 256^w by packing its coefficients into w-byte slots. This is
-    exact: every coefficient is nonnegative and at most its side's value
-    at q = 1, which w bytes exceed, so no slot carries into the next and
-    equal integers mean equal coefficients. An operand with a negative
-    coefficient makes the check fail."""
-    lhs = _packing(a + b, c)
-    terms = []
-    for j in range(c + 1):
-        left = _packing(a, j)
-        if left.poly.is_zero:
+    An operand with a negative coefficient fails every c it enters.
+    Otherwise the values at q = 1 are compared first, those of every
+    right side at once as one product of the lists of operand values.
+    Where they agree, both sides are compared as single integers, each
+    polynomial evaluated at q = 256^w by packing its coefficients into
+    w-byte slots. This is exact: every coefficient is nonnegative and at
+    most the common value at q = 1, which w bytes exceed, so no slot
+    carries into the next and equal integers mean equal coefficients.
+    That value is comb(a+b, c) <= comb(a+b, (a+b)//2) when the identity
+    holds, so one width, taken from the latter, serves every c, and each
+    operand is packed once; a larger value, which only a wrong
+    q-binomial has, gets wider slots."""
+    if min(a, b, cmax) < 0:
+        raise ValueError("the q-binomial identity needs a, b, c >= 0")
+    lhs = [_packing(a + b, c) for c in range(cmax + 1)]
+    left = [_packing(a, j) for j in range(min(a, cmax) + 1)]
+    right = [_packing(b, i) for i in range(min(b, cmax) + 1)]
+    # The c that an operand with a negative coefficient enters.
+    refused = {c for c, side in enumerate(lhs) if side.total is None}
+    refused.update(j + i for j, l in enumerate(left) if l.total is None for i in range(len(right)))
+    refused.update(j + i for i, r in enumerate(right) if r.total is None for j in range(len(left)))
+    # The value at q = 1 of the right side of each c.
+    values = _convolve([l.total or 0 for l in left], [r.total or 0 for r in right])
+    values += [0] * (cmax + 1 - len(values))
+    width = _slot_width(comb(a + b, (a + b) // 2))
+    cap = 1 << (8 * width)
+    # The term of j lies at q^(j*(b-c+j)) * q^base or above, and
+    # j*(b-c+j) >= 0 since j >= c-b.
+    base = min(l.poly._lo for l in left) + min(r.poly._lo for r in right)
+    packed = {}  # slot width -> the operands packed by _packed_from_lowest
+    verdicts = []
+    for c, side in enumerate(lhs):
+        if c in refused or values[c] != side.total:
+            verdicts.append(False)
             continue
-        right = _packing(b, c - j)
-        if right.poly.is_zero:
-            continue
-        terms.append((j * (b - c + j) + left.poly._lo + right.poly._lo, left, right))
-    if lhs.total is None or any(l.total is None or r.total is None for _, l, r in terms):
-        return False
-    width = _slot_width(max(lhs.total, sum(l.total * r.total for _, l, r in terms)))
-    # Exponents from the lowest one on either side, so every shift is >= 0.
-    lo = min([lhs.poly._lo] + [exp for exp, _, _ in terms])
-    bits = 8 * width
-    rhs = 0
-    for exp, left, right in terms:
-        rhs += (left.packed(width) * right.packed(width)) << (bits * (exp - lo))
-    return lhs.packed(width) << (bits * (lhs.poly._lo - lo)) == rhs
+        w = width if side.total < cap else _slot_width(side.total)
+        if w not in packed:
+            packed[w] = (_packed_from_lowest(left, w), _packed_from_lowest(right, w))
+        left_int, right_int = packed[w]
+        bits = 8 * w
+        js = range(max(0, c - b), min(a, c) + 1)
+        rhs = sum((left_int[j] * right_int[c - j]) << (bits * j * (b - c + j)) for j in js)
+        side_lo = side.poly._lo
+        lo = min(side_lo, base)
+        verdicts.append(side.packed(w) << (bits * (side_lo - lo)) == rhs << (bits * (base - lo)))
+    return verdicts
+
+
+def _packed_from_lowest(packings: list, width: int) -> list:
+    """Each packing in slots of `width` bytes, as the polynomial divided by
+    q^low for the lowest exponent low of all of them, at q = 256^width.
+    A polynomial with a negative coefficient, or one too large for the
+    slots, is 0 instead, as no c compared at this width multiplies it by a
+    nonzero partner: every c the first enters is refused, and the second
+    would give the right side a coefficient at least its largest, beyond
+    the right side's value at q = 1, which fits the slots."""
+    low = min(pk.poly._lo for pk in packings)
+    cap = 1 << (8 * width)
+    return [
+        pk.packed(width) << (8 * width * (pk.poly._lo - low))
+        if pk.total is not None and pk.peak < cap
+        else 0
+        for pk in packings
+    ]
+
+
+def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:
+    """The q-Vandermonde convolution at one c: the verdict for c of
+    `qbinomial_identity_verdicts`."""
+    return qbinomial_identity_verdicts(a, b, c)[c]
 
 
 def pushforward_structure_checks(space: MatrixSpace, p: int) -> VerificationReport:

@@ -315,6 +315,39 @@ def test_oracle_check_reports_what_verify_oracle_reports(capsys):
         assert payload["reports"] == expected
 
 
+@pytest.fixture
+def sampler_bounds(monkeypatch):
+    """Rebind the oracle grid's sampler class to one that records the entry
+    bound B of each sampler the grid builds; returns the record."""
+    import dethodge.suites as suites
+
+    bounds = []
+
+    class Recording(RankConstrainedSampler):
+        def __init__(self, space, rank, bound=7, seed=0, key=()):
+            bounds.append(bound)
+            super().__init__(space, rank, bound, seed, key)
+
+    monkeypatch.setattr(suites, "RankConstrainedSampler", Recording)
+    return bounds
+
+
+@pytest.mark.parametrize(
+    "argv,bound", [((), 7), (("--lmax", "3"), 7), (("--lmax", "9"), 9)]
+)
+def test_oracle_check_entry_bound_is_max_of_7_and_lmax(capsys, sampler_bounds, argv, bound):
+    code, payload = run_json(capsys, "oracle-check", "--n", "2", "--p", "1", *argv)
+    assert code == 0 and payload["ok"]
+    assert sampler_bounds == [bound]
+
+
+def test_verify_oracle_entry_bound_is_7(capsys, sampler_bounds):
+    # The suite runs the grid at lmax 6 for every (n, p) with n = 2, 3.
+    code, payload = run_json(capsys, "verify", "oracle")
+    assert code == 0 and payload["ok"]
+    assert sampler_bounds == [7] * 5
+
+
 def test_verify_qidentity(capsys):
     code, out = run(capsys, "verify", "qidentity")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 from math import comb
 
 import pytest
@@ -341,6 +342,34 @@ def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):
         assert failure["inequalities"] and not failure["filtration"]
     for failure in on_partitions:
         assert failure["ideal"] and not failure["filtration"]
+
+
+def test_hodge_ideal_level_is_the_membership_threshold():
+    # mu lies in I_k exactly for k <= level: the threshold property and the
+    # closed form at once, against the tail inequalities one k at a time.
+    for n in range(1, 7):
+        for mu in dominant_tuples(n, 0, 8):
+            level = hodgeideals._hodge_ideal_level(mu, n)
+            assert [hodgeideals._in_hodge_ideal(mu, k, n) for k in range(11)] == [
+                k <= level for k in range(11)
+            ], mu
+            assert (level == math.inf) == (n == 1)
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["loose-level", "strict-level"])
+def test_verify_equivalence_sees_a_hodge_ideal_level_off_by_one(monkeypatch, shift):
+    # A Hodge-ideal level one too high admits the partitions just outside
+    # I_k, one too low rejects those on its boundary: failures on the
+    # partition side only, each with the ideal side wrong in that direction.
+    level = hodgeideals._hodge_ideal_level
+    monkeypatch.setattr(
+        hodgeideals, "_hodge_ideal_level", lambda mu, n: level(mu, n) + shift
+    )
+    [report] = verify_equivalence(MatrixSpace(2, 2), [2], 6)
+    assert not report.ok
+    assert all("partition" in f for f in report.failures)
+    for failure in report.failures:
+        assert failure["ideal"] == (shift > 0) != failure["filtration"]
 
 
 def test_rank_one_filtration_levels():

@@ -1,4 +1,3 @@
-from itertools import chain
 from math import comb
 
 import pytest
@@ -125,14 +124,14 @@ def test_filtration_support_small():
         filtration_support_check(MatrixSpace(3, 3), 4, 2)
 
 
-def scan_support_failures(space, kmax, box, tails=dominant_tuples):
-    # Reference for filtration_support_check's largest tail sum: every
-    # tail is tested against every level k below the threshold.
+def scan_support_failures(space, kmax, box):
+    # Slow reference for filtration_support_check: below the threshold,
+    # every box tail is tested against every level k.
     n = space.n
     failures = []
     for p in range(n + 1):
         threshold = (n - p) ** 2
-        tail_sums = [sum(t) for t in tails(n - p, -box, p - n)]
+        tail_sums = [sum(t) for t in dominant_tuples(n - p, -box, p - n)]
         witness = delta_p(p, space)
         for k in range(kmax + 1):
             expected = k >= threshold
@@ -153,22 +152,29 @@ def test_filtration_support_matches_the_per_k_scan():
         assert report.checks == (n + 1) * (kmax + 1)
 
 
-@pytest.mark.parametrize("extra_sum", [0, -1, -3, -8])
-def test_filtration_support_and_the_scan_see_the_same_stray_tail(monkeypatch, extra_sum):
-    # One stray tail with the given sum, fed to both: the maximum must fail
-    # at exactly the levels where the per-k scan fails.
-    import dethodge.mhmweights as mhm
+@pytest.mark.parametrize("shift", [1, -1], ids=["strict-core", "loose-core"])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_filtration_support_fails_at_the_boundary_of_a_shifted_core(monkeypatch, shift, n):
+    # A U^p_k core whose levels sit one too high rejects the witness at the
+    # threshold k = (n-p)^2; one whose levels sit one too low admits it at
+    # k = (n-p)^2 - 1, which exists for p < n. Every other level agrees.
+    import dethodge.repsets as repsets
 
-    def with_stray(length, lo, hi):
-        stray = [(0,) * (length - 1) + (extra_sum,)] if length else []
-        return chain(dominant_tuples(length, lo, hi), stray)
-
-    space = MatrixSpace(3, 3)
-    monkeypatch.setattr(mhm, "dominant_tuples", with_stray)
-    report = filtration_support_check(space, 18, 9)
-    expected = scan_support_failures(space, 18, 9, with_stray)
+    core = repsets._Ukp_level
+    monkeypatch.setattr(
+        repsets, "_Ukp_level", lambda lam, p, space: core(lam, p, space) + shift
+    )
+    kmax = 2 * n * n
+    report = filtration_support_check(MatrixSpace(n, n), kmax, 3 * n)
+    boundary = [(p, (n - p) ** 2 - (shift < 0)) for p in range(n + 1)]
+    expected = [
+        {"p": p, "k": k, "expected": shift > 0, "observed": shift < 0}
+        for p, k in boundary
+        if 0 <= k <= kmax
+    ]
     assert expected
     assert report.failures == expected
+    assert report.checks == (n + 1) * (kmax + 1)
 
 
 def test_ledger_invariants_raise_when_broken(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dethodge import qseries
+from dethodge import qseries, suites
 from dethodge.matrixspace import MatrixSpace, Stratum, dim_stratum
 from dethodge.qseries import (
     SCHOOLBOOK_BELOW,
@@ -18,6 +18,7 @@ from dethodge.qseries import (
     pushforward_DpY,
     pushforward_prefactor,
     q_binomial,
+    qbinomial_identity_verdicts,
     solve_pushforward_OYp,
     stalk_poly,
     verify_qbinomial_identity,
@@ -99,7 +100,7 @@ def test_q_binomial_shape():
             f = q_binomial(a, b)
             assert f.at_one() == comb(a, b)
             assert all(v > 0 for v in f.coefficients())
-            assert f.is_palindromic()
+            assert f.coefficients() == f.coefficients()[::-1]
             if f.at_one() > 1 or b in (0, a):
                 assert f.min_exp == 0 and f.max_exp == b * (a - b)
 
@@ -221,6 +222,45 @@ def test_qbinomial_identity_examples():
                 assert laurent_identity(a, b, c), (a, b, c)
 
 
+def test_identity_verdicts_match_the_laurent_sums():
+    # One call per (a, b) decides every c, as the Laurent sums do one by one.
+    for a in range(13):
+        for b in range(13):
+            verdicts = qbinomial_identity_verdicts(a, b, 12)
+            assert verdicts == [laurent_identity(a, b, c) for c in range(13)], (a, b)
+            assert all(verdicts)
+    assert qbinomial_identity_verdicts(3, 4, 0) == [True]
+    for args in ((-1, 2, 3), (2, -1, 3), (2, 3, -1)):
+        with pytest.raises(ValueError):
+            qbinomial_identity_verdicts(*args)
+    with pytest.raises(ValueError):
+        verify_qbinomial_identity(2, 3, -1)
+
+
+def test_qidentity_suite_reports_exactly_what_a_bumped_coefficient_breaks(monkeypatch):
+    # qbin(5, 2) with its q^3 coefficient raised by one: every (a, b, c)
+    # whose convolution it enters on one side only must fail, in
+    # (a, b, c) order, and no other. Where it enters both sides alike,
+    # as qbin(5, 2) = q^0 * qbin(5, 2) * qbin(0, 0), the identity holds.
+    genuine = qseries.q_binomial
+    bumped = genuine(5, 2) + LaurentPoly.monomial(3)
+    monkeypatch.setattr(
+        qseries, "q_binomial", lambda a, b: bumped if (a, b) == (5, 2) else genuine(a, b)
+    )
+    [report] = suites.qidentity()
+    cases = [(a, b, c) for a in range(13) for b in range(13) for c in range(13)]
+    expected = [dict(a=a, b=b, c=c) for a, b, c in cases if not laurent_identity(a, b, c)]
+    assert report.checks == len(cases) == 2197
+    assert report.failures == expected
+    failing = {(f["a"], f["b"], f["c"]) for f in expected}
+    enters = {
+        (a, b, c)
+        for a, b, c in cases
+        if (a + b, c) == (5, 2) or (a == 5 and 2 <= c <= b + 2) or (b == 5 and 2 <= c <= a + 2)
+    }
+    assert failing == enters - {(5, 0, 2), (0, 5, 2)}
+
+
 def _top_term_added(poly, b):
     # The top coefficient raised by one: same support, at_one one higher.
     return poly + LaurentPoly.monomial(poly.max_exp)
@@ -270,6 +310,36 @@ def test_packed_identity_sees_a_perturbed_q_binomial(monkeypatch, perturb):
     monkeypatch.undo()
     # No packing of a perturbed polynomial outlives the perturbation.
     assert all(verify_qbinomial_identity(*case) for case in cases)
+
+
+@pytest.mark.parametrize(
+    "patch,case,holds",
+    [
+        # In one-byte slots 16 * 16 carries: 256 + 256q reads as q + q^2.
+        (
+            {(1, 0): LaurentPoly({0: 16}), (1, 1): LaurentPoly({0: 16}),
+             (2, 1): LaurentPoly({1: 1, 2: 1})},
+            (1, 1, 1),
+            False,
+        ),
+        # A negative operand is refused, even where the left side is zero.
+        ({(1, 0): LaurentPoly({0: 1, 1: -1}), (2, 1): LaurentPoly()}, (1, 1, 1), False),
+        # A value at q = 1 beyond comb(a+b, (a+b)//2) = 1 needs wider slots.
+        ({(1, 1): LaurentPoly({0: 300})}, (1, 0, 1), True),
+    ],
+    ids=["carry", "negative", "wide"],
+)
+def test_packed_identity_keeps_its_guards(monkeypatch, patch, case, holds):
+    # Each perturbation slips through one guard of the packed comparison
+    # if that guard is dropped: the value check, the refusal of negative
+    # coefficients, the wider slots.
+    genuine = qseries.q_binomial
+    monkeypatch.setattr(
+        qseries, "q_binomial", lambda a, b: patch[a, b] if (a, b) in patch else genuine(a, b)
+    )
+    assert verify_qbinomial_identity(*case) == laurent_identity(*case) == holds
+    a, b, _ = case
+    assert qbinomial_identity_verdicts(a, b, 3) == [laurent_identity(a, b, c) for c in range(4)]
 
 
 def test_pushforward_structure_reports():
