@@ -224,7 +224,8 @@ def _positive(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the whole command line, on every call. Subcommand
-    ``x-y`` runs ``cmd_x_y``."""
+    ``x-y`` runs ``cmd_x_y``. The parser's ``subcommands`` attribute maps
+    each subcommand to its own parser."""
     parser = argparse.ArgumentParser(
         prog="dethodge",
         description="Exact combinatorics of Hodge ideals and filtrations on determinantal strata.",
@@ -283,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="decomposition suite only")
     add_format(p)
 
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -291,12 +293,29 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one request. A request that names its subcommand
+    first is parsed by that subcommand's parser alone; everything else
+    (no arguments, a leading option, an unknown subcommand or an argument
+    the subcommand does not know) goes to the full parser, which prints
+    the help or the error. The subcommand's parser is the one the full
+    parser hands the same arguments to, so both routes read them alike."""
+    parser = _shared_parser()
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, rest = subparser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     """Run one subcommand. May be called any number of times in one
     process: the parser is built on the first call and reused, and it holds
     no state between calls. The subcommand's ``cmd_*`` function is looked
     up by name on each call, so a rebound name takes effect."""
-    args = _shared_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

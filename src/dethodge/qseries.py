@@ -11,7 +11,17 @@ polynomials f_i(q) are pinned down by a triangular system solvable by
 exact back-substitution. The closed form is a shifted q-binomial, so the
 solver doubles as an identity checker. The solver works in t = q^2 on
 the shifted unknowns g_i = f_i * q^((p-i)(m+n-p-i)), where the system has
-no shifts, and sums each row's products as one packed big integer.
+no shifts, and sums each row's products as one packed big integer. Each
+g_i is kept without its leading zeros, as its lowest exponent and its
+coefficients from there, and each product is shifted into place in the
+sum (`_packed_sum`).
+
+`pushforward_DpY` multiplies that table by a q-binomial prefactor. On
+the closed route it builds the products in t along their diagonal, entry
+i-1 from entry i by one multiplication by (1 - t^s) and one checked
+division by (1 - t^j), with no polynomial products. On the solver route
+it packs the prefactor once per table and multiplies each solved entry
+by that one packing.
 
 A `LaurentPoly` is dense: the exponent of its lowest term and the tuple
 of coefficients from there to its highest term, with no zeros at either
@@ -42,6 +52,8 @@ order, multiplying by (1 - q^(c+j)) and dividing by (1 - q^j) for each
 j; each division checks that its remainder is zero. A cold request
 continues from the longest prefix of its diagonal built so far, so a
 lone request does min(b, a-b) steps and a table's requests share theirs.
+A division by 1 - q^j is a prefix sum along each residue class mod j
+when there are fewer classes than blocks of j, else blockwise additions.
 
 `qbinomial_identity_verdicts(a, b, cmax)` checks the q-Vandermonde
 convolution for every c <= cmax of one (a, b), comparing both sides as
@@ -55,7 +67,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, islice
 from math import comb
 
 from .matrixspace import MatrixSpace, Stratum, dim_stratum
@@ -358,20 +370,23 @@ def _convolve(a, b) -> list:
     # Kronecker substitution.
     a_abs, b_abs = list(map(abs, a)), list(map(abs, b))
     width = _slot_width(_product_bound(max(a_abs), sum(a_abs), max(b_abs), sum(b_abs)))
-    pair = (_pack_signed(a, width), _pack_signed(b, width))
-    return _packed_sum([pair], width, len(a) + len(b) - 1)
+    product = (_pack_signed(a, width), _pack_signed(b, width), 0)
+    return _packed_sum([product], width, len(a) + len(b) - 1)
 
 
 def _packed_sum(products, width: int, count: int) -> list:
-    """The first `count` coefficients of the sum of the products a*b, given
-    as pairs of `_pack_signed` packings of a and b in slots of `width`
-    bytes. The slots must hold the sum of the products of the positive
-    parts and the negative parts alike, or a slot carries into the next."""
+    """The first `count` coefficients of the sum of the products
+    a * b * q^offset, given as triples of the `_pack_signed` packings of a
+    and b in slots of `width` bytes and the offset in slots: each product
+    is formed from its operands alone and shifted into place. The slots
+    must hold the sum of the products of the positive parts and the
+    negative parts alike, or a slot carries into the next."""
     positive = negative = 0
-    for (a_pos, a_neg), (b_pos, b_neg) in products:
-        positive += a_pos * b_pos + a_neg * b_neg
+    bits = 8 * width
+    for (a_pos, a_neg), (b_pos, b_neg), offset in products:
+        positive += (a_pos * b_pos + a_neg * b_neg) << (bits * offset)
         if a_neg or b_neg:
-            negative += a_pos * b_neg + a_neg * b_pos
+            negative += (a_pos * b_neg + a_neg * b_pos) << (bits * offset)
     out = _unpack(positive, width, count)
     if negative:
         out = list(map(operator.sub, out, _unpack(negative, width, count)))
@@ -388,10 +403,16 @@ def _times_one_minus_q(coeffs: list, s: int) -> list:
 def _divide_one_minus_q(coeffs: list, j: int) -> list:
     """Coefficients of f(q) / (1 - q^j), from those of a polynomial f;
     raises ArithmeticError unless the division is exact. The quotient h
-    satisfies h[i] = f[i] + h[i-j], which is filled in blocks of j."""
+    satisfies h[i] = f[i] + h[i-j]: a prefix sum along each residue class
+    mod j when there are fewer classes than blocks (j * j < len(f)), else
+    filled in blocks of j."""
     h = list(coeffs)
-    for i in range(j, len(h), j):
-        h[i : i + j] = map(operator.add, h[i : i + j], h[i - j : i])
+    if j * j < len(h):
+        for r in range(j):
+            h[r::j] = accumulate(h[r::j])
+    else:
+        for i in range(j, len(h), j):
+            h[i : i + j] = map(operator.add, h[i : i + j], h[i - j : i])
     if len(h) <= j or any(h[len(h) - j :]):
         raise ArithmeticError(f"inexact division by 1 - q^{j}")
     return h[: len(h) - j]
@@ -508,11 +529,15 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
 
         g_k(t) = qbin(m-k, p-k)(t) - sum_{i>k} g_i(t) * qbin(n-k, i-k)(t),
 
-    with no shifts. Each row's sum is one big integer (`_packed_sum`):
-    every g_i and q-binomial is packed into slots of one width, wide
-    enough for the sum over the row's products of `_product_bound`, so no
-    slot carries. The coefficients of B = qbin(n-k, i-k) are nonnegative
-    and sum to comb(n-k, i-k), so the bound of g_i * B is at most
+    with no shifts. Each g_i is kept as its lowest exponent in t, which is
+    (p-i)(n-i) for the true table, and its coefficients from there, so
+    its leading zeros are neither packed nor multiplied: each product
+    g_i * qbin(n-k, i-k) is formed from the coefficients and shifted into
+    place. Each row's sum is one big integer (`_packed_sum`): every g_i
+    and q-binomial is packed into slots of one width, wide enough for the
+    sum over the row's products of `_product_bound`, so no slot carries.
+    The coefficients of B = qbin(n-k, i-k) are nonnegative and sum to
+    comb(n-k, i-k), so the bound of g_i * B is at most
     max|g_i| * comb(n-k, i-k): it grows with the largest coefficient of
     g_i, not with their sum. A g_i with a negative coefficient is split
     into its positive and negative parts, as in `_convolve`. Each g_i is
@@ -520,37 +545,43 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
-    g: dict[int, list] = {}  # coefficients of g_i(t) from t^0, no zeros at the top
+    g: dict[int, tuple[int, list]] = {}  # (lowest exponent of g_i(t), coefficients from there)
     peak: dict[int, int] = {}  # max |coefficient| of g_i
     norm: dict[int, int] = {}  # sum of |coefficients| of g_i
     packed: dict[tuple[int, int], tuple[int, int]] = {}  # (i, width) -> _pack_signed
     for k in range(p, -1, -1):
         row = list(q_binomial(m - k, p - k)._c)
-        terms = [i for i in range(k + 1, p + 1) if g[i]]
+        terms = [i for i in range(k + 1, p + 1) if g[i][1]]
         if terms:
             qbins = {i: _packing(n - k, i - k) for i in terms}
             width = _slot_width(
                 sum(_product_bound(peak[i], norm[i], qbins[i].peak, qbins[i].total) for i in terms)
             )
-            count = max(len(g[i]) + (i - k) * (n - i) for i in terms)
+            count = max(g[i][0] + len(g[i][1]) + (i - k) * (n - i) for i in terms)
             products = []
             for i in terms:
                 if (i, width) not in packed:
-                    packed[i, width] = _pack_signed(g[i], width)
-                products.append((packed[i, width], (qbins[i].packed(width), 0)))
+                    packed[i, width] = _pack_signed(g[i][1], width)
+                products.append((packed[i, width], (qbins[i].packed(width), 0), g[i][0]))
             total = _packed_sum(products, width, count)
             row += [0] * (count - len(row))
             row[:count] = map(operator.sub, row[:count], total)
             while row and not row[-1]:
                 row.pop()
-        g[k] = row
-        peak[k], norm[k] = max(map(abs, row), default=0), sum(map(abs, row))
-    f = {}
-    for k, row in g.items():
-        stretched = [0] * (2 * len(row) - 1) if row else []
-        stretched[::2] = row
-        f[k] = _trimmed(-(p - k) * (m + n - p - k), stretched)
+        low = row.index(next(filter(None, row))) if row else 0
+        coeffs = row[low:]
+        g[k] = low, coeffs
+        peak[k], norm[k] = max(map(abs, coeffs), default=0), sum(map(abs, coeffs))
+    f = {k: _stretched(2 * low - (p - k) * (m + n - p - k), row) for k, (low, row) in g.items()}
     return DecompositionTable(space, p, f)
+
+
+def _stretched(lo: int, coeffs) -> LaurentPoly:
+    """q^lo * f(q^2), from the coefficients of a polynomial f that start
+    and end nonzero."""
+    out = [0] * (2 * len(coeffs) - 1) if coeffs else []
+    out[::2] = coeffs
+    return _dense(lo, tuple(out))
 
 
 def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
@@ -579,23 +610,65 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
     module on the maximal-rank resolution:
 
         entries[i] = q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2
-                     * q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2.
+                     * q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2,
 
-    The second factor, the table of the rank-p resolution's structure
-    sheaf, comes from `closed_form_OYp` on route "closed" and from the
-    triangular solver `solve_pushforward_OYp` on route "solver".
+    the `pushforward_prefactor` times the table of the rank-p resolution's
+    structure sheaf. Route "closed" builds the entries in t = q^2 along
+    their diagonal: entry p is the prefactor, and entry i-1 is entry i
+    times (1 - t^(m-n-p+i)) / (1 - t^(p-i+1)), each division checked to be
+    exact, until the factor 1 - t^0 makes the rest vanish. Route "solver"
+    solves the structure sheaf's table with `solve_pushforward_OYp` and
+    multiplies each entry by the prefactor, packed once per table.
     """
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     if route == "closed":
-        base = closed_form_OYp(space, p)
+        rows = _closed_rows(space, p)
     elif route == "solver":
-        base = solve_pushforward_OYp(space, p)
+        rows = _solved_rows(space, p)
     else:
         raise ValueError(f"unknown route {route!r}; expected 'closed' or 'solver'")
-    prefactor = pushforward_prefactor(space, p)
-    entries = {i: prefactor * poly for i, poly in base.entries.items()}
+    m, n = space.m, space.n
+    entries = {
+        i: _stretched(-(n - p) * (m - n) + lo, row) for i, (lo, row) in rows.items()
+    }
     return DecompositionTable(space, p, entries)
+
+
+def _closed_rows(space: MatrixSpace, p: int) -> dict[int, tuple[int, list]]:
+    """Each entry i of the rank-p table in t = q^2, divided by the
+    prefactor's power of q, as (lowest exponent in q, coefficients in t):
+    qbin(m-p, n-p) * qbin(m-n, p-i), by the recurrence along the
+    diagonal of qbin(m-n, .)."""
+    m, n = space.m, space.n
+    row = q_binomial(m - p, n - p)._c
+    rows = {p: (0, row)}
+    for i in range(p, 0, -1):
+        s = m - n - p + i
+        if not s:
+            break
+        row = _divide_one_minus_q(_times_one_minus_q(row, s), p - i + 1)
+        rows[i - 1] = (-(s - 1) * (p - i + 1), row)
+    return rows
+
+
+def _solved_rows(space: MatrixSpace, p: int) -> dict[int, tuple[int, list]]:
+    """The rows of `_closed_rows` from the solved table: each entry's even
+    slots (the solver writes no others) times the prefactor
+    qbin(m-p, n-p), packed once for the whole table in slots wide enough
+    for every product."""
+    m, n = space.m, space.n
+    base = solve_pushforward_OYp(space, p).entries
+    prefactor = _packing(m - p, n - p)
+    evens = {i: poly._c[::2] for i, poly in base.items()}
+    width = _slot_width(
+        max(_product_bound(prefactor.peak, prefactor.total, max(c), sum(c)) for c in evens.values())
+    )
+    packed, tail = prefactor.packed(width), len(prefactor.poly._c) - 1
+    return {
+        i: (base[i]._lo, _unpack(_pack(c, width) * packed, width, len(c) + tail))
+        for i, c in evens.items()
+    }
 
 
 class _Packing:

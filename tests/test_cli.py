@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +473,54 @@ def test_build_parser_returns_a_new_parser_on_each_call():
     first, second = build_parser(), build_parser()
     assert first is not second
     assert first.format_help() == second.format_help()
+
+
+# -- one parse per request ----------------------------------------------------
+
+USAGE_GOLDEN = Path(__file__).resolve().parent / "golden" / "usage.json"
+DECOMPOSE = ["decompose", "--m", "3", "--n", "2", "--p", "1"]
+PARITY_CALLS = [record["argv"] for record in json.loads(USAGE_GOLDEN.read_text())] + [
+    [*DECOMPOSE, "--bogus"],  # an unknown option after the subcommand
+    [*DECOMPOSE, "extra"],  # a stray positional
+    [*DECOMPOSE, "--sol"],  # an abbreviated option
+    [*DECOMPOSE, "--format=json"],
+    [*DECOMPOSE, "--"],
+    ["decompose", "--m", "3", "--n", "2", "--", "--p", "1"],
+    ["verify", "--", "nonsense"],
+    [],
+    ["-h"],
+    ["-h", "decompose"],
+    ["--format", "json", "decompose"],
+    ["bogus", "--m", "3"],
+    ["weights-table"],
+]
+
+
+def invoke(argv):
+    """(exit code, stdout, stderr) of one in-process ``main(argv)`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARITY_CALLS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_a_request_reads_the_same_through_its_subcommand_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = invoke(argv)
+    # With no subcommand parser to find, every request goes through the full parser.
+    monkeypatch.setattr(cli._shared_parser(), "subcommands", {})
+    assert direct == invoke(argv)
+
+
+def test_a_well_formed_request_skips_the_full_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser was used")
+
+    monkeypatch.setattr(cli._shared_parser(), "parse_args", refuse)
+    assert invoke([*DECOMPOSE, "--solve", "--format", "json"])[0] == 0
+    with pytest.raises(AssertionError):
+        invoke([*DECOMPOSE, "--bogus"])

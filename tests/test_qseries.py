@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 from math import comb
 
@@ -190,14 +191,36 @@ def test_pushforward_parity():
 
 
 def test_pushforward_prefactor_consistency():
-    space = MatrixSpace(4, 2)
-    for p in range(3):
-        pre = pushforward_prefactor(space, p)
-        base = solve_pushforward_OYp(space, p)
-        rebuilt = DecompositionTable(
-            space, p, {i: pre * f for i, f in base.entries.items()}
-        )
-        assert rebuilt == pushforward_DpY(space, p)
+    # Both routes against the product oracle: the prefactor times the
+    # structure sheaf's table, by LaurentPoly products, with that table from
+    # the closed form and from the reference solver.
+    spaces = [MatrixSpace(m, n) for m in range(1, 9) for n in range(1, min(m, 5) + 1)]
+    for space in spaces + [MatrixSpace(40, 20)]:
+        for p in range(space.n + 1):
+            pre = pushforward_prefactor(space, p)
+            tables = {route: pushforward_DpY(space, p, route=route) for route in ("closed", "solver")}
+            for base in (closed_form_OYp(space, p), solve_by_stretched_substitution(space, p)):
+                for route, table in tables.items():
+                    assert table.entries.keys() == base.entries.keys(), (space, p, route)
+                    for i, f in base.entries.items():
+                        assert table.entries[i] == pre * f, (space, p, route, i)
+
+
+def test_the_closed_route_checks_its_divisions(monkeypatch):
+    space, p = MatrixSpace(7, 4), 3
+    pushforward_prefactor(space, p)  # the prefactor's q-binomial is cached and correct
+    original = qseries._times_one_minus_q
+
+    def corrupted(coeffs, s):
+        out = original(coeffs, s)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(qseries, "_times_one_minus_q", corrupted)
+    with pytest.raises(ArithmeticError):
+        pushforward_DpY(space, p)
+    monkeypatch.undo()
+    assert pushforward_DpY(space, p) == pushforward_DpY(space, p, route="solver")
 
 
 def laurent_identity(a, b, c):
@@ -592,6 +615,23 @@ def test_q_binomial_division_steps_are_checked(monkeypatch):
     assert q_binomial(7, 3) == qbin_by_subsets(7, 3)
 
 
+@pytest.mark.parametrize("length", [1, 2, 5, 16, 17, 40, 101])
+def test_division_by_one_minus_q_on_both_sides_of_the_square_root(length):
+    # Prefix sums per residue class when j * j < len, block additions otherwise.
+    rng = random.Random(f"divide|{length}")
+    sides = set()
+    for j in range(1, length + 12):
+        f = [rng.randint(-(2**70), 2**70) for _ in range(length)]
+        product = qseries._times_one_minus_q(f, j)
+        sides.add(j * j < len(product))
+        assert qseries._divide_one_minus_q(product, j) == f, (length, j)
+        bumped = list(product)
+        bumped[rng.randrange(len(bumped))] += rng.choice((-1, 1))
+        with pytest.raises(ArithmeticError):
+            qseries._divide_one_minus_q(bumped, j)
+    assert sides == {True, False}
+
+
 def clear_q_binomial_caches():
     """Make every q_binomial cold: its lru_cache and its diagonals."""
     q_binomial.cache_clear()
@@ -645,9 +685,13 @@ def test_solver_matches_the_stretched_substitution():
 
 @given(st.lists(st.tuples(polys(max_len=20), polys(max_len=20)), min_size=1, max_size=4))
 def test_packed_sum_matches_sparse_reference(pairs):
-    # The kernel reads coefficient lists from t^0: take each operand from its lowest term.
-    pairs = [(f.shift(-f.min_exp), g.shift(-g.min_exp)) for f, g in pairs if f and g]
+    # The kernel reads coefficient lists from t^0 and shifts each product into
+    # place: take g from its lowest term, and f's lowest term above the lowest
+    # of all f as the product's slot offset.
+    pairs = [(f, g.shift(-g.min_exp)) for f, g in pairs if f and g]
     assume(pairs)
+    low = min(f.min_exp for f, _ in pairs)
+    pairs = [(f.shift(-low), g) for f, g in pairs]
     expected = LaurentPoly.zero()
     for f, g in pairs:
         expected = LaurentPoly(ref_add(expected, LaurentPoly(ref_mul(f, g))))
@@ -656,7 +700,8 @@ def test_packed_sum_matches_sparse_reference(pairs):
     width = qseries._slot_width(sum(norm(f) * norm(g) for f, g in pairs))
     count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
     products = [
-        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width)) for f, g in pairs
+        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width), f.min_exp)
+        for f, g in pairs
     ]
     got = qseries._packed_sum(products, width, count)
     assert len(got) == count
@@ -710,7 +755,8 @@ def test_packed_sum_at_the_coefficient_level_width(pairs):
     width = qseries._slot_width(sum(product_bound(f, g) for f, g in pairs))
     count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
     products = [
-        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width)) for f, g in pairs
+        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width), 0)
+        for f, g in pairs
     ]
     assert sparse(LaurentPoly(enumerate(qseries._packed_sum(products, width, count)))) == sparse(
         expected
@@ -741,8 +787,8 @@ def test_a_slot_filled_to_the_top_does_not_carry(width):
         got = qseries._convolve(sa, sb)
         assert dict(enumerate(got)) == {e: sign_a * sign_b * v for e, v in expected.items()}
     # At exactly `width` bytes, as packed by the solver's kernel.
-    pair = (qseries._pack_signed(a, width), qseries._pack_signed([-v for v in b], width))
-    got = qseries._packed_sum([pair], width, 2 * n - 1)
+    product = (qseries._pack_signed(a, width), qseries._pack_signed([-v for v in b], width), 0)
+    got = qseries._packed_sum([product], width, 2 * n - 1)
     assert got[n - 1] == -top and dict(enumerate(got)) == {e: -v for e, v in expected.items()}
 
 
