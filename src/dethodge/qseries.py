@@ -14,14 +14,14 @@ the shifted unknowns g_i = f_i * q^((p-i)(m+n-p-i)), where the system has
 no shifts, and sums each row's products as one packed big integer. Each
 g_i is kept without its leading zeros, as its lowest exponent and its
 coefficients from there, and each product is shifted into place in the
-sum (`_packed_sum`).
+sum.
 
 `pushforward_DpY` multiplies that table by a q-binomial prefactor. On
 the closed route it builds the products in t along their diagonal, entry
 i-1 from entry i by one multiplication by (1 - t^s) and one checked
 division by (1 - t^j), with no polynomial products. On the solver route
-it packs the prefactor once per table and multiplies each solved entry
-by that one packing.
+it multiplies each solved g_i, still in t, by the prefactor, packed once
+per slot width.
 
 A `LaurentPoly` is dense: the exponent of its lowest term and the tuple
 of coefficients from there to its highest term, with no zeros at either
@@ -31,12 +31,13 @@ multiplied by Kronecker substitution: each coefficient list is packed
 into one Python integer, in slots wide enough for any coefficient of the
 product, so one C-level big-integer product does the whole convolution;
 signed operands are split into their positive and negative parts first.
-A slot of a*b sums terms of at most |a_j| * |b_(s-j)|, so it holds at
-most min(max|a| * sum|b|, sum|a| * max|b|) (`_product_bound`); the
-solver sizes a row's slots by the sum of this bound over the row's
-products. Short operands use the schoolbook convolution. Two polynomials
-in q^2, such as the stretched q-binomials, are multiplied through their
-even slots.
+Short operands use the schoolbook convolution. Every packed product, the
+solver's rows included, goes through `_packed_sum`, the one place that
+picks a slot width: a slot of a*b sums terms of at most
+|a_j| * |b_(s-j)|, so it holds at most min(max|a| * sum|b|,
+sum|a| * max|b|), and a sum of products gets the sum of those bounds. Its
+operands are `_Packed`: coefficients with their lowest exponent, largest
+and summed absolute values, and packings cached per slot width.
 
 `LaurentPoly.to_json` and `DecompositionTable.to_json` write the JSON
 text that json.dumps would write for the map from each exponent, as a
@@ -196,19 +197,10 @@ class LaurentPoly:
             return _dense(self._lo, tuple(v * other for v in self._c))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._c, other._c
-        if not a or not b:
+        if not (self._c and other._c):
             return LaurentPoly()
-        lo = self._lo + other._lo
         # The end coefficients multiply to nonzero ends: nothing to trim.
-        if len(a) * len(b) >= SCHOOLBOOK_BELOW and not any(a[1::2]) and not any(b[1::2]):
-            # Both are polynomials in q^2 (times a power of q), as every
-            # stretch(2) is: convolve the even slots and widen the result.
-            half = _convolve(a[::2], b[::2])
-            out = [0] * (2 * len(half) - 1)
-            out[::2] = half
-            return _dense(lo, tuple(out))
-        return _dense(lo, tuple(_convolve(a, b)))
+        return _dense(self._lo + other._lo, tuple(_convolve(self._c, other._c)))
 
     __rmul__ = __mul__
 
@@ -314,16 +306,6 @@ def _trimmed(lo: int, coeffs: list) -> LaurentPoly:
 _TYPECODES = {array(t).itemsize: t for t in "QLIHB"}
 
 
-def _product_bound(a_max: int, a_sum: int, b_max: int, b_sum: int) -> int:
-    """Largest slot of either the positive or the negative accumulation of
-    a*b (see `_packed_sum`), from the largest and the summed absolute
-    coefficients of a and b. Slot s sums, over j, a term that is at most
-    |a_j| * |b_(s-j)|, since a coefficient lies in either the positive or
-    the negative part; so it is at most max|a| * sum|b| and at most
-    sum|a| * max|b|."""
-    return min(a_max * b_sum, a_sum * b_max)
-
-
 def _slot_width(bound: int) -> int:
     """Bytes per slot for values up to bound: a power of two up to 8, else exact."""
     width = (bound.bit_length() + 7) // 8
@@ -348,16 +330,6 @@ def _unpack(value: int, width: int, count: int) -> list:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _pack_signed(coeffs, width: int) -> tuple[int, int]:
-    """Packed positive parts and packed magnitudes of the negative parts."""
-    if min(coeffs) >= 0:
-        return _pack(coeffs, width), 0
-    return (
-        _pack([c if c > 0 else 0 for c in coeffs], width),
-        _pack([-c if c < 0 else 0 for c in coeffs], width),
-    )
-
-
 def _convolve(a, b) -> list:
     """Coefficients of the product of two nonempty coefficient sequences."""
     if len(a) * len(b) < SCHOOLBOOK_BELOW:
@@ -368,22 +340,53 @@ def _convolve(a, b) -> list:
                     out[k] += x * y
         return out
     # Kronecker substitution.
-    a_abs, b_abs = list(map(abs, a)), list(map(abs, b))
-    width = _slot_width(_product_bound(max(a_abs), sum(a_abs), max(b_abs), sum(b_abs)))
-    product = (_pack_signed(a, width), _pack_signed(b, width), 0)
-    return _packed_sum([product], width, len(a) + len(b) - 1)
+    return _packed_sum([(_Packed(0, a), _Packed(0, b), 0)], len(a) + len(b) - 1)
 
 
-def _packed_sum(products, width: int, count: int) -> list:
+class _Packed:
+    """The coefficients of a polynomial from its lowest exponent `lo`,
+    with their largest absolute value `peak`, their absolute sum `norm`,
+    the value at q = 1 (`total`, None if a coefficient is negative), and
+    their packing in slots of a given width, cached per width."""
+
+    __slots__ = ("lo", "coeffs", "peak", "norm", "total", "_by_width")
+
+    def __init__(self, lo: int, coeffs):
+        magnitudes = list(map(abs, coeffs))
+        self.lo, self.coeffs = lo, coeffs
+        self.peak, self.norm = max(magnitudes, default=0), sum(magnitudes)
+        self.total = self.norm if min(coeffs, default=0) >= 0 else None
+        self._by_width = {}
+
+    def packed(self, width: int) -> tuple[int, int]:
+        """The packed positive parts and the packed magnitudes of the
+        negative parts, in slots of `width` bytes."""
+        value = self._by_width.get(width)
+        if value is None:
+            c = self.coeffs
+            if self.total is None:
+                value = _pack([max(x, 0) for x in c], width), _pack([max(-x, 0) for x in c], width)
+            else:
+                value = _pack(c, width), 0
+            self._by_width[width] = value
+        return value
+
+
+def _packed_sum(products, count: int) -> list:
     """The first `count` coefficients of the sum of the products
-    a * b * q^offset, given as triples of the `_pack_signed` packings of a
-    and b in slots of `width` bytes and the offset in slots: each product
-    is formed from its operands alone and shifted into place. The slots
-    must hold the sum of the products of the positive parts and the
-    negative parts alike, or a slot carries into the next."""
+    a * b * q^offset, given as triples of two `_Packed`, each read from
+    its first coefficient, and the offset in slots: each product is formed
+    from its operands alone and shifted into place. This is the one place
+    that picks a slot width. A slot of a*b sums terms of at most
+    |a_j| * |b_(s-j)|, so it holds at most min(max|a| * sum|b|,
+    sum|a| * max|b|), in the products of the positive parts and of the
+    negative parts alike; the slots hold the sum of that bound over the
+    products, so none carries into the next."""
+    width = _slot_width(sum(min(a.peak * b.norm, a.norm * b.peak) for a, b, _ in products))
     positive = negative = 0
     bits = 8 * width
-    for (a_pos, a_neg), (b_pos, b_neg), offset in products:
+    for a, b, offset in products:
+        (a_pos, a_neg), (b_pos, b_neg) = a.packed(width), b.packed(width)
         positive += (a_pos * b_pos + a_neg * b_neg) << (bits * offset)
         if a_neg or b_neg:
             negative += (a_pos * b_neg + a_neg * b_pos) << (bits * offset)
@@ -524,8 +527,21 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
         qbin(m-k, p-k)@q^2 =
             sum_{i=k}^p f_i(q) * q^((p-i)(m+n-p-i)) * qbin(n-k, i-k)@q^2
 
-    by back-substitution from k = p down to k = 0. In t = q^2 and
-    g_i = f_i * q^((p-i)(m+n-p-i)) the system reads
+    by back-substitution from k = p down to k = 0 (`_solved_in_t`), each
+    g_i then stretched back to q."""
+    if not 0 <= p <= space.n:
+        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    m, n = space.m, space.n
+    f = {
+        k: _stretched(2 * g.lo - (p - k) * (m + n - p - k), g.coeffs)
+        for k, g in _solved_in_t(space, p).items()
+    }
+    return DecompositionTable(space, p, f)
+
+
+def _solved_in_t(space: MatrixSpace, p: int) -> dict[int, _Packed]:
+    """The unknowns g_i = f_i * q^((p-i)(m+n-p-i)) of the rank-p table in
+    t = q^2, where the stalk identities read
 
         g_k(t) = qbin(m-k, p-k)(t) - sum_{i>k} g_i(t) * qbin(n-k, i-k)(t),
 
@@ -533,47 +549,26 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
     (p-i)(n-i) for the true table, and its coefficients from there, so
     its leading zeros are neither packed nor multiplied: each product
     g_i * qbin(n-k, i-k) is formed from the coefficients and shifted into
-    place. Each row's sum is one big integer (`_packed_sum`): every g_i
-    and q-binomial is packed into slots of one width, wide enough for the
-    sum over the row's products of `_product_bound`, so no slot carries.
-    The coefficients of B = qbin(n-k, i-k) are nonnegative and sum to
-    comb(n-k, i-k), so the bound of g_i * B is at most
-    max|g_i| * comb(n-k, i-k): it grows with the largest coefficient of
-    g_i, not with their sum. A g_i with a negative coefficient is split
-    into its positive and negative parts, as in `_convolve`. Each g_i is
-    packed once per width."""
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    place, and each row's sum is one `_packed_sum`. The coefficients of
+    qbin(n-k, i-k) are nonnegative and sum to comb(n-k, i-k), so a
+    product's slot bound is at most max|g_i| * comb(n-k, i-k): it grows
+    with the largest coefficient of g_i, not with their sum."""
     m, n = space.m, space.n
-    g: dict[int, tuple[int, list]] = {}  # (lowest exponent of g_i(t), coefficients from there)
-    peak: dict[int, int] = {}  # max |coefficient| of g_i
-    norm: dict[int, int] = {}  # sum of |coefficients| of g_i
-    packed: dict[tuple[int, int], tuple[int, int]] = {}  # (i, width) -> _pack_signed
+    g: dict[int, _Packed] = {}
     for k in range(p, -1, -1):
         row = list(q_binomial(m - k, p - k)._c)
-        terms = [i for i in range(k + 1, p + 1) if g[i][1]]
-        if terms:
-            qbins = {i: _packing(n - k, i - k) for i in terms}
-            width = _slot_width(
-                sum(_product_bound(peak[i], norm[i], qbins[i].peak, qbins[i].total) for i in terms)
-            )
-            count = max(g[i][0] + len(g[i][1]) + (i - k) * (n - i) for i in terms)
-            products = []
-            for i in terms:
-                if (i, width) not in packed:
-                    packed[i, width] = _pack_signed(g[i][1], width)
-                products.append((packed[i, width], (qbins[i].packed(width), 0), g[i][0]))
-            total = _packed_sum(products, width, count)
+        products = [
+            (g[i], _packing(n - k, i - k), g[i].lo) for i in range(k + 1, p + 1) if g[i].coeffs
+        ]
+        if products:
+            count = max(a.lo + len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products)
             row += [0] * (count - len(row))
-            row[:count] = map(operator.sub, row[:count], total)
+            row[:count] = map(operator.sub, row[:count], _packed_sum(products, count))
             while row and not row[-1]:
                 row.pop()
         low = row.index(next(filter(None, row))) if row else 0
-        coeffs = row[low:]
-        g[k] = low, coeffs
-        peak[k], norm[k] = max(map(abs, coeffs), default=0), sum(map(abs, coeffs))
-    f = {k: _stretched(2 * low - (p - k) * (m + n - p - k), row) for k, (low, row) in g.items()}
-    return DecompositionTable(space, p, f)
+        g[k] = _Packed(low, row[low:])
+    return g
 
 
 def _stretched(lo: int, coeffs) -> LaurentPoly:
@@ -622,16 +617,12 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
     """
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
-    if route == "closed":
-        rows = _closed_rows(space, p)
-    elif route == "solver":
-        rows = _solved_rows(space, p)
-    else:
+    build = {"closed": _closed_rows, "solver": _solved_rows}.get(route)
+    if build is None:
         raise ValueError(f"unknown route {route!r}; expected 'closed' or 'solver'")
     m, n = space.m, space.n
-    entries = {
-        i: _stretched(-(n - p) * (m - n) + lo, row) for i, (lo, row) in rows.items()
-    }
+    rows = build(space, p).items()
+    entries = {i: _stretched(-(n - p) * (m - n) + lo, row) for i, (lo, row) in rows}
     return DecompositionTable(space, p, entries)
 
 
@@ -653,55 +644,31 @@ def _closed_rows(space: MatrixSpace, p: int) -> dict[int, tuple[int, list]]:
 
 
 def _solved_rows(space: MatrixSpace, p: int) -> dict[int, tuple[int, list]]:
-    """The rows of `_closed_rows` from the solved table: each entry's even
-    slots (the solver writes no others) times the prefactor
-    qbin(m-p, n-p), packed once for the whole table in slots wide enough
-    for every product."""
+    """The rows of `_closed_rows` from the solved g_i in t, each times the
+    prefactor qbin(m-p, n-p): one product per entry, the prefactor packed
+    once per slot width."""
     m, n = space.m, space.n
-    base = solve_pushforward_OYp(space, p).entries
     prefactor = _packing(m - p, n - p)
-    evens = {i: poly._c[::2] for i, poly in base.items()}
-    width = _slot_width(
-        max(_product_bound(prefactor.peak, prefactor.total, max(c), sum(c)) for c in evens.values())
-    )
-    packed, tail = prefactor.packed(width), len(prefactor.poly._c) - 1
-    return {
-        i: (base[i]._lo, _unpack(_pack(c, width) * packed, width, len(c) + tail))
-        for i, c in evens.items()
-    }
+    rows = {}
+    for i, g in _solved_in_t(space, p).items():
+        if g.coeffs:
+            count = len(g.coeffs) + len(prefactor.coeffs) - 1
+            rows[i] = 2 * g.lo - (p - i) * (m + n - p - i), _packed_sum([(g, prefactor, 0)], count)
+    return rows
 
 
-class _Packing:
-    """A polynomial with its value at q = 1 (None if a coefficient is
-    negative), its largest absolute coefficient, and its coefficients
-    packed once per slot width."""
-
-    __slots__ = ("poly", "total", "peak", "_by_width")
-
-    def __init__(self, poly: LaurentPoly):
-        self.poly = poly
-        self.total = poly.at_one() if min(poly._c, default=0) >= 0 else None
-        self.peak = max(map(abs, poly._c), default=0)
-        self._by_width = {}
-
-    def packed(self, width: int) -> int:
-        value = self._by_width.get(width)
-        if value is None:
-            value = self._by_width[width] = _pack(self.poly._c, width)
-        return value
+# (a, b) -> (q_binomial(a, b), its `_Packed`)
+_PACKINGS: dict[tuple[int, int], tuple[LaurentPoly, _Packed]] = {}
 
 
-_PACKINGS: dict[tuple[int, int], _Packing] = {}
-
-
-def _packing(a: int, b: int) -> _Packing:
-    """The packing of q_binomial(a, b), rebuilt whenever q_binomial returns
+def _packing(a: int, b: int) -> _Packed:
+    """q_binomial(a, b) as a `_Packed`, rebuilt whenever q_binomial returns
     another object than the one it was built from."""
     poly = q_binomial(a, b)
     entry = _PACKINGS.get((a, b))
-    if entry is None or entry.poly is not poly:
-        entry = _PACKINGS[a, b] = _Packing(poly)
-    return entry
+    if entry is None or entry[0] is not poly:
+        entry = _PACKINGS[a, b] = poly, _Packed(poly._lo, poly._c)
+    return entry[1]
 
 
 def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
@@ -745,7 +712,7 @@ def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
     cap = 1 << (8 * width)
     # The term of j lies at q^(j*(b-c+j)) * q^base or above, and
     # j*(b-c+j) >= 0 since j >= c-b.
-    base = min(l.poly._lo for l in left) + min(r.poly._lo for r in right)
+    base = min(l.lo for l in left) + min(r.lo for r in right)
     packed = {}  # slot width -> the operands packed by _packed_from_lowest
     verdicts = []
     for c, side in enumerate(lhs):
@@ -759,9 +726,8 @@ def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
         bits = 8 * w
         js = range(max(0, c - b), min(a, c) + 1)
         rhs = sum((left_int[j] * right_int[c - j]) << (bits * j * (b - c + j)) for j in js)
-        side_lo = side.poly._lo
-        lo = min(side_lo, base)
-        verdicts.append(side.packed(w) << (bits * (side_lo - lo)) == rhs << (bits * (base - lo)))
+        lo = min(side.lo, base)
+        verdicts.append(side.packed(w)[0] << (bits * (side.lo - lo)) == rhs << (bits * (base - lo)))
     return verdicts
 
 
@@ -773,10 +739,10 @@ def _packed_from_lowest(packings: list, width: int) -> list:
     nonzero partner: every c the first enters is refused, and the second
     would give the right side a coefficient at least its largest, beyond
     the right side's value at q = 1, which fits the slots."""
-    low = min(pk.poly._lo for pk in packings)
+    low = min(pk.lo for pk in packings)
     cap = 1 << (8 * width)
     return [
-        pk.packed(width) << (8 * width * (pk.poly._lo - low))
+        pk.packed(width)[0] << (8 * width * (pk.lo - low))
         if pk.total is not None and pk.peak < cap
         else 0
         for pk in packings

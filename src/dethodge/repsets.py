@@ -48,13 +48,16 @@ def classify(lam, space: MatrixSpace):
 
 
 def _classify(lam: tuple[int, ...], space: MatrixSpace):
-    # classify for a tuple already known to be dominant of length n.
-    hits = [p for p in range(space.n + 1) if _wp_member(lam, p, space)]
+    # classify for a tuple already known to be dominant of length n. As
+    # lam_i - i strictly decreases, lam is in W^p exactly when b <= p <= a,
+    # for a = #{i : lam_i >= i-n} and b = #{i : lam_i >= i-m} >= a; and
+    # b = a unless lam_(a+1) >= a+1-m.
+    n, a = space.n, 0
+    while a < n and lam[a] > a - n:
+        a += 1
     if space.is_square:
-        if len(hits) != 1:
-            raise RuntimeError(f"square supports failed to partition at {lam}")
-        return hits[0]
-    return hits
+        return a
+    return [] if a < n and lam[a] > a - space.m else [a]
 
 
 def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:

@@ -533,27 +533,12 @@ STRIDE_PAIRS = [(1, 40), (2, 2), (3, 3), (4, 5), (4, 6), (4, 8), (5, 7), (6, 6),
 
 @pytest.mark.parametrize("la,lb", STRIDE_PAIRS)
 @pytest.mark.parametrize("magnitude", [3, 2**40])
-def test_mul_of_polynomials_in_q_squared(monkeypatch, la, lb, magnitude):
-    calls = []
-    original = qseries._convolve
-
-    def spy(a, b):
-        calls.append((len(a), len(b)))
-        return original(a, b)
-
-    monkeypatch.setattr(qseries, "_convolve", spy)
+def test_mul_of_polynomials_in_q_squared(la, lb, magnitude):
     f, g = in_q_squared(la, -7, magnitude, 1), in_q_squared(lb, 3, magnitude, 2)
     # One slot more after the top: a nonzero odd slot.
     odd = f + LaurentPoly.monomial(f.max_exp + 1, -5)
     for x, y in ((f, g), (g, f), (odd, g), (g, odd)):
         assert sparse(x * y) == ref_mul(x, y)
-    slots = (2 * la - 1) * (2 * lb - 1)
-    stride = slots >= SCHOOLBOOK_BELOW
-    # The even slots are convolved when the slot product reaches the cutoff;
-    # an operand with a nonzero odd slot takes the general path.
-    assert calls == [(la, lb) if stride else (2 * la - 1, 2 * lb - 1),
-                     (lb, la) if stride else (2 * lb - 1, 2 * la - 1),
-                     (2 * la, 2 * lb - 1), (2 * lb - 1, 2 * la)]
 
 
 def test_zero_and_monomial_operands():
@@ -683,6 +668,31 @@ def test_solver_matches_the_stretched_substitution():
                 assert solve_pushforward_OYp(space, p) == expected, (m, n, p)
 
 
+def record_widths(monkeypatch):
+    """The slot width of every `_packed_sum`, seen as it unpacks its sum."""
+    widths = []
+    original = qseries._unpack
+
+    def spy(value, width, count):
+        widths.append(width)
+        return original(value, width, count)
+
+    monkeypatch.setattr(qseries, "_unpack", spy)
+    return widths
+
+
+def product_bound(f, g):
+    """The largest slot of f * g, in either accumulation, from the
+    coefficients: min(max|f| * sum|g|, sum|f| * max|g|)."""
+    fa, ga = [abs(v) for v in f._c], [abs(v) for v in g._c]
+    return min(max(fa) * sum(ga), sum(fa) * max(ga))
+
+
+def packed(f):
+    """f's coefficients from its lowest term, as a `_packed_sum` operand."""
+    return qseries._Packed(0, f._c)
+
+
 @given(st.lists(st.tuples(polys(max_len=20), polys(max_len=20)), min_size=1, max_size=4))
 def test_packed_sum_matches_sparse_reference(pairs):
     # The kernel reads coefficient lists from t^0 and shifts each product into
@@ -695,17 +705,18 @@ def test_packed_sum_matches_sparse_reference(pairs):
     expected = LaurentPoly.zero()
     for f, g in pairs:
         expected = LaurentPoly(ref_add(expected, LaurentPoly(ref_mul(f, g))))
-    # The slots hold the sum over the pairs of |f| * |g| at t = 1.
-    norm = lambda f: sum(map(abs, f.coefficients()))
-    width = qseries._slot_width(sum(norm(f) * norm(g) for f, g in pairs))
     count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
-    products = [
-        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width), f.min_exp)
-        for f, g in pairs
-    ]
-    got = qseries._packed_sum(products, width, count)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        widths = record_widths(monkeypatch)
+        got = qseries._packed_sum([(packed(f), packed(g), f.min_exp) for f, g in pairs], count)
     assert len(got) == count
     assert sparse(LaurentPoly(enumerate(got))) == sparse(expected)
+    # Slots for the sum of the bounds, within those for the sum of |f| * |g| at t = 1.
+    # (One unpack for each nonzero accumulation.)
+    norm = lambda f: sum(map(abs, f.coefficients()))
+    [width] = set(widths)
+    assert width == qseries._slot_width(sum(product_bound(f, g) for f, g in pairs))
+    assert width <= qseries._slot_width(sum(norm(f) * norm(g) for f, g in pairs))
 
 
 def test_solver_matches_closed_form_40x20():
@@ -715,8 +726,9 @@ def test_solver_matches_closed_form_40x20():
 
 
 def test_pushforward_routes_agree():
-    for m, n in ((5, 3), (7, 4), (12, 6)):
-        space = MatrixSpace(m, n)
+    spaces = [MatrixSpace(m, n) for m in range(1, 9) for n in range(1, min(m, 5) + 1)]
+    for space in spaces + [MatrixSpace(40, 20)]:
+        n = space.n
         for p in range(n + 1):
             assert pushforward_DpY(space, p, route="solver") == pushforward_DpY(space, p)
     with pytest.raises(ValueError):
@@ -724,12 +736,6 @@ def test_pushforward_routes_agree():
 
 
 # -- slot widths at the coefficient-level bound ------------------------------
-
-
-def product_bound(f, g):
-    """`qseries._product_bound` of two polynomials, from their coefficients."""
-    fa, ga = [abs(v) for v in f._c], [abs(v) for v in g._c]
-    return qseries._product_bound(max(fa), sum(fa), max(ga), sum(ga))
 
 
 @st.composite
@@ -751,24 +757,21 @@ def test_packed_sum_at_the_coefficient_level_width(pairs):
     expected = LaurentPoly.zero()
     for f, g in pairs:
         expected = LaurentPoly(ref_add(expected, LaurentPoly(ref_mul(f, g))))
-    # The slots hold the sum over the pairs of min(max|f| sum|g|, sum|f| max|g|).
-    width = qseries._slot_width(sum(product_bound(f, g) for f, g in pairs))
     count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
-    products = [
-        (qseries._pack_signed(f._c, width), qseries._pack_signed(g._c, width), 0)
-        for f, g in pairs
-    ]
-    assert sparse(LaurentPoly(enumerate(qseries._packed_sum(products, width, count)))) == sparse(
-        expected
-    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        widths = record_widths(monkeypatch)
+        got = qseries._packed_sum([(packed(f), packed(g), 0) for f, g in pairs], count)
+    assert sparse(LaurentPoly(enumerate(got))) == sparse(expected)
+    # The slots hold the sum over the pairs of min(max|f| sum|g|, sum|f| max|g|).
+    assert set(widths) == {qseries._slot_width(sum(product_bound(f, g) for f, g in pairs))}
 
 
 # width -> n, a divisor of 256^width - 1 with n * n >= SCHOOLBOOK_BELOW.
-FULL_SLOT_LENGTHS = {1: 17, 2: 257, 3: 241, 4: 257, 8: 641}
+FULL_SLOT_LENGTHS = {1: 17, 2: 257, 3: 241, 4: 257, 8: 641, 9: 17}
 
 
 @pytest.mark.parametrize("width", sorted(FULL_SLOT_LENGTHS))
-def test_a_slot_filled_to_the_top_does_not_carry(width):
+def test_a_slot_filled_to_the_top_does_not_carry(monkeypatch, width):
     # a = [peak] * n and b = [1] * n meet in the middle slot of a*b, which is
     # n * peak = 256^width - 1: exactly the largest value `width` bytes hold.
     top, n = 256**width - 1, FULL_SLOT_LENGTHS[width]
@@ -776,36 +779,52 @@ def test_a_slot_filled_to_the_top_does_not_carry(width):
     assert n * peak == top
     a, b = [peak] * n, [1] * n
     assert product_bound(LaurentPoly(enumerate(a)), LaurentPoly(enumerate(b))) == top
-    if width != 3:
-        # `_convolve` picks exactly `width` bytes; 3 bytes are rounded up to 4.
-        assert qseries._slot_width(top) == width < qseries._slot_width(top + 1)
+    # The kernel picks exactly `width` bytes; 3 bytes are rounded up to 4.
+    chosen = 4 if width == 3 else width
+    assert qseries._slot_width(top) == chosen
+    assert width == 3 or qseries._slot_width(top + 1) > width
     expected = ref_mul(LaurentPoly(enumerate(a)), LaurentPoly(enumerate(b)))
     assert max(expected.values()) == top
+    widths = record_widths(monkeypatch)
     # Both the positive and the negative accumulation reach the top.
     for sign_a, sign_b in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         sa, sb = [sign_a * v for v in a], [sign_b * v for v in b]
         got = qseries._convolve(sa, sb)
         assert dict(enumerate(got)) == {e: sign_a * sign_b * v for e, v in expected.items()}
-    # At exactly `width` bytes, as packed by the solver's kernel.
-    product = (qseries._pack_signed(a, width), qseries._pack_signed([-v for v in b], width), 0)
-    got = qseries._packed_sum([product], width, 2 * n - 1)
-    assert got[n - 1] == -top and dict(enumerate(got)) == {e: -v for e, v in expected.items()}
+        operands = (qseries._Packed(0, sa), qseries._Packed(0, sb), 0)
+        got = qseries._packed_sum([operands], 2 * n - 1)
+        assert got[n - 1] == sign_a * sign_b * top
+        assert dict(enumerate(got)) == {e: sign_a * sign_b * v for e, v in expected.items()}
+    # A nonzero negative accumulation takes a second unpack.
+    assert set(widths) == {chosen} and len(widths) == 12
 
 
 def test_the_solver_packs_the_40x20_tables_in_at_most_four_bytes(monkeypatch):
-    widths = []
-    original = qseries._packed_sum
-
-    def spy(products, width, count):
-        widths.append(width)
-        return original(products, width, count)
-
-    monkeypatch.setattr(qseries, "_packed_sum", spy)
+    widths = record_widths(monkeypatch)
     space = MatrixSpace(40, 20)
     for p in range(space.n + 1):
         assert solve_pushforward_OYp(space, p) == closed_form_OYp(space, p), p
     # The value at t = 1 of |g_i| * qbin(n-k, i-k) needs 8-byte slots here.
     assert widths and max(widths) == 4
+
+
+def test_packed_sum_edge_operands():
+    P = qseries._Packed
+    # An empty coefficient list packs to nothing and contributes nothing.
+    empty = P(0, [])
+    assert (empty.peak, empty.norm, empty.total, empty.packed(1)) == (0, 0, 0, (0, 0))
+    assert qseries._packed_sum([(empty, P(0, [1, 2]), 0)], 3) == [0, 0, 0]
+    assert qseries._packed_sum([(empty, empty, 2)], 2) == [0, 0]
+    assert qseries._packed_sum([], 2) == [0, 0]
+    # All coefficients negative: the whole operand is its negative part.
+    neg = P(0, [-3, -1, -4])
+    assert (neg.peak, neg.norm, neg.total) == (4, 8, None)
+    assert neg.packed(1) == (0, qseries._pack([3, 1, 4], 1))
+    assert qseries._packed_sum([(neg, P(0, [1, 1]), 0)], 4) == [-3, -4, -5, -4]
+    assert qseries._packed_sum([(neg, neg, 0)], 5) == [9, 6, 25, 8, 16]
+    # Nonzero offsets shift each product into place; the empty one adds nothing.
+    products = [(P(0, [1, -1]), P(0, [2]), 3), (neg, P(0, [1]), 1), (empty, neg, 0)]
+    assert qseries._packed_sum(products, 6) == [0, -3, -1, -2, -2, 0]
 
 
 # -- JSON text, against the dict route through json.dumps ---------------------

@@ -51,6 +51,17 @@ def test_classify_rectangular_is_a_list():
     assert classify((5, -2), space) == [1]
 
 
+def test_classify_by_counting_matches_the_scan():
+    # The scan over every stratum is the oracle for the counting in _classify.
+    for n in range(1, 5):
+        for m in range(n, n + 4):
+            space = MatrixSpace(m, n)
+            for lam in WeightBox(n, 7):
+                hits = [p for p in range(n + 1) if _wp_member(lam, p, space)]
+                assert classify(lam, space) == (hits[0] if m == n else hits), (space, lam)
+                assert len(hits) <= 1
+
+
 def test_in_Wpd_examples():
     space = MatrixSpace(3, 3)
     lam = (-2, -2, -4)
