@@ -16,14 +16,12 @@ from .characters import (
     tensor_expansion,
 )
 from .hodgeideals import (
-    WeightSet,
     grF_Dp_layer,
     hodge_ideal_exponents,
     in_Fk_Sdet,
     in_hodge_ideal,
     in_symbolic_power,
     minimal_generators,
-    parse_weight_set,
     translate,
     verify_equivalence,
 )
@@ -66,6 +64,7 @@ from .qseries import (
 )
 from .reporting import VerificationReport
 from .repsets import (
+    WeightSet,
     classify,
     compose_weight,
     decompose_weight,
@@ -74,6 +73,7 @@ from .repsets import (
     in_Wpd,
     lambda_p_mu,
     minimal_elements,
+    parse_weight_set,
 )
 from .weights import (
     WeightBox,

@@ -15,14 +15,7 @@ from math import comb
 from .matrixspace import MatrixSpace, Stratum, codim_stratum
 from .reporting import VerificationReport
 from .repsets import compose_weight, lambda_p_mu
-from .weights import (
-    check_weight,
-    dominant_tuples,
-    is_partition,
-    pad,
-    partitions_of,
-    strip_zeros,
-)
+from .weights import check_weight, is_partition, pad, partitions_of, strip_zeros
 
 LR_SIZE_CAP = 20
 
@@ -200,7 +193,8 @@ def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
     Sets containing weights with negative entries are infinite in each
     degree direction, so an explicit box bound is required and the result
     is truncated to entries in [-box, box] (square spaces only). Either
-    way only the weights of size d are enumerated.
+    way the sum runs over `WeightSet.members` of size d, so only the
+    weights of that size are enumerated.
     """
     space = weight_set.space
     n, m = space.n, space.m
@@ -212,22 +206,13 @@ def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
             )
         if d < 0:
             raise ValueError("graded pieces of ideals sit in degrees d >= 0")
-        total = 0
-        for lam in partitions_of(d, n):
-            if weight_set.contains(lam):
-                total += dim_irrep(pad(lam, m), m) * dim_irrep(lam, n)
-        return total
-    if box is None:
+    elif box is None:
         raise ValueError(
             "weight sets with negative entries need an explicit box bound "
             "(the result is truncated)"
         )
-    if not space.is_square:
+    elif not space.is_square:
         raise ValueError("box-truncated graded dimensions need a square space")
-    if box < 0:
-        raise ValueError("box bound must be nonnegative")
-    total = 0
-    for lam in dominant_tuples(n, -box, box, total=d):
-        if weight_set.contains(lam):
-            total += dim_irrep(lam, n) ** 2
-    return total
+    # A partition of d has entries in [0, d], so d bounds the exact sum.
+    members = weight_set.members(d if box is None else box, total=d)
+    return sum(dim_irrep(pad(lam, m), m) * dim_irrep(lam, n) for lam in members)

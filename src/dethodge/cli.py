@@ -17,17 +17,11 @@ import sys
 
 from . import suites
 from .characters import hilbert_function
-from .hodgeideals import (
-    WeightSet,
-    hodge_ideal_exponents,
-    in_Fk_Sdet,
-    minimal_generators,
-    parse_weight_set,
-)
+from .hodgeideals import hodge_ideal_exponents, in_Fk_Sdet, minimal_generators
 from .matrixspace import MatrixSpace
 from .mhmweights import generation_level_Sdet, weight_ledger
 from .qseries import pushforward_DpY
-from .repsets import classify
+from .repsets import WeightSet, classify, parse_weight_set
 from .weights import strip_zeros
 
 SCHEMA = "detl-hodge/1"

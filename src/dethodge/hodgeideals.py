@@ -1,5 +1,5 @@
-"""Hodge ideals of the determinant hypersurface, and the weight sets that
-name GL-stable ideals and Hodge-graded pieces.
+"""Hodge ideals of the determinant hypersurface and the Hodge filtration
+on the localization at the determinant.
 
 Two equivalent descriptions are implemented side by side for square
 matrix spaces, and an exhaustive verifier confronts them over weight
@@ -7,7 +7,7 @@ boxes:
 
 * ``in_hodge_ideal``: the k-th Hodge ideal as an intersection of symbolic
   powers of determinantal ideals, with exponent (n-p)(k-1) - comb(n-p, 2)
-  at the rank p-1 locus;
+  at the rank p-1 locus (``hodge_ideal_exponents``);
 * ``in_Fk_Sdet``: the level-k piece of the Hodge filtration on the
   localization of the coordinate ring at the determinant, a disjoint
   union of the filtration sets U^p_k, so a weight is a member exactly
@@ -19,32 +19,30 @@ boxes:
 * ``verify_equivalence``: the exhaustive confrontation, walking each
   weight box once for all the levels k it checks. Both descriptions are
   thresholds in k, so each weight's filtration level
-  (``repsets._Ukp_level``, the least k with the weight in F_k) and each
-  partition's Hodge-ideal level (``_hodge_ideal_level``, the largest k
-  with the partition in I_k) is computed once and compared with every k.
+  (``repsets._Fk_level``, the least k with the weight in F_k) and each
+  partition's Hodge-ideal level (``repsets._hodge_ideal_level``, the
+  largest k with the partition in I_k) is computed once and compared
+  with every k.
 
 GL-stable ideals are identified with their sets of dominant weights, so
-all ideal arithmetic here is predicate arithmetic on partitions. A
-``WeightSet`` names one such set: a stratum support W^p, a layer W^p_d, a
-filtration set U^p_k, the empty set, a symbolic power J_p^(d), a Hodge
-ideal I_k or a filtration level F_k. One table, ``_SPECS``, holds what each
-kind takes and how its descriptor reads; ``parse_weight_set`` reads the
-descriptors back. The polynomial-level ground truth lives in the oracle
-module.
+all ideal arithmetic here is predicate arithmetic on partitions. The sets
+themselves, I_k, J_p^(d) and F_k among them, are ``repsets.WeightSet``
+kinds: ``in_hodge_ideal`` and ``in_Fk_Sdet`` are membership tests of a
+``WeightSet``, and ``in_symbolic_power`` calls the J_p^(d) core on every
+m x n space. ``grF_Dp_layer`` names the weight support of a
+Hodge-graded piece of a simple module. The polynomial-level ground truth
+lives in the oracle module.
 """
 
 from __future__ import annotations
 
 import operator
-import re
-from dataclasses import dataclass
 from itertools import accumulate
-from math import comb, inf
-from typing import Callable, NamedTuple
+from math import comb
 
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
-from .repsets import _classify, _Ukp_level, in_Ukp, in_Wp, in_Wpd
+from .repsets import WeightSet, _Fk_level, _hodge_ideal_level, _in_symbolic_power
 from .weights import WeightBox, check_weight, dominant_tuples
 
 
@@ -52,18 +50,13 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
     """Does the isotypic component of the partition mu lie in the d-th
     symbolic power of the ideal of p-minors (functions vanishing to order
     d along the rank p-1 locus)? True iff mu_p + ... + mu_n >= d, with
-    d <= 0 denoting the unit ideal."""
+    d <= 0 denoting the unit ideal. Unlike Jpd, defined on m x n spaces."""
     mu = check_weight(mu, space.n)
     if not 1 <= p <= space.n:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if mu[-1] < 0:
         raise ValueError("symbolic powers live in the polynomial ring; need a partition")
     return _in_symbolic_power(mu, p, d)
-
-
-def _in_symbolic_power(mu: tuple[int, ...], p: int, d: int) -> bool:
-    """`in_symbolic_power` for a partition mu and p already validated."""
-    return d <= 0 or sum(mu[p - 1:]) >= d
 
 
 def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
@@ -78,37 +71,8 @@ def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
 def in_hodge_ideal(mu, k: int, space: MatrixSpace) -> bool:
     """Membership of a partition in the k-th Hodge ideal of the determinant
     hypersurface: mu_p + ... + mu_n >= (n-p)*(k-1) - comb(n-p, 2) for
-    every p. The p = n term is a redundant no-op kept for clarity."""
-    if k < 0:
-        raise ValueError("Hodge ideals are indexed by k >= 0")
-    if not space.is_square:
-        raise ValueError("the determinant hypersurface needs a square space")
-    n = space.n
-    mu = check_weight(mu, n)
-    if mu[-1] < 0:
-        raise ValueError("Hodge ideals live in the polynomial ring; need a partition")
-    return _in_hodge_ideal(mu, k, n)
-
-
-def _in_hodge_ideal(mu: tuple[int, ...], k: int, n: int) -> bool:
-    """`in_hodge_ideal` for a partition mu of length n and k >= 0 already
-    validated; stops at the first tail inequality that fails."""
-    for p in range(1, n + 1):
-        if sum(mu[p - 1:]) < (n - p) * (k - 1) - comb(n - p, 2):
-            return False
-    return True
-
-
-def _hodge_ideal_level(mu: tuple[int, ...], n: int) -> int | float:
-    """The largest k with the partition mu (of length n) in the k-th Hodge
-    ideal, or inf when n = 1: the tail inequality of p < n reads
-    (n-p)*(k-1) <= T_p + comb(n-p, 2), with T_p = mu_p + ... + mu_n, and
-    holds exactly for k <= 1 + (T_p + comb(n-p, 2)) // (n-p). Its right
-    side grows with k, so I_k shrinks as k grows and membership is the
-    threshold k <= level; the p = n inequality always holds."""
-    # T_p for p = n down to 1, paired with j = n - p.
-    tails = enumerate(accumulate(reversed(mu)))
-    return min((1 + (t + comb(j, 2)) // j for j, t in tails if j), default=inf)
+    every p (the p = n term always holds)."""
+    return WeightSet(space, "HodgeIdeal", None, k).contains(mu)
 
 
 def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
@@ -167,10 +131,7 @@ def in_Fk_Sdet(lam, k: int, space: MatrixSpace) -> bool:
     """Membership in the level-k piece of the Hodge filtration on the
     localization at the determinant: lam lies in U^p_k for its own
     stratum p."""
-    if not space.is_square:
-        raise ValueError("the localization at the determinant needs a square space")
-    lam = check_weight(lam, space.n)
-    return k >= _Ukp_level(lam, _classify(lam, space), space)
+    return WeightSet(space, "FkSdet", None, k).contains(lam)
 
 
 def translate(mu, k: int) -> tuple[int, ...]:
@@ -191,8 +152,9 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
 
     The box is walked once for every k, and each weight is decided once
     on each side. Its filtration level, the least k with the weight in
-    U^p_k for its own stratum p, comes from the U^p_k core after one
-    classification. Its tail sums fold the family into one slack,
+    U^p_k for its own stratum p, comes from the F_k core `_Fk_level`,
+    the one that `in_Fk_Sdet` calls. Its tail sums fold the family into
+    one slack,
     min_s (lam_{s+1} + ... + lam_n + comb(n-s+1, 2)), so the family holds
     at level k exactly when k >= -slack. Both sides are thresholds in k,
     so where the level equals -slack they agree at every k, and only the
@@ -223,7 +185,7 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     offsets = [comb(n - s + 1, 2) for s in range(n - 1, -1, -1)]
     levels = {}
     for lam in box:
-        level = levels[lam] = _Ukp_level(lam, _classify(lam, space), space)
+        level = levels[lam] = _Fk_level(lam, space)
         slack = min(map(operator.add, accumulate(reversed(lam)), offsets))
         if level == -slack:
             continue
@@ -238,98 +200,12 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
             lam = translate(mu, k)
             level = levels.get(lam)
             if level is None:
-                level = _Ukp_level(lam, _classify(lam, space), space)
+                level = _Fk_level(lam, space)
             filt = k >= level
             report.checks += 1
             if ideal != filt:
                 report.add_failure(partition=mu, ideal=ideal, filtration=filt)
     return reports
-
-
-class _Spec(NamedTuple):
-    name: str  # descriptor name
-    args: tuple[str, ...]  # descriptor arguments in order; past m, n, p: the parameter
-    square: bool  # defined on square spaces only
-    p_min: int | None  # the stratum index runs over p_min..n; None: takes none
-    param_min: float | None  # lower bound on the parameter; None: takes none
-    partitions_only: bool
-    keywords: bool  # descriptor written "Ik(n=2,k=3)" rather than "Wp(3,2,1)"
-    contains: Callable  # (lam, weight_set) -> bool
-
-
-# The membership lambdas look the predicates up when called, so a rebound
-# predicate (a test's monkeypatch, a call-counting wrapper) takes effect.
-_SPECS = {
-    "Wp": _Spec("Wp", ("m", "n", "p"), False, 0, None, False, False,
-                lambda lam, s: in_Wp(lam, s.p, s.space)),
-    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), False, 0, 0, False, False,
-                 lambda lam, s: in_Wpd(lam, s.p, s.param, s.space)),
-    "Ukp": _Spec("Ukp", ("n", "p", "k"), True, 0, -inf, False, False,
-                 lambda lam, s: in_Ukp(lam, s.p, s.param, s.space)),
-    "empty": _Spec("Empty", ("m", "n", "p"), False, 0, None, False, False,
-                   lambda lam, s: False),
-    "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), True, 1, -inf, True, True,
-                           lambda lam, s: in_symbolic_power(lam, s.p, s.param, s.space)),
-    "HodgeIdeal": _Spec("Ik", ("n", "k"), True, None, 0, True, True,
-                        lambda lam, s: in_hodge_ideal(lam, s.param, s.space)),
-    "FkSdet": _Spec("FkSdet", ("n", "k"), True, None, 0, False, True,
-                    lambda lam, s: in_Fk_Sdet(lam, s.param, s.space)),
-}
-_KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """A set of dominant weights on a matrix space, of one of the kinds in
-    ``_SPECS``: W^p, a layer W^p_d, a filtration set U^p_k, the empty set,
-    a symbolic power J_p^(d), a Hodge ideal I_k or a Hodge filtration level
-    F_k. Supports membership tests and bounded enumeration."""
-
-    space: MatrixSpace
-    kind: str
-    p: int | None = None
-    param: int | None = None
-
-    def __post_init__(self):
-        spec = _SPECS.get(self.kind)
-        if spec is None:
-            raise ValueError(f"unknown weight-set kind {self.kind!r}")
-        if spec.square and not self.space.is_square:
-            raise ValueError(f"{spec.name} is defined on square matrix spaces")
-        if spec.p_min is None:
-            if self.p is not None:
-                raise ValueError(f"{spec.name} takes no stratum index")
-        elif self.p is None or not spec.p_min <= self.p <= self.space.n:
-            raise ValueError(f"stratum index p={self.p} outside {spec.p_min}..{self.space.n}")
-        if spec.param_min is None:
-            if self.param is not None:
-                raise ValueError(f"{spec.name} takes no parameter")
-        elif self.param is None:
-            raise ValueError(f"{spec.name} needs its parameter {spec.args[-1]}")
-        elif self.param < spec.param_min:
-            raise ValueError(f"{spec.name} needs {spec.args[-1]} >= {spec.param_min}")
-
-    @property
-    def partitions_only(self) -> bool:
-        return _SPECS[self.kind].partitions_only
-
-    def contains(self, lam) -> bool:
-        return _SPECS[self.kind].contains(lam, self)
-
-    def members(self, bound: int) -> list[tuple[int, ...]]:
-        """All members with entries in [-bound, bound], lexicographic; a set
-        of partitions enumerates only the partitions."""
-        if bound < 0:
-            raise ValueError("box bound must be nonnegative")
-        lo = 0 if self.partitions_only else -bound
-        return [lam for lam in dominant_tuples(self.space.n, lo, bound) if self.contains(lam)]
-
-    def descriptor(self) -> str:
-        spec = _SPECS[self.kind]
-        fields = {"m": self.space.m, "n": self.space.n, "p": self.p}
-        values = [(arg, fields.get(arg, self.param)) for arg in spec.args]
-        body = ",".join(f"{arg}={v}" if spec.keywords else str(v) for arg, v in values)
-        return f"{spec.name}({body})"
 
 
 def grF_Dp_layer(p: int, level: int, start: int, space: MatrixSpace) -> WeightSet:
@@ -339,43 +215,3 @@ def grF_Dp_layer(p: int, level: int, start: int, space: MatrixSpace) -> WeightSe
     if level < start:
         return WeightSet(space, "empty", p)
     return WeightSet(space, "Wpd", p, level - start)
-
-
-_DESCRIPTOR_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
-
-
-def parse_weight_set(text: str) -> WeightSet:
-    """Read a descriptor such as "Wp(3,2,1)" or "Ik(n=2,k=3)", the inverse
-    of ``WeightSet.descriptor``: a kind's name and every one of its
-    arguments, either all positional in order or all as keywords in any
-    order."""
-    match = _DESCRIPTOR_RE.match(text)
-    name, body = match.groups() if match else (None, "")
-    if name not in _KIND_NAMED:
-        raise ValueError(f"unknown or malformed set descriptor {text!r}")
-    kind = _KIND_NAMED[name]
-    args = _SPECS[kind].args
-    pieces = [piece.partition("=") for piece in body.split(",")]
-    if not any(sep for _, sep, _ in pieces):
-        if len(pieces) != len(args):
-            raise ValueError(f"{name} takes {len(args)} arguments ({','.join(args)})")
-        pieces = [(arg, "=", value) for arg, (value, _, _) in zip(args, pieces)]
-    values = {}
-    for key, sep, value in pieces:
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"{name} mixes positional and keyword arguments")
-        if key not in args or key in values:
-            raise ValueError(f"{name} takes each of {','.join(args)} once, not {key!r}")
-        try:
-            values[key] = int(value)
-        except ValueError:
-            raise ValueError(f"{name} needs an integer {key}, not {value.strip()!r}") from None
-    missing = [arg for arg in args if arg not in values]
-    if missing:
-        raise ValueError(f"{name} is missing {','.join(missing)}")
-    n = values.pop("n")
-    space = MatrixSpace(values.pop("m", n), n)
-    p = values.pop("p", None)
-    # What is left is the parameter, if the kind takes one.
-    return WeightSet(space, kind, p, values.popitem()[1] if values else None)

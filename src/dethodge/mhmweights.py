@@ -15,7 +15,7 @@ from math import comb
 
 from .matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum, local_cohomology_degree
 from .reporting import VerificationReport
-from .repsets import in_Ukp
+from .repsets import _Ukp_level
 from .weights import delta_p
 
 
@@ -102,11 +102,13 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     support set U^p_{k - comb(n-p+1, 2)} is nonempty exactly then.
 
     Every level is decided by one witness, the distinguished weight
-    delta^p = ((p-n)^n), through `in_Ukp`. Membership in W^p bounds every
-    tail entry lam_{p+1}, ..., lam_n by p-n, so every tail sum is at most
-    -(n-p)^2, and delta^p attains that bound. U^p_k asks only for a tail
-    sum of at least -comb(n-p+1, 2) - k, so it is an up-set in the tail:
-    raising a member's tail entries to p-n keeps it a member. Hence U^p_k
+    delta^p = ((p-n)^n), whose U^p level (the least k with delta^p in
+    U^p_k) is read once per stratum and compared with every k. Membership
+    in W^p bounds every tail entry lam_{p+1}, ..., lam_n by p-n, so every
+    tail sum is at most -(n-p)^2, and delta^p attains that bound. U^p_k
+    asks only for a tail sum of at least -comb(n-p+1, 2) - k, so it is an
+    up-set in the tail: raising a member's tail entries to p-n keeps it a
+    member. Hence U^p_k
     is nonempty exactly when it contains delta^p. Membership constrains
     the head only through lam_p >= p-n, which the constant head p-n
     satisfies, so the same holds inside any box with bound >= n, which
@@ -122,11 +124,10 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     )
     for p in range(n + 1):
         threshold = (n - p) ** 2
-        witness = delta_p(p, space)
-        offset = comb(n - p + 1, 2)
+        level = _Ukp_level(delta_p(p, space), p, space) + comb(n - p + 1, 2)
         for k in range(kmax + 1):
             expected = k >= threshold
-            observed = in_Ukp(witness, p, k - offset, space)
+            observed = k >= level
             report.checks += 1
             if observed != expected:
                 report.add_failure(p=p, k=k, expected=expected, observed=observed)

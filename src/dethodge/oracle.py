@@ -58,9 +58,9 @@ from __future__ import annotations
 import random
 from math import comb, factorial, inf
 
-from .hodgeideals import _in_symbolic_power
 from .matrixspace import MatrixSpace
 from .reporting import VerificationReport
+from .repsets import _in_symbolic_power
 from .weights import check_weight
 
 

@@ -1,39 +1,51 @@
-"""Weight supports of the simple equivariant D-modules on matrix space.
+"""Weight sets on matrix space, the home of every set of dominant weights
+the library computes with.
 
-Every GL-stable subquotient of the localization at the determinant is
-pinned down by a set of dominant weights, so the sets themselves are the
-working objects here. They are all infinite and are therefore represented
-as predicates; ``hodgeideals.WeightSet`` names them (with the ideal weight
-sets) and enumerates them over weight boxes:
+Every GL-stable subquotient of the localization at the determinant, and
+every GL-stable ideal of the polynomial ring, is pinned down by its set
+of dominant weights. A ``WeightSet`` names one: a stratum support W^p, a
+layer W^p_d, a filtration set U^p_k, the empty set, a symbolic power
+J_p^(d), a Hodge ideal I_k or a Hodge filtration level F_k. One table,
+``_SPECS``, holds what each kind takes, how its descriptor reads and its
+membership core; ``parse_weight_set`` reads the descriptors back.
+
+Each kind has one membership path: ``WeightSet`` checks its parameters
+when built, ``WeightSet.contains`` checks the weight, and the kind's core
+checks nothing. ``WeightSet.members`` is the one enumeration, a box walk
+(optionally of one size) filtered by the core. The public predicates are
+``WeightSet`` calls:
 
 * ``in_Wp``: the support W^p of the simple module of the rank-p stratum;
 * ``in_Wpd``: its layer W^p_d cut out by the tail sum -d - c_p;
 * ``in_Ukp``: the filtration sets U^p_k of the square case. They grow
-  with k, so membership is a threshold: ``_Ukp_level`` gives the least
-  k with lam in U^p_k (infinite off W^p), and every U^p_k test, the
-  exhaustive verifier's included, is one comparison with it;
+  with k, so membership is a threshold: ``_Ukp_level`` is the least k
+  with lam in U^p_k (infinite off W^p), and ``_Fk_level`` the least k
+  with lam in F_k, the U^p_k level for the stratum p of lam;
 * ``minimal_elements`` / ``lambda_p_mu``: the finitely many minimal
   members of a layer, indexed by partitions;
 * ``decompose_weight``: head/tail coordinates of a weight relative to its
   stratum, inverse to building it from a minimal element.
+
+The Hodge-ideal theory behind I_k and F_k lives in the hodgeideals module.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, inf
+from typing import Callable, NamedTuple
 
 from .matrixspace import MatrixSpace, Stratum, codim_stratum
-from .weights import _wp_member, check_weight, is_partition, partitions_of
+from .weights import _wp_member, check_weight, dominant_tuples, is_partition, partitions_of
 
 
 def in_Wp(lam, p: int, space: MatrixSpace) -> bool:
     """Membership in the rank-p stratum weight support: lam_p >= p-n and
     lam_{p+1} <= p-m, the first condition vacuous for p=0, the second for
     p=n."""
-    lam = check_weight(lam, space.n)
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
-    return _wp_member(lam, p, space)
+    return WeightSet(space, "Wp", p).contains(lam)
 
 
 def classify(lam, space: MatrixSpace):
@@ -63,25 +75,18 @@ def _classify(lam: tuple[int, ...], space: MatrixSpace):
 def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:
     """Membership in the layer W^p_d: in W^p with tail sum
     lam_{p+1} + ... + lam_n equal to -d - c_p."""
-    if d < 0:
-        raise ValueError("layer index d must be nonnegative")
-    lam = check_weight(lam, space.n)
-    if not _wp_member(lam, p, space):
-        return False
-    c_p = codim_stratum(Stratum(space, p))
-    return sum(lam[p:]) == -d - c_p
+    return WeightSet(space, "Wpd", p, d).contains(lam)
+
+
+def _wpd_member(lam: tuple[int, ...], p: int, d: int, space: MatrixSpace) -> bool:
+    """`in_Wpd` for a dominant lam of length n, p in 0..n and d >= 0."""
+    return _wp_member(lam, p, space) and sum(lam[p:]) == -d - codim_stratum(Stratum(space, p))
 
 
 def in_Ukp(lam, p: int, k: int, space: MatrixSpace) -> bool:
     """Membership in U^p_k (square spaces only): lam_p >= p-n >= lam_{p+1}
     together with lam_{p+1} + ... + lam_n >= -comb(n-p+1, 2) - k."""
-    if not space.is_square:
-        raise ValueError("U-sets are defined on square matrix spaces")
-    lam = check_weight(lam, space.n)
-    n = space.n
-    if not 0 <= p <= n:
-        raise ValueError(f"stratum index p={p} outside 0..{n}")
-    return k >= _Ukp_level(lam, p, space)
+    return WeightSet(space, "Ukp", p, k).contains(lam)
 
 
 def _Ukp_level(lam: tuple[int, ...], p: int, space: MatrixSpace) -> int | float:
@@ -93,6 +98,32 @@ def _Ukp_level(lam: tuple[int, ...], p: int, space: MatrixSpace) -> int | float:
     return -sum(lam[p:]) - comb(space.n - p + 1, 2)
 
 
+def _Fk_level(lam: tuple[int, ...], space: MatrixSpace) -> int:
+    """The least k with lam in F_k, the U^p_k level for the stratum p of
+    lam, read without a second W^p test; for a square space and a tuple
+    already known to be dominant of length n."""
+    p = _classify(lam, space)
+    return -sum(lam[p:]) - comb(space.n - p + 1, 2)
+
+
+def _in_symbolic_power(mu: tuple[int, ...], p: int, d: int) -> bool:
+    """Membership of a partition mu in J_p^(d), for p in 1..n:
+    mu_p + ... + mu_n >= d, with d <= 0 the unit ideal."""
+    return d <= 0 or sum(mu[p - 1:]) >= d
+
+
+def _hodge_ideal_level(mu: tuple[int, ...], n: int) -> int | float:
+    """The largest k with the partition mu (of length n) in the k-th Hodge
+    ideal, or inf when n = 1: the tail inequality of p < n reads
+    (n-p)*(k-1) <= T_p + comb(n-p, 2), with T_p = mu_p + ... + mu_n, and
+    holds exactly for k <= 1 + (T_p + comb(n-p, 2)) // (n-p). Its right
+    side grows with k, so I_k shrinks as k grows and membership is the
+    threshold k <= level; the p = n inequality always holds."""
+    # T_p for p = n down to 1, paired with j = n - p.
+    tails = enumerate(accumulate(reversed(mu)))
+    return min((1 + (t + comb(j, 2)) // j for j, t in tails if j), default=inf)
+
+
 def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:
     """The minimal element delta^p + mu^dual of the layer W^p_|mu|, for a
     partition mu with at most n-p parts:
@@ -100,6 +131,8 @@ def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:
         ((p-n)^p, p-m-mu_{n-p}, ..., p-m-mu_1)
     """
     n, m = space.n, space.m
+    if not 0 <= p <= n:
+        raise ValueError(f"stratum index p={p} outside 0..{n}")
     mu = tuple(mu)
     if len(mu) > n - p or (mu and not is_partition(mu)):
         raise ValueError(f"need a partition with at most {n - p} parts")
@@ -123,10 +156,12 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
     """Write lam in W^p as delta^p + mu^dual + gamma with mu a partition
     in at most n-p parts (tail coordinates) and gamma a partition in at
     most p parts (head coordinates). Returns (mu, gamma)."""
-    lam = check_weight(lam, space.n)
+    n, m = space.n, space.m
+    lam = check_weight(lam, n)
+    if not 0 <= p <= n:
+        raise ValueError(f"stratum index p={p} outside 0..{n}")
     if not _wp_member(lam, p, space):
         raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
-    n, m = space.n, space.m
     mu = tuple((p - m) - lam[n - i] for i in range(1, n - p + 1))
     gamma = tuple(lam[i] - (p - n) for i in range(p))
     if (mu and not is_partition(mu)) or (gamma and not is_partition(gamma)):
@@ -139,3 +174,136 @@ def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
     base = lambda_p_mu(p, mu, space)
     gamma = tuple(gamma) + (0,) * (p - len(gamma))
     return tuple(b + (gamma[i] if i < p else 0) for i, b in enumerate(base))
+
+
+class _Spec(NamedTuple):
+    name: str  # descriptor name
+    args: tuple[str, ...]  # descriptor arguments in order; past m, n, p: the parameter
+    square: bool  # defined on square spaces only
+    p_min: int | None  # the stratum index runs over p_min..n; None: takes none
+    param_min: float | None  # lower bound on the parameter; None: takes none
+    partitions_only: bool
+    keywords: bool  # descriptor written "Ik(n=2,k=3)" rather than "Wp(3,2,1)"
+    core: Callable  # (lam, weight_set) -> bool, for a lam already checked
+
+
+_SPECS = {
+    "Wp": _Spec("Wp", ("m", "n", "p"), False, 0, None, False, False,
+                lambda lam, s: _wp_member(lam, s.p, s.space)),
+    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), False, 0, 0, False, False,
+                 lambda lam, s: _wpd_member(lam, s.p, s.param, s.space)),
+    "Ukp": _Spec("Ukp", ("n", "p", "k"), True, 0, -inf, False, False,
+                 lambda lam, s: s.param >= _Ukp_level(lam, s.p, s.space)),
+    "empty": _Spec("Empty", ("m", "n", "p"), False, 0, None, False, False,
+                   lambda lam, s: False),
+    "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), True, 1, -inf, True, True,
+                           lambda lam, s: _in_symbolic_power(lam, s.p, s.param)),
+    "HodgeIdeal": _Spec("Ik", ("n", "k"), True, None, 0, True, True,
+                        lambda lam, s: s.param <= _hodge_ideal_level(lam, s.space.n)),
+    "FkSdet": _Spec("FkSdet", ("n", "k"), True, None, 0, False, True,
+                    lambda lam, s: s.param >= _Fk_level(lam, s.space)),
+}
+_KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
+
+
+@dataclass(frozen=True)
+class WeightSet:
+    """A set of dominant weights on a matrix space, of one of the kinds in
+    ``_SPECS``: W^p, a layer W^p_d, a filtration set U^p_k, the empty set,
+    a symbolic power J_p^(d), a Hodge ideal I_k or a Hodge filtration level
+    F_k. Supports membership tests and bounded enumeration."""
+
+    space: MatrixSpace
+    kind: str
+    p: int | None = None
+    param: int | None = None
+
+    def __post_init__(self):
+        spec = _SPECS.get(self.kind)
+        if spec is None:
+            raise ValueError(f"unknown weight-set kind {self.kind!r}")
+        if spec.square and not self.space.is_square:
+            raise ValueError(f"{spec.name} is defined on square matrix spaces")
+        if spec.p_min is None:
+            if self.p is not None:
+                raise ValueError(f"{spec.name} takes no stratum index")
+        elif self.p is None or not spec.p_min <= self.p <= self.space.n:
+            raise ValueError(f"stratum index p={self.p} outside {spec.p_min}..{self.space.n}")
+        if spec.param_min is None:
+            if self.param is not None:
+                raise ValueError(f"{spec.name} takes no parameter")
+        elif self.param is None:
+            raise ValueError(f"{spec.name} needs its parameter {spec.args[-1]}")
+        elif self.param < spec.param_min:
+            raise ValueError(f"{spec.name} needs {spec.args[-1]} >= {spec.param_min}")
+
+    @property
+    def partitions_only(self) -> bool:
+        return _SPECS[self.kind].partitions_only
+
+    def contains(self, lam) -> bool:
+        """Membership of a dominant weight of length n; a set of partitions
+        refuses a weight with a negative entry."""
+        lam = check_weight(lam, self.space.n)
+        spec = _SPECS[self.kind]
+        if spec.partitions_only and lam[-1] < 0:
+            raise ValueError(f"{spec.name} lives in the polynomial ring; need a partition")
+        return spec.core(lam, self)
+
+    def members(self, bound: int, total: int | None = None) -> list[tuple[int, ...]]:
+        """All members with entries in [-bound, bound], lexicographic, and
+        with `total` only those whose entries sum to it; a set of
+        partitions enumerates only the partitions."""
+        if bound < 0:
+            raise ValueError("box bound must be nonnegative")
+        spec = _SPECS[self.kind]
+        lo = 0 if spec.partitions_only else -bound
+        walk = dominant_tuples(self.space.n, lo, bound, total)
+        return [lam for lam in walk if spec.core(lam, self)]
+
+    def descriptor(self) -> str:
+        spec = _SPECS[self.kind]
+        fields = {"m": self.space.m, "n": self.space.n, "p": self.p}
+        values = [(arg, fields.get(arg, self.param)) for arg in spec.args]
+        body = ",".join(f"{arg}={v}" if spec.keywords else str(v) for arg, v in values)
+        return f"{spec.name}({body})"
+
+
+_DESCRIPTOR_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
+
+
+def parse_weight_set(text: str) -> WeightSet:
+    """Read a descriptor such as "Wp(3,2,1)" or "Ik(n=2,k=3)", the inverse
+    of ``WeightSet.descriptor``: a kind's name and every one of its
+    arguments, either all positional in order or all as keywords in any
+    order."""
+    match = _DESCRIPTOR_RE.match(text)
+    name, body = match.groups() if match else (None, "")
+    if name not in _KIND_NAMED:
+        raise ValueError(f"unknown or malformed set descriptor {text!r}")
+    kind = _KIND_NAMED[name]
+    args = _SPECS[kind].args
+    pieces = [piece.partition("=") for piece in body.split(",")]
+    if not any(sep for _, sep, _ in pieces):
+        if len(pieces) != len(args):
+            raise ValueError(f"{name} takes {len(args)} arguments ({','.join(args)})")
+        pieces = [(arg, "=", value) for arg, (value, _, _) in zip(args, pieces)]
+    values = {}
+    for key, sep, value in pieces:
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{name} mixes positional and keyword arguments")
+        if key not in args or key in values:
+            raise ValueError(f"{name} takes each of {','.join(args)} once, not {key!r}")
+        try:
+            values[key] = int(value)
+        except ValueError:
+            raise ValueError(f"{name} needs an integer {key}, not {value.strip()!r}") from None
+    missing = [arg for arg in args if arg not in values]
+    if missing:
+        raise ValueError(f"{name} is missing {','.join(missing)}")
+    n = values.pop("n")
+    space = MatrixSpace(values.pop("m", n), n)
+    p = values.pop("p", None)
+    # What is left is the parameter, if the kind takes one.
+    return WeightSet(space, kind, p, values.popitem()[1] if values else None)

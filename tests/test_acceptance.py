@@ -14,7 +14,7 @@ from dethodge.characters import (
     hilbert_function,
     tensor_decomposition_check,
 )
-from dethodge.hodgeideals import WeightSet, in_hodge_ideal, in_symbolic_power
+from dethodge.hodgeideals import in_hodge_ideal, in_symbolic_power
 from dethodge.matrixspace import MatrixSpace
 from dethodge.mhmweights import (
     generation_level_Sdet,
@@ -25,7 +25,13 @@ from dethodge.mhmweights import (
 )
 from dethodge.oracle import ideal_power_hilbert
 from dethodge.qseries import LaurentPoly, pushforward_DpY
-from dethodge.repsets import classify, compose_weight, decompose_weight, minimal_elements
+from dethodge.repsets import (
+    WeightSet,
+    classify,
+    compose_weight,
+    decompose_weight,
+    minimal_elements,
+)
 from dethodge.weights import WeightBox, leq, partitions_of
 
 SEED = 1729

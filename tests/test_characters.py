@@ -13,7 +13,7 @@ from dethodge.characters import (
     tensor_decomposition_check,
     tensor_expansion,
 )
-from dethodge.hodgeideals import WeightSet, parse_weight_set
+from dethodge.repsets import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
 from dethodge.weights import WeightBox, partitions_of
 

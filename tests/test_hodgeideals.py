@@ -3,25 +3,30 @@ from math import comb
 
 import pytest
 
-from dethodge import hodgeideals, suites
+from dethodge import hodgeideals, repsets, suites
 from dethodge.hodgeideals import (
-    WeightSet,
     hodge_ideal_exponents,
     in_Fk_Sdet,
     in_hodge_ideal,
     in_symbolic_power,
     minimal_generators,
-    parse_weight_set,
     translate,
     verify_equivalence,
 )
 from dethodge.matrixspace import MatrixSpace
 from dethodge.reporting import VerificationReport
+from dethodge.repsets import WeightSet, parse_weight_set
 from dethodge.weights import WeightBox, dominant_tuples, leq
 
 
 def partitions_in_box(n, bound):
     return [lam for lam in WeightBox(n, bound) if lam[-1] >= 0]
+
+
+def in_ideal_by_tails(mu, k, n):
+    """Reference for I_k: the tail inequalities
+    mu_p + ... + mu_n >= (n-p)*(k-1) - comb(n-p, 2), one p at a time."""
+    return all(sum(mu[p - 1:]) >= (n - p) * (k - 1) - comb(n - p, 2) for p in range(1, n + 1))
 
 
 def test_in_symbolic_power_examples():
@@ -73,15 +78,17 @@ def test_in_hodge_ideal_examples():
 
 
 def test_hodge_ideal_core_matches_the_public_predicate():
-    # The unvalidated core against the public predicate, and both against
-    # I_k read as the intersection of the symbolic powers J_p^(e_p).
+    # The unvalidated core against the public predicate and the tail
+    # inequalities, and all against I_k read as the intersection of the
+    # symbolic powers J_p^(e_p).
     for n, bound in ((1, 12), (2, 8), (3, 6), (4, 4), (5, 3)):
         space = MatrixSpace(n, n)
         for k in range(8):
             exponents = hodge_ideal_exponents(k, space)
             for mu in partitions_in_box(n, bound):
-                core = hodgeideals._in_hodge_ideal(mu, k, n)
+                core = k <= repsets._hodge_ideal_level(mu, n)
                 assert core == in_hodge_ideal(mu, k, space), (mu, k)
+                assert core == in_ideal_by_tails(mu, k, n), (mu, k)
                 assert core == all(
                     in_symbolic_power(mu, p, e, space) for p, e in enumerate(exponents, 1)
                 ), (mu, k)
@@ -232,30 +239,36 @@ def per_k_reference(space, k, bound):
 
 
 def shifted_core(monkeypatch, shift):
-    """Rebind the U^p_k core to one whose levels sit `shift` off."""
-    core = hodgeideals._Ukp_level
-    monkeypatch.setattr(
-        hodgeideals, "_Ukp_level", lambda lam, p, space: core(lam, p, space) + shift
-    )
+    """Rebind the F_k level core to one whose levels sit `shift` off,
+    wherever it is called: in `verify_equivalence` and behind
+    `in_Fk_Sdet`, the FkSdet row of the weight-set table."""
+    core = repsets._Fk_level
+
+    def shifted(lam, space):
+        return core(lam, space) + shift
+
+    monkeypatch.setattr(hodgeideals, "_Fk_level", shifted)
+    monkeypatch.setattr(repsets, "_Fk_level", shifted)
 
 
 def strict_core(monkeypatch):
-    """Rebind the U^p_k core to one whose levels sit one too high, so it
-    wrongly rejects the tight tail sums, the boundary of every U^p_k."""
+    """Rebind the F_k level core to one whose levels sit one too high, so
+    it wrongly rejects the tight tail sums, the boundary of every U^p_k."""
     shifted_core(monkeypatch, 1)
 
 
 def counting_classify(monkeypatch):
-    """Rebind the verifier's classifier to one that records each weight it
-    classifies; returns the record."""
+    """Rebind the classifier behind the F_k level core to one that records
+    each weight it classifies, one per level computed; returns the
+    record."""
     calls = []
-    classify = hodgeideals._classify
+    classify = repsets._classify
 
     def counting(lam, space):
         calls.append(lam)
         return classify(lam, space)
 
-    monkeypatch.setattr(hodgeideals, "_classify", counting)
+    monkeypatch.setattr(repsets, "_classify", counting)
     return calls
 
 
@@ -349,8 +362,8 @@ def test_hodge_ideal_level_is_the_membership_threshold():
     # closed form at once, against the tail inequalities one k at a time.
     for n in range(1, 7):
         for mu in dominant_tuples(n, 0, 8):
-            level = hodgeideals._hodge_ideal_level(mu, n)
-            assert [hodgeideals._in_hodge_ideal(mu, k, n) for k in range(11)] == [
+            level = repsets._hodge_ideal_level(mu, n)
+            assert [in_ideal_by_tails(mu, k, n) for k in range(11)] == [
                 k <= level for k in range(11)
             ], mu
             assert (level == math.inf) == (n == 1)

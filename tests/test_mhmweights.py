@@ -158,12 +158,10 @@ def test_filtration_support_fails_at_the_boundary_of_a_shifted_core(monkeypatch,
     # A U^p_k core whose levels sit one too high rejects the witness at the
     # threshold k = (n-p)^2; one whose levels sit one too low admits it at
     # k = (n-p)^2 - 1, which exists for p < n. Every other level agrees.
-    import dethodge.repsets as repsets
+    import dethodge.mhmweights as mhm
 
-    core = repsets._Ukp_level
-    monkeypatch.setattr(
-        repsets, "_Ukp_level", lambda lam, p, space: core(lam, p, space) + shift
-    )
+    core = mhm._Ukp_level
+    monkeypatch.setattr(mhm, "_Ukp_level", lambda lam, p, space: core(lam, p, space) + shift)
     kmax = 2 * n * n
     report = filtration_support_check(MatrixSpace(n, n), kmax, 3 * n)
     boundary = [(p, (n - p) ** 2 - (shift < 0)) for p in range(n + 1)]

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dethodge.hodgeideals import WeightSet, grF_Dp_layer, in_Fk_Sdet, parse_weight_set
+from dethodge.hodgeideals import grF_Dp_layer, in_Fk_Sdet
 from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum
+from dethodge import repsets
 from dethodge.repsets import (
+    WeightSet,
     _Ukp_level,
     classify,
     compose_weight,
@@ -16,8 +18,9 @@ from dethodge.repsets import (
     in_Wpd,
     lambda_p_mu,
     minimal_elements,
+    parse_weight_set,
 )
-from dethodge.weights import WeightBox, _wp_member, check_weight, delta_p, leq
+from dethodge.weights import WeightBox, _wp_member, check_weight, delta_p, dominant_tuples, leq
 
 
 def test_in_Wp_examples():
@@ -310,8 +313,6 @@ def test_layers_partition_the_support():
 
 
 def test_decompose_weight_raises_on_a_non_partition_split(monkeypatch):
-    import dethodge.repsets as repsets
-
     monkeypatch.setattr(repsets, "_wp_member", lambda lam, p, space: True)
     with pytest.raises(RuntimeError):
         decompose_weight((0, 0), 0, MatrixSpace(2, 2))
@@ -329,6 +330,8 @@ def test_public_predicates_still_validate(lam, message):
     # The cores skip validation; the public names must not.
     space = MatrixSpace(2, 2)
     calls = [
+        lambda: in_Wp(lam, 1, space),
+        lambda: in_Wpd(lam, 1, 0, space),
         lambda: in_Ukp(lam, 1, 0, space),
         lambda: classify(lam, space),
         lambda: in_Fk_Sdet(lam, 0, space),
@@ -338,3 +341,100 @@ def test_public_predicates_still_validate(lam, message):
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,p",
+    [
+        (lambda space: lambda_p_mu(-1, (), space), -1),
+        (lambda space: compose_weight((), (), -1, space), -1),
+        (lambda space: lambda_p_mu(5, (), space), 5),
+        (lambda space: decompose_weight((0, -3), 5, space), 5),
+        (lambda space: in_Wpd((0, -3), 3, 0, space), 3),
+    ],
+    ids=[
+        "lambda_p_mu-below",
+        "compose_weight-below",
+        "lambda_p_mu-above",
+        "decompose_weight-above",
+        "in_Wpd-above",
+    ],
+)
+def test_weight_layer_helpers_refuse_a_stratum_index_outside_0_to_n(call, p):
+    # Unchecked, p = -1 built a weight of length 3 on a 2x2 space, and a
+    # p above n read past the end of the weight.
+    with pytest.raises(ValueError, match=rf"^stratum index p={p} outside 0\.\.2$"):
+        call(MatrixSpace(2, 2))
+
+
+def in_wp_by_rows(lam, p, m, n):
+    """W^p by its two rows: lam_p >= p-n (for p > 0), lam_{p+1} <= p-m
+    (for p < n)."""
+    return (p == 0 or lam[p - 1] >= p - n) and (p == n or lam[p] <= p - m)
+
+
+def member_by_inequalities(wset, lam):
+    """Membership of lam straight from the defining inequalities of the
+    set's kind, with T_q = lam_q + ... + lam_n."""
+    m, n, p, x = wset.space.m, wset.space.n, wset.p, wset.param
+    if wset.kind == "Wp":
+        return in_wp_by_rows(lam, p, m, n)
+    if wset.kind == "Wpd":
+        return in_wp_by_rows(lam, p, m, n) and sum(lam[p:]) == -x - (m - p) * (n - p)
+    if wset.kind == "Ukp":
+        return in_wp_by_rows(lam, p, m, n) and sum(lam[p:]) >= -comb(n - p + 1, 2) - x
+    if wset.kind == "empty":
+        return False
+    if wset.kind == "SymbolicPower":
+        return sum(lam[p - 1:]) >= x
+    if wset.kind == "HodgeIdeal":
+        return all(
+            sum(lam[q - 1:]) >= (n - q) * (x - 1) - comb(n - q, 2) for q in range(1, n + 1)
+        )
+    if wset.kind == "FkSdet":
+        return any(
+            in_wp_by_rows(lam, q, m, n) and sum(lam[q:]) >= -comb(n - q + 1, 2) - x
+            for q in range(n + 1)
+        )
+    raise AssertionError(f"no reference for {wset.kind}")
+
+
+def admitted_weight_sets(space):
+    """Every weight set on the space of each kind, every stratum index in
+    its range and every parameter in -2..4 that the kind admits."""
+    for kind in repsets._SPECS:
+        for p in (None, *range(-1, space.n + 2)):
+            for param in (None, *range(-2, 5)):
+                try:
+                    yield WeightSet(space, kind, p, param)
+                except ValueError:
+                    pass
+
+
+def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
+    # contains against the inequalities on every weight of the box, and
+    # members, in total and per size, against the slow oracle: the whole
+    # box walked and filtered by the inequalities.
+    bound = 4
+    sets = 0
+    for n in range(1, 5):
+        for space in (MatrixSpace(n, n), MatrixSpace(n + 1, n)):
+            for wset in admitted_weight_sets(space):
+                sets += 1
+                lo = 0 if wset.partitions_only else -bound
+                box = dominant_tuples(n, lo, bound)
+                walk = [lam for lam in box if member_by_inequalities(wset, lam)]
+                for lam in WeightBox(n, bound):
+                    if lam[-1] < 0 and wset.partitions_only:
+                        with pytest.raises(ValueError, match="need a partition"):
+                            wset.contains(lam)
+                    else:
+                        expected = member_by_inequalities(wset, lam)
+                        assert wset.contains(lam) == expected, (wset, lam)
+                assert wset.members(bound) == walk, wset
+                for d in range(-n * bound - 1, n * bound + 2):
+                    by_size = [lam for lam in walk if sum(lam) == d]
+                    assert wset.members(bound, total=d) == by_size, (wset, d)
+    # Per n: the seven kinds on the square space, 21n + 24 sets, and W^p,
+    # W^p_d and the empty set on the (n+1) x n space, 7(n+1) sets.
+    assert sets == sum(21 * n + 24 + 7 * (n + 1) for n in range(1, 5))

@@ -1,10 +1,11 @@
 """Lint of the package source, by its syntax tree: invariants are raised,
-never asserted (``python -O`` drops asserts), every absolute import
-is from the standard library, so the package has no runtime
-dependencies, and every random draw comes from a seeded generator, so
-every run can be replayed. Every dotted name a module docstring quotes
-in single or double backticks must exist, so the docstrings cannot drift
-from the code they describe."""
+never asserted (``python -O`` drops asserts); no import sits inside a
+function, where it could hide an import cycle; every absolute import is
+from the standard library, so the package has no runtime dependencies;
+and every random draw comes from a seeded generator, so every run can be
+replayed. Every dotted name a module docstring quotes in single or
+double backticks must exist, so the docstrings cannot drift from the
+code they describe."""
 
 import ast
 import importlib
@@ -17,6 +18,17 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "dethodge").g
 
 def asserts(tree):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def nested_imports(tree):
+    """Line of every import inside a function or method body."""
+    return sorted({
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
 
 
 def outside_imports(tree):
@@ -119,8 +131,13 @@ def test_the_lint_finds_what_it_looks_for():
         "y = random.random() + random.Random().random()\n"
         "from random import choice\n"
         "import random as r\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        from json import dumps\n"
     )
     assert asserts(tree) == [6]
+    assert nested_imports(tree) == [14]
+    assert nested_imports(ast.parse("import os\ndef f():\n    return os.sep\n")) == []
     assert outside_imports(tree) == [(1, "numpy"), (2, "hypothesis")]
     assert unseeded_draws(tree) == [
         (8, "random.randint"),
@@ -131,7 +148,7 @@ def test_the_lint_finds_what_it_looks_for():
     ]
     assert unseeded_draws(ast.parse("import random\nrng = random.Random(7)\n")) == []
     module = type(sys)("fake", (
-        "``WeightBox`` ``WeightBox.count`` ``hodgeideals.WeightSet.descriptor``\n"
+        "``WeightBox`` ``WeightBox.count`` ``repsets.WeightSet.descriptor``\n"
         "``python -m dethodge`` ``dethodge`` ``nope`` ``qseries.nope``\n"
         "``nomodule.f`` ``WeightBox.nope``\n"
         "`WeightBox.count` `oracle.line_vanishing_order` `verify oracle`\n"
@@ -147,6 +164,11 @@ def test_the_lint_finds_what_it_looks_for():
 def test_no_module_asserts():
     found = {name: lines for name, tree in _trees().items() if (lines := asserts(tree))}
     assert not found, f"assert statements (raise instead): {found}"
+
+
+def test_no_import_inside_a_function():
+    found = {name: lines for name, tree in _trees().items() if (lines := nested_imports(tree))}
+    assert not found, f"imports inside a function (move them to the top): {found}"
 
 
 def test_every_absolute_import_is_stdlib():
