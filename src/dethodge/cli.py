@@ -3,6 +3,11 @@
 of `suites`, the weight ledger `mhmweights.weight_ledger`, ...), builds
 its JSON fields and its text lines, and hands both to one render step.
 
+Every subcommand's arguments live in one table, `_COMMANDS`. A
+well-formed request is read straight from it; argparse, whose parser
+`build_parser` makes from the same table, reads every other argv and is
+the only source of help and error text.
+
 Exit codes: 0 on success, 1 when a verification suite finds
 counterexamples, 2 on usage errors. All randomized suites run with a
 fixed documented default seed unless --seed is given.
@@ -13,7 +18,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
+from typing import Callable, NamedTuple
 
 from . import suites
 from .characters import hilbert_function
@@ -216,69 +223,125 @@ def _positive(text: str) -> int:
     return value
 
 
+_REQUIRED = object()  # the default of an argument every request must give
+
+
+class _Option(NamedTuple):
+    """One argument of a subcommand: its option string, or the positional's
+    name; the callable that converts its value (None for a flag); its
+    default, or _REQUIRED; its choices and its help."""
+
+    name: str
+    type: Callable[[str], object] | None
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+_FORMAT = _Option("--format", str, "text", ("text", "json"))
+
+
+class _Command:
+    """A subcommand's help, its arguments in the order its --help lists
+    them (``--format`` last), and the flags of which a request gives at
+    most one."""
+
+    def __init__(self, help: str, *options: _Option, exclusive: tuple[str, ...] = ()):
+        self.help = help
+        self.options = (*options, _FORMAT)
+        self.by_name = {option.name: option for option in self.options}
+        self.dests = tuple(option.name.lstrip("-") for option in self.options)
+        self.positional = next((o.name for o in options if o.name[0] != "-"), None)
+        self.exclusive = exclusive
+
+
+_COMMANDS = {
+    "hodge-ideal": _Command(
+        "symbolic-power description of a Hodge ideal",
+        _Option("--n", int, _REQUIRED),
+        _Option("--k", _nonneg, _REQUIRED),
+        _Option("--box", _nonneg, help="also list members with entries in [0, L]"),
+    ),
+    "filtration": _Command(
+        "Hodge filtration membership on the localization",
+        _Option("--n", int, _REQUIRED),
+        _Option("--k", _nonneg, _REQUIRED),
+        _Option("--weight", _parse_weight, help='weight, e.g. "0,-3"'),
+        _Option("--box", _nonneg, help="list members with entries in [-L, L]"),
+    ),
+    "weights-table": _Command(
+        "per-stratum weight and twist ledger",
+        _Option("--m", int, 2),
+        _Option("--n", int, 2),
+    ),
+    "decompose": _Command(
+        "pushforward multiplicity table",
+        _Option("--m", int, _REQUIRED),
+        _Option("--n", int, _REQUIRED),
+        _Option("--p", _nonneg, _REQUIRED),
+        _Option("--solve", None, False, help="triangular back-substitution route"),
+        _Option("--closed", None, False, help="closed form (default)"),
+        exclusive=("--solve", "--closed"),
+    ),
+    "hilbert": _Command(
+        "graded dimensions of a weight-set module",
+        _Option(
+            "--set", str, _REQUIRED,
+            help='e.g. "Ik(n=2,k=3)", "Jpd(n=3,p=1,d=2)", "Wp(3,2,1)"',
+        ),
+        _Option("--dmax", _nonneg, 12),
+        _Option("--box", _nonneg, help="truncation bound for non-partition sets"),
+    ),
+    "oracle-check": _Command(
+        "differential test vs weight predicate",
+        _Option("--n", int, _REQUIRED),
+        _Option("--p", int, _REQUIRED),
+        _Option("--dmax", _positive, 4),
+        _Option("--trials", _positive, 8),
+        _Option("--seed", _seed, DEFAULT_SEED),
+        _Option("--lmax", _nonneg, 6, help="max size of tested partitions"),
+    ),
+    "verify": _Command(
+        "run a verification suite",
+        _Option("suite", str, _REQUIRED, (*sorted(suites.SUITES), "all")),
+        _Option("--seed", _seed, DEFAULT_SEED),
+        _Option(
+            "--m", int, help="decomposition suite only: one space instead of the grid"
+        ),
+        _Option("--n", int, help="decomposition suite only"),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the whole command line, on every call. Subcommand
-    ``x-y`` runs ``cmd_x_y``. The parser's ``subcommands`` attribute maps
-    each subcommand to its own parser."""
+    """A new argparse parser for the whole command line, built from the
+    option table, on every call. Subcommand ``x-y`` runs ``cmd_x_y``."""
     parser = argparse.ArgumentParser(
         prog="dethodge",
         description="Exact combinatorics of Hodge ideals and filtrations on determinantal strata.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("hodge-ideal", help="symbolic-power description of a Hodge ideal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=_nonneg, required=True)
-    p.add_argument("--box", type=_nonneg, help="also list members with entries in [0, L]")
-    add_format(p)
-
-    p = sub.add_parser("filtration", help="Hodge filtration membership on the localization")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=_nonneg, required=True)
-    p.add_argument("--weight", type=_parse_weight, help='weight, e.g. "0,-3"')
-    p.add_argument("--box", type=_nonneg, help="list members with entries in [-L, L]")
-    add_format(p)
-
-    p = sub.add_parser("weights-table", help="per-stratum weight and twist ledger")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    add_format(p)
-
-    p = sub.add_parser("decompose", help="pushforward multiplicity table")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=_nonneg, required=True)
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--solve", action="store_true", help="triangular back-substitution route")
-    route.add_argument("--closed", action="store_true", help="closed form (default)")
-    add_format(p)
-
-    p = sub.add_parser("hilbert", help="graded dimensions of a weight-set module")
-    p.add_argument("--set", required=True, help='e.g. "Ik(n=2,k=3)", "Jpd(n=3,p=1,d=2)", "Wp(3,2,1)"')
-    p.add_argument("--dmax", type=_nonneg, default=12)
-    p.add_argument("--box", type=_nonneg, help="truncation bound for non-partition sets")
-    add_format(p)
-
-    p = sub.add_parser("oracle-check", help="differential test vs weight predicate")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--dmax", type=_positive, default=4)
-    p.add_argument("--trials", type=_positive, default=8)
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--lmax", type=_nonneg, default=6, help="max size of tested partitions")
-    add_format(p)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p.add_argument("--m", type=int, help="decomposition suite only: one space instead of the grid")
-    p.add_argument("--n", type=int, help="decomposition suite only")
-    add_format(p)
-
-    parser.subcommands = sub.choices
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = p.add_mutually_exclusive_group() if command.exclusive else p
+        for option in command.options:
+            target = group if option.name in command.exclusive else p
+            if option.type is None:
+                target.add_argument(option.name, action="store_true", help=option.help)
+            elif option.name == command.positional:
+                target.add_argument(
+                    option.name, type=option.type, choices=option.choices, help=option.help
+                )
+            else:
+                required = option.default is _REQUIRED
+                target.add_argument(
+                    option.name,
+                    type=option.type,
+                    required=required,
+                    default=None if required else option.default,
+                    choices=option.choices,
+                    help=option.help,
+                )
     return parser
 
 
@@ -287,28 +350,80 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# The tokens argparse reads as negative numbers, hence as values, not options.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """The arguments of a well-formed request, read from the option table,
+    or None for any other argv. A well-formed request names its subcommand
+    first, then gives each argument at most once, as an exact ``--name
+    value`` or ``--name=value``, a flag, or the positional; a separate value
+    may start with "-" only as a negative number. Every value converts, lies
+    in its choices, every required argument is given, and at most one
+    exclusive flag. What it returns is what argparse would."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] == "-":
+            name, eq, text = token.partition("=")
+            option = command.by_name.get(name)
+            if option is None or name in given:
+                return None
+            if option.type is None:
+                if eq:
+                    return None
+                given[name] = True
+                continue
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+                    return None
+            given[name] = text
+        elif command.positional is None or command.positional in given:
+            return None
+        else:
+            given[command.positional] = token
+    if command.exclusive and sum(name in given for name in command.exclusive) > 1:
+        return None
+    args = argparse.Namespace(command=argv[0])
+    values = vars(args)
+    for option, dest in zip(command.options, command.dests):
+        text = given.get(option.name)
+        if text is None:
+            if option.default is _REQUIRED:
+                return None
+            value = option.default
+        elif option.type is None:
+            value = True
+        else:
+            try:
+                value = option.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+        values[dest] = value
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments of one request. A request that names its subcommand
-    first is parsed by that subcommand's parser alone; everything else
-    (no arguments, a leading option, an unknown subcommand or an argument
-    the subcommand does not know) goes to the full parser, which prints
-    the help or the error. The subcommand's parser is the one the full
-    parser hands the same arguments to, so both routes read them alike."""
-    parser = _shared_parser()
-    subparser = parser.subcommands.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, rest = subparser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """The arguments of one request: the table's reading of a well-formed
+    argv, and argparse's of any other, which prints the help or the error."""
+    args = _read(argv)
+    return args if args is not None else _shared_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one subcommand. May be called any number of times in one
-    process: the parser is built on the first call and reused, and it holds
-    no state between calls. The subcommand's ``cmd_*`` function is looked
-    up by name on each call, so a rebound name takes effect."""
+    process, and calls share no state. A well-formed request is read from
+    the option table and builds no parser; the first request that needs
+    argparse (help, or an argv the table does not read) builds the full
+    parser, which later ones reuse. The subcommand's ``cmd_*`` function is
+    looked up by name on each call, so a rebound name takes effect."""
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -20,6 +20,8 @@ class MatrixSpace:
     n: int
 
     def __post_init__(self):
+        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+            raise TypeError(f"m and n must be ints, got m={self.m!r}, n={self.n!r}")
         if self.n < 1 or self.m < self.n:
             raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
 

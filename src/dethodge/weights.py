@@ -30,8 +30,15 @@ def is_partition(entries) -> bool:
 
 
 def check_weight(entries, length: int | None = None) -> tuple[int, ...]:
-    """Validate dominance (and optionally the length), returning a tuple."""
+    """Validate dominance (and optionally the length), returning a tuple of
+    ints. An entry is read with int(); a number it would change (2.7, 1/2)
+    is refused, not truncated."""
+    entries = tuple(entries)
     v = tuple(map(int, entries))
+    if v != entries:
+        inexact = [x for x, i in zip(entries, v) if i != x and not isinstance(x, str)]
+        if inexact:
+            raise ValueError(f"weight entries must be integers: {', '.join(map(repr, inexact))}")
     if length is not None and len(v) != length:
         raise ValueError(f"expected a weight of length {length}, got {v}")
     if not is_dominant(v):

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dethodge
-from dethodge import cli
+from dethodge import cli, suites
 from dethodge.cli import build_parser, main
 from dethodge.matrixspace import MatrixSpace
 from dethodge.oracle import RankConstrainedSampler
@@ -282,8 +284,6 @@ def test_oracle_check(capsys):
     ],
 )
 def test_oracle_check_refuses_p_and_trials_before_any_work(capsys, monkeypatch, argv, flag):
-    import dethodge.suites as suites
-
     def no_work(*args, **kwargs):
         raise AssertionError("oracle work started before the arguments were checked")
 
@@ -322,8 +322,6 @@ def test_oracle_check_reports_what_verify_oracle_reports(capsys):
 def sampler_bounds(monkeypatch):
     """Rebind the oracle grid's sampler class to one that records the entry
     bound B of each sampler the grid builds; returns the record."""
-    import dethodge.suites as suites
-
     bounds = []
 
     class Recording(RankConstrainedSampler):
@@ -417,16 +415,34 @@ def test_numeric_seed_keeps_the_sampler_stream():
     assert by_int.reseeded("x").sample() == by_text.reseeded("x").sample()
 
 
-MIXED_CALLS = [
-    ["weights-table", "--m", "3", "--n", "2"],
-    ["hodge-ideal", "--n", "3", "--k", "2", "--format", "json"],
-    ["decompose", "--m", "3", "--n", "2", "--p", "1", "--solve"],
-    ["verify", "nonsense"],
-    ["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "3"],
-]
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_ARGV = [
+    record["argv"]
+    for path in sorted(GOLDEN_DIR.glob("*.json"))
+    for record in json.loads(path.read_text())
+    if record["exit"] == 0 and "--help" not in record["argv"]
+]  # help exits 0 too, but only argparse prints it
+DECOMPOSE = ["decompose", "--m", "3", "--n", "2", "--p", "1"]
 
 
-def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+def invoke(argv, entry=main):
+    """(exit code, stdout, stderr) of one in-process ``entry(argv)`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_golden_request_is_read_from_the_table():
+    assert len(GOLDEN_ARGV) > 250
+    for argv in GOLDEN_ARGV:
+        assert cli._read(argv) is not None, argv
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch):
     made = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -434,26 +450,28 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
         made.append(self)
         real_init(self, *args, **kwargs)
 
+    monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     # A fresh import of the module, restored to the shared one afterwards.
     monkeypatch.delitem(sys.modules, "dethodge.cli")
     monkeypatch.setattr(dethodge, "cli", cli)
     fresh = importlib.import_module("dethodge.cli")
     assert fresh is not cli
-    assert made == []
 
     builds = []
     real_build = fresh.build_parser
     monkeypatch.setattr(fresh, "build_parser", lambda: builds.append(1) or real_build())
-    for i in range(20):
-        argv = MIXED_CALLS[i % len(MIXED_CALLS)]
-        try:
-            code = fresh.main(argv)
-        except SystemExit as exit_:
-            code = exit_.code
-        assert code == (2 if argv == ["verify", "nonsense"] else 0), argv
-    capsys.readouterr()
+    for argv in GOLDEN_ARGV:
+        assert invoke(argv, fresh.main)[0] == 0, argv
+    assert made == [] and builds == []
+
+    assert invoke(["verify", "nonsense"], fresh.main)[0] == 2
     assert builds == [1]
+    one_parser = len(made)
+    assert one_parser == 1 + len(fresh._COMMANDS)  # the top level and each subcommand
+    for argv in (["--help"], ["decompose", "--help"], [*DECOMPOSE, "--sol"], *GOLDEN_ARGV[:20]):
+        invoke(argv, fresh.main)
+    assert builds == [1] and len(made) == one_parser
 
 
 def test_a_rebound_command_takes_effect_on_the_next_call(capsys, monkeypatch):
@@ -475,52 +493,136 @@ def test_build_parser_returns_a_new_parser_on_each_call():
     assert first.format_help() == second.format_help()
 
 
-# -- one parse per request ----------------------------------------------------
+# -- one reading per request ---------------------------------------------------
 
-USAGE_GOLDEN = Path(__file__).resolve().parent / "golden" / "usage.json"
-DECOMPOSE = ["decompose", "--m", "3", "--n", "2", "--p", "1"]
-PARITY_CALLS = [record["argv"] for record in json.loads(USAGE_GOLDEN.read_text())] + [
+USAGE_GOLDEN = json.loads((GOLDEN_DIR / "usage.json").read_text())
+# The requests the table reads: the refusals main prints, and well-formed
+# requests in each token form.
+READ_CALLS = [record["argv"] for record in USAGE_GOLDEN if record["stderr"].startswith("error: ")] + [
+    DECOMPOSE,
+    [*DECOMPOSE, "--format=json", "--solve"],
+    ["verify", "--seed", "-3", "decomposition", "--m=2", "--n", "1"],
+    ["filtration", "--weight=0,-3", "--n", "2", "--k", "2", "--format", "json"],
+    ["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "3"],
+    ["weights-table"],
+]
+PARITY_CALLS = [r["argv"] for r in USAGE_GOLDEN if r["argv"] not in READ_CALLS] + READ_CALLS + [
     [*DECOMPOSE, "--bogus"],  # an unknown option after the subcommand
     [*DECOMPOSE, "extra"],  # a stray positional
     [*DECOMPOSE, "--sol"],  # an abbreviated option
-    [*DECOMPOSE, "--format=json"],
+    [*DECOMPOSE, "--m", "4"],  # a repeated option
+    [*DECOMPOSE, "--solve=1"],  # a value on a flag
     [*DECOMPOSE, "--"],
     ["decompose", "--m", "3", "--n", "2", "--", "--p", "1"],
+    ["decompose", "--m", "3", "--n", "2", "--p", "-x"],  # a value that is an option
     ["verify", "--", "nonsense"],
+    ["verify", "decomposition", "weights"],  # a second positional
     [],
     ["-h"],
     ["-h", "decompose"],
     ["--format", "json", "decompose"],
     ["bogus", "--m", "3"],
-    ["weights-table"],
 ]
 
 
-def invoke(argv):
-    """(exit code, stdout, stderr) of one in-process ``main(argv)`` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exit_:
-            code = exit_.code
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("argv", PARITY_CALLS, ids=lambda argv: " ".join(argv) or "(none)")
-def test_a_request_reads_the_same_through_its_subcommand_parser(argv, monkeypatch):
+def test_a_request_reads_the_same_through_the_table_and_argparse(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
+    assert (cli._read(argv) is not None) == (argv in READ_CALLS)
     direct = invoke(argv)
-    # With no subcommand parser to find, every request goes through the full parser.
-    monkeypatch.setattr(cli._shared_parser(), "subcommands", {})
+    # With the table reading nothing, every request goes through argparse.
+    parser = cli._shared_parser()
+    full, real_parse = [], parser.parse_args
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    monkeypatch.setattr(parser, "parse_args", lambda argv: full.append(argv) or real_parse(argv))
     assert direct == invoke(argv)
+    assert full == [argv]
 
 
 def test_a_well_formed_request_skips_the_full_parser(monkeypatch):
-    def refuse(*args, **kwargs):
+    def refuse():
         raise AssertionError("the full parser was used")
 
-    monkeypatch.setattr(cli._shared_parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli, "_shared_parser", refuse)
     assert invoke([*DECOMPOSE, "--solve", "--format", "json"])[0] == 0
     with pytest.raises(AssertionError):
         invoke([*DECOMPOSE, "--bogus"])
+
+
+# -- argparse is the oracle of the table reader -------------------------------
+
+REFERENCE = build_parser()
+VALUES = [
+    "0", "1", "3", "12", "007", "-1", "-0", "-12", "-.5", "-1.5", "1.5", "x", "", " 2", "2 ",
+    "-x", "- 1", "-1 ", "0,-3", "(1,0)", "1,a", "text", "json", "Ik(n=2,k=3)", "Wp(2,2,1)",
+    *sorted(suites.SUITES), "all", "nonsense",
+]
+ODD_TOKENS = [
+    "-h", "--help", "--", "-", "--sol", "--form", "--se", "--d", "-n", "--bogus", "--solve=1",
+    "--closed=", "--n=", "--format=", "--m=-2", "--k=-1", "--help=1", "decompose",
+]
+# Values each argument converts and accepts, by its type or its name.
+GOOD_VALUES = {
+    int: st.integers(-3, 9).map(str),
+    cli._nonneg: st.integers(0, 9).map(str),
+    cli._positive: st.integers(1, 9).map(str),
+    cli._seed: st.sampled_from(["1729", "-4", "007", "3:0", "x"]),
+    cli._parse_weight: st.sampled_from(["0,-3", "(1,0)", "-1,-2", "2"]),
+    "--set": st.sampled_from(["Ik(n=2,k=3)", "Wp(2,2,1)", "", "-1"]),
+    "--format": st.sampled_from(["text", "json"]),
+    "suite": st.sampled_from([*sorted(suites.SUITES), "all"]),
+}
+
+
+@st.composite
+def requests(draw):
+    """A subcommand and each of its arguments, in any order, left out if
+    optional, or given as ``--name value`` or ``--name=value`` (a flag
+    alone, the positional as its value) with a value that converts. At most
+    one argument goes wrong: left out, given twice or abbreviated, or given
+    a value from the alphabet; or an odd token lands anywhere."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus", "-h"]))
+    spec = cli._COMMANDS.get(command, cli._COMMANDS["decompose"])
+    options = draw(st.permutations(spec.options))
+    wrong = draw(st.integers(-1, len(options)))  # len(options): an odd token
+    argv = [command]
+    for i, option in enumerate(options):
+        wild = i == wrong
+        forms = ["pair", "eq"]
+        if wild or option.default is not cli._REQUIRED:
+            forms.append("")
+        if wild:
+            forms += ["twice", "abbreviated"]
+        form = draw(st.sampled_from(forms))
+        name = option.name[:-1] if form == "abbreviated" else option.name
+        good = GOOD_VALUES.get(option.name, GOOD_VALUES.get(option.type))
+        value = st.one_of(good, st.sampled_from(VALUES)) if wild and form != "twice" else good
+        for _ in range({"": 0, "twice": 2}.get(form, 1)):
+            if name[0] != "-":
+                argv.append(draw(value))
+            elif option.type is None:
+                argv.append(name)
+            elif form == "eq":
+                argv.append(f"{name}={draw(value)}")
+            else:
+                argv += [name, draw(value)]
+    if wrong == len(options):
+        at = draw(st.integers(0, len(argv)))
+        argv.insert(at, draw(st.sampled_from(ODD_TOKENS + VALUES)))
+    return argv
+
+
+ARGV = st.one_of(st.sampled_from(GOLDEN_ARGV + PARITY_CALLS), requests())
+
+
+@settings(max_examples=1000)
+@given(ARGV)
+def test_argparse_is_the_oracle_of_the_table_reader(argv):
+    args = cli._read(argv)
+    if args is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                reference = REFERENCE.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the table read {argv}, which argparse refuses")
+        assert vars(args) == vars(reference), argv

@@ -18,6 +18,12 @@ def test_space_validation():
     assert MatrixSpace(2, 2).is_square
 
 
+@pytest.mark.parametrize("m,n", [(2.5, 2), (2, 2.0), ("3", 2), (3, None)])
+def test_space_refuses_sizes_that_are_not_ints(m, n):
+    with pytest.raises(TypeError, match="m and n must be ints"):
+        MatrixSpace(m, n)
+
+
 def test_stratum_validation():
     space = MatrixSpace(3, 2)
     with pytest.raises(ValueError):

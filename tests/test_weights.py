@@ -1,5 +1,11 @@
+import re
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
+from dethodge.characters import dim_irrep
+from dethodge.hodgeideals import in_hodge_ideal
 from dethodge.matrixspace import MatrixSpace
 from dethodge.repsets import in_Wp
 from dethodge.weights import (
@@ -37,6 +43,24 @@ def test_is_dominant_and_check_weight_accept_any_iterable():
         check_weight([])
     with pytest.raises(ValueError, match=r"^\(1, 2\) is not weakly decreasing$"):
         check_weight(["1", "2"])
+
+
+@pytest.mark.parametrize("entries", [(2.7, 0.9), (1, 0.5), (Fraction(1, 2), 0), (Decimal("2.5"),)])
+def test_check_weight_refuses_an_entry_int_would_change(entries):
+    inexact = [x for x in entries if int(x) != x]
+    with pytest.raises(ValueError, match="weight entries must be integers: " + re.escape(
+        ", ".join(map(repr, inexact))
+    )):
+        check_weight(entries)
+
+
+def test_non_integral_weights_reach_no_predicate():
+    space = MatrixSpace(2, 2)
+    with pytest.raises(ValueError, match="2.7, 0.9"):
+        in_hodge_ideal((2.7, 0.9), 1, space)
+    with pytest.raises(ValueError, match="1.5"):
+        dim_irrep((1.5, 0), 2)
+    assert check_weight((Fraction(2), 1.0)) == (2, 1)
 
 
 def test_dual_examples():
