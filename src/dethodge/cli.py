@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from typing import Callable, NamedTuple
@@ -39,15 +40,29 @@ def _emit(args, fields: dict, lines: list[str], ok: bool = True) -> int:
     """Print the command's JSON payload or its text lines, as --format
     asks, and return its exit code."""
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "command": args.command, **fields}))
+        _write(json.dumps({"schema": SCHEMA, "command": args.command, **fields}))
     else:
-        print("\n".join(lines))
+        _write("\n".join(lines))
     return 0 if ok else 1
 
 
-def _parse_weight(text: str) -> tuple[int, ...]:
+def _write(text: str) -> None:
+    """Print `text` and flush it. A reader that has closed stdout ends the
+    output: stdout is pointed at os.devnull, so nothing written later, the
+    interpreter's flush at exit included, can raise."""
     try:
-        return tuple(int(x) for x in text.replace("(", "").replace(")", "").split(","))
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _parse_weight(text: str) -> tuple[int, ...]:
+    """A weight as "0,-3" or "(0,-3)": at most one leading "(" and one
+    trailing ")" are stripped, and every other character is the entries'."""
+    try:
+        return tuple(int(x) for x in text.removeprefix("(").removesuffix(")").split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse weight {text!r}") from None
 
@@ -134,7 +149,7 @@ def cmd_decompose(args) -> int:
         # The table's JSON text is written straight from its coefficients;
         # its fields follow the payload's, as json.dumps would write them.
         head = json.dumps({"schema": SCHEMA, "command": args.command, "route": route})
-        print(f"{head[:-1]}, {table.to_json()[1:]}")
+        _write(f"{head[:-1]}, {table.to_json()[1:]}")
         return 0
     lines = [
         f"pushforward multiplicities for the rank-{args.p} simple module "
@@ -423,7 +438,9 @@ def main(argv=None) -> int:
     the option table and builds no parser; the first request that needs
     argparse (help, or an argv the table does not read) builds the full
     parser, which later ones reuse. The subcommand's ``cmd_*`` function is
-    looked up by name on each call, so a rebound name takes effect."""
+    looked up by name on each call, so a rebound name takes effect. A
+    closed stdout ends the output (`_write`), and the command still
+    returns its own exit code."""
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -9,35 +9,37 @@ bookkeeping into Laurent polynomial identities: stalks of IC sheaves are
 Gaussian binomials at q^2 (up to a shift), and the multiplicity
 polynomials f_i(q) are pinned down by a triangular system solvable by
 exact back-substitution. The closed form is a shifted q-binomial, so the
-solver doubles as an identity checker. The solver works in t = q^2 on
-the shifted unknowns g_i = f_i * q^((p-i)(m+n-p-i)), where the system has
-no shifts, and sums each row's products as one packed big integer. Each
-g_i is kept without its leading zeros, as its lowest exponent and its
-coefficients from there, and each product is shifted into place in the
-sum.
+solver doubles as an identity checker.
 
-`pushforward_DpY` multiplies that table by a q-binomial prefactor. On
-the closed route it builds the products in t along their diagonal, entry
-i-1 from entry i by one multiplication by (1 - t^s) and one checked
-division by (1 - t^j), with no polynomial products. On the solver route
-it multiplies each solved g_i, still in t, by the prefactor, packed once
-per slot width.
+Every polynomial here is one type, `LaurentPoly`, dense: the exponent
+of its lowest term and the tuple of coefficients from there to its
+highest term, with no zeros at either end. Its exponents and
+coefficients are ints; anything else, such as a float or a string, is
+refused with a TypeError. Long operands are multiplied by Kronecker
+substitution: each coefficient list is packed into one Python integer,
+in slots wide enough for any coefficient of the product, so one C-level
+big-integer product does the whole convolution; signed operands are
+split into their positive and negative parts first. Short operands use
+the schoolbook convolution. Every packed product, the solver's rows
+included, goes through `_packed_sum`, the one place that picks a slot
+width: a slot of a*b sums terms of at most |a_j| * |b_(s-j)|, so it
+holds at most min(max|a| * sum|b|, sum|a| * max|b|), and a sum of
+products gets the sum of those bounds. A polynomial computes those
+bounds, and its packing in each slot width, when first asked and keeps
+them, so an operand that is used again, such as a cached `q_binomial`,
+is packed once per width.
 
-A `LaurentPoly` is dense: the exponent of its lowest term and the tuple
-of coefficients from there to its highest term, with no zeros at either
-end. Its exponents and coefficients are ints; anything else, such as a
-float or a string, is refused with a TypeError. Long operands are
-multiplied by Kronecker substitution: each coefficient list is packed
-into one Python integer, in slots wide enough for any coefficient of the
-product, so one C-level big-integer product does the whole convolution;
-signed operands are split into their positive and negative parts first.
-Short operands use the schoolbook convolution. Every packed product, the
-solver's rows included, goes through `_packed_sum`, the one place that
-picks a slot width: a slot of a*b sums terms of at most
-|a_j| * |b_(s-j)|, so it holds at most min(max|a| * sum|b|,
-sum|a| * max|b|), and a sum of products gets the sum of those bounds. Its
-operands are `_Packed`: coefficients with their lowest exponent, largest
-and summed absolute values, and packings cached per slot width.
+The solver works in t = q^2 on the shifted unknowns
+g_i = f_i * q^((p-i)(m+n-p-i)), where the system has no shifts, and sums
+each row's products as one `_packed_sum`, each product shifted into
+place by the lowest exponent of its g_i. Both routes of
+`pushforward_DpY` build row i of the table as g_i * qbin(m-p, n-p) in t,
+lowest exponent (p-i)(n-i). The closed route builds the rows along their
+diagonal, row i-1 from row i by one multiplication by (1 - t^s) and one
+checked division by (1 - t^j), with no polynomial products; the solver
+route multiplies each solved g_i by the prefactor. Both then take row i
+back to q by one step: q^(-(n-p)(m-n) - (p-i)(m+n-p-i)) times the row
+at t = q^2.
 
 `LaurentPoly.to_json` and `DecompositionTable.to_json` write the JSON
 text that json.dumps would write for the map from each exponent, as a
@@ -84,9 +86,11 @@ class LaurentPoly:
 
     `_c` holds the coefficients of q^_lo, q^(_lo+1), ..., q^max_exp; its
     first and last entries are nonzero. The zero polynomial has
-    `_c == ()` and `_lo == 0`."""
+    `_c == ()` and `_lo == 0`. `_stats` and `_packings` start as None and
+    keep, once asked for, what `_bounds` and `_packed` compute; they take
+    no part in `==` or `hash`."""
 
-    __slots__ = ("_lo", "_c")
+    __slots__ = ("_lo", "_c", "_stats", "_packings")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -100,6 +104,7 @@ class LaurentPoly:
                 if v:
                     c[int(e)] = int(v)
         self._lo, self._c = 0, ()
+        self._stats = self._packings = None
         if c:
             lo = min(c)
             dense = [0] * (max(c) - lo + 1)
@@ -197,10 +202,20 @@ class LaurentPoly:
             return _dense(self._lo, tuple(v * other for v in self._c))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not (self._c and other._c):
+        a, b = self._c, other._c
+        if not (a and b):
             return LaurentPoly()
+        if len(a) * len(b) < SCHOOLBOOK_BELOW:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        out[k] += x * y
+        else:
+            # Kronecker substitution.
+            out = _packed_sum([(self, other, 0)], len(a) + len(b) - 1)
         # The end coefficients multiply to nonzero ends: nothing to trim.
-        return _dense(self._lo + other._lo, tuple(_convolve(self._c, other._c)))
+        return _dense(self._lo + other._lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -233,6 +248,34 @@ class LaurentPoly:
 
     def at_one(self) -> int:
         return sum(self._c)
+
+    def _bounds(self) -> tuple:
+        """The largest |coefficient|, the sum of the |coefficients|, and the
+        value at q = 1 (None if a coefficient is negative), kept once computed."""
+        stats = self._stats
+        if stats is None:
+            magnitudes = list(map(abs, self._c))
+            norm = sum(magnitudes)
+            total = norm if min(self._c, default=0) >= 0 else None
+            stats = self._stats = max(magnitudes, default=0), norm, total
+        return stats
+
+    def _packed(self, width: int) -> tuple[int, int]:
+        """The packed positive parts and the packed magnitudes of the
+        negative parts of the coefficients from the lowest term, in slots
+        of `width` bytes, kept per width once computed."""
+        packings = self._packings
+        if packings is None:
+            packings = self._packings = {}
+        value = packings.get(width)
+        if value is None:
+            c = self._c
+            if self._bounds()[2] is None:
+                value = _pack([max(x, 0) for x in c], width), _pack([max(-x, 0) for x in c], width)
+            else:
+                value = _pack(c, width), 0
+            packings[width] = value
+        return value
 
     def to_json(self) -> str:
         """The text `json.dumps` writes for the map from each exponent, as
@@ -288,6 +331,7 @@ def _dense(lo: int, coeffs: tuple) -> LaurentPoly:
     """A LaurentPoly from coefficients already free of end zeros."""
     out = object.__new__(LaurentPoly)
     out._lo, out._c = (lo, coeffs) if coeffs else (0, ())
+    out._stats = out._packings = None
     return out
 
 
@@ -300,6 +344,14 @@ def _trimmed(lo: int, coeffs: list) -> LaurentPoly:
     while end > start and not coeffs[end - 1]:
         end -= 1
     return _dense(lo + start, tuple(coeffs[start:end]))
+
+
+def _at_q_squared(f: LaurentPoly, d: int) -> LaurentPoly:
+    """q^d * f(q^2), built as one polynomial."""
+    c = f._c
+    out = [0] * (2 * len(c) - 1)
+    out[::2] = c
+    return _dense(2 * f._lo + d, tuple(out))
 
 
 # Array typecodes by item size, for packing slots of 1, 2, 4 or 8 bytes at C speed.
@@ -330,63 +382,26 @@ def _unpack(value: int, width: int, count: int) -> list:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _convolve(a, b) -> list:
-    """Coefficients of the product of two nonempty coefficient sequences."""
-    if len(a) * len(b) < SCHOOLBOOK_BELOW:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    out[k] += x * y
-        return out
-    # Kronecker substitution.
-    return _packed_sum([(_Packed(0, a), _Packed(0, b), 0)], len(a) + len(b) - 1)
-
-
-class _Packed:
-    """The coefficients of a polynomial from its lowest exponent `lo`,
-    with their largest absolute value `peak`, their absolute sum `norm`,
-    the value at q = 1 (`total`, None if a coefficient is negative), and
-    their packing in slots of a given width, cached per width."""
-
-    __slots__ = ("lo", "coeffs", "peak", "norm", "total", "_by_width")
-
-    def __init__(self, lo: int, coeffs):
-        magnitudes = list(map(abs, coeffs))
-        self.lo, self.coeffs = lo, coeffs
-        self.peak, self.norm = max(magnitudes, default=0), sum(magnitudes)
-        self.total = self.norm if min(coeffs, default=0) >= 0 else None
-        self._by_width = {}
-
-    def packed(self, width: int) -> tuple[int, int]:
-        """The packed positive parts and the packed magnitudes of the
-        negative parts, in slots of `width` bytes."""
-        value = self._by_width.get(width)
-        if value is None:
-            c = self.coeffs
-            if self.total is None:
-                value = _pack([max(x, 0) for x in c], width), _pack([max(-x, 0) for x in c], width)
-            else:
-                value = _pack(c, width), 0
-            self._by_width[width] = value
-        return value
-
-
 def _packed_sum(products, count: int) -> list:
     """The first `count` coefficients of the sum of the products
-    a * b * q^offset, given as triples of two `_Packed`, each read from
-    its first coefficient, and the offset in slots: each product is formed
+    a * b * q^offset, given as triples of two `LaurentPoly`, each read from
+    its lowest term, and the offset in slots: each product is formed
     from its operands alone and shifted into place. This is the one place
     that picks a slot width. A slot of a*b sums terms of at most
     |a_j| * |b_(s-j)|, so it holds at most min(max|a| * sum|b|,
     sum|a| * max|b|), in the products of the positive parts and of the
     negative parts alike; the slots hold the sum of that bound over the
     products, so none carries into the next."""
-    width = _slot_width(sum(min(a.peak * b.norm, a.norm * b.peak) for a, b, _ in products))
+    bound = 0
+    for a, b, _ in products:
+        a_peak, a_norm, _ = a._stats or a._bounds()
+        b_peak, b_norm, _ = b._stats or b._bounds()
+        bound += min(a_peak * b_norm, a_norm * b_peak)
+    width = _slot_width(bound)
     positive = negative = 0
     bits = 8 * width
     for a, b, offset in products:
-        (a_pos, a_neg), (b_pos, b_neg) = a.packed(width), b.packed(width)
+        (a_pos, a_neg), (b_pos, b_neg) = a._packed(width), b._packed(width)
         positive += (a_pos * b_pos + a_neg * b_neg) << (bits * offset)
         if a_neg or b_neg:
             negative += (a_pos * b_neg + a_neg * b_pos) << (bits * offset)
@@ -457,7 +472,7 @@ def grassmannian_poincare(r: int, N: int) -> LaurentPoly:
     r > N, matching the q-binomial convention."""
     if r < 0:
         raise ValueError("quotient rank must be nonnegative")
-    return q_binomial(N, r).stretch(2)
+    return _at_q_squared(q_binomial(N, r), 0)
 
 
 def stalk_poly(i: int, k: int, space: MatrixSpace) -> LaurentPoly:
@@ -469,7 +484,7 @@ def stalk_poly(i: int, k: int, space: MatrixSpace) -> LaurentPoly:
     if not 0 <= k <= i:
         raise ValueError(f"stalk formula needs 0 <= k <= i, got k={k}, i={i}")
     d_i = dim_stratum(Stratum(space, i))
-    return q_binomial(space.n - k, i - k).stretch(2).shift(-d_i)
+    return _at_q_squared(q_binomial(space.n - k, i - k), -d_i)
 
 
 class DecompositionTable:
@@ -528,55 +543,44 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
             sum_{i=k}^p f_i(q) * q^((p-i)(m+n-p-i)) * qbin(n-k, i-k)@q^2
 
     by back-substitution from k = p down to k = 0 (`_solved_in_t`), each
-    g_i then stretched back to q."""
+    g_i then taken back to q."""
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
     f = {
-        k: _stretched(2 * g.lo - (p - k) * (m + n - p - k), g.coeffs)
+        k: _at_q_squared(g, -(p - k) * (m + n - p - k))
         for k, g in _solved_in_t(space, p).items()
     }
     return DecompositionTable(space, p, f)
 
 
-def _solved_in_t(space: MatrixSpace, p: int) -> dict[int, _Packed]:
+def _solved_in_t(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
     """The unknowns g_i = f_i * q^((p-i)(m+n-p-i)) of the rank-p table in
     t = q^2, where the stalk identities read
 
         g_k(t) = qbin(m-k, p-k)(t) - sum_{i>k} g_i(t) * qbin(n-k, i-k)(t),
 
-    with no shifts. Each g_i is kept as its lowest exponent in t, which is
-    (p-i)(n-i) for the true table, and its coefficients from there, so
-    its leading zeros are neither packed nor multiplied: each product
-    g_i * qbin(n-k, i-k) is formed from the coefficients and shifted into
-    place, and each row's sum is one `_packed_sum`. The coefficients of
-    qbin(n-k, i-k) are nonnegative and sum to comb(n-k, i-k), so a
-    product's slot bound is at most max|g_i| * comb(n-k, i-k): it grows
-    with the largest coefficient of g_i, not with their sum."""
+    with no shifts. The lowest exponent of g_i is (p-i)(n-i) for the true
+    table, and its leading zeros are neither packed nor multiplied: each
+    product g_i * qbin(n-k, i-k) is formed from the coefficients and
+    shifted into place by that exponent, and each row's sum is one
+    `_packed_sum`. The coefficients of qbin(n-k, i-k) are nonnegative and
+    sum to comb(n-k, i-k), so a product's slot bound is at most
+    max|g_i| * comb(n-k, i-k): it grows with the largest coefficient of
+    g_i, not with their sum."""
     m, n = space.m, space.n
-    g: dict[int, _Packed] = {}
+    g: dict[int, LaurentPoly] = {}
     for k in range(p, -1, -1):
         row = list(q_binomial(m - k, p - k)._c)
         products = [
-            (g[i], _packing(n - k, i - k), g[i].lo) for i in range(k + 1, p + 1) if g[i].coeffs
+            (g[i], q_binomial(n - k, i - k), g[i]._lo) for i in range(k + 1, p + 1) if g[i]._c
         ]
         if products:
-            count = max(a.lo + len(a.coeffs) + len(b.coeffs) - 1 for a, b, _ in products)
+            count = max(a._lo + len(a._c) + len(b._c) - 1 for a, b, _ in products)
             row += [0] * (count - len(row))
             row[:count] = map(operator.sub, row[:count], _packed_sum(products, count))
-            while row and not row[-1]:
-                row.pop()
-        low = row.index(next(filter(None, row))) if row else 0
-        g[k] = _Packed(low, row[low:])
+        g[k] = _trimmed(0, row)
     return g
-
-
-def _stretched(lo: int, coeffs) -> LaurentPoly:
-    """q^lo * f(q^2), from the coefficients of a polynomial f that start
-    and end nonzero."""
-    out = [0] * (2 * len(coeffs) - 1) if coeffs else []
-    out[::2] = coeffs
-    return _dense(lo, tuple(out))
 
 
 def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
@@ -586,7 +590,7 @@ def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     m, n = space.m, space.n
     entries = {
-        i: q_binomial(m - n, p - i).stretch(2).shift(-(m - n - p + i) * (p - i))
+        i: _at_q_squared(q_binomial(m - n, p - i), -(m - n - p + i) * (p - i))
         for i in range(p + 1)
     }
     return DecompositionTable(space, p, entries)
@@ -597,7 +601,7 @@ def pushforward_prefactor(space: MatrixSpace, p: int) -> LaurentPoly:
     relating the rank-p simple module on the maximal-rank resolution to
     the structure sheaf of the rank-p resolution."""
     m, n = space.m, space.n
-    return q_binomial(m - p, n - p).stretch(2).shift(-(n - p) * (m - n))
+    return _at_q_squared(q_binomial(m - p, n - p), -(n - p) * (m - n))
 
 
 def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> DecompositionTable:
@@ -608,12 +612,14 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
                      * q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2,
 
     the `pushforward_prefactor` times the table of the rank-p resolution's
-    structure sheaf. Route "closed" builds the entries in t = q^2 along
-    their diagonal: entry p is the prefactor, and entry i-1 is entry i
-    times (1 - t^(m-n-p+i)) / (1 - t^(p-i+1)), each division checked to be
+    structure sheaf. Both routes build row i as g_i * qbin(m-p, n-p) in
+    t = q^2, and entry i is q^(-(n-p)(m-n) - (p-i)(m+n-p-i)) times row i
+    at t = q^2. Route "closed" builds the rows along their diagonal: row p
+    is the prefactor, and row i-1 is row i times
+    (1 - t^(m-n-p+i)) / (1 - t^(p-i+1)), each division checked to be
     exact, until the factor 1 - t^0 makes the rest vanish. Route "solver"
-    solves the structure sheaf's table with `solve_pushforward_OYp` and
-    multiplies each entry by the prefactor, packed once per table.
+    solves the g_i with `_solved_in_t` and multiplies each by the
+    prefactor, which is packed once per slot width.
     """
     if not 0 <= p <= space.n:
         raise ValueError(f"stratum index p={p} outside 0..{space.n}")
@@ -621,54 +627,34 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
     if build is None:
         raise ValueError(f"unknown route {route!r}; expected 'closed' or 'solver'")
     m, n = space.m, space.n
-    rows = build(space, p).items()
-    entries = {i: _stretched(-(n - p) * (m - n) + lo, row) for i, (lo, row) in rows}
+    entries = {
+        i: _at_q_squared(row, -(n - p) * (m - n) - (p - i) * (m + n - p - i))
+        for i, row in build(space, p).items()
+    }
     return DecompositionTable(space, p, entries)
 
 
-def _closed_rows(space: MatrixSpace, p: int) -> dict[int, tuple[int, list]]:
-    """Each entry i of the rank-p table in t = q^2, divided by the
-    prefactor's power of q, as (lowest exponent in q, coefficients in t):
-    qbin(m-p, n-p) * qbin(m-n, p-i), by the recurrence along the
-    diagonal of qbin(m-n, .)."""
+def _closed_rows(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
+    """Each row g_i * qbin(m-p, n-p) of the rank-p table in t = q^2,
+    lowest exponent (p-i)(n-i), by the recurrence along the diagonal of
+    qbin(m-n, .)."""
     m, n = space.m, space.n
-    row = q_binomial(m - p, n - p)._c
-    rows = {p: (0, row)}
+    row = q_binomial(m - p, n - p)
+    rows = {p: row}
     for i in range(p, 0, -1):
         s = m - n - p + i
         if not s:
             break
-        row = _divide_one_minus_q(_times_one_minus_q(row, s), p - i + 1)
-        rows[i - 1] = (-(s - 1) * (p - i + 1), row)
+        coeffs = _divide_one_minus_q(_times_one_minus_q(row._c, s), p - i + 1)
+        row = rows[i - 1] = _dense((p - i + 1) * (n - i + 1), tuple(coeffs))
     return rows
 
 
-def _solved_rows(space: MatrixSpace, p: int) -> dict[int, tuple[int, list]]:
+def _solved_rows(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
     """The rows of `_closed_rows` from the solved g_i in t, each times the
-    prefactor qbin(m-p, n-p): one product per entry, the prefactor packed
-    once per slot width."""
-    m, n = space.m, space.n
-    prefactor = _packing(m - p, n - p)
-    rows = {}
-    for i, g in _solved_in_t(space, p).items():
-        if g.coeffs:
-            count = len(g.coeffs) + len(prefactor.coeffs) - 1
-            rows[i] = 2 * g.lo - (p - i) * (m + n - p - i), _packed_sum([(g, prefactor, 0)], count)
-    return rows
-
-
-# (a, b) -> (q_binomial(a, b), its `_Packed`)
-_PACKINGS: dict[tuple[int, int], tuple[LaurentPoly, _Packed]] = {}
-
-
-def _packing(a: int, b: int) -> _Packed:
-    """q_binomial(a, b) as a `_Packed`, rebuilt whenever q_binomial returns
-    another object than the one it was built from."""
-    poly = q_binomial(a, b)
-    entry = _PACKINGS.get((a, b))
-    if entry is None or entry[0] is not poly:
-        entry = _PACKINGS[a, b] = poly, _Packed(poly._lo, poly._c)
-    return entry[1]
+    prefactor qbin(m-p, n-p)."""
+    prefactor = q_binomial(space.m - p, space.n - p)
+    return {i: g * prefactor for i, g in _solved_in_t(space, p).items() if g._c}
 
 
 def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
@@ -698,55 +684,60 @@ def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
     q-binomial has, gets wider slots."""
     if min(a, b, cmax) < 0:
         raise ValueError("the q-binomial identity needs a, b, c >= 0")
-    lhs = [_packing(a + b, c) for c in range(cmax + 1)]
-    left = [_packing(a, j) for j in range(min(a, cmax) + 1)]
-    right = [_packing(b, i) for i in range(min(b, cmax) + 1)]
+    lhs = [q_binomial(a + b, c) for c in range(cmax + 1)]
+    left = [q_binomial(a, j) for j in range(min(a, cmax) + 1)]
+    right = [q_binomial(b, i) for i in range(min(b, cmax) + 1)]
+    # The values at q = 1, None for an operand with a negative coefficient.
+    totals, left_totals, right_totals = (
+        [f._bounds()[2] for f in polys] for polys in (lhs, left, right)
+    )
     # The c that an operand with a negative coefficient enters.
-    refused = {c for c, side in enumerate(lhs) if side.total is None}
-    refused.update(j + i for j, l in enumerate(left) if l.total is None for i in range(len(right)))
-    refused.update(j + i for i, r in enumerate(right) if r.total is None for j in range(len(left)))
+    refused = {c for c, total in enumerate(totals) if total is None}
+    refused.update(j + i for j, t in enumerate(left_totals) if t is None for i in range(len(right)))
+    refused.update(j + i for i, t in enumerate(right_totals) if t is None for j in range(len(left)))
     # The value at q = 1 of the right side of each c.
-    values = _convolve([l.total or 0 for l in left], [r.total or 0 for r in right])
-    values += [0] * (cmax + 1 - len(values))
+    values = _trimmed(0, [t or 0 for t in left_totals])
+    values *= _trimmed(0, [t or 0 for t in right_totals])
     width = _slot_width(comb(a + b, (a + b) // 2))
     cap = 1 << (8 * width)
     # The term of j lies at q^(j*(b-c+j)) * q^base or above, and
     # j*(b-c+j) >= 0 since j >= c-b.
-    base = min(l.lo for l in left) + min(r.lo for r in right)
+    base = min(l._lo for l in left) + min(r._lo for r in right)
     packed = {}  # slot width -> the operands packed by _packed_from_lowest
     verdicts = []
-    for c, side in enumerate(lhs):
-        if c in refused or values[c] != side.total:
+    for c, (side, total) in enumerate(zip(lhs, totals)):
+        if c in refused or values.coefficient(c) != total:
             verdicts.append(False)
             continue
-        w = width if side.total < cap else _slot_width(side.total)
+        w = width if total < cap else _slot_width(total)
         if w not in packed:
             packed[w] = (_packed_from_lowest(left, w), _packed_from_lowest(right, w))
         left_int, right_int = packed[w]
         bits = 8 * w
         js = range(max(0, c - b), min(a, c) + 1)
         rhs = sum((left_int[j] * right_int[c - j]) << (bits * j * (b - c + j)) for j in js)
-        lo = min(side.lo, base)
-        verdicts.append(side.packed(w)[0] << (bits * (side.lo - lo)) == rhs << (bits * (base - lo)))
+        lo = min(side._lo, base)
+        lhs_int = side._packed(w)[0] << (bits * (side._lo - lo))
+        verdicts.append(lhs_int == rhs << (bits * (base - lo)))
     return verdicts
 
 
-def _packed_from_lowest(packings: list, width: int) -> list:
-    """Each packing in slots of `width` bytes, as the polynomial divided by
-    q^low for the lowest exponent low of all of them, at q = 256^width.
-    A polynomial with a negative coefficient, or one too large for the
+def _packed_from_lowest(polys: list, width: int) -> list:
+    """Each polynomial divided by q^low, for the lowest exponent low of all
+    of them, at q = 256^width: packed in slots of `width` bytes. A
+    polynomial with a negative coefficient, or one too large for the
     slots, is 0 instead, as no c compared at this width multiplies it by a
     nonzero partner: every c the first enters is refused, and the second
     would give the right side a coefficient at least its largest, beyond
     the right side's value at q = 1, which fits the slots."""
-    low = min(pk.lo for pk in packings)
+    low = min(f._lo for f in polys)
     cap = 1 << (8 * width)
-    return [
-        pk.packed(width)[0] << (8 * width * (pk.lo - low))
-        if pk.total is not None and pk.peak < cap
-        else 0
-        for pk in packings
-    ]
+    packed = []
+    for f in polys:
+        peak, _, total = f._bounds()
+        fits = total is not None and peak < cap
+        packed.append(f._packed(width)[0] << (8 * width * (f._lo - low)) if fits else 0)
+    return packed
 
 
 def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:

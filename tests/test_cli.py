@@ -3,6 +3,8 @@ import contextlib
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -111,6 +113,63 @@ def test_filtration_weight(capsys):
         capsys, "filtration", "--n", "2", "--k", "2", "--weight", "0,-3"
     )
     assert payload["member"] is True
+
+
+def test_a_weight_keeps_every_parenthesis_but_one_pair(capsys):
+    # "(0,-3)" and "0,-3" are the same weight; one leading "(" and one
+    # trailing ")" are all that is stripped.
+    for text in ("(0,-3)", "0,-3"):
+        code, payload = run_json(capsys, "filtration", "--n", "2", "--k", "1", "--weight", text)
+        assert code == 0 and payload["weight"] == [0, -3]
+    for text in (")0,(-3(", "((0,-3))", "(0,(-3)", "0),-3"):
+        with pytest.raises(SystemExit) as err:
+            main(["filtration", "--n", "2", "--k", "1", "--weight", text])
+        assert err.value.code == 2, text
+        assert "cannot parse weight" in capsys.readouterr().err
+
+
+def run_into_a_closed_pipe(code):
+    """Exit code and stderr of `python -c code`, whose stdout is a pipe
+    that its reader closed before reading a byte."""
+    src = str(Path(dethodge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", code], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=60, check=False,
+        )
+    finally:
+        os.close(write_end)
+    return run.returncode, run.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-check", "--n", "2", "--p", "1", "--format", "json"],
+        ["decompose", "--m", "40", "--n", "20", "--p", "10", "--format", "json"],
+        ["--help"],
+    ],
+)
+def test_a_closed_stdout_ends_the_output(argv):
+    code = f"import sys; from dethodge.cli import main; sys.exit(main({argv!r}))"
+    assert run_into_a_closed_pipe(code) == (0, "")
+
+
+def test_a_failed_verify_keeps_its_exit_code_on_a_closed_stdout():
+    code = (
+        "import sys; from dethodge import cli, suites\n"
+        "from dethodge.reporting import VerificationReport\n"
+        "report = VerificationReport('forced', {})\n"
+        "report.checks = 1\n"
+        "report.add_failure(check='forced')\n"
+        "suites.run = lambda *args: [report]\n"
+        "sys.exit(cli.main(['verify', 'weights']))\n"
+    )
+    assert run_into_a_closed_pipe(code) == (1, "")
 
 
 def test_filtration_default_generation_level(capsys):

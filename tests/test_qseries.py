@@ -365,6 +365,50 @@ def test_packed_identity_keeps_its_guards(monkeypatch, patch, case, holds):
     assert qbinomial_identity_verdicts(a, b, 3) == [laurent_identity(a, b, c) for c in range(4)]
 
 
+def lefschetz_faults(f):
+    """Which of the shapes relative hard Lefschetz gives a table entry f
+    fails: palindromic about q^0, zero at every other exponent, and
+    unimodal in steps of two."""
+    lo, hi = f.min_exp, f.max_exp
+    faults = set()
+    if any(f.coefficient(e) != f.coefficient(-e) for e in range(lo, hi + 1)):
+        faults.add("palindrome")
+    if any(f.coefficient(e) for e in range(lo + 1, hi, 2)):
+        faults.add("parity")
+    steps = [f.coefficient(e) for e in range(lo, hi + 1, 2)]
+    top = steps.index(max(steps))
+    rising, falling = steps[: top + 1], steps[top:]
+    if rising != sorted(rising) or falling != sorted(falling, reverse=True):
+        faults.add("unimodal")
+    return faults
+
+
+def test_every_entry_has_the_hard_lefschetz_shape():
+    # Neither route imposes this shape: the solver solves the stalk
+    # identities, and the closed form satisfies them.
+    entries = []
+    for m in range(1, 10):
+        for n in range(1, min(m, 6) + 1):
+            space = MatrixSpace(m, n)
+            for p in range(n + 1):
+                tables = [pushforward_DpY(space, p, route=route) for route in ("closed", "solver")]
+                tables.append(solve_pushforward_OYp(space, p))
+                entries += [(m, n, p, i, f) for table in tables for i, f in table.entries.items()]
+    assert len(entries) == 990
+    for m, n, p, i, f in entries:
+        assert not lefschetz_faults(f), (m, n, p, i, f)
+    # Entries at both parities occur: q^-1 + q is entry 0 of O_Y1 on 4x2.
+    assert solve_pushforward_OYp(MatrixSpace(4, 2), 1).entries[0] == LaurentPoly({-1: 1, 1: 1})
+    # One bumped coefficient breaks the shape, and each fault is seen alone.
+    f = pushforward_DpY(MatrixSpace(7, 4), 2).entries[1]
+    assert f.min_exp == -f.max_exp and len(f.coefficients()) > 4
+    bump = LaurentPoly.monomial
+    assert lefschetz_faults(f + bump(f.max_exp)) == {"palindrome"}
+    assert lefschetz_faults(f + bump(f.max_exp - 1) + bump(1 - f.max_exp)) == {"parity"}
+    e = f.max_exp - 2
+    assert lefschetz_faults(f + bump(e, 10**6) + bump(-e, 10**6)) == {"unimodal"}
+
+
 def test_pushforward_structure_reports():
     for p in range(3):
         report = pushforward_structure_checks(MatrixSpace(3, 2), p)
@@ -688,16 +732,11 @@ def product_bound(f, g):
     return min(max(fa) * sum(ga), sum(fa) * max(ga))
 
 
-def packed(f):
-    """f's coefficients from its lowest term, as a `_packed_sum` operand."""
-    return qseries._Packed(0, f._c)
-
-
 @given(st.lists(st.tuples(polys(max_len=20), polys(max_len=20)), min_size=1, max_size=4))
 def test_packed_sum_matches_sparse_reference(pairs):
-    # The kernel reads coefficient lists from t^0 and shifts each product into
-    # place: take g from its lowest term, and f's lowest term above the lowest
-    # of all f as the product's slot offset.
+    # The kernel reads each operand from its lowest term and shifts each
+    # product into place: take g from t^0, and f's lowest term above the
+    # lowest of all f as the product's slot offset.
     pairs = [(f, g.shift(-g.min_exp)) for f, g in pairs if f and g]
     assume(pairs)
     low = min(f.min_exp for f, _ in pairs)
@@ -708,7 +747,7 @@ def test_packed_sum_matches_sparse_reference(pairs):
     count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
     with pytest.MonkeyPatch.context() as monkeypatch:
         widths = record_widths(monkeypatch)
-        got = qseries._packed_sum([(packed(f), packed(g), f.min_exp) for f, g in pairs], count)
+        got = qseries._packed_sum([(f, g, f.min_exp) for f, g in pairs], count)
     assert len(got) == count
     assert sparse(LaurentPoly(enumerate(got))) == sparse(expected)
     # Slots for the sum of the bounds, within those for the sum of |f| * |g| at t = 1.
@@ -751,7 +790,7 @@ def mixed_sign_polys(draw, max_len=20):
 
 @given(st.lists(st.tuples(mixed_sign_polys(), polys(max_len=20)), min_size=1, max_size=4))
 def test_packed_sum_at_the_coefficient_level_width(pairs):
-    # The kernel reads coefficient lists from t^0: take each g from its lowest term.
+    # The kernel reads each operand from its lowest term: take each g from t^0.
     pairs = [(f, g.shift(-g.min_exp)) for f, g in pairs if g]
     assume(pairs)
     expected = LaurentPoly.zero()
@@ -760,7 +799,7 @@ def test_packed_sum_at_the_coefficient_level_width(pairs):
     count = max(f.max_exp + g.max_exp + 1 for f, g in pairs)
     with pytest.MonkeyPatch.context() as monkeypatch:
         widths = record_widths(monkeypatch)
-        got = qseries._packed_sum([(packed(f), packed(g), 0) for f, g in pairs], count)
+        got = qseries._packed_sum([(f, g, 0) for f, g in pairs], count)
     assert sparse(LaurentPoly(enumerate(got))) == sparse(expected)
     # The slots hold the sum over the pairs of min(max|f| sum|g|, sum|f| max|g|).
     assert set(widths) == {qseries._slot_width(sum(product_bound(f, g) for f, g in pairs))}
@@ -779,6 +818,8 @@ def test_a_slot_filled_to_the_top_does_not_carry(monkeypatch, width):
     assert n * peak == top
     a, b = [peak] * n, [1] * n
     assert product_bound(LaurentPoly(enumerate(a)), LaurentPoly(enumerate(b))) == top
+    # Long enough that LaurentPoly.__mul__ packs rather than convolves.
+    assert n * n >= SCHOOLBOOK_BELOW
     # The kernel picks exactly `width` bytes; 3 bytes are rounded up to 4.
     chosen = 4 if width == 3 else width
     assert qseries._slot_width(top) == chosen
@@ -788,13 +829,13 @@ def test_a_slot_filled_to_the_top_does_not_carry(monkeypatch, width):
     widths = record_widths(monkeypatch)
     # Both the positive and the negative accumulation reach the top.
     for sign_a, sign_b in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
-        sa, sb = [sign_a * v for v in a], [sign_b * v for v in b]
-        got = qseries._convolve(sa, sb)
-        assert dict(enumerate(got)) == {e: sign_a * sign_b * v for e, v in expected.items()}
-        operands = (qseries._Packed(0, sa), qseries._Packed(0, sb), 0)
-        got = qseries._packed_sum([operands], 2 * n - 1)
+        fa = LaurentPoly(enumerate(v * sign_a for v in a))
+        fb = LaurentPoly(enumerate(v * sign_b for v in b))
+        want = {e: sign_a * sign_b * v for e, v in expected.items()}
+        assert dict((fa * fb).items()) == want
+        got = qseries._packed_sum([(fa, fb, 0)], 2 * n - 1)
         assert got[n - 1] == sign_a * sign_b * top
-        assert dict(enumerate(got)) == {e: sign_a * sign_b * v for e, v in expected.items()}
+        assert dict(enumerate(got)) == want
     # A nonzero negative accumulation takes a second unpack.
     assert set(widths) == {chosen} and len(widths) == 12
 
@@ -809,22 +850,64 @@ def test_the_solver_packs_the_40x20_tables_in_at_most_four_bytes(monkeypatch):
 
 
 def test_packed_sum_edge_operands():
-    P = qseries._Packed
-    # An empty coefficient list packs to nothing and contributes nothing.
-    empty = P(0, [])
-    assert (empty.peak, empty.norm, empty.total, empty.packed(1)) == (0, 0, 0, (0, 0))
-    assert qseries._packed_sum([(empty, P(0, [1, 2]), 0)], 3) == [0, 0, 0]
+    def P(coeffs, lo=0):
+        return LaurentPoly(enumerate(coeffs, lo))
+
+    # The zero polynomial packs to nothing and contributes nothing.
+    empty = LaurentPoly.zero()
+    assert (empty._bounds(), empty._packed(1)) == ((0, 0, 0), (0, 0))
+    assert qseries._packed_sum([(empty, P([1, 2]), 0)], 3) == [0, 0, 0]
     assert qseries._packed_sum([(empty, empty, 2)], 2) == [0, 0]
     assert qseries._packed_sum([], 2) == [0, 0]
     # All coefficients negative: the whole operand is its negative part.
-    neg = P(0, [-3, -1, -4])
-    assert (neg.peak, neg.norm, neg.total) == (4, 8, None)
-    assert neg.packed(1) == (0, qseries._pack([3, 1, 4], 1))
-    assert qseries._packed_sum([(neg, P(0, [1, 1]), 0)], 4) == [-3, -4, -5, -4]
+    neg = P([-3, -1, -4])
+    assert neg._bounds() == (4, 8, None)
+    assert neg._packed(1) == (0, qseries._pack([3, 1, 4], 1))
+    assert qseries._packed_sum([(neg, P([1, 1]), 0)], 4) == [-3, -4, -5, -4]
     assert qseries._packed_sum([(neg, neg, 0)], 5) == [9, 6, 25, 8, 16]
     # Nonzero offsets shift each product into place; the empty one adds nothing.
-    products = [(P(0, [1, -1]), P(0, [2]), 3), (neg, P(0, [1]), 1), (empty, neg, 0)]
+    products = [(P([1, -1]), P([2]), 3), (neg, P([1]), 1), (empty, neg, 0)]
     assert qseries._packed_sum(products, 6) == [0, -3, -1, -2, -2, 0]
+    # Each operand is read from its lowest term: its exponent is not an offset.
+    products = [(P([1, -1], 7), P([2], -4), 3), (neg.shift(9), P([1], 2), 1), (empty, neg, 0)]
+    assert qseries._packed_sum(products, 6) == [0, -3, -1, -2, -2, 0]
+
+
+def test_a_cached_q_binomial_is_packed_once_per_width(monkeypatch):
+    # The solver route packs qbin(n-k, i-k) into the rows of every p and the
+    # prefactor into every entry; each cached q_binomial keeps its packings,
+    # so no (q_binomial, width) is packed twice across the whole table.
+    clear_q_binomial_caches()
+    packed = []
+    original = qseries._pack
+
+    def spy(coeffs, width):
+        packed.append((coeffs, width))
+        return original(coeffs, width)
+
+    monkeypatch.setattr(qseries, "_pack", spy)
+    space = MatrixSpace(40, 20)
+    try:
+        tables = [pushforward_DpY(space, p, route="solver") for p in range(space.n + 1)]
+        # Every cached q_binomial the table asked for, with the widths it keeps.
+        cached = {(a, b): q_binomial(a, b) for a in range(space.m + 1) for b in range(a + 1)}
+        kept = sum(len(f._packings or ()) for f in cached.values())
+        tuples = {id(f._c) for f in cached.values()}
+        of_q_binomials = [width for coeffs, width in packed if id(coeffs) in tuples]
+        assert len(of_q_binomials) == kept
+        assert len(set(of_q_binomials)) > 1 and kept > space.n
+        # A second pass finds every packing it needs on its operands.
+        del packed[:]
+        again = [pushforward_DpY(space, p, route="solver") for p in range(space.n + 1)]
+        assert again == tables
+        assert not [1 for coeffs, _ in packed if id(coeffs) in tuples]
+        # The caches take no part in equality or hashing.
+        for f in cached.values():
+            fresh = LaurentPoly(f.items())
+            assert fresh._packings is None and fresh._stats is None
+            assert f == fresh and hash(f) == hash(fresh)
+    finally:
+        clear_q_binomial_caches()
 
 
 # -- JSON text, against the dict route through json.dumps ---------------------

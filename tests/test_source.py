@@ -188,3 +188,11 @@ def test_docstring_names_resolve():
         if hits := unresolved_doc_names(importlib.import_module(name)):
             found[path.name] = hits
     assert not found, f"docstring names that do not resolve: {found}"
+
+
+def test_qseries_has_one_polynomial_type():
+    # One dense polynomial type, and the table that holds them: no second
+    # form of a polynomial (packed, or as rows of coefficients) beside it.
+    tree = _trees()["qseries.py"]
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes == ["LaurentPoly", "DecompositionTable"]
