@@ -11,6 +11,7 @@ from .characters import (
     cauchy_check,
     dim_irrep,
     hilbert_function,
+    hilbert_series,
     lr_coefficient,
     tensor_decomposition_check,
     tensor_expansion,

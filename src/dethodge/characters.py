@@ -3,9 +3,14 @@
 Dimensions come from the standard product formula over positive roots,
 tensor product multiplicities from direct enumeration of
 Littlewood-Richardson skew tableaux (desk scale, with a hard size cap),
-and graded dimensions of weight-set modules from summing products of
-dimensions over the members of a set. A Cauchy-type identity against a
-plain binomial count keeps the dimension formula honest.
+and graded dimensions of weight-set modules from one walk over the
+members of a set: `hilbert_series` takes the members of every size
+0..dmax from one `repsets.WeightSet.members` walk over that interval of
+totals, and adds each member's squared dimension to its degree (every
+set summed is on a square space). `dim_irrep` checks its weight and hands
+it to the unchecked product `_dim`, which the sums call directly on the
+weights their walks produce. A Cauchy-type identity against a plain
+binomial count keeps the dimension formula honest.
 """
 
 from __future__ import annotations
@@ -30,15 +35,21 @@ def dim_irrep(lam, N: int) -> int:
     Pairs with lam_i = lam_j contribute 1 and are skipped, so the work
     grows with the pairs of unequal entries, not with N^2.
     """
-    lam = check_weight(lam, N)
+    return _dim(check_weight(lam, N))
+
+
+def _dim(lam: tuple[int, ...]) -> int:
+    # dim_irrep for a tuple already known to be dominant, of length N.
+    N = len(lam)
     num = 1
     den = 1
     run_end = N  # the first index after the run of entries equal to lam[i]
-    for i in range(N - 1, -1, -1):
-        if i + 1 < N and lam[i + 1] != lam[i]:
+    for i in range(N - 2, -1, -1):
+        if lam[i] != lam[i + 1]:
             run_end = i + 1
+        shifted = lam[i] - i
         for j in range(run_end, N):
-            num *= lam[i] - lam[j] + j - i
+            num *= shifted - lam[j] + j
             den *= j - i
     value, rem = divmod(num, den)
     if rem:
@@ -180,31 +191,44 @@ def cauchy_check(space: MatrixSpace, d: int) -> bool:
     m, n = space.m, space.n
     total = 0
     for lam in partitions_of(d, n):
-        total += dim_irrep(pad(lam, m), m) * dim_irrep(lam, n)
+        total += _dim(pad(lam, m)) * _dim(lam)
     return total == comb(m * n + d - 1, d)
 
 
-def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
-    """Dimension of the degree-d graded piece of the module whose weight
-    set is given, on the weight set's own space: the sum of
-    dim(V_lam^(m)) * dim(V_lam^(n)) over members lam of total size d.
+def hilbert_series(weight_set, dmax: int, box: int | None = None) -> list[int]:
+    """Dimensions of the graded pieces of degree d = 0..dmax of the module
+    whose weight set is given, on the weight set's own space: entry d is
+    the sum of dim(V_lam^(m)) * dim(V_lam^(n)) over members lam of total
+    size d. One walk over the members of size 0..dmax gives every degree.
 
     Sets consisting of partitions are summed exactly and refuse a box.
     Sets containing weights with negative entries are infinite in each
     degree direction, so an explicit box bound is required and the result
-    is truncated to entries in [-box, box] (square spaces only). Either
-    way the sum runs over `WeightSet.members` of size d, so only the
-    weights of that size are enumerated.
+    is truncated to entries in [-box, box] (square spaces only).
     """
+    return _graded_dims(weight_set, 0, dmax, box)
+
+
+def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
+    """Entry d of `hilbert_series`, from a walk over the members of size d
+    alone. A set with negative entries also answers for d < 0; a set of
+    partitions refuses it."""
+    return _graded_dims(weight_set, d, d, box)[0]
+
+
+def _graded_dims(weight_set, d_lo: int, d_hi: int, box: int | None) -> list[int]:
+    # The graded dimensions in degrees d_lo..d_hi, from one walk over the
+    # members of those sizes. Every set that gets here is on a square
+    # space (sets of partitions are defined on square spaces only), so
+    # the summand is dim(V_lam)^2, each member's weight already checked.
     space = weight_set.space
-    n, m = space.n, space.m
     if weight_set.partitions_only:
         if box is not None:
             raise ValueError(
                 f"--box does not apply to {weight_set.descriptor()}: "
                 "a set of partitions is summed exactly, without truncation"
             )
-        if d < 0:
+        if d_lo < 0:
             raise ValueError("graded pieces of ideals sit in degrees d >= 0")
     elif box is None:
         raise ValueError(
@@ -213,6 +237,9 @@ def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
         )
     elif not space.is_square:
         raise ValueError("box-truncated graded dimensions need a square space")
-    # A partition of d has entries in [0, d], so d bounds the exact sum.
-    members = weight_set.members(d if box is None else box, total=d)
-    return sum(dim_irrep(pad(lam, m), m) * dim_irrep(lam, n) for lam in members)
+    dims = [0] * (d_hi - d_lo + 1)
+    # A partition of size at most d_hi has entries in [0, d_hi].
+    bound = max(d_hi, 0) if box is None else box
+    for lam in weight_set.members(bound, total=(d_lo, d_hi)):
+        dims[sum(lam) - d_lo] += _dim(lam) ** 2
+    return dims

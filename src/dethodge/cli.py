@@ -24,12 +24,12 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import suites
-from .characters import hilbert_function
+from .characters import hilbert_series
 from .hodgeideals import hodge_ideal_exponents, in_Fk_Sdet, minimal_generators
 from .matrixspace import MatrixSpace
 from .mhmweights import generation_level_Sdet, weight_ledger
 from .qseries import pushforward_DpY
-from .repsets import WeightSet, classify, parse_weight_set
+from .repsets import WeightSet, _read_int, classify, parse_weight_set
 from .weights import strip_zeros
 
 SCHEMA = "detl-hodge/1"
@@ -59,10 +59,11 @@ def _write(text: str) -> None:
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
-    """A weight as "0,-3" or "(0,-3)": at most one leading "(" and one
-    trailing ")" are stripped, and every other character is the entries'."""
+    """A weight as "0,-3" or "(0,-3)": comma-separated integers, optionally
+    inside one pair of parentheses, which are stripped only together."""
+    inner = text[1:-1] if text[:1] == "(" and text[-1:] == ")" else text
     try:
-        return tuple(int(x) for x in text.removeprefix("(").removesuffix(")").split(","))
+        return tuple(map(_read_int, inner.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse weight {text!r}") from None
 
@@ -161,10 +162,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_hilbert(args) -> int:
     weight_set = parse_weight_set(args.set)
-    values = [
-        {"d": d, "dim": hilbert_function(weight_set, d, box=args.box)}
-        for d in range(args.dmax + 1)
-    ]
+    dims = hilbert_series(weight_set, args.dmax, box=args.box)
+    values = [{"d": d, "dim": dim} for d, dim in enumerate(dims)]
     fields = {
         "set": weight_set.descriptor(),
         "dmax": args.dmax,

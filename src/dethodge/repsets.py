@@ -12,8 +12,8 @@ membership core; ``parse_weight_set`` reads the descriptors back.
 Each kind has one membership path: ``WeightSet`` checks its parameters
 when built, ``WeightSet.contains`` checks the weight, and the kind's core
 checks nothing. ``WeightSet.members`` is the one enumeration, a box walk
-(optionally of one size) filtered by the core. The public predicates are
-``WeightSet`` calls:
+filtered by the core, optionally of one size or of the sizes in a closed
+interval. The public predicates are ``WeightSet`` calls:
 
 * ``in_Wp``: the support W^p of the simple module of the rank-p stratum;
 * ``in_Wpd``: its layer W^p_d cut out by the tail sum -d - c_p;
@@ -250,10 +250,13 @@ class WeightSet:
             raise ValueError(f"{spec.name} lives in the polynomial ring; need a partition")
         return spec.core(lam, self)
 
-    def members(self, bound: int, total: int | None = None) -> list[tuple[int, ...]]:
+    def members(
+        self, bound: int, total: int | tuple[int, int] | None = None
+    ) -> list[tuple[int, ...]]:
         """All members with entries in [-bound, bound], lexicographic, and
-        with `total` only those whose entries sum to it; a set of
-        partitions enumerates only the partitions."""
+        with `total` (an int, or a closed interval (t_lo, t_hi)) only those
+        whose entries sum to it; a set of partitions enumerates only the
+        partitions."""
         if bound < 0:
             raise ValueError("box bound must be nonnegative")
         spec = _SPECS[self.kind]
@@ -270,6 +273,15 @@ class WeightSet:
 
 
 _DESCRIPTOR_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$")
+
+
+def _read_int(text: str) -> int:
+    """An integer written as an optional sign and the digits 0-9, with
+    spaces around it allowed: what int() reads in ASCII text without "_".
+    int() alone would also read "1_0" and digits of other scripts."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_weight_set(text: str) -> WeightSet:
@@ -296,7 +308,7 @@ def parse_weight_set(text: str) -> WeightSet:
         if key not in args or key in values:
             raise ValueError(f"{name} takes each of {','.join(args)} once, not {key!r}")
         try:
-            values[key] = int(value)
+            values[key] = _read_int(value)
         except ValueError:
             raise ValueError(f"{name} needs an integer {key}, not {value.strip()!r}") from None
     missing = [arg for arg in args if arg not in values]

@@ -4,6 +4,12 @@ A weight of length N is a weakly decreasing tuple of integers; a partition
 is a dominant weight with nonnegative entries. Weights carry their length
 explicitly: embedding a partition into more variables is an explicit `pad`,
 never implicit. Display strips trailing zeros of partitions.
+
+One odometer enumerates: `dominant_tuples` walks the weights of a box in
+lexicographic order, optionally only those whose entries sum into a closed
+interval of totals (an exact total d is the interval [d, d]), and every
+prefix it builds has a completion, so no step is a dead end.
+`partitions_of` is the same walk, downwards.
 """
 
 from __future__ import annotations
@@ -141,19 +147,30 @@ class WeightBox:
 
 
 def dominant_tuples(
-    length: int, lo: int, hi: int, total: int | None = None
+    length: int, lo: int, hi: int, total: int | tuple[int, int] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing integer tuples of the given length with
     entries in [lo, hi], in lexicographic order; with `total`, only those
-    whose entries sum to it. Length 0 yields the empty tuple (when the
-    total is 0 or not given).
+    whose entries sum to it. A total is an int d, or a closed interval
+    (t_lo, t_hi) of sums, the int d being (d, d); an empty interval yields
+    nothing. Length 0 yields the empty tuple (when the total is not given
+    or holds 0).
 
-    With a total every entry is drawn from the range that the remaining
-    entries can complete, so no prefix is a dead end: the next of `slots`
-    entries, after a previous entry `cap`, with `rest` still to place, is
-    at least ceil(rest/slots) (the later ones are at most it) and at most
-    rest - (slots-1)*lo (the later ones are at least lo).
+    With a total no prefix is a dead end. Say `slots` entries are left,
+    the previous entry is `cap`, and the entries left must sum into
+    [rest_lo, rest_hi]. Those entries are at least lo and at most their
+    first entry x, and they can sum to every integer from slots*lo to
+    slots*x (raise one entry at a time). So x starts a completion exactly
+    when x lies in [lo, cap], slots*x >= rest_lo and
+    x + (slots-1)*lo <= rest_hi, that is, when
+
+        max(lo, ceil(rest_lo/slots)) <= x <= min(cap, rest_hi - (slots-1)*lo),
+
+    and every x of that range leaves [rest_lo - x, rest_hi - x] for the
+    slots-1 entries after it, which again meets what they can sum to.
     """
+    if isinstance(total, int):
+        total = (total, total)
     return _decreasing_tuples(length, lo, hi, total, descending=False)
 
 
@@ -162,18 +179,25 @@ def _decreasing_tuples(length, lo, hi, total, descending):
     # not bounded by the interpreter's recursion limit. Each entry runs
     # over its range (see dominant_tuples) upwards, or downwards when
     # descending; after the rightmost entry that can still move does, the
-    # entries right of it restart at the start of their ranges.
+    # entries right of it restart at the start of their ranges. With a
+    # total (t_lo, t_hi), `rest` is what entries j.. must at least sum
+    # to, and they may sum to up to `width` = t_hi - t_lo more.
     if length < 0:
         raise ValueError(f"tuple length {length} is negative")
+    if total is not None and total[0] > total[1]:
+        return
     if length == 0:
-        if total in (None, 0):
+        if total is None or total[0] <= 0 <= total[1]:
             yield ()
         return
     values = [0] * length
     ends = [0] * length  # the last value of each entry's range
-    rests = [0] * length  # with a total: what entries j.. must sum to
+    rests = [0] * length  # with a total: what entries j.. must at least sum to
+    if total is not None:
+        rest, t_hi = total
+        width = t_hi - rest
     step = -1 if descending else 1
-    j, cap, rest = 0, hi, total
+    j, cap = 0, hi
     while True:
         while j < length:
             if total is None:
@@ -181,7 +205,7 @@ def _decreasing_tuples(length, lo, hi, total, descending):
             else:
                 slots = length - j
                 low = max(lo, -(-rest // slots))
-                high = min(cap, rest - (slots - 1) * lo)
+                high = min(cap, rest + width - (slots - 1) * lo)
                 rests[j] = rest
             if low > high:
                 return  # only at j == 0: no later entry is a dead end
@@ -211,4 +235,4 @@ def partitions_of(size: int, parts: int) -> Iterator[tuple[int, ...]]:
     tuples of length `parts`, in decreasing lexicographic order: the
     dominant tuples with entries in [0, size] summing to `size`, in
     reverse order."""
-    return _decreasing_tuples(parts, 0, size, size, descending=True)
+    return _decreasing_tuples(parts, 0, size, (size, size), descending=True)

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dethodge import characters, cli, hodgeideals, oracle, repsets, weights
 from dethodge.characters import (
     cauchy_check,
     dim_irrep,
     hilbert_function,
+    hilbert_series,
     lr_coefficient,
     tensor_decomposition_check,
     tensor_expansion,
 )
 from dethodge.repsets import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
-from dethodge.weights import WeightBox, partitions_of
+from dethodge.weights import WeightBox, pad, partitions_of
 
 
 def ssyt_count(lam, N):
@@ -250,3 +252,77 @@ def test_hilbert_function_symbolic_powers_of_irrelevant_ideal():
         for e in range(13):
             expected = comb(e + 3, 3) if e >= d else 0
             assert hilbert_function(wset, e) == expected, (d, e)
+
+
+def every_kind_on(space):
+    """A weight set of every kind on the space, for every stratum index the
+    kind admits and every parameter in -1..3 it admits."""
+    for kind, spec in repsets._SPECS.items():
+        if spec.square and not space.is_square:
+            continue
+        strata = [None] if spec.p_min is None else range(spec.p_min, space.n + 1)
+        params = [None] if spec.param_min is None else range(max(-1, spec.param_min), 4)
+        for p in strata:
+            for param in params:
+                yield WeightSet(space, kind, p, param)
+
+
+def hilbert_by_degree(wset, d, box):
+    """The per-degree sum that hilbert_series replaced: both dimensions of
+    every member of size d, each through dim_irrep."""
+    m, n = wset.space.m, wset.space.n
+    bound = d if box is None else box
+    return sum(
+        dim_irrep(pad(lam, m), m) * dim_irrep(lam, n) for lam in wset.members(bound, total=d)
+    )
+
+
+def test_hilbert_series_matches_the_per_degree_sum():
+    dmax = 10
+    kinds = set()
+    for n in range(1, 4):
+        for m in range(n, 4):
+            space = MatrixSpace(m, n)
+            for wset in every_kind_on(space):
+                kinds.add(wset.kind)
+                if wset.partitions_only:
+                    expected = [hilbert_by_degree(wset, d, None) for d in range(dmax + 1)]
+                    assert hilbert_series(wset, dmax) == expected, wset
+                    assert [hilbert_function(wset, d) for d in range(dmax + 1)] == expected
+                    continue
+                for box in range(5):
+                    if not space.is_square:
+                        with pytest.raises(ValueError, match="need a square space"):
+                            hilbert_series(wset, dmax, box=box)
+                        continue
+                    expected = [hilbert_by_degree(wset, d, box) for d in range(dmax + 1)]
+                    assert hilbert_series(wset, dmax, box=box) == expected, (wset, box)
+                    for d in range(-n * box - 1, dmax + 1):
+                        want = hilbert_by_degree(wset, d, box)
+                        assert hilbert_function(wset, d, box=box) == want, (wset, box, d)
+    assert kinds == set(repsets._SPECS)
+
+
+def test_every_set_of_partitions_is_on_a_square_space():
+    # hilbert_series squares one dimension per member, which needs m = n:
+    # a set of partitions refuses no square check of its own.
+    assert all(spec.square for spec in repsets._SPECS.values() if spec.partitions_only)
+
+
+def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
+    calls = {"dominant_tuples": 0, "dim_irrep": 0, "check_weight": 0}
+
+    def spy(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(repsets, "dominant_tuples", spy("dominant_tuples", weights.dominant_tuples))
+    monkeypatch.setattr(characters, "dim_irrep", spy("dim_irrep", characters.dim_irrep))
+    for module in (weights, repsets, characters, hodgeideals, oracle):
+        monkeypatch.setattr(module, "check_weight", spy("check_weight", weights.check_weight))
+    assert cli.main(["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "12"]) == 0
+    assert "d=12: 455" in capsys.readouterr().out
+    assert calls == {"dominant_tuples": 1, "dim_irrep": 0, "check_weight": 0}

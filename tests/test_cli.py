@@ -116,16 +116,17 @@ def test_filtration_weight(capsys):
 
 
 def test_a_weight_keeps_every_parenthesis_but_one_pair(capsys):
-    # "(0,-3)" and "0,-3" are the same weight; one leading "(" and one
-    # trailing ")" are all that is stripped.
-    for text in ("(0,-3)", "0,-3"):
+    # "(0,-3)" and "0,-3" are the same weight; one pair of parentheses,
+    # both or neither, is all that is stripped, and each entry is an
+    # optionally signed run of the digits 0-9.
+    for text in ("(0,-3)", "0,-3", "( 0, -3 )", "+0,-3"):
         code, payload = run_json(capsys, "filtration", "--n", "2", "--k", "1", "--weight", text)
         assert code == 0 and payload["weight"] == [0, -3]
-    for text in (")0,(-3(", "((0,-3))", "(0,(-3)", "0),-3"):
+    for text in (")0,(-3(", "((0,-3))", "(0,(-3)", "0),-3", "(0,-3", "0,-3)", "0,-3_0", "0,-\u0663", "(a)"):
         with pytest.raises(SystemExit) as err:
             main(["filtration", "--n", "2", "--k", "1", "--weight", text])
         assert err.value.code == 2, text
-        assert "cannot parse weight" in capsys.readouterr().err
+        assert f"cannot parse weight {text!r}" in capsys.readouterr().err
 
 
 def run_into_a_closed_pipe(code):
@@ -685,3 +686,219 @@ def test_argparse_is_the_oracle_of_the_table_reader(argv):
             except SystemExit:
                 pytest.fail(f"the table read {argv}, which argparse refuses")
         assert vars(args) == vars(reference), argv
+
+
+# -- a request fuzzer built from the option table -----------------------------
+
+# The descriptor arguments the README lists for `hilbert --set`.
+README_KINDS = {
+    "Ik": ("n", "k"),
+    "Jpd": ("n", "p", "d"),
+    "FkSdet": ("n", "k"),
+    "Wp": ("m", "n", "p"),
+    "Wpd": ("m", "n", "p", "d"),
+    "Ukp": ("n", "p", "k"),
+    "Empty": ("m", "n", "p"),
+}
+
+
+def integer_in_grammar(text):
+    """An optionally signed run of the digits 0-9, spaces around it
+    allowed."""
+    body = text.strip()
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    return body != "" and all(c in "0123456789" for c in body)
+
+
+def weight_in_grammar(text):
+    """Comma-separated integers, optionally inside one pair of
+    parentheses."""
+    if len(text) >= 2 and text[0] == "(" and text[-1] == ")":
+        text = text[1:-1]
+    return all(integer_in_grammar(entry) for entry in text.split(","))
+
+
+def descriptor_in_grammar(text):
+    """A kind's name and all of its arguments in parentheses, either every
+    one positional, in order, or every one as a keyword, in any order;
+    spaces around the name, the parentheses and each key or value
+    allowed."""
+    name, paren, rest = text.strip().partition("(")
+    args = README_KINDS.get(name.strip())
+    if args is None or not paren or not rest.endswith(")"):
+        return False
+    pieces = rest[:-1].split(",")
+    if all("=" not in piece for piece in pieces):
+        return len(pieces) == len(args) and all(map(integer_in_grammar, pieces))
+    keys = []
+    for piece in pieces:
+        key, eq, value = piece.partition("=")
+        if not eq or not integer_in_grammar(value):
+            return False
+        keys.append(key.strip())
+    return sorted(keys) == sorted(args)
+
+
+def test_the_reference_grammar_examples():
+    for text in ("0,-3", "(0,-3)", "2", " 1, +2 ", "(-0)"):
+        assert weight_in_grammar(text), text
+    for text in (")0,(-3(", "(0,-3", "0,-3)", "((0,-3))", "", "()", "1_0", "٣", "1,,2", "1.5"):
+        assert not weight_in_grammar(text), text
+    for text in ("Ik(n=2,k=3)", " Ik ( k = 3 , n=2 ) ", "Wp(3,2,1)", "Empty(2,2,0)"):
+        assert descriptor_in_grammar(text), text
+    for text in ("Ik(n=2)", "Ik(n=2,k=3,k=3)", "Ik(n=2,3)", "Wp(3,2)", "Ik(n=1_0,k=3)", "ik(2,3)",
+                 "Ik(n=2,k=3", "Ik((n=2,k=3))", "Ik(n=2,k=3)x", "Ik(m=2,k=3)"):
+        assert not descriptor_in_grammar(text), text
+
+
+# Small values, mostly ones a request accepts; edge values (-1, 0) and
+# malformed text are rarer. At most one other argument of a request is
+# drawn from the malformed alphabet; a weight or a descriptor is broken
+# half the time.
+SMALL = st.one_of(st.integers(1, 4), st.integers(1, 4), st.integers(-1, 4)).map(str)
+MALFORMED = st.sampled_from(
+    ["", " ", "x", "1.5", "1_0", "٣", "+2", " 3", "-0", "007", "2,1", "1e1", "(1", "2)", "(", ")"]
+)
+
+
+@st.composite
+def weights(draw, size):
+    """A weight's text: mostly `size` entries, else 1 to 4, mostly weakly
+    decreasing, with or without one pair of parentheses; half the time
+    broken, with one entry malformed or the parentheses unbalanced,
+    doubled or misplaced."""
+    length = draw(st.sampled_from([size, size, size, 1, 2, 3, 4]))
+    entries = draw(st.lists(st.integers(-3, 3), min_size=length, max_size=length))
+    if draw(st.integers(0, 3)):
+        entries.sort(reverse=True)
+    entries = [str(x) for x in entries]
+    left, right = draw(st.sampled_from([("", ""), ("(", ")")]))
+    fault = draw(st.integers(0, 5))
+    if fault == 0:
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(MALFORMED)
+    elif fault == 1:
+        left, right = draw(st.sampled_from([("(", ""), ("", ")")]))
+    elif fault == 2:
+        left, right = draw(st.sampled_from([("((", "))"), (")", "("), (" (", ")"), ("(", ") ")]))
+    return left + ",".join(entries) + right
+
+
+@st.composite
+def descriptors(draw):
+    """A descriptor of a kind the README lists, with small values (m, n
+    and p mostly in range), its arguments all positional or all keywords
+    in any order; half the time broken, with a name no kind has, an
+    argument missing, repeated or unknown, a malformed value, positional
+    and keyword arguments mixed, or broken parentheses."""
+    name = draw(st.sampled_from(sorted(README_KINDS)))
+    n = draw(st.integers(1, 3))
+    given = {"n": n, "m": n + draw(st.integers(0, 1)), "p": draw(st.integers(0, n))}
+    keywords = [draw(st.booleans())] * len(README_KINDS[name])
+    args = list(draw(st.permutations(README_KINDS[name])) if keywords[0] else README_KINDS[name])
+    values = [str(given[arg]) if arg in given else draw(SMALL) for arg in args]
+    left, right = "(", ")"
+    if draw(st.booleans()):
+        fault = draw(st.integers(0, 5))
+        at = draw(st.integers(0, len(args) - 1))
+        if fault == 0:
+            name = draw(st.sampled_from(["Ix", "ik", "", "I k"]))
+        elif fault == 1:
+            del args[at], values[at], keywords[at]
+        elif fault == 2:
+            args.append(draw(st.sampled_from([args[at], "x"])))
+            values.append("1")
+            keywords.append(keywords[0])
+        elif fault == 3:
+            values[at] = draw(MALFORMED)
+        elif fault == 4:
+            keywords[at] = not keywords[at]
+        else:
+            left, right = draw(st.sampled_from([("(", ""), ("((", "))"), (" ( ", " ) "), ("[", "]")]))
+    space = draw(st.sampled_from(["", " "]))
+    body = ",".join(
+        f"{space}{key}{space}={value}" if keyword else value
+        for key, value, keyword in zip(args, values, keywords)
+    )
+    return f"{name}{left}{body}{right}"
+
+
+def fuzz_values(option, wild, size):
+    """The strategy for one option's value: by its name, else by its type.
+    `--n` is mostly the request's `size`, the length of its weight. Walk
+    sizes stay small, since no work budget refuses a large one."""
+    if option.name == "--weight":
+        return weights(size)
+    if option.name == "--set":
+        return descriptors()
+    if wild:
+        return MALFORMED
+    if option.name in ("--dmax", "--box"):
+        return st.integers(-1, 8).map(str)
+    if option.name == "--format":
+        return st.sampled_from(["text", "json"])
+    if option.name == "suite":
+        return st.sampled_from([*sorted(suites.SUITES), "all"])
+    if option.type is cli._seed:
+        return st.sampled_from(["1729", "-4", "007", "3:0", "x"])
+    if option.name == "--n":
+        return st.one_of(st.just(str(size)), st.just(str(size)), SMALL)
+    return SMALL
+
+
+@st.composite
+def fuzzed_requests(draw):
+    """A subcommand, then each of its arguments in any order, each given
+    once (a required one almost always, an optional one half the time),
+    as ``--name value`` or ``--name=value``; at most one value wild."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    command = cli._COMMANDS[name]
+    options = draw(st.permutations(command.options))
+    wild = draw(st.integers(0, 4 * len(options)))  # mostly no wild value
+    size = draw(st.integers(1, 4))
+    argv = [name]
+    for i, option in enumerate(options):
+        # A required argument, a weight and a descriptor are almost always
+        # given, any other argument half the time.
+        given = option.default is cli._REQUIRED or option.name == "--weight"
+        if draw(st.integers(0, 19)) >= (19 if given else 10):
+            continue
+        if option.type is None:
+            argv.append(option.name)
+            continue
+        value = draw(fuzz_values(option, i == wild, size))
+        if option.name == command.positional:
+            argv.append(value)
+        elif draw(st.booleans()):
+            argv.append(f"{option.name}={value}")
+        else:
+            argv += [option.name, value]
+    return argv
+
+
+def given_value(argv, name):
+    """The text given to the option `name` in argv, or None."""
+    for i, token in enumerate(argv):
+        if token == name and i + 1 < len(argv):
+            return argv[i + 1]
+        if token.startswith(name + "="):
+            return token[len(name) + 1:]
+    return None
+
+
+@settings(max_examples=400)
+@given(fuzzed_requests())
+def test_no_request_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        weight = given_value(argv, "--weight")
+        assert weight is None or weight_in_grammar(weight), argv
+        descriptor = given_value(argv, "--set")
+        assert descriptor is None or descriptor_in_grammar(descriptor), argv

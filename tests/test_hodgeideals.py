@@ -431,6 +431,8 @@ def test_ideal_weight_set_and_descriptors():
         ("Ik(n=2,k= )", "Ik needs an integer k, not ''"),
         ("Wp(3,x,1)", "Wp needs an integer n, not 'x'"),
         ("Wp(3,,1)", "Wp needs an integer n, not ''"),
+        ("Ik(n=1_0,k=3)", "Ik needs an integer n, not '1_0'"),
+        ("Wp(3,\u0662,1)", "Wp needs an integer n, not '\u0662'"),
         ("Nope(1,2)", "unknown or malformed"),
         ("Wp(3,2,1", "unknown or malformed"),
         ("Wp(3,2,5)", "p=5 outside 0..2"),

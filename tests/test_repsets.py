@@ -413,8 +413,8 @@ def admitted_weight_sets(space):
 
 def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
     # contains against the inequalities on every weight of the box, and
-    # members, in total and per size, against the slow oracle: the whole
-    # box walked and filtered by the inequalities.
+    # members, in total, per size and per interval of sizes, against the
+    # slow oracle: the whole box walked and filtered by the inequalities.
     bound = 4
     sets = 0
     for n in range(1, 5):
@@ -435,6 +435,8 @@ def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
                 for d in range(-n * bound - 1, n * bound + 2):
                     by_size = [lam for lam in walk if sum(lam) == d]
                     assert wset.members(bound, total=d) == by_size, (wset, d)
+                    in_interval = [lam for lam in walk if d <= sum(lam) <= d + n]
+                    assert wset.members(bound, total=(d, d + n)) == in_interval, (wset, d)
     # Per n: the seven kinds on the square space, 21n + 24 sets, and W^p,
     # W^p_d and the empty set on the (n+1) x n space, 7(n+1) sets.
     assert sets == sum(21 * n + 24 + 7 * (n + 1) for n in range(1, 5))

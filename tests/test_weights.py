@@ -3,6 +3,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dethodge.characters import dim_irrep
 from dethodge.hodgeideals import in_hodge_ideal
@@ -247,6 +249,30 @@ def test_dominant_tuples_match_the_recursive_enumeration():
                 for total in range(length * lo - 1, length * hi + 2):
                     expected = list(recursive_dominant_tuples(length, lo, hi, total))
                     assert list(dominant_tuples(length, lo, hi, total=total)) == expected
+
+
+@given(
+    length=st.integers(0, 5),
+    lo=st.integers(-4, 6),
+    hi=st.integers(-4, 6),
+    # Sums from below the lowest reachable (-20) to above the highest (30);
+    # a negative width is an empty interval.
+    t_lo=st.integers(-23, 33),
+    width=st.integers(-3, 12),
+)
+def test_a_total_interval_is_the_unconstrained_walk_filtered_by_total(length, lo, hi, t_lo, width):
+    t_hi = t_lo + width
+    walk = list(dominant_tuples(length, lo, hi))
+    expected = [lam for lam in walk if t_lo <= sum(lam) <= t_hi]
+    assert list(dominant_tuples(length, lo, hi, total=(t_lo, t_hi))) == expected
+    assert list(dominant_tuples(length, lo, hi, total=(t_lo, t_lo))) == list(
+        dominant_tuples(length, lo, hi, total=t_lo)
+    )
+    assert list(dominant_tuples(length, lo, hi, total=t_lo)) == [
+        lam for lam in walk if sum(lam) == t_lo
+    ]
+    size = max(hi, 0)
+    assert list(partitions_of(size, length)) == list(recursive_partitions_of(size, length))
 
 
 def test_partitions_of_match_the_recursive_enumeration():
