@@ -5,25 +5,77 @@ so strata are plain labels carrying derived numerology: the dimension
 p*(m+n-p) and codimension (m-p)*(n-p) of the locus of matrices of rank
 at most p, and (for m > n) the cohomological degree in which that locus
 supports local cohomology.
+
+The package's value types (`MatrixSpace`, `Stratum`, ``weights.WeightBox``,
+``repsets.WeightSet`` and ``reporting.VerificationReport``) are slotted
+classes on one base, `_Record`. It gives them what a frozen dataclass
+would: equality and hash over the fields for the same class only, the
+dataclass repr, refused assignment and deletion, and pickling and copying
+through the constructor. The package does not import the dataclasses
+module, which loads inspect, ast, dis and tokenize and would take three
+times as long as the rest of the package to import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class _Record:
+    """Base of a value type whose fields are its ``__match_args__``; a
+    frozen one sets them once, in its constructor, with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: the raising __setattr__ would
+        # refuse pickle's and copy's default way of restoring slots.
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class MatrixSpace:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a field value that is not an int, or is a bool."""
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+class MatrixSpace(_Record):
     """The space of m-by-n matrices, with the convention m >= n >= 1."""
 
-    m: int
-    n: int
+    __slots__ = __match_args__ = ("m", "n")
 
-    def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
-            raise TypeError(f"m and n must be ints, got m={self.m!r}, n={self.n!r}")
-        if self.n < 1 or self.m < self.n:
-            raise ValueError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
+    def __init__(self, m: int, n: int):
+        if not (_is_int(m) and _is_int(n)):
+            raise TypeError(f"m and n must be ints, got m={m!r}, n={n!r}")
+        if n < 1 or m < n:
+            raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def dim(self) -> int:
@@ -37,16 +89,17 @@ class MatrixSpace:
         return f"{self.m}x{self.n}"
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Record):
     """Label for the closed locus of matrices of rank at most p."""
 
-    space: MatrixSpace
-    p: int
+    __slots__ = __match_args__ = ("space", "p")
 
-    def __post_init__(self):
-        if not 0 <= self.p <= self.space.n:
-            raise ValueError(f"rank bound p={self.p} outside 0..{self.space.n}")
+    def __init__(self, space: MatrixSpace, p: int):
+        _check_int("p", p)
+        if not 0 <= p <= space.n:
+            raise ValueError(f"rank bound p={p} outside 0..{space.n}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "p", p)
 
 
 def dim_stratum(s: Stratum) -> int:

@@ -1,18 +1,29 @@
-"""Shared result object for the exhaustive and sampled verification drivers."""
+"""Shared result object for the exhaustive and sampled verification drivers.
+
+`VerificationReport` is the one mutable value type of the package: a
+``matrixspace._Record`` that allows assignment and is unhashable, as a
+non-frozen dataclass would be."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .matrixspace import _Record
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    params: dict
-    checks: int = 0
-    failures: list = field(default_factory=list)
-    seed: int | str | None = None
-    details: list = field(default_factory=list)
+class VerificationReport(_Record):
+    __slots__ = __match_args__ = ("name", "params", "checks", "failures", "seed", "details")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, name: str, params: dict, checks: int = 0, failures=None, seed=None, details=None
+    ):
+        self.name = name
+        self.params = params
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.seed = seed
+        self.details = [] if details is None else details
 
     @property
     def ok(self) -> bool:

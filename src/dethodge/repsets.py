@@ -32,12 +32,11 @@ The Hodge-ideal theory behind I_k and F_k lives in the hodgeideals module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, inf
 from typing import Callable, NamedTuple
 
-from .matrixspace import MatrixSpace, Stratum, codim_stratum
+from .matrixspace import MatrixSpace, _check_int, _Record
 from .weights import _wp_member, check_weight, dominant_tuples, is_partition, partitions_of
 
 
@@ -80,7 +79,8 @@ def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:
 
 def _wpd_member(lam: tuple[int, ...], p: int, d: int, space: MatrixSpace) -> bool:
     """`in_Wpd` for a dominant lam of length n, p in 0..n and d >= 0."""
-    return _wp_member(lam, p, space) and sum(lam[p:]) == -d - codim_stratum(Stratum(space, p))
+    # -d - c_p, with c_p = (m-p)(n-p) the codimension of the stratum
+    return _wp_member(lam, p, space) and sum(lam[p:]) == -d - (space.m - p) * (space.n - p)
 
 
 def in_Ukp(lam, p: int, k: int, space: MatrixSpace) -> bool:
@@ -206,36 +206,42 @@ _SPECS = {
 _KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(_Record):
     """A set of dominant weights on a matrix space, of one of the kinds in
     ``_SPECS``: W^p, a layer W^p_d, a filtration set U^p_k, the empty set,
     a symbolic power J_p^(d), a Hodge ideal I_k or a Hodge filtration level
     F_k. Supports membership tests and bounded enumeration."""
 
-    space: MatrixSpace
-    kind: str
-    p: int | None = None
-    param: int | None = None
+    __slots__ = __match_args__ = ("space", "kind", "p", "param")
 
-    def __post_init__(self):
-        spec = _SPECS.get(self.kind)
+    def __init__(
+        self, space: MatrixSpace, kind: str, p: int | None = None, param: int | None = None
+    ):
+        spec = _SPECS.get(kind)
         if spec is None:
-            raise ValueError(f"unknown weight-set kind {self.kind!r}")
-        if spec.square and not self.space.is_square:
+            raise ValueError(f"unknown weight-set kind {kind!r}")
+        if spec.square and not space.is_square:
             raise ValueError(f"{spec.name} is defined on square matrix spaces")
+        if p is not None:
+            _check_int("p", p)
+        if param is not None:
+            _check_int("param", param)
         if spec.p_min is None:
-            if self.p is not None:
+            if p is not None:
                 raise ValueError(f"{spec.name} takes no stratum index")
-        elif self.p is None or not spec.p_min <= self.p <= self.space.n:
-            raise ValueError(f"stratum index p={self.p} outside {spec.p_min}..{self.space.n}")
+        elif p is None or not spec.p_min <= p <= space.n:
+            raise ValueError(f"stratum index p={p} outside {spec.p_min}..{space.n}")
         if spec.param_min is None:
-            if self.param is not None:
+            if param is not None:
                 raise ValueError(f"{spec.name} takes no parameter")
-        elif self.param is None:
+        elif param is None:
             raise ValueError(f"{spec.name} needs its parameter {spec.args[-1]}")
-        elif self.param < spec.param_min:
+        elif param < spec.param_min:
             raise ValueError(f"{spec.name} needs {spec.args[-1]} >= {spec.param_min}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "param", param)
 
     @property
     def partitions_only(self) -> bool:

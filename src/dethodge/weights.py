@@ -15,11 +15,10 @@ prefix it builds has a completion, so no step is a dead end.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from .matrixspace import MatrixSpace
+from .matrixspace import MatrixSpace, _check_int, _Record
 
 
 def is_dominant(entries) -> bool:
@@ -120,8 +119,7 @@ def lambda_of_p(lam, p: int, space: MatrixSpace) -> tuple[int, ...]:
     return lam[:p] + ((p - space.n),) * shift + tuple(x + shift for x in lam[p:])
 
 
-@dataclass(frozen=True)
-class WeightBox:
+class WeightBox(_Record):
     """Finite truncation of the dominant weights: all weakly decreasing
     integer tuples of a given length with entries in [-bound, bound].
 
@@ -129,14 +127,17 @@ class WeightBox:
     comb(2*bound + length, length).
     """
 
-    length: int
-    bound: int
+    __slots__ = __match_args__ = ("length", "bound")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, length: int, bound: int):
+        _check_int("length", length)
+        _check_int("bound", bound)
+        if length < 1:
             raise ValueError("box length must be at least 1")
-        if self.bound < 0:
+        if bound < 0:
             raise ValueError("box bound must be nonnegative")
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def count(self) -> int:

@@ -5,15 +5,22 @@ from the standard library, so the package has no runtime dependencies;
 and every random draw comes from a seeded generator, so every run can be
 replayed. Every dotted name a module docstring quotes in single or
 double backticks must exist, so the docstrings cannot drift from the
-code they describe."""
+code they describe. Importing the package loads none of the modules
+that ``dataclasses`` would bring in."""
 
 import ast
 import importlib
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "dethodge").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "dethodge").glob("*.py"))
+# Modules that take most of an import's time and that the package does not
+# need: dataclasses, and what it loads.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def asserts(tree):
@@ -196,3 +203,19 @@ def test_qseries_has_one_polynomial_type():
     tree = _trees()["qseries.py"]
     classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
     assert classes == ["LaurentPoly", "DecompositionTable"]
+
+
+def test_importing_the_package_loads_no_heavy_module():
+    # In a fresh interpreter without the site step, so no start-up hook
+    # of the installation loads one of them first.
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(SRC)!r}); heavy = {HEAVY_MODULES!r}\n"
+        "loaded = lambda: [name for name in heavy if name in sys.modules]\n"
+        "before = loaded(); import dethodge; package = loaded()\n"
+        "import dethodge.cli; cli = loaded()\n"
+        "print(json.dumps([before, package, cli]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [[], [], []]
