@@ -89,12 +89,19 @@ class MatrixSpace(_Record):
         return f"{self.m}x{self.n}"
 
 
+def _check_space(value) -> None:
+    """Refuse a space field value that is not a `MatrixSpace`."""
+    if not isinstance(value, MatrixSpace):
+        raise TypeError(f"space must be a MatrixSpace, got {value!r}")
+
+
 class Stratum(_Record):
     """Label for the closed locus of matrices of rank at most p."""
 
     __slots__ = __match_args__ = ("space", "p")
 
     def __init__(self, space: MatrixSpace, p: int):
+        _check_space(space)
         _check_int("p", p)
         if not 0 <= p <= space.n:
             raise ValueError(f"rank bound p={p} outside 0..{space.n}")

@@ -1,6 +1,6 @@
-"""Exact Laurent polynomial arithmetic in q, Gaussian binomials, and the
-multiplicity tables of the Decomposition Theorem for the standard
-resolutions of determinantal varieties.
+"""Gaussian binomials in q and the multiplicity tables of the
+Decomposition Theorem for the standard resolutions of determinantal
+varieties, with the exact Laurent polynomials that hold their rows.
 
 The central computation: pushing a simple module of the rank-p stratum
 down a projective resolution produces, in each cohomological degree j, a
@@ -11,11 +11,16 @@ polynomials f_i(q) are pinned down by a triangular system solvable by
 exact back-substitution. The closed form is a shifted q-binomial, so the
 solver doubles as an identity checker.
 
-Every polynomial here is one type, `LaurentPoly`, dense: the exponent
-of its lowest term and the tuple of coefficients from there to its
-highest term, with no zeros at either end. Its exponents and
-coefficients are ints; anything else, such as a float or a string, is
-refused with a TypeError. Long operands are multiplied by Kronecker
+Every polynomial here is one type, `LaurentPoly`, the tables' row type,
+dense: the exponent of its lowest term and the tuple of coefficients
+from there to its highest term, with no zeros at either end. Its
+exponents and coefficients are ints; anything else, such as a float, a
+bool or a string, is refused with a TypeError. It has what the tables
+use and no more: it is built from a map of exponents to coefficients,
+read by `LaurentPoly.items`, `LaurentPoly.coefficient`,
+`LaurentPoly.max_exp` and its truth value, compared and hashed with
+another polynomial, multiplied by another polynomial, and written by
+`LaurentPoly.to_json` and str(). Long operands are multiplied by Kronecker
 substitution: each coefficient list is packed into one Python integer,
 in slots wide enough for any coefficient of the product, so one C-level
 big-integer product does the whole convolution; signed operands are
@@ -73,7 +78,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, islice
 from math import comb
 
-from .matrixspace import MatrixSpace, Stratum, dim_stratum
+from .matrixspace import MatrixSpace, Stratum, _is_int, dim_stratum
 from .reporting import VerificationReport
 
 # Below this product of operand lengths the schoolbook convolution beats
@@ -82,7 +87,8 @@ SCHOOLBOOK_BELOW = 64
 
 
 class LaurentPoly:
-    """Integer Laurent polynomial in one variable q. Immutable, exact.
+    """Integer Laurent polynomial in one variable q, the row type of the
+    multiplicity tables. Immutable, exact.
 
     `_c` holds the coefficients of q^_lo, q^(_lo+1), ..., q^max_exp; its
     first and last entries are nonzero. The zero polynomial has
@@ -97,7 +103,7 @@ class LaurentPoly:
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for e, v in items:
-                if not (isinstance(e, int) and isinstance(v, int)):
+                if not (_is_int(e) and _is_int(v)):
                     raise TypeError(
                         f"exponents and coefficients must be int, got {v!r} at q^{e!r}"
                     )
@@ -112,22 +118,6 @@ class LaurentPoly:
                 dense[e - lo] = v
             self._lo, self._c = lo, tuple(dense)
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
     def items(self):
         """(exponent, coefficient) of each nonzero term, by increasing exponent."""
         return [(e, v) for e, v in enumerate(self._c, self._lo) if v]
@@ -135,15 +125,6 @@ class LaurentPoly:
     def coefficient(self, exp: int) -> int:
         i = exp - self._lo
         return self._c[i] if 0 <= i < len(self._c) else 0
-
-    def coefficients(self):
-        return [v for v in self._c if v]
-
-    @property
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("the zero polynomial has no support")
-        return self._lo
 
     @property
     def max_exp(self) -> int:
@@ -155,8 +136,6 @@ class LaurentPoly:
         return bool(self._c)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._lo == other._lo and self._c == other._c
@@ -164,42 +143,7 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self._lo, self._c))
 
-    def __neg__(self):
-        return _dense(self._lo, tuple(-v for v in self._c))
-
-    def _combine(self, other, op):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not other._c:
-            return self
-        if not self._c:
-            return other if op is operator.add else -other
-        lo = min(self._lo, other._lo)
-        out = [0] * (max(self._lo + len(self._c), other._lo + len(other._c)) - lo)
-        i = self._lo - lo
-        out[i : i + len(self._c)] = self._c
-        j = other._lo - lo
-        out[j : j + len(other._c)] = map(op, out[j : j + len(other._c)], other._c)
-        return _trimmed(lo, out)
-
-    def __add__(self, other):
-        return self._combine(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, operator.sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly()
-            return _dense(self._lo, tuple(v * other for v in self._c))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._c, other._c
@@ -216,38 +160,6 @@ class LaurentPoly:
             out = _packed_sum([(self, other, 0)], len(a) + len(b) - 1)
         # The end coefficients multiply to nonzero ends: nothing to trim.
         return _dense(self._lo + other._lo, tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int):
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        out = LaurentPoly.one()
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            base = base * base
-            power >>= 1
-        return out
-
-    def shift(self, d: int) -> "LaurentPoly":
-        """Multiply by q^d."""
-        return _dense(self._lo + d, self._c)
-
-    def stretch(self, factor: int) -> "LaurentPoly":
-        """Substitute q -> q^factor."""
-        if not self._c:
-            return self
-        if factor == 0:
-            return LaurentPoly({0: self.at_one()})
-        step = abs(factor)
-        out = [0] * ((len(self._c) - 1) * step + 1)
-        out[::step] = self._c if factor > 0 else self._c[::-1]
-        return _dense(min(factor * self._lo, factor * self.max_exp), tuple(out))
-
-    def at_one(self) -> int:
-        return sum(self._c)
 
     def _bounds(self) -> tuple:
         """The largest |coefficient|, the sum of the |coefficients|, and the
@@ -500,7 +412,7 @@ class DecompositionTable:
         clean = {}
         for i in sorted(entries):
             poly = entries[i]
-            if poly.is_zero:
+            if not poly:
                 continue
             if not 0 <= i <= p:
                 raise ValueError(f"summand index {i} outside 0..{p}")
@@ -767,7 +679,7 @@ def pushforward_structure_checks(space: MatrixSpace, p: int) -> VerificationRepo
             )
     for i in range(p + 1):
         report.checks += 1
-        coeff = table.entries.get(i, LaurentPoly.zero()).coefficient((n - i) * (m - n))
+        coeff = table.entries.get(i, LaurentPoly()).coefficient((n - i) * (m - n))
         if (coeff != 0) != (i == p):
             report.add_failure(check="middle-degree", i=i, coefficient=coeff)
     return report

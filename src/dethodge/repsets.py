@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import comb, inf
 from typing import Callable, NamedTuple
 
-from .matrixspace import MatrixSpace, _check_int, _Record
+from .matrixspace import MatrixSpace, _check_int, _check_space, _Record
 from .weights import _wp_member, check_weight, dominant_tuples, is_partition, partitions_of
 
 
@@ -178,8 +178,8 @@ def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
 
 class _Spec(NamedTuple):
     name: str  # descriptor name
-    args: tuple[str, ...]  # descriptor arguments in order; past m, n, p: the parameter
-    square: bool  # defined on square spaces only
+    # Descriptor arguments in order, past m, n, p the parameter; no m: square spaces only.
+    args: tuple[str, ...]
     p_min: int | None  # the stratum index runs over p_min..n; None: takes none
     param_min: float | None  # lower bound on the parameter; None: takes none
     partitions_only: bool
@@ -188,19 +188,19 @@ class _Spec(NamedTuple):
 
 
 _SPECS = {
-    "Wp": _Spec("Wp", ("m", "n", "p"), False, 0, None, False, False,
+    "Wp": _Spec("Wp", ("m", "n", "p"), 0, None, False, False,
                 lambda lam, s: _wp_member(lam, s.p, s.space)),
-    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), False, 0, 0, False, False,
+    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), 0, 0, False, False,
                  lambda lam, s: _wpd_member(lam, s.p, s.param, s.space)),
-    "Ukp": _Spec("Ukp", ("n", "p", "k"), True, 0, -inf, False, False,
+    "Ukp": _Spec("Ukp", ("n", "p", "k"), 0, -inf, False, False,
                  lambda lam, s: s.param >= _Ukp_level(lam, s.p, s.space)),
-    "empty": _Spec("Empty", ("m", "n", "p"), False, 0, None, False, False,
+    "empty": _Spec("Empty", ("m", "n", "p"), 0, None, False, False,
                    lambda lam, s: False),
-    "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), True, 1, -inf, True, True,
+    "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), 1, -inf, True, True,
                            lambda lam, s: _in_symbolic_power(lam, s.p, s.param)),
-    "HodgeIdeal": _Spec("Ik", ("n", "k"), True, None, 0, True, True,
+    "HodgeIdeal": _Spec("Ik", ("n", "k"), None, 0, True, True,
                         lambda lam, s: s.param <= _hodge_ideal_level(lam, s.space.n)),
-    "FkSdet": _Spec("FkSdet", ("n", "k"), True, None, 0, False, True,
+    "FkSdet": _Spec("FkSdet", ("n", "k"), None, 0, False, True,
                     lambda lam, s: s.param >= _Fk_level(lam, s.space)),
 }
 _KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
@@ -217,10 +217,11 @@ class WeightSet(_Record):
     def __init__(
         self, space: MatrixSpace, kind: str, p: int | None = None, param: int | None = None
     ):
+        _check_space(space)
         spec = _SPECS.get(kind)
         if spec is None:
             raise ValueError(f"unknown weight-set kind {kind!r}")
-        if spec.square and not space.is_square:
+        if "m" not in spec.args and not space.is_square:
             raise ValueError(f"{spec.name} is defined on square matrix spaces")
         if p is not None:
             _check_int("p", p)
@@ -263,6 +264,7 @@ class WeightSet(_Record):
         with `total` (an int, or a closed interval (t_lo, t_hi)) only those
         whose entries sum to it; a set of partitions enumerates only the
         partitions."""
+        _check_int("bound", bound)
         if bound < 0:
             raise ValueError("box bound must be nonnegative")
         spec = _SPECS[self.kind]

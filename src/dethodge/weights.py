@@ -170,8 +170,14 @@ def dominant_tuples(
     and every x of that range leaves [rest_lo - x, rest_hi - x] for the
     slots-1 entries after it, which again meets what they can sum to.
     """
-    if isinstance(total, int):
-        total = (total, total)
+    _check_int("length", length)
+    _check_int("lo", lo)
+    _check_int("hi", hi)
+    if total is not None:
+        if not isinstance(total, tuple):
+            total = (total, total)
+        for end in total:
+            _check_int("total", end)
     return _decreasing_tuples(length, lo, hi, total, descending=False)
 
 
@@ -236,4 +242,6 @@ def partitions_of(size: int, parts: int) -> Iterator[tuple[int, ...]]:
     tuples of length `parts`, in decreasing lexicographic order: the
     dominant tuples with entries in [0, size] summing to `size`, in
     reverse order."""
+    _check_int("size", size)
+    _check_int("parts", parts)
     return _decreasing_tuples(parts, 0, size, (size, size), descending=True)

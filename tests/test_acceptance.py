@@ -85,7 +85,7 @@ def test_criterion_04_solver_equals_closed_form():
 
 
 def test_criterion_05_pushforward_sanity_cases():
-    one = LaurentPoly.one()
+    one = LaurentPoly({0: 1})
     for n in range(1, 6):
         table = pushforward_DpY(MatrixSpace(n + 1, n), n)
         assert table.entries == {n: one, n - 1: one}

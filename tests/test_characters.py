@@ -258,7 +258,7 @@ def every_kind_on(space):
     """A weight set of every kind on the space, for every stratum index the
     kind admits and every parameter in -1..3 it admits."""
     for kind, spec in repsets._SPECS.items():
-        if spec.square and not space.is_square:
+        if "m" not in spec.args and not space.is_square:
             continue
         strata = [None] if spec.p_min is None else range(spec.p_min, space.n + 1)
         params = [None] if spec.param_min is None else range(max(-1, spec.param_min), 4)
@@ -306,7 +306,7 @@ def test_hilbert_series_matches_the_per_degree_sum():
 def test_every_set_of_partitions_is_on_a_square_space():
     # hilbert_series squares one dimension per member, which needs m = n:
     # a set of partitions refuses no square check of its own.
-    assert all(spec.square for spec in repsets._SPECS.values() if spec.partitions_only)
+    assert all("m" not in spec.args for spec in repsets._SPECS.values() if spec.partitions_only)
 
 
 def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):

@@ -181,6 +181,20 @@ def test_integer_fields_refuse_everything_but_ints(cls, args, field):
         cls(*args)
 
 
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        (Stratum, ("x", 1)),
+        (Stratum, ((2, 2), 1)),
+        (WeightSet, ("x", "Wp", 1)),
+        (WeightSet, (None, "HodgeIdeal", None, 1)),
+    ],
+)
+def test_space_fields_refuse_everything_but_a_matrix_space(cls, args):
+    with pytest.raises(TypeError, match="^space must be a MatrixSpace"):
+        cls(*args)
+
+
 def test_range_errors_keep_their_messages():
     with pytest.raises(ValueError, match=r"need m >= n >= 1, got m=1, n=2"):
         MatrixSpace(1, 2)

@@ -440,3 +440,13 @@ def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
     # Per n: the seven kinds on the square space, 21n + 24 sets, and W^p,
     # W^p_d and the empty set on the (n+1) x n space, 7(n+1) sets.
     assert sets == sum(21 * n + 24 + 7 * (n + 1) for n in range(1, 5))
+
+
+@pytest.mark.parametrize(
+    "bound,total,field",
+    [(1.5, None, "bound"), (True, None, "bound"), (1, 1.5, "total"), (1, (0, 2.5), "total")],
+)
+def test_members_refuse_bounds_that_are_not_ints(bound, total, field):
+    wset = WeightSet(MatrixSpace(2, 2), "Wp", 1)
+    with pytest.raises(TypeError, match=f"^{field} must be an int"):
+        wset.members(bound, total)

@@ -6,7 +6,9 @@ and every random draw comes from a seeded generator, so every run can be
 replayed. Every dotted name a module docstring quotes in single or
 double backticks must exist, so the docstrings cannot drift from the
 code they describe. Importing the package loads none of the modules
-that ``dataclasses`` would bring in."""
+that ``dataclasses`` would bring in. Every public method or property of
+``LaurentPoly`` is read somewhere in the package outside its class, so
+the tables' row type grows no API that only the tests use."""
 
 import ast
 import importlib
@@ -120,6 +122,28 @@ def unresolved_doc_names(module, package="dethodge"):
     return found
 
 
+def unread_public_names(trees, module, class_name):
+    """Each public method or property of the class that no attribute read
+    in the sources names, reads inside the class body not counted."""
+    [cls] = [
+        node for node in trees[module].body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    ]
+    inside = {id(node) for node in ast.walk(cls)}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in inside
+    }
+    public = [
+        node.name
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    return [name for name in public if name not in read]
+
+
 def _trees():
     assert SOURCES
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -166,6 +190,17 @@ def test_the_lint_finds_what_it_looks_for():
         "nope", "qseries.nope", "nomodule.f", "WeightBox.nope",
         "gone", "oracle.symbolic_membership",
     ]
+    row = ast.parse(
+        "class Row:\n"
+        "    def used(self):\n"
+        "        return self.unread()\n"
+        "    def unread(self): ...\n"
+        "    @property\n"
+        "    def size(self): ...\n"
+        "    def _private(self): ...\n"
+        "Row().used() + Row().size\n"
+    )
+    assert unread_public_names({"row.py": row}, "row.py", "Row") == ["unread"]
 
 
 def test_no_module_asserts():
@@ -203,6 +238,12 @@ def test_qseries_has_one_polynomial_type():
     tree = _trees()["qseries.py"]
     classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
     assert classes == ["LaurentPoly", "DecompositionTable"]
+
+
+def test_laurent_poly_has_no_public_name_the_package_does_not_read():
+    # LaurentPoly is the tables' row type: what no code outside it reads,
+    # such as arithmetic that only tests would use, does not belong on it.
+    assert unread_public_names(_trees(), "qseries.py", "LaurentPoly") == []
 
 
 def test_importing_the_package_loads_no_heavy_module():

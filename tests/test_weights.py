@@ -291,3 +291,25 @@ def test_enumerations_longer_than_the_recursion_limit():
 def test_dominant_tuples_refuse_a_negative_length():
     with pytest.raises(ValueError, match="negative"):
         list(dominant_tuples(-1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "walk,args,field",
+    [
+        (dominant_tuples, (2, 0, 1.5), "hi"),
+        (dominant_tuples, (2, -0.5, 1), "lo"),
+        (dominant_tuples, (2.0, 0, 1), "length"),
+        (dominant_tuples, (True, 0, 1), "length"),
+        (dominant_tuples, (2, 0, 3, 1.5), "total"),
+        (dominant_tuples, (2, 0, 3, (0, 2.5)), "total"),
+        (dominant_tuples, (2, 0, 3, (False, 2)), "total"),
+        (partitions_of, (2.5, 2), "size"),
+        (partitions_of, (2, 2.0), "parts"),
+        (partitions_of, (True, 1), "size"),
+    ],
+)
+def test_enumerations_refuse_bounds_that_are_not_ints(walk, args, field):
+    # The call itself raises, before any generator is built: a float bound
+    # would otherwise run the odometer past its end, or yield float entries.
+    with pytest.raises(TypeError, match=f"^{field} must be an int"):
+        walk(*args)
