@@ -28,7 +28,6 @@ from .hodgeideals import (
 )
 from .matrixspace import (
     MatrixSpace,
-    Stratum,
     codim_stratum,
     dim_stratum,
     local_cohomology_degree,

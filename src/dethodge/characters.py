@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .matrixspace import MatrixSpace, Stratum, codim_stratum
+from .matrixspace import MatrixSpace, codim_stratum
 from .reporting import VerificationReport
 from .repsets import compose_weight, lambda_p_mu
 from .weights import check_weight, is_partition, pad, partitions_of, strip_zeros
@@ -151,7 +151,7 @@ def tensor_decomposition_check(gamma, p: int, mu, space: MatrixSpace) -> Verific
     d = sum(mu)
     nu = lambda_p_mu(p, mu, space)
     target = compose_weight(mu, gamma, p, space)
-    c_p = codim_stratum(Stratum(space, p))
+    c_p = codim_stratum(space, p)
 
     shift = -nu[-1]
     nu_shifted = tuple(x + shift for x in nu)

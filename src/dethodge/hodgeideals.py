@@ -40,7 +40,7 @@ import operator
 from itertools import accumulate
 from math import comb
 
-from .matrixspace import MatrixSpace
+from .matrixspace import MatrixSpace, _check_int
 from .reporting import VerificationReport
 from .repsets import WeightSet, _Fk_level, _hodge_ideal_level, _in_symbolic_power
 from .weights import WeightBox, check_weight, dominant_tuples
@@ -52,6 +52,7 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
     d along the rank p-1 locus)? True iff mu_p + ... + mu_n >= d, with
     d <= 0 denoting the unit ideal. Unlike Jpd, defined on m x n spaces."""
     mu = check_weight(mu, space.n)
+    _check_int("p", p)
     if not 1 <= p <= space.n:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if mu[-1] < 0:
@@ -62,6 +63,7 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
 def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
     """The symbolic-power exponents ((n-p)*(k-1) - comb(n-p, 2)) for
     p = 1..n-1 cutting out the k-th Hodge ideal."""
+    _check_int("k", k)
     if k < 0:
         raise ValueError("Hodge ideals are indexed by k >= 0")
     n = space.n
@@ -137,6 +139,7 @@ def in_Fk_Sdet(lam, k: int, space: MatrixSpace) -> bool:
 def translate(mu, k: int) -> tuple[int, ...]:
     """Shift mu -> mu - ((k+1)^n), the weight effect of dividing by the
     (k+1)-st power of the determinant."""
+    _check_int("k", k)
     return tuple(x - (k + 1) for x in mu)
 
 
@@ -164,14 +167,14 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     computed once and compared with every k. The filtration side reads
     the level of translate(mu, k) from the walk, and classifies it on its
     own only when it lies outside the box, which needs k + 1 > bound.
-    A negative k is refused before the walk.
+    A k that is not an int, or is negative, is refused before the walk.
     Each report lists its box failures first, then its partition
     failures."""
     if not space.is_square:
         raise ValueError("the localization at the determinant needs a square space")
     ks = tuple(ks)
-    if any(k < 0 for k in ks):
-        raise ValueError("Hodge ideals are indexed by k >= 0")
+    for k in ks:
+        hodge_ideal_exponents(k, space)  # refuses a k that is not an int >= 0
     n = space.n
     box = WeightBox(n, bound)
     reports = [

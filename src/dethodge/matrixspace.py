@@ -1,19 +1,19 @@
 """Rank stratification of the space of m-by-n matrices.
 
-Everything downstream consumes only the pair (m, n) and a rank bound p,
-so strata are plain labels carrying derived numerology: the dimension
-p*(m+n-p) and codimension (m-p)*(n-p) of the locus of matrices of rank
-at most p, and (for m > n) the cohomological degree in which that locus
-supports local cohomology.
+A stratum, the locus of matrices of rank at most p, is the pair (space, p),
+its index p checked in one place, `_check_stratum`. Its numerology: the
+dimension p*(m+n-p), the codimension (m-p)*(n-p) and (for m > n) the
+cohomological degree in which it supports local cohomology.
 
-The package's value types (`MatrixSpace`, `Stratum`, ``weights.WeightBox``,
-``repsets.WeightSet`` and ``reporting.VerificationReport``) are slotted
-classes on one base, `_Record`. It gives them what a frozen dataclass
-would: equality and hash over the fields for the same class only, the
-dataclass repr, refused assignment and deletion, and pickling and copying
-through the constructor. The package does not import the dataclasses
-module, which loads inspect, ast, dis and tokenize and would take three
-times as long as the rest of the package to import.
+The package's value types (`MatrixSpace`, ``weights.WeightBox``,
+``repsets.WeightSet``, ``qseries.DecompositionTable`` and
+``reporting.VerificationReport``) are slotted classes on one base,
+`_Record`. It gives them what a frozen dataclass would: equality and hash
+over the fields for the same class only, the dataclass repr, refused
+assignment and deletion, and pickling and copying through the
+constructor. The package does not import the dataclasses module, which
+loads inspect, ast, dis and tokenize and would take three times as long
+as the rest of the package to import.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class MatrixSpace(_Record):
         object.__setattr__(self, "n", n)
 
     @property
-    def dim(self) -> int:
-        return self.m * self.n
-
-    @property
     def is_square(self) -> bool:
         return self.m == self.n
 
@@ -95,31 +91,28 @@ def _check_space(value) -> None:
         raise TypeError(f"space must be a MatrixSpace, got {value!r}")
 
 
-class Stratum(_Record):
-    """Label for the closed locus of matrices of rank at most p."""
-
-    __slots__ = __match_args__ = ("space", "p")
-
-    def __init__(self, space: MatrixSpace, p: int):
-        _check_space(space)
-        _check_int("p", p)
-        if not 0 <= p <= space.n:
-            raise ValueError(f"rank bound p={p} outside 0..{space.n}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "p", p)
+def _check_stratum(space, p, name: str = "p") -> None:
+    """Refuse a stratum index `name`=p of `space` that is not an int in
+    0..n, or a space that is not a `MatrixSpace`."""
+    _check_space(space)
+    _check_int(name, p)
+    if not 0 <= p <= space.n:
+        raise ValueError(f"stratum index {name}={p} outside 0..{space.n}")
 
 
-def dim_stratum(s: Stratum) -> int:
+def dim_stratum(space: MatrixSpace, p: int) -> int:
     """Dimension p*(m+n-p) of the rank <= p locus."""
-    return s.p * (s.space.m + s.space.n - s.p)
+    _check_stratum(space, p)
+    return p * (space.m + space.n - p)
 
 
-def codim_stratum(s: Stratum) -> int:
+def codim_stratum(space: MatrixSpace, p: int) -> int:
     """Codimension (m-p)*(n-p); complements dim_stratum to m*n."""
-    return (s.space.m - s.p) * (s.space.n - s.p)
+    _check_stratum(space, p)
+    return (space.m - p) * (space.n - p)
 
 
-def local_cohomology_degree(s: Stratum) -> int:
+def local_cohomology_degree(space: MatrixSpace, p: int) -> int:
     """Degree 1 + (n-p)*(m-n) of the unique local cohomology module, with
     support in the singular locus, attached to the rank-p stratum.
 
@@ -127,9 +120,10 @@ def local_cohomology_degree(s: Stratum) -> int:
     singular locus is affine and one localizes instead of taking local
     cohomology.
     """
-    m, n = s.space.m, s.space.n
+    _check_stratum(space, p)
+    m, n = space.m, space.n
     if m == n:
         raise ValueError("local cohomology indexing needs m > n")
-    if s.p > n - 1:
-        raise ValueError(f"no local cohomology stratum for p={s.p} > n-1")
-    return 1 + (n - s.p) * (m - n)
+    if p > n - 1:
+        raise ValueError(f"no local cohomology stratum for p={p} > n-1")
+    return 1 + (n - p) * (m - n)

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from math import comb
 
-from .matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum, local_cohomology_degree
+from .matrixspace import (
+    MatrixSpace,
+    _check_int,
+    codim_stratum,
+    dim_stratum,
+    local_cohomology_degree,
+)
 from .reporting import VerificationReport
 from .repsets import _Ukp_level
 from .weights import delta_p
@@ -22,7 +28,8 @@ from .weights import delta_p
 def start_level(space: MatrixSpace, p: int, k: int) -> int:
     """First nonzero level c_p + k of the Hodge filtration on the rank-p
     simple module with Tate twist k."""
-    return codim_stratum(Stratum(space, p)) + k
+    _check_int("k", k)
+    return codim_stratum(space, p) + k
 
 
 def square_weight_layer(space: MatrixSpace, p: int) -> tuple[int, int]:
@@ -31,14 +38,13 @@ def square_weight_layer(space: MatrixSpace, p: int) -> tuple[int, int]:
 
         w_p = n^2 + n - p,   k_p = -comb(n-p+1, 2).
     """
+    d_p = dim_stratum(space, p)
     if not space.is_square:
         raise ValueError("weight layers of the determinant localization need m = n")
     n = space.n
-    if not 0 <= p <= n:
-        raise ValueError(f"stratum index p={p} outside 0..{n}")
     w = n * n + n - p
     k = -comb(n - p + 1, 2)
-    if w != dim_stratum(Stratum(space, p)) - 2 * k:
+    if w != d_p - 2 * k:
         raise RuntimeError(f"weight layer w={w}, k={k} breaks w = d_p - 2k at p={p}")
     return w, k
 
@@ -82,14 +88,13 @@ def local_cohomology_weight(space: MatrixSpace, p: int) -> tuple[int, int]:
     The degenerate case p = n is admitted as the localization layer in
     cohomological degree 0, giving w' = mn and k' = 0.
     """
+    d_p = dim_stratum(space, p)
     if space.m <= space.n:
         raise ValueError("local cohomology weights need m > n")
     m, n = space.m, space.n
-    if not 0 <= p <= n:
-        raise ValueError(f"stratum index p={p} outside 0..{n}")
     w = m * n + (n - p) * (m - n + 1)
     k = -comb(n - p + 1, 2) - (n - p) * (m - n)
-    if w != dim_stratum(Stratum(space, p)) - 2 * k:
+    if w != d_p - 2 * k:
         raise RuntimeError(f"local weight w={w}, k={k} breaks w = d_p - 2k at p={p}")
     if w != (n - p) * (m - n) + (m * n + n - p):
         raise RuntimeError(f"local weight w={w} breaks the degree identity at p={p}")
@@ -162,14 +167,13 @@ def weight_ledger(space: MatrixSpace) -> list[dict]:
     weight_twist = square_weight_layer if space.is_square else local_cohomology_weight
     rows = []
     for p in range(space.n, -1, -1):
-        st = Stratum(space, p)
         w, k = weight_twist(space, p)
-        row = {"p": p, "dim": dim_stratum(st), "codim": codim_stratum(st)}
+        row = {"p": p, "dim": dim_stratum(space, p), "codim": codim_stratum(space, p)}
         row.update(weight=w, twist=k, start_level=start_level(space, p, k))
         if space.is_square:
             row["layer"] = w
         else:
-            row["degree"] = local_cohomology_degree(st) if p < space.n else None
+            row["degree"] = local_cohomology_degree(space, p) if p < space.n else None
         rows.append(row)
     return rows
 

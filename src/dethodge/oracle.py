@@ -58,7 +58,7 @@ from __future__ import annotations
 import random
 from math import comb, factorial, inf
 
-from .matrixspace import MatrixSpace
+from .matrixspace import MatrixSpace, _check_int, _check_stratum
 from .reporting import VerificationReport
 from .repsets import _in_symbolic_power
 from .weights import check_weight
@@ -72,8 +72,7 @@ class RankConstrainedSampler:
     lines it draws here, one per trial (see `_line`)."""
 
     def __init__(self, space: MatrixSpace, rank: int, bound: int = 7, seed=0, key=()):
-        if not 0 <= rank <= space.n:
-            raise ValueError(f"target rank {rank} outside 0..{space.n}")
+        _check_stratum(space, rank, "rank")
         if bound < 1:
             raise ValueError("entry bound must be positive")
         self.space = space
@@ -219,6 +218,7 @@ def _line_sampler(
     """The sampler at rank p-1 whose lines test highest weight vectors
     against the p-minors of `space`, once p, the sampler's space and the
     number of trials are checked."""
+    _check_int("p", p)
     if not 1 <= p <= space.n:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if sampler.space != space:

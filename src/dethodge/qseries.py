@@ -78,7 +78,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, compress, islice
 from math import comb
 
-from .matrixspace import MatrixSpace, Stratum, _is_int, dim_stratum
+from .matrixspace import MatrixSpace, _check_stratum, _is_int, _Record, dim_stratum
 from .reporting import VerificationReport
 
 # Below this product of operand lengths the schoolbook convolution beats
@@ -391,24 +391,25 @@ def stalk_poly(i: int, k: int, space: MatrixSpace) -> LaurentPoly:
     """Stalk cohomology of the IC complex of the rank <= i locus at a
     point of rank k, encoded as q^(-d_i) * qbin(n-k, i-k) at q^2. Defined
     for 0 <= k <= i (the point must lie in the closure)."""
-    if not 0 <= i <= space.n:
-        raise ValueError(f"stratum index i={i} outside 0..{space.n}")
+    _check_stratum(space, i, "i")
     if not 0 <= k <= i:
         raise ValueError(f"stalk formula needs 0 <= k <= i, got k={k}, i={i}")
-    d_i = dim_stratum(Stratum(space, i))
-    return _at_q_squared(q_binomial(space.n - k, i - k), -d_i)
+    return _at_q_squared(q_binomial(space.n - k, i - k), -dim_stratum(space, i))
 
 
-class DecompositionTable:
+class DecompositionTable(_Record):
     """Multiplicity table of a projective pushforward from the rank-p
     resolution: entries[i] is a Laurent polynomial whose q^j coefficient
     is the multiplicity of the rank-i simple module in cohomological
     degree j. Only indices 0 <= i <= p occur and all coefficients are
-    nonnegative; zero entries are omitted."""
+    nonnegative; zero entries are omitted. Frozen; its dict of entries
+    makes it unhashable."""
+
+    __slots__ = __match_args__ = ("space", "p", "entries")
+    __hash__ = None
 
     def __init__(self, space: MatrixSpace, p: int, entries: dict):
-        if not 0 <= p <= space.n:
-            raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+        _check_stratum(space, p)
         clean = {}
         for i in sorted(entries):
             poly = entries[i]
@@ -419,20 +420,9 @@ class DecompositionTable:
             if min(poly._c) < 0:
                 raise ValueError(f"negative multiplicity in entry {i}: {poly}")
             clean[i] = poly
-        self.space = space
-        self.p = p
-        self.entries = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DecompositionTable)
-            and self.space == other.space
-            and self.p == other.p
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"DecompositionTable({self.space}, p={self.p}, {self.entries!r})"
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "entries", clean)
 
     def lines(self) -> list[str]:
         return [f"i={i}: {self.entries[i]}" for i in sorted(self.entries, reverse=True)]
@@ -456,8 +446,7 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
 
     by back-substitution from k = p down to k = 0 (`_solved_in_t`), each
     g_i then taken back to q."""
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    _check_stratum(space, p)
     m, n = space.m, space.n
     f = {
         k: _at_q_squared(g, -(p - k) * (m + n - p - k))
@@ -498,8 +487,7 @@ def _solved_in_t(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
 def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
     """Closed form of the same table: f_i(q) =
     q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2."""
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    _check_stratum(space, p)
     m, n = space.m, space.n
     entries = {
         i: _at_q_squared(q_binomial(m - n, p - i), -(m - n - p + i) * (p - i))
@@ -512,6 +500,7 @@ def pushforward_prefactor(space: MatrixSpace, p: int) -> LaurentPoly:
     """The Grassmannian-bundle factor q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2
     relating the rank-p simple module on the maximal-rank resolution to
     the structure sheaf of the rank-p resolution."""
+    _check_stratum(space, p)
     m, n = space.m, space.n
     return _at_q_squared(q_binomial(m - p, n - p), -(n - p) * (m - n))
 
@@ -533,8 +522,7 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
     solves the g_i with `_solved_in_t` and multiplies each by the
     prefactor, which is packed once per slot width.
     """
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    _check_stratum(space, p)
     build = {"closed": _closed_rows, "solver": _solved_rows}.get(route)
     if build is None:
         raise ValueError(f"unknown route {route!r}; expected 'closed' or 'solver'")
@@ -663,8 +651,8 @@ def pushforward_structure_checks(space: MatrixSpace, p: int) -> VerificationRepo
     module: (a) only summand indices i <= p occur; (b) the top degree of
     entry i is (n-p)(m-n) + (p-i)(m-n-p+i); (c) degree (n-i)(m-n) carries
     a nonzero multiplicity in entry i exactly when i = p."""
-    m, n = space.m, space.n
     table = pushforward_DpY(space, p)
+    m, n = space.m, space.n
     report = VerificationReport("pushforward-structure", {"m": m, "n": n, "p": p})
     for i in table.entries:
         report.checks += 1

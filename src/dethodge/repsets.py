@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import comb, inf
 from typing import Callable, NamedTuple
 
-from .matrixspace import MatrixSpace, _check_int, _check_space, _Record
+from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum, _Record
 from .weights import _wp_member, check_weight, dominant_tuples, is_partition, partitions_of
 
 
@@ -130,9 +130,8 @@ def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:
 
         ((p-n)^p, p-m-mu_{n-p}, ..., p-m-mu_1)
     """
+    _check_stratum(space, p)
     n, m = space.n, space.m
-    if not 0 <= p <= n:
-        raise ValueError(f"stratum index p={p} outside 0..{n}")
     mu = tuple(mu)
     if len(mu) > n - p or (mu and not is_partition(mu)):
         raise ValueError(f"need a partition with at most {n - p} parts")
@@ -147,8 +146,7 @@ def minimal_elements(p: int, d: int, space: MatrixSpace) -> list[tuple[int, ...]
     order, one for each partition of d with at most n-p parts."""
     if d < 0:
         raise ValueError("layer index d must be nonnegative")
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    _check_stratum(space, p)
     return sorted(lambda_p_mu(p, mu, space) for mu in partitions_of(d, space.n - p))
 
 
@@ -156,10 +154,9 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
     """Write lam in W^p as delta^p + mu^dual + gamma with mu a partition
     in at most n-p parts (tail coordinates) and gamma a partition in at
     most p parts (head coordinates). Returns (mu, gamma)."""
+    _check_stratum(space, p)
     n, m = space.n, space.m
     lam = check_weight(lam, n)
-    if not 0 <= p <= n:
-        raise ValueError(f"stratum index p={p} outside 0..{n}")
     if not _wp_member(lam, p, space):
         raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
     mu = tuple((p - m) - lam[n - i] for i in range(1, n - p + 1))

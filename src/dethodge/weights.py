@@ -18,7 +18,7 @@ import operator
 from math import comb
 from typing import Iterator
 
-from .matrixspace import MatrixSpace, _check_int, _Record
+from .matrixspace import MatrixSpace, _check_int, _check_stratum, _Record
 
 
 def is_dominant(entries) -> bool:
@@ -97,8 +97,7 @@ def _wp_member(lam, p: int, space: MatrixSpace) -> bool:
 
 def delta_p(p: int, space: MatrixSpace) -> tuple[int, ...]:
     """The distinguished weight ((p-n)^p, (p-m)^(n-p)) of the rank-p stratum."""
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
+    _check_stratum(space, p)
     return ((p - space.n),) * p + ((p - space.m),) * (space.n - p)
 
 
@@ -110,9 +109,8 @@ def lambda_of_p(lam, p: int, space: MatrixSpace) -> tuple[int, ...]:
     The result is dominant exactly when lam belongs to the rank-p weight
     set, which is required. For square spaces the map is the identity.
     """
+    _check_stratum(space, p)
     lam = check_weight(lam, space.n)
-    if not 0 <= p <= space.n:
-        raise ValueError(f"stratum index p={p} outside 0..{space.n}")
     if not _wp_member(lam, p, space):
         raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
     shift = space.m - space.n
@@ -176,6 +174,8 @@ def dominant_tuples(
     if total is not None:
         if not isinstance(total, tuple):
             total = (total, total)
+        if len(total) != 2:
+            raise ValueError(f"total must be an int or a pair (t_lo, t_hi), got {total!r}")
         for end in total:
             _check_int("total", end)
     return _decreasing_tuples(length, lo, hi, total, descending=False)

@@ -215,6 +215,44 @@ def test_translate():
     assert translate((2, 1, 1), 3) == (-2, -3, -3)
 
 
+NOT_INTS = [1.5, 2.0, True, None, "2"]
+
+
+@pytest.mark.parametrize("k", NOT_INTS, ids=repr)
+def test_translate_refuses_a_k_that_is_not_an_int(k):
+    with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}"):
+        translate((1, 0, 0), k)
+
+
+@pytest.mark.parametrize("k", NOT_INTS, ids=repr)
+def test_hodge_ideal_exponents_refuse_a_k_that_is_not_an_int(k):
+    with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}"):
+        hodge_ideal_exponents(k, MatrixSpace(3, 3))
+
+
+@pytest.mark.parametrize("k", NOT_INTS + [2.5], ids=repr)
+def test_minimal_generators_refuse_a_k_that_is_not_an_int(k):
+    # At k = 2.5 they were [(1.5, 1.5, 0)], not a partition.
+    with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}"):
+        minimal_generators(k, MatrixSpace(3, 3))
+
+
+@pytest.mark.parametrize("k", NOT_INTS, ids=repr)
+def test_verify_equivalence_refuses_a_k_that_is_not_an_int_before_its_walk(k, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the box was walked")
+
+    monkeypatch.setattr(hodgeideals, "_Fk_level", no_walk)
+    with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}"):
+        verify_equivalence(MatrixSpace(3, 3), [1, k], 2)
+
+
+@pytest.mark.parametrize("p", NOT_INTS, ids=repr)
+def test_in_symbolic_power_refuses_a_minor_size_that_is_not_an_int(p):
+    with pytest.raises(TypeError, match=f"^p must be an int, got {p!r}"):
+        in_symbolic_power((1, 0, 0), p, 1, MatrixSpace(3, 3))
+
+
 def per_k_reference(space, k, bound):
     """Slow reference for one level: the box walked once per k, every
     weight validated and classified through the public predicate, and the

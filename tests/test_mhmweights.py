@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum, dim_stratum
+from dethodge.matrixspace import MatrixSpace, codim_stratum, dim_stratum
 from dethodge.mhmweights import (
     filtration_support_check,
     generation_level_Sdet,
@@ -38,7 +38,7 @@ def test_square_weight_layer_consistency():
             w, k = square_weight_layer(space, p)
             assert w == n * n + n - p
             assert k == -comb(n - p + 1, 2)
-            assert w == dim_stratum(Stratum(space, p)) - 2 * k
+            assert w == dim_stratum(space, p) - 2 * k
 
 
 def test_start_level():
@@ -46,8 +46,14 @@ def test_start_level():
     for p in range(4):
         _, k_p = square_weight_layer(space, p)
         assert start_level(space, p, k_p) == comb(3 - p, 2)
-        assert start_level(space, p, 0) == codim_stratum(Stratum(space, p))
+        assert start_level(space, p, 0) == codim_stratum(space, p)
     assert start_level(space, 3, 0) == 0
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, None, "2"], ids=repr)
+def test_start_level_refuses_a_twist_that_is_not_an_int(k):
+    with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}"):
+        start_level(MatrixSpace(3, 3), 1, k)
 
 
 def test_square_ledger_report():
@@ -108,10 +114,10 @@ def test_start_level_matches_weight():
             space = MatrixSpace(m, n)
             for p in range(n + 1):
                 for k in range(-4, 5):
-                    lhs = m * n + codim_stratum(Stratum(space, p)) - 2 * start_level(
+                    lhs = m * n + codim_stratum(space, p) - 2 * start_level(
                         space, p, k
                     )
-                    assert lhs == dim_stratum(Stratum(space, p)) - 2 * k
+                    assert lhs == dim_stratum(space, p) - 2 * k
 
 
 def test_filtration_support_small():
@@ -180,7 +186,7 @@ def test_ledger_invariants_raise_when_broken(monkeypatch):
     # keeps; a wrong stratum dimension must trip them.
     import dethodge.mhmweights as mhm
 
-    monkeypatch.setattr(mhm, "dim_stratum", lambda stratum: -1)
+    monkeypatch.setattr(mhm, "dim_stratum", lambda space, p: -1)
     with pytest.raises(RuntimeError):
         square_weight_layer(MatrixSpace(3, 3), 1)
     with pytest.raises(RuntimeError):

@@ -398,6 +398,16 @@ def test_line_order_validation():
     assert dcep_cross_validation_upto(S22, [(1, 0)], 1, 0, sampler) == []
 
 
+@pytest.mark.parametrize("p", [1.5, 1.0, True, None, "1"], ids=repr)
+def test_line_test_refuses_a_minor_size_that_is_not_an_int(p):
+    # True would otherwise pass as p = 1 and ask for a rank-0 sampler.
+    sampler = RankConstrainedSampler(S22, 0, bound=7, seed=0)
+    with pytest.raises(TypeError, match=f"^p must be an int, got {p!r}"):
+        line_vanishing_order((1, 0), S22, p, sampler)
+    with pytest.raises(TypeError, match=f"^p must be an int, got {p!r}"):
+        dcep_cross_validation_upto(S22, [(1, 0)], p, 1, sampler)
+
+
 @pytest.mark.parametrize(
     "space,sampler_space,lam",
     [(S33, S22, (1, 1, 1)), (S22, S33, (1, 1))],

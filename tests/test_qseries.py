@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dethodge import qseries, suites
-from dethodge.matrixspace import MatrixSpace, Stratum, dim_stratum
+from dethodge.matrixspace import MatrixSpace, dim_stratum
 from dethodge.qseries import (
     SCHOOLBOOK_BELOW,
     DecompositionTable,
@@ -170,7 +170,7 @@ def test_stalk_poly():
     space = MatrixSpace(2, 2)
     assert stalk_poly(1, 0, space) == LaurentPoly({-3: 1, -1: 1})
     for i in range(3):
-        assert stalk_poly(i, i, space) == LaurentPoly({-dim_stratum(Stratum(space, i)): 1})
+        assert stalk_poly(i, i, space) == LaurentPoly({-dim_stratum(space, i): 1})
     with pytest.raises(ValueError):
         stalk_poly(0, 1, space)
 

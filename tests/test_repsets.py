@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dethodge.hodgeideals import grF_Dp_layer, in_Fk_Sdet
-from dethodge.matrixspace import MatrixSpace, Stratum, codim_stratum
+from dethodge.matrixspace import MatrixSpace, codim_stratum
 from dethodge import repsets
 from dethodge.repsets import (
     WeightSet,
@@ -305,7 +305,7 @@ def test_layers_partition_the_support():
         for p in range(5):
             if not in_Wp(lam, p, space):
                 continue
-            c_p = codim_stratum(Stratum(space, p))
+            c_p = codim_stratum(space, p)
             d = -sum(lam[p:]) - c_p
             assert d >= 0
             hits = [e for e in range(d + 3) if in_Wpd(lam, p, e, space)]

@@ -246,6 +246,24 @@ def test_laurent_poly_has_no_public_name_the_package_does_not_read():
     assert unread_public_names(_trees(), "qseries.py", "LaurentPoly") == []
 
 
+def test_value_types_have_no_public_name_the_package_does_not_read():
+    # The same for the other value types. RankConstrainedSampler is left
+    # out: a stream, it calls its own methods inside its class body.
+    trees = _trees()
+    found = {
+        class_name: names
+        for module, class_name in [
+            ("qseries.py", "DecompositionTable"),
+            ("matrixspace.py", "MatrixSpace"),
+            ("weights.py", "WeightBox"),
+            ("repsets.py", "WeightSet"),
+            ("reporting.py", "VerificationReport"),
+        ]
+        if (names := unread_public_names(trees, module, class_name))
+    }
+    assert not found, f"public names that no code outside the class reads: {found}"
+
+
 def test_importing_the_package_loads_no_heavy_module():
     # In a fresh interpreter without the site step, so no start-up hook
     # of the installation loads one of them first.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dethodge.characters import dim_irrep
 from dethodge.hodgeideals import in_hodge_ideal
 from dethodge.matrixspace import MatrixSpace
-from dethodge.repsets import in_Wp
+from dethodge.repsets import WeightSet, in_Wp
 from dethodge.weights import (
     WeightBox,
     check_weight,
@@ -313,3 +313,14 @@ def test_enumerations_refuse_bounds_that_are_not_ints(walk, args, field):
     # would otherwise run the odometer past its end, or yield float entries.
     with pytest.raises(TypeError, match=f"^{field} must be an int"):
         walk(*args)
+
+
+@pytest.mark.parametrize("total", [(1, 2, 3), (1,), ()], ids=repr)
+def test_a_total_that_is_not_a_pair_is_refused_by_the_call(total):
+    # Not by the generator's first step, with a bare unpacking error: the
+    # walk is built and never started.
+    message = rf"^total must be an int or a pair \(t_lo, t_hi\), got {re.escape(repr(total))}$"
+    with pytest.raises(ValueError, match=message):
+        dominant_tuples(2, 0, 3, total)
+    with pytest.raises(ValueError, match=message):
+        WeightSet(MatrixSpace(3, 3), "Wp", 1).members(2, total)
