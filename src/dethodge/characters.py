@@ -4,22 +4,24 @@ Dimensions come from the standard product formula over positive roots,
 tensor product multiplicities from direct enumeration of
 Littlewood-Richardson skew tableaux (desk scale, with a hard size cap),
 and graded dimensions of weight-set modules from one walk over the
-members of a set: `hilbert_series` takes the members of every size
-0..dmax from one `repsets.WeightSet.members` walk over that interval of
-totals, and adds each member's squared dimension to its degree (every
-set summed is on a square space). `dim_irrep` checks its weight and hands
-it to the unchecked product `_dim`, which the sums call directly on the
-weights their walks produce. A Cauchy-type identity against a plain
-binomial count keeps the dimension formula honest.
+members of a set: `hilbert_series` walks the rows of a set's pieces once
+over the interval of totals 0..dmax, as runs head + (x,) of the last
+entry, and adds each member's squared dimension to its degree (every set
+summed is on a square space). Along a run the dimension is dim(head), one
+GL_{n-1} product per head, times the n-1 factors that pair the last
+entry with the others. `dim_irrep` checks its weight and hands it to the
+unchecked product `_dim`, which the sums call directly on the heads their
+walks produce. A Cauchy-type identity against a plain binomial count
+keeps the dimension formula honest.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
-from .matrixspace import MatrixSpace, codim_stratum
+from .matrixspace import MatrixSpace, _check_int, _check_space, codim_stratum
 from .reporting import VerificationReport
-from .repsets import compose_weight, lambda_p_mu
+from .repsets import WeightSet, compose_weight, lambda_p_mu
 from .weights import check_weight, is_partition, pad, partitions_of, strip_zeros
 
 LR_SIZE_CAP = 20
@@ -141,6 +143,7 @@ def tensor_decomposition_check(gamma, p: int, mu, space: MatrixSpace) -> Verific
     beta dominates the minimal element with tail sum strictly above
     -|mu| - c_p. Non-partition weights are shifted to partitions before
     the LR computation; a uniform shift does not change multiplicities."""
+    _check_space(space)
     if not space.is_square:
         raise ValueError("the tensor-step check is stated for square spaces")
     n = space.n
@@ -206,6 +209,7 @@ def hilbert_series(weight_set, dmax: int, box: int | None = None) -> list[int]:
     degree direction, so an explicit box bound is required and the result
     is truncated to entries in [-box, box] (square spaces only).
     """
+    _check_int("dmax", dmax)
     return _graded_dims(weight_set, 0, dmax, box)
 
 
@@ -213,14 +217,21 @@ def hilbert_function(weight_set, d: int, box: int | None = None) -> int:
     """Entry d of `hilbert_series`, from a walk over the members of size d
     alone. A set with negative entries also answers for d < 0; a set of
     partitions refuses it."""
+    _check_int("d", d)
     return _graded_dims(weight_set, d, d, box)[0]
 
 
 def _graded_dims(weight_set, d_lo: int, d_hi: int, box: int | None) -> list[int]:
     # The graded dimensions in degrees d_lo..d_hi, from one walk over the
-    # members of those sizes. Every set that gets here is on a square
-    # space (sets of partitions are defined on square spaces only), so
-    # the summand is dim(V_lam)^2, each member's weight already checked.
+    # runs of members of those sizes. Every set that gets here is on a
+    # square space (sets of partitions are defined on square spaces only),
+    # so the summand is dim(V_lam)^2. Along a run head + (x,), dim is
+    # dim(head), a GL_{n-1} dimension, times the pairs (i, n) of the
+    # product formula, prod_{i<n} (lam_i - x + n - i) / (n - i).
+    if not isinstance(weight_set, WeightSet):
+        raise TypeError(f"weight_set must be a WeightSet, got {weight_set!r}")
+    if box is not None:
+        _check_int("box", box)
     space = weight_set.space
     if weight_set.partitions_only:
         if box is not None:
@@ -238,8 +249,21 @@ def _graded_dims(weight_set, d_lo: int, d_hi: int, box: int | None) -> list[int]
     elif not space.is_square:
         raise ValueError("box-truncated graded dimensions need a square space")
     dims = [0] * (d_hi - d_lo + 1)
+    n = space.n
+    scale = factorial(n - 1)
     # A partition of size at most d_hi has entries in [0, d_hi].
     bound = max(d_hi, 0) if box is None else box
-    for lam in weight_set.members(bound, total=(d_lo, d_hi)):
-        dims[sum(lam) - d_lo] += _dim(lam) ** 2
+    for walk in weight_set._walks(bound, (d_lo, d_hi)):
+        for head, low, high in walk:
+            head_dim = _dim(head)
+            shifted = [x + n - 1 - i for i, x in enumerate(head)]
+            start = sum(head) - d_lo
+            for x in range(low, high + 1):
+                num = head_dim
+                for y in shifted:
+                    num *= y - x
+                value, rem = divmod(num, scale)
+                if rem:
+                    raise ArithmeticError(f"product formula for {head + (x,)} left remainder {rem}")
+                dims[start + x] += value * value
     return dims

@@ -40,7 +40,7 @@ import operator
 from itertools import accumulate
 from math import comb
 
-from .matrixspace import MatrixSpace, _check_int
+from .matrixspace import MatrixSpace, _check_int, _check_space
 from .reporting import VerificationReport
 from .repsets import WeightSet, _Fk_level, _hodge_ideal_level, _in_symbolic_power
 from .weights import WeightBox, check_weight, dominant_tuples
@@ -104,6 +104,7 @@ def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
     proportional to the prefixes that can still be completed, not to the
     comb(cap+n, n) partitions below the largest exponent.
     """
+    _check_space(space)
     if not space.is_square:
         raise ValueError("the determinant hypersurface needs a square space")
     n = space.n
@@ -170,6 +171,7 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     A k that is not an int, or is negative, is refused before the walk.
     Each report lists its box failures first, then its partition
     failures."""
+    _check_space(space)
     if not space.is_square:
         raise ValueError("the localization at the determinant needs a square space")
     ks = tuple(ks)

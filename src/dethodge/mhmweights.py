@@ -16,6 +16,7 @@ from math import comb
 from .matrixspace import (
     MatrixSpace,
     _check_int,
+    _check_space,
     codim_stratum,
     dim_stratum,
     local_cohomology_degree,
@@ -164,6 +165,7 @@ def weight_ledger(space: MatrixSpace) -> list[dict]:
     "layer" is its weight; for m > n the twist is the local cohomology
     module's, and the row's "degree" is its cohomological degree (None at
     p = n, the localization itself)."""
+    _check_space(space)
     weight_twist = square_weight_layer if space.is_square else local_cohomology_weight
     rows = []
     for p in range(space.n, -1, -1):
@@ -182,6 +184,7 @@ def generation_level_Sdet(space: MatrixSpace) -> int:
     """Generation level comb(n, 2) of the Hodge filtration on the
     localization at the determinant: the largest of the per-stratum start
     levels comb(n-p, 2), attained at p = 0."""
+    _check_space(space)
     if not space.is_square:
         raise ValueError("the determinant localization needs m = n")
     n = space.n

@@ -58,7 +58,7 @@ from __future__ import annotations
 import random
 from math import comb, factorial, inf
 
-from .matrixspace import MatrixSpace, _check_int, _check_stratum
+from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum
 from .reporting import VerificationReport
 from .repsets import _in_symbolic_power
 from .weights import check_weight
@@ -73,6 +73,7 @@ class RankConstrainedSampler:
 
     def __init__(self, space: MatrixSpace, rank: int, bound: int = 7, seed=0, key=()):
         _check_stratum(space, rank, "rank")
+        _check_int("bound", bound)
         if bound < 1:
             raise ValueError("entry bound must be positive")
         self.space = space
@@ -313,6 +314,9 @@ def ideal_power_hilbert(space: MatrixSpace, k: int, dmax: int) -> dict[int, int]
     (k-1)-st power of the irrelevant maximal ideal in 4 variables: the
     degree-d piece has dimension comb(d+3, 3) for d >= k-1 and is zero
     below."""
+    _check_space(space)
+    _check_int("k", k)
+    _check_int("dmax", dmax)
     if space.m != 2 or space.n != 2:
         raise ValueError("closed-form ideal powers are implemented for m = n = 2")
     if k < 0:

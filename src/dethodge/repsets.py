@@ -6,14 +6,19 @@ every GL-stable ideal of the polynomial ring, is pinned down by its set
 of dominant weights. A ``WeightSet`` names one: a stratum support W^p, a
 layer W^p_d, a filtration set U^p_k, the empty set, a symbolic power
 J_p^(d), a Hodge ideal I_k or a Hodge filtration level F_k. One table,
-``_SPECS``, holds what each kind takes, how its descriptor reads and its
-membership core; ``parse_weight_set`` reads the descriptors back.
+``_SPECS``, holds what each kind takes, how its descriptor reads, its
+membership core and its pieces; ``parse_weight_set`` reads the
+descriptors back.
 
 Each kind has one membership path: ``WeightSet`` checks its parameters
 when built, ``WeightSet.contains`` checks the weight, and the kind's core
-checks nothing. ``WeightSet.members`` is the one enumeration, a box walk
-filtered by the core, optionally of one size or of the sizes in a closed
-interval. The public predicates are ``WeightSet`` calls:
+checks nothing. Each kind is also cut out by rows, bounds on single
+entries and on tail sums lam_i + ... + lam_n: one piece of rows, or for
+F_k the n+1 disjoint pieces U^p_k. ``WeightSet.members`` walks those rows
+with ``weights._decreasing_runs``, optionally at one size or at the sizes
+in a closed interval, and tests no member; ``characters.hilbert_series``
+sums the same walk's runs. The public predicates are ``WeightSet``
+calls:
 
 * ``in_Wp``: the support W^p of the simple module of the rank-p stratum;
 * ``in_Wpd``: its layer W^p_d cut out by the tail sum -d - c_p;
@@ -37,7 +42,14 @@ from math import comb, inf
 from typing import Callable, NamedTuple
 
 from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum, _Record
-from .weights import _wp_member, check_weight, dominant_tuples, is_partition, partitions_of
+from .weights import (
+    _check_total,
+    _decreasing_runs,
+    _wp_member,
+    check_weight,
+    is_partition,
+    partitions_of,
+)
 
 
 def in_Wp(lam, p: int, space: MatrixSpace) -> bool:
@@ -173,6 +185,49 @@ def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
     return tuple(b + (gamma[i] if i < p else 0) for i, b in enumerate(base))
 
 
+def _wp_piece(space: MatrixSpace, p: int, tail_lo=None, tail_hi=None) -> tuple:
+    """The rows of W^p, lam_p >= p-n and lam_{p+1} <= p-m, with tail rows
+    tail_lo <= lam_{p+1} + ... + lam_n <= tail_hi (p < n), as one piece of
+    `weights._decreasing_runs`: rows (i, entry_lo, entry_hi, tail_lo,
+    tail_hi) at 0-based positions i, None being no bound. The tail of
+    p = n is empty, so a kind decides its rows there itself."""
+    head = ((p - 1, p - space.n, None, None, None),) if p > 0 else ()
+    if p == space.n:
+        return head
+    return (*head, (p, None, p - space.m, tail_lo, tail_hi))
+
+
+def _ukp_pieces(space: MatrixSpace, p: int, k: int) -> list[tuple]:
+    # W^p with lam_{p+1} + ... + lam_n >= -comb(n-p+1, 2) - k; at p = n
+    # the tail is empty and that row reads 0 >= -1 - k.
+    tail = -comb(space.n - p + 1, 2) - k
+    if p == space.n:
+        return [_wp_piece(space, p)] if tail <= 0 else []
+    return [_wp_piece(space, p, tail)]
+
+
+def _wpd_pieces(s) -> list[tuple]:
+    # W^p with lam_{p+1} + ... + lam_n = -d - c_p; at p = n that reads
+    # 0 = -d.
+    space, p = s.space, s.p
+    tail = -s.param - (space.m - p) * (space.n - p)
+    if p == space.n:
+        return [_wp_piece(space, p)] if tail == 0 else []
+    return [_wp_piece(space, p, tail, tail)]
+
+
+def _partition_piece(n: int, tail_lo: dict[int, int]) -> tuple:
+    # lam_n >= 0, and lam_{i+1} + ... + lam_n >= tail_lo[i] (0-based i).
+    rows = [(i, None, None, tail_lo.get(i), None) for i in range(n - 1) if i in tail_lo]
+    return (*rows, (n - 1, 0, None, tail_lo.get(n - 1), None))
+
+
+def _hodge_ideal_pieces(s) -> list[tuple]:
+    # mu_p + ... + mu_n >= (n-p)(k-1) - comb(n-p, 2) for p = 1..n.
+    n, k = s.space.n, s.param
+    return [_partition_piece(n, {p - 1: (n - p) * (k - 1) - comb(n - p, 2) for p in range(1, n + 1)})]
+
+
 class _Spec(NamedTuple):
     name: str  # descriptor name
     # Descriptor arguments in order, past m, n, p the parameter; no m: square spaces only.
@@ -182,23 +237,35 @@ class _Spec(NamedTuple):
     partitions_only: bool
     keywords: bool  # descriptor written "Ik(n=2,k=3)" rather than "Wp(3,2,1)"
     core: Callable  # (lam, weight_set) -> bool, for a lam already checked
+    pieces: Callable  # weight_set -> its disjoint pieces, rows as in _wp_piece
 
 
 _SPECS = {
     "Wp": _Spec("Wp", ("m", "n", "p"), 0, None, False, False,
-                lambda lam, s: _wp_member(lam, s.p, s.space)),
+                lambda lam, s: _wp_member(lam, s.p, s.space),
+                lambda s: [_wp_piece(s.space, s.p)]),
     "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), 0, 0, False, False,
-                 lambda lam, s: _wpd_member(lam, s.p, s.param, s.space)),
+                 lambda lam, s: _wpd_member(lam, s.p, s.param, s.space),
+                 _wpd_pieces),
     "Ukp": _Spec("Ukp", ("n", "p", "k"), 0, -inf, False, False,
-                 lambda lam, s: s.param >= _Ukp_level(lam, s.p, s.space)),
+                 lambda lam, s: s.param >= _Ukp_level(lam, s.p, s.space),
+                 lambda s: _ukp_pieces(s.space, s.p, s.param)),
     "empty": _Spec("Empty", ("m", "n", "p"), 0, None, False, False,
-                   lambda lam, s: False),
+                   lambda lam, s: False,
+                   lambda s: []),
     "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), 1, -inf, True, True,
-                           lambda lam, s: _in_symbolic_power(lam, s.p, s.param)),
+                           lambda lam, s: _in_symbolic_power(lam, s.p, s.param),
+                           lambda s: [_partition_piece(s.space.n, {s.p - 1: s.param})]),
     "HodgeIdeal": _Spec("Ik", ("n", "k"), None, 0, True, True,
-                        lambda lam, s: s.param <= _hodge_ideal_level(lam, s.space.n)),
+                        lambda lam, s: s.param <= _hodge_ideal_level(lam, s.space.n),
+                        _hodge_ideal_pieces),
+    # F_k: the disjoint union of U^p_k over the strata p = 0..n.
     "FkSdet": _Spec("FkSdet", ("n", "k"), None, 0, False, True,
-                    lambda lam, s: s.param >= _Fk_level(lam, s.space)),
+                    lambda lam, s: s.param >= _Fk_level(lam, s.space),
+                    lambda s: [
+                        piece for p in range(s.space.n + 1)
+                        for piece in _ukp_pieces(s.space, p, s.param)
+                    ]),
 }
 _KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
 
@@ -254,20 +321,41 @@ class WeightSet(_Record):
             raise ValueError(f"{spec.name} lives in the polynomial ring; need a partition")
         return spec.core(lam, self)
 
+    def _pieces(self) -> list[tuple]:
+        """The set's disjoint pieces, each a tuple of rows (i, entry_lo,
+        entry_hi, tail_lo, tail_hi) at entry positions i in 0..n-1:
+        entry_lo <= lam_i <= entry_hi and tail_lo <= lam_i + ... +
+        lam_{n-1} <= tail_hi, None being no bound. A dominant weight of
+        length n is a member exactly when it satisfies every row of some
+        piece."""
+        return _SPECS[self.kind].pieces(self)
+
     def members(
         self, bound: int, total: int | tuple[int, int] | None = None
     ) -> list[tuple[int, ...]]:
         """All members with entries in [-bound, bound], lexicographic, and
         with `total` (an int, or a closed interval (t_lo, t_hi)) only those
         whose entries sum to it; a set of partitions enumerates only the
-        partitions."""
+        partitions. Each piece is walked by its rows, with no membership
+        test, and several pieces are merged."""
+        walks = self._walks(bound, total)
+        found = [
+            head + (x,) for walk in walks for head, low, high in walk for x in range(low, high + 1)
+        ]
+        if len(walks) > 1:
+            found.sort()
+        return found
+
+    def _walks(self, bound: int, total=None) -> list:
+        """The members of `members` as one walk per piece, each yielding
+        the runs (head, low, high) of `weights._decreasing_runs`; the
+        arguments are checked here, before any walk starts."""
         _check_int("bound", bound)
         if bound < 0:
             raise ValueError("box bound must be nonnegative")
-        spec = _SPECS[self.kind]
-        lo = 0 if spec.partitions_only else -bound
-        walk = dominant_tuples(self.space.n, lo, bound, total)
-        return [lam for lam in walk if spec.core(lam, self)]
+        total = _check_total(total)
+        n = self.space.n
+        return [_decreasing_runs(n, -bound, bound, piece, total) for piece in self._pieces()]
 
     def descriptor(self) -> str:
         spec = _SPECS[self.kind]

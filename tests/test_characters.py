@@ -310,7 +310,9 @@ def test_every_set_of_partitions_is_on_a_square_space():
 
 
 def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
-    calls = {"dominant_tuples": 0, "dim_irrep": 0, "check_weight": 0}
+    # One walk of the one piece of I_k, by runs: no dim_irrep, no weight
+    # check and no membership core on the way.
+    calls = {"_decreasing_runs": 0, "dim_irrep": 0, "check_weight": 0, "core": 0}
 
     def spy(name, function):
         def counted(*args, **kwargs):
@@ -319,10 +321,85 @@ def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
 
         return counted
 
-    monkeypatch.setattr(repsets, "dominant_tuples", spy("dominant_tuples", weights.dominant_tuples))
+    monkeypatch.setattr(repsets, "_decreasing_runs", spy("_decreasing_runs", weights._decreasing_runs))
     monkeypatch.setattr(characters, "dim_irrep", spy("dim_irrep", characters.dim_irrep))
     for module in (weights, repsets, characters, hodgeideals, oracle):
         monkeypatch.setattr(module, "check_weight", spy("check_weight", weights.check_weight))
+    for kind, spec in repsets._SPECS.items():
+        monkeypatch.setitem(repsets._SPECS, kind, spec._replace(core=spy("core", spec.core)))
     assert cli.main(["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "12"]) == 0
     assert "d=12: 455" in capsys.readouterr().out
-    assert calls == {"dominant_tuples": 1, "dim_irrep": 0, "check_weight": 0}
+    assert calls == {"_decreasing_runs": 1, "dim_irrep": 0, "check_weight": 0, "core": 0}
+
+
+def test_members_and_hilbert_call_no_membership_core(monkeypatch):
+    # Every kind's members and graded dimensions come from its rows alone;
+    # contains keeps its core.
+    def refuse(lam, wset):
+        raise AssertionError(f"core called on {lam} for {wset.descriptor()}")
+
+    sets = [wset for n in (1, 2, 3) for wset in every_kind_on(MatrixSpace(n, n))]
+    sets += list(every_kind_on(MatrixSpace(3, 2)))
+    expected = {wset: (wset.members(3), wset.members(3, total=(-2, 2))) for wset in sets}
+    series = {wset: hilbert_series(wset, 6, box=None if wset.partitions_only else 3)
+              for wset in sets if wset.space.is_square}
+    for kind, spec in repsets._SPECS.items():
+        monkeypatch.setitem(repsets._SPECS, kind, spec._replace(core=refuse))
+    for wset in sets:
+        assert (wset.members(3), wset.members(3, total=(-2, 2))) == expected[wset]
+        if wset in series:
+            box = None if wset.partitions_only else 3
+            assert hilbert_series(wset, 6, box=box) == series[wset]
+            assert hilbert_function(wset, 4, box=box) == series[wset][4]
+        with pytest.raises(AssertionError, match="core called"):
+            wset.contains((0,) * wset.space.n)
+
+
+def graded_dims_by_filtered_walk(wset, d_lo, d_hi, box):
+    """The slow oracle of _graded_dims: the whole box walked, filtered by
+    contains, and each member's dim_irrep squared added to its degree."""
+    n = wset.space.n
+    lo, hi = (0, max(d_hi, 0)) if box is None else (-box, box)
+    dims = [0] * (d_hi - d_lo + 1)
+    for lam in weights.dominant_tuples(n, lo, hi):
+        if d_lo <= sum(lam) <= d_hi and wset.contains(lam):
+            dims[sum(lam) - d_lo] += dim_irrep(lam, n) ** 2
+    return dims
+
+
+def test_graded_dims_by_runs_match_dim_irrep_per_member():
+    # Along a run, dim(head + (x,)) is dim(head) times the pairs with the
+    # last entry; against dim_irrep of every member, for n <= 5.
+    for n, dmax, box in [(1, 12, 6), (2, 12, 6), (3, 10, 4), (4, 8, 3), (5, 6, 2)]:
+        for wset in every_kind_on(MatrixSpace(n, n)):
+            if wset.partitions_only:
+                want = graded_dims_by_filtered_walk(wset, 0, dmax, None)
+                assert hilbert_series(wset, dmax) == want, wset
+                continue
+            want = graded_dims_by_filtered_walk(wset, -n * box, n * box, box)
+            assert characters._graded_dims(wset, -n * box, n * box, box) == want, wset
+            assert hilbert_series(wset, dmax, box=box) == (want[n * box:] + [0] * dmax)[:dmax + 1]
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: hilbert_series("Ik(n=2,k=3)", 4), TypeError, "weight_set must be a WeightSet"),
+        (lambda: hilbert_function(None, 4), TypeError, "weight_set must be a WeightSet"),
+        (lambda: hilbert_series(IK, 2.5), TypeError, "dmax must be an int, got 2.5"),
+        (lambda: hilbert_series(IK, True), TypeError, "dmax must be an int, got True"),
+        (lambda: hilbert_function(IK, 2.0), TypeError, "d must be an int, got 2.0"),
+        (lambda: hilbert_function(IK, False), TypeError, "d must be an int, got False"),
+        (lambda: hilbert_series(WP, 4, box=1.5), TypeError, "box must be an int, got 1.5"),
+        (lambda: hilbert_function(WP, 4, box=True), TypeError, "box must be an int, got True"),
+    ],
+    ids=["series-str", "function-None", "dmax-float", "dmax-bool", "d-float", "d-bool",
+         "box-float", "box-bool"],
+)
+def test_hilbert_checks_its_own_arguments_before_the_walk(call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+IK = WeightSet(MatrixSpace(2, 2), "HodgeIdeal", param=3)
+WP = WeightSet(MatrixSpace(2, 2), "Wp", 1)

@@ -9,8 +9,16 @@ from dethodge.matrixspace import (
     dim_stratum,
     local_cohomology_degree,
 )
-from dethodge.mhmweights import local_cohomology_weight, square_weight_layer, start_level
-from dethodge.oracle import RankConstrainedSampler
+from dethodge.characters import tensor_decomposition_check
+from dethodge.hodgeideals import minimal_generators, verify_equivalence
+from dethodge.mhmweights import (
+    generation_level_Sdet,
+    local_cohomology_weight,
+    square_weight_layer,
+    start_level,
+    weight_ledger,
+)
+from dethodge.oracle import RankConstrainedSampler, ideal_power_hilbert
 from dethodge.qseries import (
     DecompositionTable,
     LaurentPoly,
@@ -249,6 +257,10 @@ def test_verification_report_is_mutable_unhashable_and_owns_its_lists():
         (WeightSet, (MatrixSpace(2, 2), "Wpd", 1, True), "param"),
         (WeightSet, (MatrixSpace(2, 2), "Ukp", "1", 0), "p"),
         (DecompositionTable, (MatrixSpace(2, 2), 1.0, {}), "p"),
+        (RankConstrainedSampler, (MatrixSpace(3, 3), 1, True), "bound"),
+        (RankConstrainedSampler, (MatrixSpace(3, 3), 1, 1.5), "bound"),
+        (ideal_power_hilbert, (MatrixSpace(2, 2), 1.5, 3), "k"),
+        (ideal_power_hilbert, (MatrixSpace(2, 2), 1, 3.0), "dmax"),
     ],
 )
 def test_integer_fields_refuse_everything_but_ints(cls, args, field):
@@ -262,6 +274,13 @@ def test_integer_fields_refuse_everything_but_ints(cls, args, field):
         (WeightSet, ("x", "Wp", 1)),
         (WeightSet, (None, "HodgeIdeal", None, 1)),
         (DecompositionTable, ((2, 2), 1, {})),
+        # Functions that take a space but no stratum index.
+        (weight_ledger, ("x",)),
+        (minimal_generators, (2, "x")),
+        (verify_equivalence, ("x", [1], 2)),
+        (tensor_decomposition_check, ((), 1, (), "x")),
+        (generation_level_Sdet, ("x",)),
+        (ideal_power_hilbert, ((2, 2), 1, 3)),
     ],
 )
 def test_space_fields_refuse_everything_but_a_matrix_space(cls, args):

@@ -20,7 +20,15 @@ from dethodge.repsets import (
     minimal_elements,
     parse_weight_set,
 )
-from dethodge.weights import WeightBox, _wp_member, check_weight, delta_p, dominant_tuples, leq
+from dethodge.weights import (
+    WeightBox,
+    _decreasing_runs,
+    _wp_member,
+    check_weight,
+    delta_p,
+    dominant_tuples,
+    leq,
+)
 
 
 def test_in_Wp_examples():
@@ -450,3 +458,64 @@ def test_members_refuse_bounds_that_are_not_ints(bound, total, field):
     wset = WeightSet(MatrixSpace(2, 2), "Wp", 1)
     with pytest.raises(TypeError, match=f"^{field} must be an int"):
         wset.members(bound, total)
+
+
+def satisfies_rows(piece, lam):
+    """lam against one piece's rows (i, entry_lo, entry_hi, tail_lo,
+    tail_hi), None being no bound."""
+    for i, entry_lo, entry_hi, tail_lo, tail_hi in piece:
+        tail = sum(lam[i:])
+        if entry_lo is not None and lam[i] < entry_lo or entry_hi is not None and lam[i] > entry_hi:
+            return False
+        if tail_lo is not None and tail < tail_lo or tail_hi is not None and tail > tail_hi:
+            return False
+    return True
+
+
+def test_every_kind_is_its_rows_and_its_pieces_are_disjoint():
+    # The rows against the cores (through contains) on every weight of the
+    # box: each weight satisfies at most one piece, and some piece exactly
+    # when it is a member. A set of partitions refuses a negative weight,
+    # which no piece of it admits.
+    bound = 4
+    for n in range(1, 5):
+        for space in (MatrixSpace(n, n), MatrixSpace(n + 1, n)):
+            for wset in admitted_weight_sets(space):
+                pieces = wset._pieces()
+                positions = [[row[0] for row in piece] for piece in pieces]
+                assert all(sorted(set(at)) == at and set(at) <= set(range(n)) for at in positions)
+                for lam in WeightBox(n, bound):
+                    held = sum(satisfies_rows(piece, lam) for piece in pieces)
+                    assert held <= 1, (wset, lam)
+                    if lam[-1] < 0 and wset.partitions_only:
+                        assert not held, (wset, lam)
+                    else:
+                        assert wset.contains(lam) == bool(held), (wset, lam)
+
+
+def test_no_walk_of_a_piece_meets_a_dead_end():
+    # Every prefix the walk builds has a completion, for every kind on the
+    # test grid and every shape of total, and on the boxes and degree
+    # intervals that hilbert walks: the range of each entry is exact.
+    walks = 0
+    cases = []
+    for n in range(1, 5):
+        for space in (MatrixSpace(n, n), MatrixSpace(n + 1, n)):
+            totals = [None] + [
+                shape for d in range(-n * 4 - 1, n * 4 + 2) for shape in ((d, d), (d, d + n))
+            ]
+            cases += [(wset, 4, totals) for wset in admitted_weight_sets(space)]
+    for n in (5, 6):
+        for wset in admitted_weight_sets(MatrixSpace(n, n)):
+            cases.append((wset, 3, [None, (0, 3 * n), (2, 2), (-3, 0)]))
+    for wset, bound, totals in cases:
+        for piece in wset._pieces():
+            for total in totals:
+                dead_ends = []
+                for _ in _decreasing_runs(wset.space.n, -bound, bound, piece, total,
+                                          dead_ends=dead_ends):
+                    pass
+                walks += 1
+                assert dead_ends == [], (wset, total, dead_ends[:3])
+    assert walks > 10_000
+

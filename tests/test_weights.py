@@ -10,8 +10,10 @@ from dethodge.characters import dim_irrep
 from dethodge.hodgeideals import in_hodge_ideal
 from dethodge.matrixspace import MatrixSpace
 from dethodge.repsets import WeightSet, in_Wp
+from dethodge import weights
 from dethodge.weights import (
     WeightBox,
+    _decreasing_runs,
     check_weight,
     delta_p,
     dominant_tuples,
@@ -324,3 +326,71 @@ def test_a_total_that_is_not_a_pair_is_refused_by_the_call(total):
         dominant_tuples(2, 0, 3, total)
     with pytest.raises(ValueError, match=message):
         WeightSet(MatrixSpace(3, 3), "Wp", 1).members(2, total)
+
+
+def satisfies_rows(piece, lam):
+    for i, entry_lo, entry_hi, tail_lo, tail_hi in piece:
+        tail = sum(lam[i:])
+        if entry_lo is not None and lam[i] < entry_lo or entry_hi is not None and lam[i] > entry_hi:
+            return False
+        if tail_lo is not None and tail < tail_lo or tail_hi is not None and tail > tail_hi:
+            return False
+    return True
+
+
+@st.composite
+def pieces(draw):
+    """A length, a box [lo, hi], one piece of rows and maybe a total."""
+    n = draw(st.integers(1, 5))
+    lo = draw(st.integers(-4, 1))
+    hi = draw(st.integers(lo - 1, 4))
+    entry = st.none() | st.integers(-4, 4)
+    piece = tuple(
+        (i, draw(entry), draw(entry), draw(st.none() | st.integers(-4 * (n - i), 4 * (n - i))),
+         draw(st.none() | st.integers(-4 * (n - i), 4 * (n - i))))
+        for i in sorted(draw(st.sets(st.integers(0, n - 1))))
+    )
+    total = draw(st.none() | st.tuples(st.integers(-4 * n, 4 * n), st.integers(-1, 5)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    ))
+    return n, lo, hi, piece, total
+
+
+@given(pieces(), st.booleans())
+def test_runs_of_a_piece_are_the_filtered_box_and_meet_no_dead_end(case, descending):
+    # The oracle is the recursive enumeration of the box, filtered by the
+    # rows and the total.
+    n, lo, hi, piece, total = case
+    dead_ends = []
+    runs = list(_decreasing_runs(n, lo, hi, piece, total, descending, dead_ends=dead_ends))
+    step = -1 if descending else 1
+    got = [
+        head + (x,)
+        for head, low, high in runs
+        for x in (range(high, low - 1, -1) if descending else range(low, high + 1))
+    ]
+    want = [
+        lam for lam in recursive_dominant_tuples(n, lo, hi)
+        if satisfies_rows(piece, lam) and (total is None or total[0] <= sum(lam) <= total[1])
+    ]
+    assert got == (want if step == 1 else want[::-1])
+    assert all(low <= high for _, low, high in runs)
+    assert dead_ends == []
+
+
+def test_dead_ends_are_counted(monkeypatch):
+    # The count is live: with the lines dropped, the bounds that the total
+    # puts on an entry after the first, the walk of the total 9 in [0, 3]^3
+    # tries (3, y) for every y, and only (3, 3) completes. The first entry
+    # keeps its bound 3 from the plan.
+    plan = weights._plan
+
+    def without_lines(*args):
+        elo, ehi, tlo, thi, least, lines, last = plan(*args)
+        return elo, ehi, tlo, thi, least, [()] * len(lines), last
+
+    monkeypatch.setattr(weights, "_plan", without_lines)
+    dead_ends = []
+    runs = list(_decreasing_runs(3, 0, 3, None, (9, 9), dead_ends=dead_ends))
+    assert runs == [((3, 3), 3, 3)]
+    assert dead_ends == [(3, 0), (3, 1), (3, 2)]
