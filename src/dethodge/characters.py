@@ -189,6 +189,8 @@ def cauchy_check(space: MatrixSpace, d: int) -> bool:
     """Degree-d instance of the Cauchy identity: the dimensions of the
     irreducible blocks of the degree-d polynomials on matrix space add up
     to the monomial count comb(mn + d - 1, d)."""
+    _check_space(space)
+    _check_int("d", d)
     if d < 0:
         raise ValueError("degree must be nonnegative")
     m, n = space.m, space.n

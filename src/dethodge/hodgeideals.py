@@ -51,8 +51,10 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
     symbolic power of the ideal of p-minors (functions vanishing to order
     d along the rank p-1 locus)? True iff mu_p + ... + mu_n >= d, with
     d <= 0 denoting the unit ideal. Unlike Jpd, defined on m x n spaces."""
+    _check_space(space)
     mu = check_weight(mu, space.n)
     _check_int("p", p)
+    _check_int("d", d)
     if not 1 <= p <= space.n:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if mu[-1] < 0:
@@ -63,6 +65,7 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
 def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
     """The symbolic-power exponents ((n-p)*(k-1) - comb(n-p, 2)) for
     p = 1..n-1 cutting out the k-th Hodge ideal."""
+    _check_space(space)
     _check_int("k", k)
     if k < 0:
         raise ValueError("Hodge ideals are indexed by k >= 0")

@@ -54,6 +54,7 @@ def square_start_levels_consistency(space: MatrixSpace) -> VerificationReport:
     """Numerical sanity of the square weight ledger: w_p strictly drops by
     exactly 1 with p, the start levels l_p = comb(n-p, 2) satisfy
     l_{p+1} + (n-p-1) <= l_p with equality, and d_p - w_p is even."""
+    _check_space(space)
     if not space.is_square:
         raise ValueError("this consistency check needs m = n")
     n = space.n
@@ -120,6 +121,9 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     satisfies, so the same holds inside any box with bound >= n, which
     contains delta^p: the box is validated and recorded, but not walked.
     """
+    _check_space(space)
+    _check_int("kmax", kmax)
+    _check_int("box", box)
     if not space.is_square:
         raise ValueError("the filtration support check needs m = n")
     n = space.n

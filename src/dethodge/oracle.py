@@ -219,7 +219,11 @@ def _line_sampler(
     """The sampler at rank p-1 whose lines test highest weight vectors
     against the p-minors of `space`, once p, the sampler's space and the
     number of trials are checked."""
+    _check_space(space)
     _check_int("p", p)
+    _check_int("trials", trials)
+    if not isinstance(sampler, RankConstrainedSampler):
+        raise TypeError(f"sampler must be a RankConstrainedSampler, got {sampler!r}")
     if not 1 <= p <= space.n:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if sampler.space != space:
@@ -275,6 +279,8 @@ def dcep_cross_validation_upto(
     report per order d = 1..dmax, from one expansion of each line, shared
     by every partition. A disagreement is re-sampled once with a fresh
     seed before being reported; each report records the master seed."""
+    _check_space(space)
+    _check_int("dmax", dmax)
     if not space.is_square:
         raise ValueError("the weight-set membership criterion is stated for m = n")
     # One sampler at rank p-1 for every partition, so all read its lines.

@@ -13,60 +13,38 @@ solver doubles as an identity checker.
 
 Every polynomial here is one type, `LaurentPoly`, the tables' row type,
 dense: the exponent of its lowest term and the tuple of coefficients
-from there to its highest term, with no zeros at either end. Its
-exponents and coefficients are ints; anything else, such as a float, a
-bool or a string, is refused with a TypeError. It has what the tables
-use and no more: it is built from a map of exponents to coefficients,
-read by `LaurentPoly.items`, `LaurentPoly.coefficient`,
-`LaurentPoly.max_exp` and its truth value, compared and hashed with
-another polynomial, multiplied by another polynomial, and written by
-`LaurentPoly.to_json` and str(). Long operands are multiplied by Kronecker
-substitution: each coefficient list is packed into one Python integer,
-in slots wide enough for any coefficient of the product, so one C-level
-big-integer product does the whole convolution; signed operands are
-split into their positive and negative parts first. Short operands use
-the schoolbook convolution. Every packed product, the solver's rows
-included, goes through `_packed_sum`, the one place that picks a slot
-width: a slot of a*b sums terms of at most |a_j| * |b_(s-j)|, so it
-holds at most min(max|a| * sum|b|, sum|a| * max|b|), and a sum of
-products gets the sum of those bounds. A polynomial computes those
-bounds, and its packing in each slot width, when first asked and keeps
-them, so an operand that is used again, such as a cached `q_binomial`,
-is packed once per width.
+from there to its highest term, with no zeros at either end, all ints
+(a float, a bool or a string is refused with a TypeError). It has what
+the tables use and no more: construction from a map of exponents to
+coefficients, `LaurentPoly.items`, `LaurentPoly.coefficient`,
+`LaurentPoly.max_exp`, truth value, equality, hash, the product of two
+polynomials, `LaurentPoly.to_json` and str(). Long operands are
+multiplied by Kronecker substitution: each coefficient list, split into
+its positive and negative parts, is packed into one Python integer, so
+one C-level big-integer product does the whole convolution. Every slot
+width comes from one rule, `_slot_bound`: a slot of a*b sums terms of at
+most |a_j| * |b_(s-j)|, so it holds at most
+min(max|a| * sum|b|, sum|a| * max|b|), and a sum of products gets the
+sum of those bounds. `_packed_sum`, through which every packed product
+goes, and `qbinomial_identity_verdicts` size their slots by it. A
+polynomial keeps those bounds, and its packing per slot width, once
+computed, so a cached `q_binomial` is packed once per width.
 
-The solver works in t = q^2 on the shifted unknowns
-g_i = f_i * q^((p-i)(m+n-p-i)), where the system has no shifts, and sums
-each row's products as one `_packed_sum`, each product shifted into
-place by the lowest exponent of its g_i. Both routes of
-`pushforward_DpY` build row i of the table as g_i * qbin(m-p, n-p) in t,
-lowest exponent (p-i)(n-i). The closed route builds the rows along their
-diagonal, row i-1 from row i by one multiplication by (1 - t^s) and one
-checked division by (1 - t^j), with no polynomial products; the solver
-route multiplies each solved g_i by the prefactor. Both then take row i
-back to q by one step: q^(-(n-p)(m-n) - (p-i)(m+n-p-i)) times the row
-at t = q^2.
+The solver (`_solved_in_t`) works in t = q^2 on shifted unknowns g_i,
+where the system has no shifts, and sums each row's products as one
+`_packed_sum`. Both routes of `pushforward_DpY` build row i of a table
+as g_i * qbin(m-p, n-p) in t: the closed route along the diagonal of
+qbin(m-n, .), with no polynomial products, the solver route by one
+product per row. `LaurentPoly.to_json` and `DecompositionTable.to_json`
+write the text json.dumps would, from cached key templates
+(`JSON_KEY_BLOCK` exponents per block).
 
-`LaurentPoly.to_json` and `DecompositionTable.to_json` write the JSON
-text that json.dumps would write for the map from each exponent, as a
-string, to its nonzero coefficient, straight from the dense
-coefficients: cached '"<e>": %d' key templates of the nonzero slots are
-joined and filled by one `%` with the nonzero coefficients. The
-templates are built in blocks of `JSON_KEY_BLOCK` exponents, on demand,
-so any exponent range is served.
-
-`q_binomial(a, b)` (after replacing b by min(b, a-b)) lies on the
-diagonal qbin(c+j, j) with c = a-b. Each diagonal is built once, in
-order, multiplying by (1 - q^(c+j)) and dividing by (1 - q^j) for each
-j; each division checks that its remainder is zero. A cold request
-continues from the longest prefix of its diagonal built so far, so a
-lone request does min(b, a-b) steps and a table's requests share theirs.
-A division by 1 - q^j is a prefix sum along each residue class mod j
-when there are fewer classes than blocks of j, else blockwise additions.
-
+`q_binomial(a, b)` is built along its diagonal qbin(c+j, j), c = a-b,
+each diagonal once and in order, by checked divisions by 1 - q^j.
 `qbinomial_identity_verdicts(a, b, cmax)` checks the q-Vandermonde
 convolution for every c <= cmax of one (a, b), comparing both sides as
-packed integers in one slot width; `verify_qbinomial_identity` is its
-verdict at one c.
+packed integers in one slot width, the largest `_slot_bound` of a right
+side; `verify_qbinomial_identity` is its verdict at one c.
 """
 
 from __future__ import annotations
@@ -76,9 +54,8 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import accumulate, chain, compress, islice
-from math import comb
 
-from .matrixspace import MatrixSpace, _check_stratum, _is_int, _Record, dim_stratum
+from .matrixspace import MatrixSpace, _check_int, _check_stratum, _is_int, _Record, dim_stratum
 from .reporting import VerificationReport
 
 # Below this product of operand lengths the schoolbook convolution beats
@@ -162,14 +139,14 @@ class LaurentPoly:
         return _dense(self._lo + other._lo, tuple(out))
 
     def _bounds(self) -> tuple:
-        """The largest |coefficient|, the sum of the |coefficients|, and the
-        value at q = 1 (None if a coefficient is negative), kept once computed."""
+        """The largest |coefficient|, the sum of the |coefficients|, and
+        whether a coefficient is negative, kept once computed."""
         stats = self._stats
         if stats is None:
             magnitudes = list(map(abs, self._c))
-            norm = sum(magnitudes)
-            total = norm if min(self._c, default=0) >= 0 else None
-            stats = self._stats = max(magnitudes, default=0), norm, total
+            stats = self._stats = (
+                max(magnitudes, default=0), sum(magnitudes), min(self._c, default=0) < 0
+            )
         return stats
 
     def _packed(self, width: int) -> tuple[int, int]:
@@ -182,7 +159,7 @@ class LaurentPoly:
         value = packings.get(width)
         if value is None:
             c = self._c
-            if self._bounds()[2] is None:
+            if self._bounds()[2]:
                 value = _pack([max(x, 0) for x in c], width), _pack([max(-x, 0) for x in c], width)
             else:
                 value = _pack(c, width), 0
@@ -294,22 +271,26 @@ def _unpack(value: int, width: int, count: int) -> list:
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _packed_sum(products, count: int) -> list:
-    """The first `count` coefficients of the sum of the products
-    a * b * q^offset, given as triples of two `LaurentPoly`, each read from
-    its lowest term, and the offset in slots: each product is formed
-    from its operands alone and shifted into place. This is the one place
-    that picks a slot width. A slot of a*b sums terms of at most
-    |a_j| * |b_(s-j)|, so it holds at most min(max|a| * sum|b|,
-    sum|a| * max|b|), in the products of the positive parts and of the
-    negative parts alike; the slots hold the sum of that bound over the
-    products, so none carries into the next."""
+def _slot_bound(products) -> int:
+    """The sum of min(max|a| * sum|b|, sum|a| * max|b|) over the triples
+    (a, b, offset) that `_packed_sum` takes: a bound on every coefficient
+    of the sum of the products of their positive and negative parts,
+    whatever the offsets."""
     bound = 0
     for a, b, _ in products:
         a_peak, a_norm, _ = a._stats or a._bounds()
         b_peak, b_norm, _ = b._stats or b._bounds()
         bound += min(a_peak * b_norm, a_norm * b_peak)
-    width = _slot_width(bound)
+    return bound
+
+
+def _packed_sum(products, count: int) -> list:
+    """The first `count` coefficients of the sum of the products
+    a * b * q^offset, given as triples of two `LaurentPoly`, each read from
+    its lowest term, and the offset in slots: each product is formed
+    from its operands alone and shifted into place, in slots that hold
+    `_slot_bound` of the products, so none carries into the next."""
+    width = _slot_width(_slot_bound(products))
     positive = negative = 0
     bits = 8 * width
     for a, b, offset in products:
@@ -352,7 +333,7 @@ def _divide_one_minus_q(coeffs: list, j: int) -> list:
 _DIAGONALS: dict[int, list[tuple]] = {}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def q_binomial(a: int, b: int) -> LaurentPoly:
     """Gaussian binomial coefficient as an exact polynomial in q:
 
@@ -363,8 +344,11 @@ def q_binomial(a: int, b: int) -> LaurentPoly:
     replaced by min(b, a-b), it lies on the diagonal qbin(c+j, j) with
     c = a-b, and is built from the longest prefix of that diagonal built
     so far, one factor pair at a time: qbin(c+j, j) = qbin(c+j-1, j-1) *
-    (1-q^(c+j)) / (1-q^j), each division checked to be exact.
+    (1-q^(c+j)) / (1-q^j), each division checked to be exact. The cache
+    is typed, so no int entry answers a float or bool, which is refused.
     """
+    _check_int("a", a)
+    _check_int("b", b)
     if b < 0:
         raise ValueError("lower index must be nonnegative")
     if a < b:
@@ -380,10 +364,10 @@ def q_binomial(a: int, b: int) -> LaurentPoly:
 
 def grassmannian_poincare(r: int, N: int) -> LaurentPoly:
     """Poincare polynomial of the Grassmannian of r-dimensional quotients
-    of an N-dimensional space: the q-binomial comb(N, r) at q^2. Zero when
-    r > N, matching the q-binomial convention."""
-    if r < 0:
-        raise ValueError("quotient rank must be nonnegative")
+    of an N-dimensional space: q_binomial(N, r) at q^2, so zero when
+    r > N, and a ValueError when r < 0."""
+    _check_int("r", r)
+    _check_int("N", N)
     return _at_q_squared(q_binomial(N, r), 0)
 
 
@@ -565,84 +549,54 @@ def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
     as an exact polynomial equality for each c = 0..cmax, and return the
     verdicts in order of c. (The exponent comes from comparing z^c
     coefficients in the factorization of the q-Pochhammer symbol:
-    b*j + comb(j, 2) + comb(c-j, 2) - comb(c, 2) = j*(b-c+j).) Since
-    qbin(x, y) is zero for y > x, only the terms with j <= a and
-    c-j <= b are formed, and qbin(a, j) and qbin(b, i) are fetched once
-    for all c.
+    b*j + comb(j, 2) + comb(c-j, 2) - comb(c, 2) = j*(b-c+j).) As
+    qbin(x, y) = 0 for y > x, only the terms with j <= a and c-j <= b
+    are formed, from qbin(a, j) and qbin(b, i) fetched once for all c.
 
-    An operand with a negative coefficient fails every c it enters.
-    Otherwise the values at q = 1 are compared first, those of every
-    right side at once as one product of the lists of operand values.
-    Where they agree, both sides are compared as single integers, each
-    polynomial evaluated at q = 256^w by packing its coefficients into
-    w-byte slots. This is exact: every coefficient is nonnegative and at
-    most the common value at q = 1, which w bytes exceed, so no slot
-    carries into the next and equal integers mean equal coefficients.
-    That value is comb(a+b, c) <= comb(a+b, (a+b)//2) when the identity
-    holds, so one width, taken from the latter, serves every c, and each
-    operand is packed once; a larger value, which only a wrong
-    q-binomial has, gets wider slots."""
+    Both sides are compared as integers, each polynomial packed once into
+    w-byte slots, i.e. evaluated at q = 256^w, where w bytes hold the
+    largest `_slot_bound` of a right side, so no slot of one carries. An
+    operand with a negative coefficient, which no q-binomial has, fails
+    every c it enters, and so does one with a coefficient of 256^w or
+    more, which neither a right side nor an operand with a nonzero
+    partner has. Otherwise equal integers mean equal coefficients."""
+    _check_int("a", a)
+    _check_int("b", b)
+    _check_int("cmax", cmax)
     if min(a, b, cmax) < 0:
         raise ValueError("the q-binomial identity needs a, b, c >= 0")
     lhs = [q_binomial(a + b, c) for c in range(cmax + 1)]
     left = [q_binomial(a, j) for j in range(min(a, cmax) + 1)]
     right = [q_binomial(b, i) for i in range(min(b, cmax) + 1)]
-    # The values at q = 1, None for an operand with a negative coefficient.
-    totals, left_totals, right_totals = (
-        [f._bounds()[2] for f in polys] for polys in (lhs, left, right)
-    )
-    # The c that an operand with a negative coefficient enters.
-    refused = {c for c, total in enumerate(totals) if total is None}
-    refused.update(j + i for j, t in enumerate(left_totals) if t is None for i in range(len(right)))
-    refused.update(j + i for i, t in enumerate(right_totals) if t is None for j in range(len(left)))
-    # The value at q = 1 of the right side of each c.
-    values = _trimmed(0, [t or 0 for t in left_totals])
-    values *= _trimmed(0, [t or 0 for t in right_totals])
-    width = _slot_width(comb(a + b, (a + b) // 2))
-    cap = 1 << (8 * width)
-    # The term of j lies at q^(j*(b-c+j)) * q^base or above, and
-    # j*(b-c+j) >= 0 since j >= c-b.
-    base = min(l._lo for l in left) + min(r._lo for r in right)
-    packed = {}  # slot width -> the operands packed by _packed_from_lowest
+    terms = [range(max(0, c - b), min(a, c) + 1) for c in range(cmax + 1)]
+    # Each right side as the products a * b * q^offset of `_packed_sum`.
+    sides = [[(left[j], right[c - j], j * (b - c + j)) for j in js] for c, js in enumerate(terms)]
+    width = _slot_width(max(_slot_bound(side) for side in sides))
+    bits, cap = 8 * width, 1 << (8 * width)
+    # Each operand is read from q^low, low <= 0, so each product from q^(2*low).
+    low = min(0, *(f._lo for f in chain(lhs, left, right)))
+
+    def packed(f):  # None for an operand that fails every c it enters
+        peak, _, negative = f._bounds()
+        return None if negative or peak >= cap else f._packed(width)[0] << (bits * (f._lo - low))
+
+    lhs_ints, left_ints, right_ints = ([packed(f) for f in polys] for polys in (lhs, left, right))
+    refused = None in left_ints or None in right_ints
     verdicts = []
-    for c, (side, total) in enumerate(zip(lhs, totals)):
-        if c in refused or values.coefficient(c) != total:
+    for c, js in enumerate(terms):
+        lhs_c = lhs_ints[c]
+        if lhs_c is None or refused and any(None in (left_ints[j], right_ints[c - j]) for j in js):
             verdicts.append(False)
-            continue
-        w = width if total < cap else _slot_width(total)
-        if w not in packed:
-            packed[w] = (_packed_from_lowest(left, w), _packed_from_lowest(right, w))
-        left_int, right_int = packed[w]
-        bits = 8 * w
-        js = range(max(0, c - b), min(a, c) + 1)
-        rhs = sum((left_int[j] * right_int[c - j]) << (bits * j * (b - c + j)) for j in js)
-        lo = min(side._lo, base)
-        lhs_int = side._packed(w)[0] << (bits * (side._lo - lo))
-        verdicts.append(lhs_int == rhs << (bits * (base - lo)))
+        else:
+            rhs = sum((left_ints[j] * right_ints[c - j]) << (bits * j * (b - c + j)) for j in js)
+            verdicts.append(lhs_c << (bits * -low) == rhs)
     return verdicts
-
-
-def _packed_from_lowest(polys: list, width: int) -> list:
-    """Each polynomial divided by q^low, for the lowest exponent low of all
-    of them, at q = 256^width: packed in slots of `width` bytes. A
-    polynomial with a negative coefficient, or one too large for the
-    slots, is 0 instead, as no c compared at this width multiplies it by a
-    nonzero partner: every c the first enters is refused, and the second
-    would give the right side a coefficient at least its largest, beyond
-    the right side's value at q = 1, which fits the slots."""
-    low = min(f._lo for f in polys)
-    cap = 1 << (8 * width)
-    packed = []
-    for f in polys:
-        peak, _, total = f._bounds()
-        fits = total is not None and peak < cap
-        packed.append(f._packed(width)[0] << (8 * width * (f._lo - low)) if fits else 0)
-    return packed
 
 
 def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:
     """The q-Vandermonde convolution at one c: the verdict for c of
     `qbinomial_identity_verdicts`."""
+    _check_int("c", c)
     return qbinomial_identity_verdicts(a, b, c)[c]
 
 

@@ -67,6 +67,7 @@ def classify(lam, space: MatrixSpace):
     statement, so the full (possibly empty) list of matching indices is
     returned instead.
     """
+    _check_space(space)
     return _classify(check_weight(lam, space.n), space)
 
 
@@ -145,6 +146,8 @@ def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:
     _check_stratum(space, p)
     n, m = space.n, space.m
     mu = tuple(mu)
+    for part in mu:
+        _check_int("a part of mu", part)
     if len(mu) > n - p or (mu and not is_partition(mu)):
         raise ValueError(f"need a partition with at most {n - p} parts")
     mu = mu + (0,) * (n - p - len(mu))
@@ -181,7 +184,10 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
 def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
     """Inverse of decompose_weight: delta^p + mu^dual + (gamma padded)."""
     base = lambda_p_mu(p, mu, space)
-    gamma = tuple(gamma) + (0,) * (p - len(gamma))
+    gamma = tuple(gamma)
+    for part in gamma:
+        _check_int("a part of gamma", part)
+    gamma += (0,) * (p - len(gamma))
     return tuple(b + (gamma[i] if i < p else 0) for i, b in enumerate(base))
 
 

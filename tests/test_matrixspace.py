@@ -1,24 +1,42 @@
 import copy
+import inspect
 import pickle
+from collections.abc import Iterator
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dethodge
 from dethodge.matrixspace import (
     MatrixSpace,
     codim_stratum,
     dim_stratum,
     local_cohomology_degree,
 )
-from dethodge.characters import tensor_decomposition_check
-from dethodge.hodgeideals import minimal_generators, verify_equivalence
+from dethodge.characters import cauchy_check, tensor_decomposition_check
+from dethodge.hodgeideals import (
+    hodge_ideal_exponents,
+    in_symbolic_power,
+    minimal_generators,
+    verify_equivalence,
+)
 from dethodge.mhmweights import (
+    filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
+    square_start_levels_consistency,
     square_weight_layer,
     start_level,
     weight_ledger,
 )
-from dethodge.oracle import RankConstrainedSampler, ideal_power_hilbert
+from dethodge.oracle import (
+    RankConstrainedSampler,
+    dcep_cross_validation_upto,
+    ideal_power_hilbert,
+    line_vanishing_order,
+)
 from dethodge.qseries import (
     DecompositionTable,
     LaurentPoly,
@@ -32,6 +50,7 @@ from dethodge.qseries import (
 from dethodge.reporting import VerificationReport
 from dethodge.repsets import (
     WeightSet,
+    classify,
     compose_weight,
     decompose_weight,
     lambda_p_mu,
@@ -98,6 +117,7 @@ def test_local_cohomology_degrees_strictly_decreasing():
 # index, a space it is defined on, and the call. WeightSet and the
 # predicates built on it check their own index, which may be None.
 SQUARE, WIDE = MatrixSpace(3, 3), MatrixSpace(4, 2)
+SAMPLER = RankConstrainedSampler(SQUARE, 0)
 STRATUM_INDEX_TAKERS = [
     ("dim_stratum", "p", WIDE, lambda s, p: dim_stratum(s, p)),
     ("codim_stratum", "p", WIDE, lambda s, p: codim_stratum(s, p)),
@@ -261,6 +281,17 @@ def test_verification_report_is_mutable_unhashable_and_owns_its_lists():
         (RankConstrainedSampler, (MatrixSpace(3, 3), 1, 1.5), "bound"),
         (ideal_power_hilbert, (MatrixSpace(2, 2), 1.5, 3), "k"),
         (ideal_power_hilbert, (MatrixSpace(2, 2), 1, 3.0), "dmax"),
+        (lambda_p_mu, (1, (1.5,), SQUARE), "a part of mu"),
+        (lambda_p_mu, (1, (True,), SQUARE), "a part of mu"),
+        (compose_weight, ((1,), (1.5,), 1, SQUARE), "a part of gamma"),
+        (compose_weight, ((1.0,), (), 1, SQUARE), "a part of mu"),
+        (in_symbolic_power, ((1, 0, 0), 1, 2.5, SQUARE), "d"),
+        (filtration_support_check, (SQUARE, 2, 3.5), "box"),
+        (filtration_support_check, (SQUARE, 2.5, 3), "kmax"),
+        (cauchy_check, (SQUARE, 1.0), "d"),
+        (line_vanishing_order, ((1, 0, 0), SQUARE, 1, SAMPLER, 2.0), "trials"),
+        (line_vanishing_order, ((1, 0, 0), SQUARE, 1, (SQUARE, 0)), "sampler"),
+        (dcep_cross_validation_upto, (SQUARE, [(1, 0, 0)], 1, True, SAMPLER), "dmax"),
     ],
 )
 def test_integer_fields_refuse_everything_but_ints(cls, args, field):
@@ -281,11 +312,56 @@ def test_integer_fields_refuse_everything_but_ints(cls, args, field):
         (tensor_decomposition_check, ((), 1, (), "x")),
         (generation_level_Sdet, ("x",)),
         (ideal_power_hilbert, ((2, 2), 1, 3)),
+        (cauchy_check, ("x", 2)),
+        (hodge_ideal_exponents, (2, "x")),
+        (in_symbolic_power, ((1, 0, 0), 1, 2, "x")),
+        (classify, ((1, 0, 0), "x")),
+        (square_start_levels_consistency, ("x",)),
+        (filtration_support_check, ("x", 2, 3)),
+        (line_vanishing_order, ((1, 0, 0), "x", 1, SAMPLER)),
+        (dcep_cross_validation_upto, ("x", [(1, 0, 0)], 1, 1, SAMPLER)),
     ],
 )
 def test_space_fields_refuse_everything_but_a_matrix_space(cls, args):
     with pytest.raises(TypeError, match="^space must be a MatrixSpace"):
         cls(*args)
+
+
+# Every public callable of the package.
+PUBLIC = {
+    name: getattr(dethodge, name)
+    for name in dir(dethodge)
+    if not name.startswith("_") and callable(getattr(dethodge, name))
+}
+# Small values of every kind a caller might pass by mistake: every int
+# here is small enough for any call to end at once.
+ARGUMENTS = st.one_of(
+    st.integers(-2, 5),
+    st.floats(-3, 6),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from([MatrixSpace(2, 2), MatrixSpace(3, 2)]),
+    st.lists(st.integers(-2, 5), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=500, deadline=2000)
+@given(st.data())
+def test_public_functions_return_or_refuse_what_they_are_given(data):
+    # A call either returns or refuses its arguments with a TypeError or a
+    # ValueError; an AttributeError, say, means a check is missing.
+    function = PUBLIC[data.draw(st.sampled_from(sorted(PUBLIC)), label="function")]
+    params = inspect.signature(function).parameters.values()
+    least = sum(param.default is param.empty for param in params)
+    count = data.draw(st.integers(least, len(params)), label="count")
+    args = [data.draw(ARGUMENTS, label="argument") for _ in range(count)]
+    try:
+        result = function(*args)
+        if isinstance(result, Iterator):
+            list(islice(result, 50))
+    except (TypeError, ValueError):
+        pass
 
 
 def test_range_errors_keep_their_messages():

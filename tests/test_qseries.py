@@ -390,15 +390,16 @@ def test_packed_identity_sees_a_perturbed_q_binomial(monkeypatch, perturb):
         ),
         # A negative operand is refused, even where the left side is zero.
         ({(1, 0): LaurentPoly({0: 1, 1: -1}), (2, 1): LaurentPoly()}, (1, 1, 1), False),
-        # A value at q = 1 beyond comb(a+b, (a+b)//2) = 1 needs wider slots.
+        # A coefficient of 300 needs two-byte slots, which its product's bound gives.
         ({(1, 1): LaurentPoly({0: 300})}, (1, 0, 1), True),
     ],
     ids=["carry", "negative", "wide"],
 )
 def test_packed_identity_keeps_its_guards(monkeypatch, patch, case, holds):
     # Each perturbation slips through one guard of the packed comparison
-    # if that guard is dropped: the value check, the refusal of negative
-    # coefficients, the wider slots.
+    # if that guard is dropped: slots sized by the right side's
+    # `_slot_bound`, the refusal of negative coefficients, the refusal of
+    # a coefficient too large for the slots.
     genuine = qseries.q_binomial
     monkeypatch.setattr(
         qseries, "q_binomial", lambda a, b: patch[a, b] if (a, b) in patch else genuine(a, b)
@@ -672,6 +673,32 @@ def clear_q_binomial_caches():
     qseries._DIAGONALS.clear()
 
 
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("a", lambda: q_binomial(4.0, 1)),
+        ("b", lambda: q_binomial(4, True)),
+        ("a", lambda: q_binomial(5.0, 1)),
+        ("r", lambda: grassmannian_poincare(1.0, 4)),
+        ("N", lambda: grassmannian_poincare(1, True)),
+        ("a", lambda: qbinomial_identity_verdicts(True, 2, 1)),
+        ("cmax", lambda: qbinomial_identity_verdicts(2, 2, 1.0)),
+        ("c", lambda: verify_qbinomial_identity(2, 2, True)),
+    ],
+)
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_q_binomial_refuses_a_non_int_whatever_its_cache_holds(name, call, cold):
+    # A float or bool equals an int key of the cache, so an untyped cache
+    # would answer it from the int entry when warm and fail when cold.
+    clear_q_binomial_caches()
+    if not cold:
+        for a in range(8):
+            for b in range(a + 1):
+                q_binomial(a, b)
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        call()
+
+
 def test_q_binomial_continues_along_its_diagonal(monkeypatch):
     steps = []
     original = qseries._divide_one_minus_q
@@ -860,13 +887,13 @@ def test_packed_sum_edge_operands():
 
     # The zero polynomial packs to nothing and contributes nothing.
     empty = LaurentPoly()
-    assert (empty._bounds(), empty._packed(1)) == ((0, 0, 0), (0, 0))
+    assert (empty._bounds(), empty._packed(1)) == ((0, 0, False), (0, 0))
     assert qseries._packed_sum([(empty, P([1, 2]), 0)], 3) == [0, 0, 0]
     assert qseries._packed_sum([(empty, empty, 2)], 2) == [0, 0]
     assert qseries._packed_sum([], 2) == [0, 0]
     # All coefficients negative: the whole operand is its negative part.
     neg = P([-3, -1, -4])
-    assert neg._bounds() == (4, 8, None)
+    assert neg._bounds() == (4, 8, True)
     assert neg._packed(1) == (0, qseries._pack([3, 1, 4], 1))
     assert qseries._packed_sum([(neg, P([1, 1]), 0)], 4) == [-3, -4, -5, -4]
     assert qseries._packed_sum([(neg, neg, 0)], 5) == [9, 6, 25, 8, 16]

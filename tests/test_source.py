@@ -8,7 +8,9 @@ double backticks must exist, so the docstrings cannot drift from the
 code they describe. Importing the package loads none of the modules
 that ``dataclasses`` would bring in. Every public method or property of
 ``LaurentPoly`` is read somewhere in the package outside its class, so
-the tables' row type grows no API that only the tests use."""
+the tables' row type grows no API that only the tests use. Every slot
+width of a packed product is sized by ``qseries._slot_bound``, so no
+second width rule grows beside it."""
 
 import ast
 import importlib
@@ -144,6 +146,29 @@ def unread_public_names(trees, module, class_name):
     return [name for name in public if name not in read]
 
 
+def _calls(node, name):
+    """Is the node a call of the function `name`, bare or as an attribute?"""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+
+def unbounded_widths(tree):
+    """Line of every call of ``_slot_width`` with no call of
+    ``_slot_bound`` in its arguments."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if _calls(node, "_slot_width")
+        and not any(
+            _calls(inner, "_slot_bound")
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+            for inner in ast.walk(arg)
+        )
+    ]
+
+
 def _trees():
     assert SOURCES
     return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
@@ -201,6 +226,15 @@ def test_the_lint_finds_what_it_looks_for():
         "Row().used() + Row().size\n"
     )
     assert unread_public_names({"row.py": row}, "row.py", "Row") == ["unread"]
+    widths = ast.parse(
+        "w = _slot_width(_slot_bound(products))\n"
+        "w = _slot_width(max(_slot_bound(p) for p in groups))\n"
+        "w = qseries._slot_width(bound=qseries._slot_bound(products))\n"
+        "w = _slot_width(comb(a + b, (a + b) // 2))\n"
+        "w = _slot_width(_slot_bound)\n"
+        "w = qseries._slot_width(total)\n"
+    )
+    assert unbounded_widths(widths) == [4, 5, 6]
 
 
 def test_no_module_asserts():
@@ -230,6 +264,11 @@ def test_docstring_names_resolve():
         if hits := unresolved_doc_names(importlib.import_module(name)):
             found[path.name] = hits
     assert not found, f"docstring names that do not resolve: {found}"
+
+
+def test_every_slot_width_is_sized_by_slot_bound():
+    found = {name: lines for name, tree in _trees().items() if (lines := unbounded_widths(tree))}
+    assert not found, f"slot widths not sized by _slot_bound: {found}"
 
 
 def test_qseries_has_one_polynomial_type():
