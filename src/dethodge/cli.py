@@ -329,7 +329,7 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """A new argparse parser for the whole command line, built from the
-    option table, on every call. Subcommand ``x-y`` runs ``cmd_x_y``."""
+    option table, on every call: ``weights-table`` runs ``cmd_weights_table``, and so on."""
     parser = argparse.ArgumentParser(
         prog="dethodge",
         description="Exact combinatorics of Hodge ideals and filtrations on determinantal strata.",

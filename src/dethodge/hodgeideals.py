@@ -42,7 +42,9 @@ from math import comb
 
 from .matrixspace import MatrixSpace, _check_int, _check_space
 from .reporting import VerificationReport
-from .repsets import WeightSet, _Fk_level, _hodge_ideal_level, _in_symbolic_power
+from .repsets import (
+    WeightSet, _Fk_level, _hodge_ideal_exponents, _hodge_ideal_level, _in_symbolic_power
+)
 from .weights import WeightBox, check_weight, dominant_tuples
 
 
@@ -69,8 +71,7 @@ def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
     _check_int("k", k)
     if k < 0:
         raise ValueError("Hodge ideals are indexed by k >= 0")
-    n = space.n
-    return tuple((n - p) * (k - 1) - comb(n - p, 2) for p in range(1, n))
+    return _hodge_ideal_exponents(space.n, k)[:-1]
 
 
 def in_hodge_ideal(mu, k: int, space: MatrixSpace) -> bool:
@@ -110,8 +111,9 @@ def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
     _check_space(space)
     if not space.is_square:
         raise ValueError("the determinant hypersurface needs a square space")
+    hodge_ideal_exponents(k, space)  # refuses a k that is not an int >= 0
     n = space.n
-    bounds = hodge_ideal_exponents(k, space) + (0,)
+    bounds = _hodge_ideal_exponents(n, k)
     generators = []
     # Each entry tries one part at 0-based position i, ahead of suffix (the
     # parts after it, summing to tail); is_open is the flag for position

@@ -2,11 +2,11 @@
 
 One invariant drives everything here: a pure module supported on the
 rank-p locus with Tate twist k has weight d_p - 2k, and its Hodge
-filtration starts in level c_p + k. The functions below specialize the
-twist to the two situations of interest (the weight-graded layers of the
-localization at the determinant for square spaces, and the local
-cohomology modules for m > n), gather them per stratum in
-`weight_ledger`, and cross-check the resulting numerology.
+filtration starts in level c_p + k. The twist is stated once, in
+`_twist`, for the weight-graded layers of the localization at the
+determinant (m = n) and the local cohomology modules (m > n); the
+functions below read it per stratum, and the consistency checks record
+a failure where the ledger and the closed forms of the weights differ.
 """
 
 from __future__ import annotations
@@ -33,21 +33,23 @@ def start_level(space: MatrixSpace, p: int, k: int) -> int:
     return codim_stratum(space, p) + k
 
 
-def square_weight_layer(space: MatrixSpace, p: int) -> tuple[int, int]:
-    """(w_p, k_p) for the weight-graded layer of the localization at the
-    determinant carried by the rank-p stratum (square spaces):
+def _twist(space: MatrixSpace, p: int) -> int:
+    """The Tate twist -comb(n-p+1, 2) - (n-p)(m-n) of the pure module on
+    the rank-p stratum: at m = n the determinant localization's weight
+    layer's, for m > n the local cohomology module's (Raicu-Weyman)."""
+    n = space.n
+    return -comb(n - p + 1, 2) - (n - p) * (space.m - n)
 
-        w_p = n^2 + n - p,   k_p = -comb(n-p+1, 2).
-    """
+
+def square_weight_layer(space: MatrixSpace, p: int) -> tuple[int, int]:
+    """(w_p, k_p) = (d_p - 2k_p, `_twist`) for the weight-graded layer of
+    the localization at the determinant carried by the rank-p stratum
+    (square spaces); in closed form w_p = n^2 + n - p."""
     d_p = dim_stratum(space, p)
     if not space.is_square:
         raise ValueError("weight layers of the determinant localization need m = n")
-    n = space.n
-    w = n * n + n - p
-    k = -comb(n - p + 1, 2)
-    if w != d_p - 2 * k:
-        raise RuntimeError(f"weight layer w={w}, k={k} breaks w = d_p - 2k at p={p}")
-    return w, k
+    k = _twist(space, p)
+    return d_p - 2 * k, k
 
 
 def square_start_levels_consistency(space: MatrixSpace) -> VerificationReport:
@@ -80,27 +82,16 @@ def square_start_levels_consistency(space: MatrixSpace) -> VerificationReport:
 
 
 def local_cohomology_weight(space: MatrixSpace, p: int) -> tuple[int, int]:
-    """(w'_p, k'_p) for the local cohomology module supported in the
-    singular locus whose underlying simple module sits on the rank-p
-    stratum (m > n):
-
-        w'_p = mn + (n-p)*(m-n+1),
-        k'_p = -comb(n-p+1, 2) - (n-p)*(m-n).
-
-    The degenerate case p = n is admitted as the localization layer in
-    cohomological degree 0, giving w' = mn and k' = 0.
-    """
+    """(w'_p, k'_p) = (d_p - 2k'_p, `_twist`) for the local cohomology
+    module supported in the singular locus whose underlying simple module
+    sits on the rank-p stratum (m > n); in closed form
+    w'_p = mn + (n-p)*(m-n+1). The degenerate case p = n is admitted as
+    the localization layer in cohomological degree 0: w' = mn, k' = 0."""
     d_p = dim_stratum(space, p)
     if space.m <= space.n:
         raise ValueError("local cohomology weights need m > n")
-    m, n = space.m, space.n
-    w = m * n + (n - p) * (m - n + 1)
-    k = -comb(n - p + 1, 2) - (n - p) * (m - n)
-    if w != d_p - 2 * k:
-        raise RuntimeError(f"local weight w={w}, k={k} breaks w = d_p - 2k at p={p}")
-    if w != (n - p) * (m - n) + (m * n + n - p):
-        raise RuntimeError(f"local weight w={w} breaks the degree identity at p={p}")
-    return w, k
+    k = _twist(space, p)
+    return d_p - 2 * k, k
 
 
 def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> VerificationReport:
@@ -115,11 +106,11 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     tail sum is at most -(n-p)^2, and delta^p attains that bound. U^p_k
     asks only for a tail sum of at least -comb(n-p+1, 2) - k, so it is an
     up-set in the tail: raising a member's tail entries to p-n keeps it a
-    member. Hence U^p_k
-    is nonempty exactly when it contains delta^p. Membership constrains
-    the head only through lam_p >= p-n, which the constant head p-n
-    satisfies, so the same holds inside any box with bound >= n, which
-    contains delta^p: the box is validated and recorded, but not walked.
+    member. Hence U^p_k is nonempty exactly when it contains delta^p.
+    Membership constrains the head only through lam_p >= p-n, which the
+    constant head p-n satisfies, so the same holds inside any box with
+    bound >= n, which contains delta^p: the box is validated and
+    recorded, but not walked.
     """
     _check_space(space)
     _check_int("kmax", kmax)
@@ -134,7 +125,7 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     )
     for p in range(n + 1):
         threshold = (n - p) ** 2
-        level = _Ukp_level(delta_p(p, space), p, space) + comb(n - p + 1, 2)
+        level = _Ukp_level(delta_p(p, space), p, space) - _twist(space, p)
         for k in range(kmax + 1):
             expected = k >= threshold
             observed = k >= level
@@ -170,14 +161,13 @@ def weight_ledger(space: MatrixSpace) -> list[dict]:
     module's, and the row's "degree" is its cohomological degree (None at
     p = n, the localization itself)."""
     _check_space(space)
-    weight_twist = square_weight_layer if space.is_square else local_cohomology_weight
     rows = []
     for p in range(space.n, -1, -1):
-        w, k = weight_twist(space, p)
-        row = {"p": p, "dim": dim_stratum(space, p), "codim": codim_stratum(space, p)}
-        row.update(weight=w, twist=k, start_level=start_level(space, p, k))
+        d_p, k = dim_stratum(space, p), _twist(space, p)
+        row = {"p": p, "dim": d_p, "codim": codim_stratum(space, p)}
+        row.update(weight=d_p - 2 * k, twist=k, start_level=start_level(space, p, k))
         if space.is_square:
-            row["layer"] = w
+            row["layer"] = row["weight"]
         else:
             row["degree"] = local_cohomology_degree(space, p) if p < space.n else None
         rows.append(row)
@@ -186,14 +176,9 @@ def weight_ledger(space: MatrixSpace) -> list[dict]:
 
 def generation_level_Sdet(space: MatrixSpace) -> int:
     """Generation level comb(n, 2) of the Hodge filtration on the
-    localization at the determinant: the largest of the per-stratum start
-    levels comb(n-p, 2), attained at p = 0."""
+    localization at the determinant: the largest start level in
+    `weight_ledger`, comb(n-p, 2) at p = 0."""
     _check_space(space)
     if not space.is_square:
         raise ValueError("the determinant localization needs m = n")
-    n = space.n
-    levels = [comb(n - p, 2) for p in range(n + 1)]
-    top = max(levels)
-    if not top == levels[0] == comb(n, 2):
-        raise RuntimeError(f"start levels {levels} do not peak at p = 0")
-    return top
+    return max(row["start_level"] for row in weight_ledger(space))

@@ -32,12 +32,14 @@ computed, so a cached `q_binomial` is packed once per width.
 
 The solver (`_solved_in_t`) works in t = q^2 on shifted unknowns g_i,
 where the system has no shifts, and sums each row's products as one
-`_packed_sum`. Both routes of `pushforward_DpY` build row i of a table
-as g_i * qbin(m-p, n-p) in t: the closed route along the diagonal of
-qbin(m-n, .), with no polynomial products, the solver route by one
-product per row. `LaurentPoly.to_json` and `DecompositionTable.to_json`
-write the text json.dumps would, from cached key templates
-(`JSON_KEY_BLOCK` exponents per block).
+`_packed_sum`. The closed form is one recurrence along the diagonal of
+qbin(m-n, .), `_closed_rows`, with no polynomial products: from 1 it
+gives the g_i of `closed_form_OYp`, from qbin(m-p, n-p) the closed rows
+of `pushforward_DpY`, whose solver rows are the g_i times qbin(m-p, n-p).
+`_table` takes every table's rows from t to q.
+`LaurentPoly.to_json` and `DecompositionTable.to_json` write the text
+json.dumps would, from cached key templates (`JSON_KEY_BLOCK` exponents
+per block).
 
 `q_binomial(a, b)` is built along its diagonal qbin(c+j, j), c = a-b,
 each diagonal once and in order, by checked divisions by 1 - q^j.
@@ -429,14 +431,9 @@ def solve_pushforward_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
             sum_{i=k}^p f_i(q) * q^((p-i)(m+n-p-i)) * qbin(n-k, i-k)@q^2
 
     by back-substitution from k = p down to k = 0 (`_solved_in_t`), each
-    g_i then taken back to q."""
+    g_i then taken back to q by `_table`."""
     _check_stratum(space, p)
-    m, n = space.m, space.n
-    f = {
-        k: _at_q_squared(g, -(p - k) * (m + n - p - k))
-        for k, g in _solved_in_t(space, p).items()
-    }
-    return DecompositionTable(space, p, f)
+    return _table(space, p, _solved_in_t(space, p), 0)
 
 
 def _solved_in_t(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
@@ -469,15 +466,10 @@ def _solved_in_t(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
 
 
 def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
-    """Closed form of the same table: f_i(q) =
-    q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2."""
+    """Closed form of the same table, f_i(q) = q^(-(m-n-p+i)(p-i)) *
+    qbin(m-n, p-i)@q^2: the g_i of `_closed_rows` from g_p = 1."""
     _check_stratum(space, p)
-    m, n = space.m, space.n
-    entries = {
-        i: _at_q_squared(q_binomial(m - n, p - i), -(m - n - p + i) * (p - i))
-        for i in range(p + 1)
-    }
-    return DecompositionTable(space, p, entries)
+    return _table(space, p, _closed_rows(space, p, _dense(0, (1,))), 0)
 
 
 def pushforward_prefactor(space: MatrixSpace, p: int) -> LaurentPoly:
@@ -498,33 +490,30 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
 
     the `pushforward_prefactor` times the table of the rank-p resolution's
     structure sheaf. Both routes build row i as g_i * qbin(m-p, n-p) in
-    t = q^2, and entry i is q^(-(n-p)(m-n) - (p-i)(m+n-p-i)) times row i
-    at t = q^2. Route "closed" builds the rows along their diagonal: row p
-    is the prefactor, and row i-1 is row i times
-    (1 - t^(m-n-p+i)) / (1 - t^(p-i+1)), each division checked to be
-    exact, until the factor 1 - t^0 makes the rest vanish. Route "solver"
-    solves the g_i with `_solved_in_t` and multiplies each by the
-    prefactor, which is packed once per slot width.
+    t = q^2, taken to q by `_table`: route "closed" by `_closed_rows` from
+    the top row qbin(m-p, n-p), route "solver" by multiplying each g_i of
+    `_solved_in_t` by qbin(m-p, n-p), which is packed once per slot width.
     """
     _check_stratum(space, p)
-    build = {"closed": _closed_rows, "solver": _solved_rows}.get(route)
-    if build is None:
+    m, n = space.m, space.n
+    prefactor = q_binomial(m - p, n - p)
+    if route == "closed":
+        rows = _closed_rows(space, p, prefactor)
+    elif route == "solver":
+        rows = {i: g * prefactor for i, g in _solved_in_t(space, p).items() if g._c}
+    else:
         raise ValueError(f"unknown route {route!r}; expected 'closed' or 'solver'")
-    m, n = space.m, space.n
-    entries = {
-        i: _at_q_squared(row, -(n - p) * (m - n) - (p - i) * (m + n - p - i))
-        for i, row in build(space, p).items()
-    }
-    return DecompositionTable(space, p, entries)
+    return _table(space, p, rows, -(n - p) * (m - n))
 
 
-def _closed_rows(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
-    """Each row g_i * qbin(m-p, n-p) of the rank-p table in t = q^2,
-    lowest exponent (p-i)(n-i), by the recurrence along the diagonal of
-    qbin(m-n, .)."""
+def _closed_rows(space: MatrixSpace, p: int, start: LaurentPoly) -> dict[int, LaurentPoly]:
+    """The rows g_i * start of the rank-p table in t = q^2 (start with a
+    nonzero constant term; row i from t^((p-i)(n-i))): row p is start,
+    and row i-1 is row i times (1 - t^(m-n-p+i)) / (1 - t^(p-i+1)), each
+    division checked to be exact, until the factor 1 - t^0 makes the
+    rest vanish."""
     m, n = space.m, space.n
-    row = q_binomial(m - p, n - p)
-    rows = {p: row}
+    row, rows = start, {p: start}
     for i in range(p, 0, -1):
         s = m - n - p + i
         if not s:
@@ -534,11 +523,12 @@ def _closed_rows(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
     return rows
 
 
-def _solved_rows(space: MatrixSpace, p: int) -> dict[int, LaurentPoly]:
-    """The rows of `_closed_rows` from the solved g_i in t, each times the
-    prefactor qbin(m-p, n-p)."""
-    prefactor = q_binomial(space.m - p, space.n - p)
-    return {i: g * prefactor for i, g in _solved_in_t(space, p).items() if g._c}
+def _table(space: MatrixSpace, p: int, rows: dict, shift: int) -> DecompositionTable:
+    """The rank-p table whose entry i is q^(shift - (p-i)(m+n-p-i)) times
+    row i at t = q^2."""
+    d = space.m + space.n - p
+    entries = {i: _at_q_squared(row, shift - (p - i) * (d - i)) for i, row in rows.items()}
+    return DecompositionTable(space, p, entries)
 
 
 def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
@@ -605,7 +595,12 @@ def pushforward_structure_checks(space: MatrixSpace, p: int) -> VerificationRepo
     module: (a) only summand indices i <= p occur; (b) the top degree of
     entry i is (n-p)(m-n) + (p-i)(m-n-p+i); (c) degree (n-i)(m-n) carries
     a nonzero multiplicity in entry i exactly when i = p."""
-    table = pushforward_DpY(space, p)
+    return _structure_checks(pushforward_DpY(space, p))
+
+
+def _structure_checks(table: DecompositionTable) -> VerificationReport:
+    """`pushforward_structure_checks` of a table already built."""
+    space, p = table.space, table.p
     m, n = space.m, space.n
     report = VerificationReport("pushforward-structure", {"m": m, "n": n, "p": p})
     for i in table.entries:

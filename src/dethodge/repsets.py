@@ -182,11 +182,14 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
 
 
 def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
-    """Inverse of decompose_weight: delta^p + mu^dual + (gamma padded)."""
+    """Inverse of decompose_weight: delta^p + mu^dual + (gamma padded),
+    for a partition gamma with at most p parts."""
     base = lambda_p_mu(p, mu, space)
     gamma = tuple(gamma)
     for part in gamma:
         _check_int("a part of gamma", part)
+    if len(gamma) > p or (gamma and not is_partition(gamma)):
+        raise ValueError(f"need a partition gamma with at most {p} parts")
     gamma += (0,) * (p - len(gamma))
     return tuple(b + (gamma[i] if i < p else 0) for i, b in enumerate(base))
 
@@ -228,10 +231,16 @@ def _partition_piece(n: int, tail_lo: dict[int, int]) -> tuple:
     return (*rows, (n - 1, 0, None, tail_lo.get(n - 1), None))
 
 
+def _hodge_ideal_exponents(n: int, k: int) -> tuple[int, ...]:
+    """The exponents (n-p)(k-1) - comb(n-p, 2), p = 1..n, of the symbolic
+    powers cutting out the k-th Hodge ideal; the one of p = n is 0."""
+    return tuple((n - p) * (k - 1) - comb(n - p, 2) for p in range(1, n + 1))
+
+
 def _hodge_ideal_pieces(s) -> list[tuple]:
-    # mu_p + ... + mu_n >= (n-p)(k-1) - comb(n-p, 2) for p = 1..n.
-    n, k = s.space.n, s.param
-    return [_partition_piece(n, {p - 1: (n - p) * (k - 1) - comb(n - p, 2) for p in range(1, n + 1)})]
+    # mu_p + ... + mu_n >= the exponent of p, for p = 1..n.
+    n = s.space.n
+    return [_partition_piece(n, dict(enumerate(_hodge_ideal_exponents(n, s.param))))]
 
 
 class _Spec(NamedTuple):

@@ -18,12 +18,7 @@ from .mhmweights import (
     square_start_levels_consistency,
 )
 from .oracle import RankConstrainedSampler, dcep_cross_validation_upto
-from .qseries import (
-    closed_form_OYp,
-    pushforward_structure_checks,
-    qbinomial_identity_verdicts,
-    solve_pushforward_OYp,
-)
+from .qseries import _structure_checks, pushforward_DpY, qbinomial_identity_verdicts
 from .reporting import VerificationReport
 from .weights import partitions_of
 
@@ -57,16 +52,17 @@ def qidentity() -> list[VerificationReport]:
 
 
 def decomposition(spaces) -> list[VerificationReport]:
-    """The solver against the closed form, as one report, then the
-    structure checks of every table."""
+    """The solver route of the `dethodge decompose` table against its
+    closed route, as one report, then the structure checks of every table."""
     reports = []
     solver_report = VerificationReport("solver-vs-closed-form", {})
     for space in spaces:
         for p in range(space.n + 1):
+            closed = pushforward_DpY(space, p)
             solver_report.checks += 1
-            if solve_pushforward_OYp(space, p) != closed_form_OYp(space, p):
+            if pushforward_DpY(space, p, "solver") != closed:
                 solver_report.add_failure(m=space.m, n=space.n, p=p)
-            reports.append(pushforward_structure_checks(space, p))
+            reports.append(_structure_checks(closed))
     return [solver_report] + reports
 
 

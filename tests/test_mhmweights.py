@@ -1,9 +1,12 @@
+import json
 from math import comb
 
 import pytest
 
+from dethodge.cli import main
 from dethodge.matrixspace import MatrixSpace, codim_stratum, dim_stratum
 from dethodge.mhmweights import (
+    _twist,
     filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
@@ -181,16 +184,41 @@ def test_filtration_support_fails_at_the_boundary_of_a_shifted_core(monkeypatch,
     assert report.checks == (n + 1) * (kmax + 1)
 
 
-def test_ledger_invariants_raise_when_broken(monkeypatch):
-    # The identities are checked with explicit raises, which `python -O`
-    # keeps; a wrong stratum dimension must trip them.
+def test_twist_matches_the_closed_forms():
+    # The twist, and the weight d_p - 2k it gives, against the paper's
+    # closed forms: k_p, w_p for square spaces and k'_p, w'_p for m > n.
+    for m in range(1, 13):
+        for n in range(1, m + 1):
+            space = MatrixSpace(m, n)
+            for p in range(n + 1):
+                k = _twist(space, p)
+                w = dim_stratum(space, p) - 2 * k
+                if m == n:
+                    assert (k, w) == (-comb(n - p + 1, 2), n * n + n - p)
+                    assert square_weight_layer(space, p) == (w, k)
+                else:
+                    assert k == -comb(n - p + 1, 2) - (n - p) * (m - n)
+                    assert w == m * n + (n - p) * (m - n + 1)
+                    assert local_cohomology_weight(space, p) == (w, k)
+
+
+def test_a_broken_stratum_dimension_fails_the_weights_suite(monkeypatch, capsys):
+    # The ledger's identities are checks the suite records, not raises: a
+    # wrong stratum dimension makes `verify weights` exit 1 with the
+    # square ledgers and the local ledger failed, and no traceback.
     import dethodge.mhmweights as mhm
 
     monkeypatch.setattr(mhm, "dim_stratum", lambda space, p: -1)
-    with pytest.raises(RuntimeError):
-        square_weight_layer(MatrixSpace(3, 3), 1)
-    with pytest.raises(RuntimeError):
-        local_cohomology_weight(MatrixSpace(4, 2), 1)
-    monkeypatch.setattr(mhm, "comb", lambda a, b: -a)
-    with pytest.raises(RuntimeError):
-        generation_level_Sdet(MatrixSpace(3, 3))
+    code = main(["verify", "weights", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert payload["ok"] is False
+    failed = [report for report in payload["reports"] if not report["ok"]]
+    assert [report["name"] for report in failed] == [
+        "square-weight-ledger"
+    ] * 8 + ["local-cohomology-weights"]
+    for report in failed[:8]:
+        assert {f["check"] for f in report["failures"]} == {"weight-step"}
+    assert {f["check"] for f in failed[8]["failures"]} == {"degree-identity"}

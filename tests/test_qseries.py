@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dethodge import qseries, suites
+from dethodge.cli import main
 from dethodge.matrixspace import MatrixSpace, dim_stratum
 from dethodge.qseries import (
     SCHOOLBOOK_BELOW,
@@ -794,6 +795,51 @@ def test_solver_matches_closed_form_40x20():
     space = MatrixSpace(40, 20)
     for p in range(space.n + 1):
         assert solve_pushforward_OYp(space, p) == closed_form_OYp(space, p), p
+
+
+def direct_entry(space, p, i):
+    """Oracle: q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2, the direct
+    closed form of entry i of the structure sheaf's table, as a sparse
+    dict."""
+    m, n = space.m, space.n
+    return shifted(at_q_squared(q_binomial(m - n, p - i)), -(m - n - p + i) * (p - i))
+
+
+def test_tables_match_the_direct_formula():
+    # Every table the package serves against the direct closed form, and
+    # the D_pY tables against it times q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2.
+    for m in range(1, 10):
+        for n in range(1, min(m, 6) + 1):
+            space = MatrixSpace(m, n)
+            for p in range(n + 1):
+                direct = {i: f for i in range(p + 1) if (f := direct_entry(space, p, i))}
+                assert {i: sparse(f) for i, f in closed_form_OYp(space, p).entries.items()} == direct
+                pre = shifted(at_q_squared(q_binomial(m - p, n - p)), -(n - p) * (m - n))
+                expected = {i: ref_mul(pre, f) for i, f in direct.items()}
+                for route in ("closed", "solver"):
+                    table = pushforward_DpY(space, p, route)
+                    assert {i: sparse(f) for i, f in table.entries.items()} == expected
+
+
+def test_a_wrong_closed_coefficient_fails_verify_decomposition(monkeypatch, capsys):
+    # One coefficient too many in entry 0 of the closed route: the solver
+    # route disagrees, and `verify decomposition` records it.
+    original = qseries._closed_rows
+
+    def bumped(*args):
+        rows = original(*args)
+        if 0 in rows:
+            row, e = rows[0], lowest(rows[0]) + 1
+            rows[0] = LaurentPoly({**sparse(row), e: row.coefficient(e) + 1})
+        return rows
+
+    monkeypatch.setattr(qseries, "_closed_rows", bumped)
+    code = main(["verify", "decomposition", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    solver = payload["reports"][0]
+    assert solver["name"] == "solver-vs-closed-form"
+    assert not solver["ok"]
 
 
 def test_pushforward_routes_agree():

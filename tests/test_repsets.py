@@ -226,6 +226,15 @@ def test_decompose_weight_examples():
         decompose_weight((0, 0, 0), 1, space)
 
 
+def test_compose_weight_refuses_what_decompose_weight_never_returns():
+    space = MatrixSpace(3, 3)
+    with pytest.raises(ValueError, match="at most 1 parts"):
+        compose_weight((1,), (1, 2, 3), 1, space)  # more than p parts
+    with pytest.raises(ValueError, match="at most 2 parts"):
+        compose_weight((), (0, 5), 2, space)  # not a partition
+    assert compose_weight((), (5, 0), 2, space) == (4, -1, -1)
+
+
 def test_decompose_weight_round_trip():
     space = MatrixSpace(3, 3)
     for lam in WeightBox(3, 6):

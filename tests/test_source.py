@@ -3,9 +3,9 @@ never asserted (``python -O`` drops asserts); no import sits inside a
 function, where it could hide an import cycle; every absolute import is
 from the standard library, so the package has no runtime dependencies;
 and every random draw comes from a seeded generator, so every run can be
-replayed. Every dotted name a module docstring quotes in single or
-double backticks must exist, so the docstrings cannot drift from the
-code they describe. Importing the package loads none of the modules
+replayed. Every dotted name that a docstring of a module, class or
+function quotes in single or double backticks must exist, so the
+docstrings cannot drift from the code they describe. Importing the package loads none of the modules
 that ``dataclasses`` would bring in. Every public method or property of
 ``LaurentPoly`` is read somewhere in the package outside its class, so
 the tables' row type grows no API that only the tests use. Every slot
@@ -13,6 +13,7 @@ width of a packed product is sized by ``qseries._slot_bound``, so no
 second width rule grows beside it."""
 
 import ast
+import builtins
 import importlib
 import json
 import re
@@ -96,31 +97,73 @@ def unseeded_draws(tree):
 DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
-def unresolved_doc_names(module, package="dethodge"):
-    """Every name in single or double backticks in the module's docstring
-    that is neither an attribute (chain) of the module nor ``module.attr``
-    in the package; quoted text that is not a dotted name, such as a
-    command line, is not a name."""
-    found = []
-    for _, text in re.findall(r"(`{1,2})([^`]+)\1", module.__doc__ or ""):
-        if not DOTTED_NAME.fullmatch(text):
+def _params(node):
+    """The parameter names of a function node."""
+    args = node.args
+    extra = [arg for arg in (args.vararg, args.kwarg) if arg]
+    return {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, *extra]}
+
+
+def _documented(body, owner, cls=None, cls_params=frozenset()):
+    """Each class and function node under `body`, with the names its
+    docstring may use bare (a function's parameters, and the __init__
+    parameters of its class) and the class object it sits in or is."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            obj = getattr(owner, node.name, None)
+            inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            params = _params(inits[0]) if inits else set()
+            yield node, params, obj
+            yield from _documented(node.body, obj, obj, params)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, _params(node) | cls_params, cls
+            yield from _documented(node.body, None, cls, cls_params)
+
+
+MISSING = object()
+
+
+def _lookup(head, cls, module, package):
+    """What the first part of a quoted dotted name stands for: an attribute
+    of the class, then of the module, then a module of the package, a
+    builtin or a standard-library module; MISSING if none."""
+    for scope in (cls, module):
+        if scope is not None and hasattr(scope, head):
+            return getattr(scope, head)
+    candidates = [package if head == package else f"{package}.{head}"]
+    if hasattr(builtins, head):
+        return getattr(builtins, head)
+    if head in sys.stdlib_module_names:
+        candidates.append(head)
+    for name in candidates:
+        try:
+            return importlib.import_module(name)
+        except ImportError:
             continue
-        head, *rest = text.split(".")
-        if hasattr(module, head):
-            target = getattr(module, head)
-        elif head == package:
-            target = importlib.import_module(package)
-        else:
-            try:
-                target = importlib.import_module(f"{package}.{head}")
-            except ImportError:
-                found.append(text)
+    return MISSING
+
+
+def unresolved_doc_names(module, source, package="dethodge"):
+    """Every name in single or double backticks in a docstring of the
+    module, or of a class or function in its source, that resolves to
+    nothing: a bare parameter name of the function (or of its class's
+    __init__) resolves, else the name is an attribute chain of what
+    `_lookup` finds for its first part. Quoted text that is not a dotted
+    name, such as a command line, is not a name."""
+    tree = ast.parse(source)
+    found = []
+    for node, params, cls in [(tree, set(), None), *_documented(tree.body, module)]:
+        for _, text in re.findall(r"(`{1,2})([^`]+)\1", ast.get_docstring(node) or ""):
+            if not DOTTED_NAME.fullmatch(text):
                 continue
-        for attr in rest:
-            if not hasattr(target, attr):
+            head, *rest = text.split(".")
+            if head in params:
+                continue
+            target = _lookup(head, cls, module, package)
+            for attr in rest:
+                target = getattr(target, attr, MISSING)
+            if target is MISSING:
                 found.append(text)
-                break
-            target = getattr(target, attr)
     return found
 
 
@@ -203,17 +246,33 @@ def test_the_lint_finds_what_it_looks_for():
         (11, "import random as r"),
     ]
     assert unseeded_draws(ast.parse("import random\nrng = random.Random(7)\n")) == []
-    module = type(sys)("fake", (
-        "``WeightBox`` ``WeightBox.count`` ``repsets.WeightSet.descriptor``\n"
+    source = (
+        '"""``WeightBox`` ``WeightBox.count`` ``repsets.WeightSet.descriptor``\n'
         "``python -m dethodge`` ``dethodge`` ``nope`` ``qseries.nope``\n"
         "``nomodule.f`` ``WeightBox.nope``\n"
         "`WeightBox.count` `oracle.line_vanishing_order` `verify oracle`\n"
-        "`gone` `oracle.symbolic_membership`"
-    ))
-    module.WeightBox = importlib.import_module("dethodge.weights").WeightBox
-    assert unresolved_doc_names(module) == [
+        '`gone` `oracle.symbolic_membership`"""\n'
+        "from dethodge.weights import WeightBox\n"
+        "def f(space, *rows, **options):\n"
+        '    """`space.m` `rows` `options` `len` `math.comb` `json.nope`\n'
+        '    `f` `qseries._solved_rows` `g` `used`"""\n'
+        "class Row:\n"
+        '    """`Row.used` `width` `used` `size`"""\n'
+        "    def __init__(self, width): ...\n"
+        "    def used(self, depth):\n"
+        '        """`self.used` `width` `depth` `used` `Row` `height`"""\n'
+        "        def inner(x):\n"
+        '            """`x` `depth` `width` `WeightBox.count`"""\n'
+    )
+    module = type(sys)("fake")
+    exec(source, module.__dict__)
+    assert unresolved_doc_names(module, source) == [
         "nope", "qseries.nope", "nomodule.f", "WeightBox.nope",
         "gone", "oracle.symbolic_membership",
+        "json.nope", "qseries._solved_rows", "g", "used",
+        "size",
+        "height",
+        "depth",
     ]
     row = ast.parse(
         "class Row:\n"
@@ -261,7 +320,7 @@ def test_docstring_names_resolve():
     found = {}
     for path in SOURCES:
         name = "dethodge" if path.stem == "__init__" else f"dethodge.{path.stem}"
-        if hits := unresolved_doc_names(importlib.import_module(name)):
+        if hits := unresolved_doc_names(importlib.import_module(name), path.read_text()):
             found[path.name] = hits
     assert not found, f"docstring names that do not resolve: {found}"
 
