@@ -71,6 +71,7 @@ from .repsets import (
     in_Ukp,
     in_Wp,
     in_Wpd,
+    lambda_of_p,
     lambda_p_mu,
     minimal_elements,
     parse_weight_set,
@@ -82,7 +83,6 @@ from .weights import (
     dual,
     is_dominant,
     is_partition,
-    lambda_of_p,
     leq,
     pad,
     partitions_of,

@@ -18,18 +18,17 @@ boxes:
   weights of its minimal generators;
 * ``verify_equivalence``: the exhaustive confrontation, walking each
   weight box once for all the levels k it checks. Both descriptions are
-  thresholds in k, so each weight's filtration level
-  (``repsets._Fk_level``, the least k with the weight in F_k) and each
-  partition's Hodge-ideal level (``repsets._hodge_ideal_level``, the
-  largest k with the partition in I_k) is computed once and compared
-  with every k.
+  thresholds in k, so each weight's filtration level (the least k with
+  it in F_k) and each partition's Hodge-ideal level (the largest k with
+  it in I_k) is solved once from the rows, by
+  ``repsets._parameter_interval``, and compared with every k.
 
 GL-stable ideals are identified with their sets of dominant weights, so
 all ideal arithmetic here is predicate arithmetic on partitions. The sets
 themselves, I_k, J_p^(d) and F_k among them, are ``repsets.WeightSet``
 kinds: ``in_hodge_ideal`` and ``in_Fk_Sdet`` are membership tests of a
-``WeightSet``, and ``in_symbolic_power`` calls the J_p^(d) core on every
-m x n space. ``grF_Dp_layer`` names the weight support of a
+``WeightSet``, and ``in_symbolic_power`` solves the J_p^(d) rows on
+every m x n space. ``grF_Dp_layer`` names the weight support of a
 Hodge-graded piece of a simple module. The polynomial-level ground truth
 lives in the oracle module.
 """
@@ -42,9 +41,7 @@ from math import comb
 
 from .matrixspace import MatrixSpace, _check_int, _check_space
 from .reporting import VerificationReport
-from .repsets import (
-    WeightSet, _Fk_level, _hodge_ideal_exponents, _hodge_ideal_level, _in_symbolic_power
-)
+from .repsets import WeightSet, _hodge_ideal_exponents, _parameter_interval, _rows
 from .weights import WeightBox, check_weight, dominant_tuples
 
 
@@ -61,7 +58,7 @@ def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
         raise ValueError(f"minor size p={p} outside 1..{space.n}")
     if mu[-1] < 0:
         raise ValueError("symbolic powers live in the polynomial ring; need a partition")
-    return _in_symbolic_power(mu, p, d)
+    return d <= _parameter_interval(_rows("SymbolicPower", space, p), mu)[1]
 
 
 def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
@@ -71,7 +68,7 @@ def hodge_ideal_exponents(k: int, space: MatrixSpace) -> tuple[int, ...]:
     _check_int("k", k)
     if k < 0:
         raise ValueError("Hodge ideals are indexed by k >= 0")
-    return _hodge_ideal_exponents(space.n, k)[:-1]
+    return _hodge_ideal_exponents(space, k)[:-1]
 
 
 def in_hodge_ideal(mu, k: int, space: MatrixSpace) -> bool:
@@ -113,7 +110,7 @@ def minimal_generators(k: int, space: MatrixSpace) -> list[tuple[int, ...]]:
         raise ValueError("the determinant hypersurface needs a square space")
     hodge_ideal_exponents(k, space)  # refuses a k that is not an int >= 0
     n = space.n
-    bounds = _hodge_ideal_exponents(n, k)
+    bounds = _hodge_ideal_exponents(space, k)
     generators = []
     # Each entry tries one part at 0-based position i, ahead of suffix (the
     # parts after it, summing to tail); is_open is the flag for position
@@ -161,21 +158,21 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
 
     The box is walked once for every k, and each weight is decided once
     on each side. Its filtration level, the least k with the weight in
-    U^p_k for its own stratum p, comes from the F_k core `_Fk_level`,
-    the one that `in_Fk_Sdet` calls. Its tail sums fold the family into
-    one slack,
+    U^p_k for its own stratum p, is the least end of the interval that
+    `repsets._parameter_interval` solves from F_k's rows, the rows that
+    `in_Fk_Sdet` reads. Its tail sums fold the family into one slack,
     min_s (lam_{s+1} + ... + lam_n + comb(n-s+1, 2)), so the family holds
     at level k exactly when k >= -slack. Both sides are thresholds in k,
     so where the level equals -slack they agree at every k, and only the
     other weights are compared level by level: the skip is exact. On the
     partition side, Hodge-ideal membership is a threshold in k too: each
-    partition's `_hodge_ideal_level`, the largest k with mu in I_k, is
-    computed once and compared with every k. The filtration side reads
-    the level of translate(mu, k) from the walk, and classifies it on its
-    own only when it lies outside the box, which needs k + 1 > bound.
-    A k that is not an int, or is negative, is refused before the walk.
-    Each report lists its box failures first, then its partition
-    failures."""
+    partition's level, the largest k with mu in I_k, is the greatest end
+    of the interval solved from I_k's rows, computed once and compared
+    with every k. The filtration side reads the level of the translate
+    mu - ((k+1)^n) from the walk, and solves it on its own only when it
+    lies outside the box, which needs k + 1 > bound. A k that is not an
+    int, or is negative, is refused before the walk. Each report lists
+    its box failures first, then its partition failures."""
     _check_space(space)
     if not space.is_square:
         raise ValueError("the localization at the determinant needs a square space")
@@ -193,9 +190,11 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     # comb(n-s+1, 2) for s = n-1 down to 0, in step with the tail sums
     # accumulated from lam_n leftwards.
     offsets = [comb(n - s + 1, 2) for s in range(n - 1, -1, -1)]
+    filtration_rows = _rows("FkSdet", space, None)
+    ideal_rows = _rows("HodgeIdeal", space, None)
     levels = {}
     for lam in box:
-        level = levels[lam] = _Fk_level(lam, space)
+        level = levels[lam] = _parameter_interval(filtration_rows, lam)[0]
         slack = min(map(operator.add, accumulate(reversed(lam)), offsets))
         if level == -slack:
             continue
@@ -204,13 +203,14 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
             if lhs != rhs:
                 report.add_failure(weight=lam, filtration=lhs, inequalities=rhs)
     for mu in dominant_tuples(n, 0, bound):
-        ideal_level = _hodge_ideal_level(mu, n)
+        ideal_level = _parameter_interval(ideal_rows, mu)[1]
         for k, report in zip(ks, reports):
             ideal = k <= ideal_level
-            lam = translate(mu, k)
+            # translate(mu, k), its k already checked
+            lam = tuple(x - k - 1 for x in mu)
             level = levels.get(lam)
             if level is None:
-                level = _Fk_level(lam, space)
+                level = _parameter_interval(filtration_rows, lam)[0]
             filt = k >= level
             report.checks += 1
             if ideal != filt:

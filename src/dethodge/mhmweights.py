@@ -22,7 +22,7 @@ from .matrixspace import (
     local_cohomology_degree,
 )
 from .reporting import VerificationReport
-from .repsets import _Ukp_level
+from .repsets import _parameter_interval, _rows
 from .weights import delta_p
 
 
@@ -125,7 +125,8 @@ def filtration_support_check(space: MatrixSpace, kmax: int, box: int) -> Verific
     )
     for p in range(n + 1):
         threshold = (n - p) ** 2
-        level = _Ukp_level(delta_p(p, space), p, space) - _twist(space, p)
+        rows = _rows("Ukp", space, p)
+        level = _parameter_interval(rows, delta_p(p, space))[0] - _twist(space, p)
         for k in range(kmax + 1):
             expected = k >= threshold
             observed = k >= level

@@ -60,7 +60,7 @@ from math import comb, factorial, inf
 
 from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum
 from .reporting import VerificationReport
-from .repsets import _in_symbolic_power
+from .repsets import _parameter_interval, _rows
 from .weights import check_weight
 
 
@@ -285,6 +285,7 @@ def dcep_cross_validation_upto(
         raise ValueError("the weight-set membership criterion is stated for m = n")
     # One sampler at rank p-1 for every partition, so all read its lines.
     s = _line_sampler(space, p, sampler, trials)
+    rows = _rows("SymbolicPower", space, p)
     ds = range(1, dmax + 1)
     reports = [
         VerificationReport(
@@ -300,8 +301,9 @@ def dcep_cross_validation_upto(
         # Validated once here; the predicate and the line test take it as it is.
         lam = _line_test_partition(lam, space, s)
         order = _line_order(lam, s, trials)
+        level = _parameter_interval(rows, lam)[1]  # the largest d with lam in J_p^(d)
         for report, d in zip(reports, ds):
-            member = _in_symbolic_power(lam, p, d)
+            member = d <= level
             got = order >= d
             report.checks += 1
             if got != member:

@@ -6,30 +6,27 @@ every GL-stable ideal of the polynomial ring, is pinned down by its set
 of dominant weights. A ``WeightSet`` names one: a stratum support W^p, a
 layer W^p_d, a filtration set U^p_k, the empty set, a symbolic power
 J_p^(d), a Hodge ideal I_k or a Hodge filtration level F_k. One table,
-``_SPECS``, holds what each kind takes, how its descriptor reads, its
-membership core and its pieces; ``parse_weight_set`` reads the
-descriptors back.
+``_SPECS``, holds what each kind takes, how its descriptor reads and
+its rows; ``parse_weight_set`` reads the descriptors back.
 
-Each kind has one membership path: ``WeightSet`` checks its parameters
-when built, ``WeightSet.contains`` checks the weight, and the kind's core
-checks nothing. Each kind is also cut out by rows, bounds on single
-entries and on tail sums lam_i + ... + lam_n: one piece of rows, or for
-F_k the n+1 disjoint pieces U^p_k. ``WeightSet.members`` walks those rows
-with ``weights._decreasing_runs``, optionally at one size or at the sizes
-in a closed interval, and tests no member; ``characters.hilbert_series``
-sums the same walk's runs. The public predicates are ``WeightSet``
-calls:
+Each kind is defined once, by rows: bounds on single entries and on
+tail sums lam_i + ... + lam_n, in one piece, or for F_k in the n+1
+pieces U^p_k, disjoint by their W^p rows. The tail bounds are affine in
+the kind's parameter, and one reader, ``_parameter_interval``, solves a
+weight's rows for the interval of parameters at which it is a member:
+``WeightSet.contains`` and every level read it. ``WeightSet.members``
+walks the rows at the parameter with ``weights._decreasing_runs``, and
+``characters.hilbert_series`` sums that walk's runs; neither tests a
+member. The public predicates are ``WeightSet`` calls:
 
-* ``in_Wp``: the support W^p of the simple module of the rank-p stratum;
+* ``in_Wp``: the support W^p of the simple module of the rank-p stratum,
+  and ``classify``, the stratum whose W^p rows admit a weight;
 * ``in_Wpd``: its layer W^p_d cut out by the tail sum -d - c_p;
-* ``in_Ukp``: the filtration sets U^p_k of the square case. They grow
-  with k, so membership is a threshold: ``_Ukp_level`` is the least k
-  with lam in U^p_k (infinite off W^p), and ``_Fk_level`` the least k
-  with lam in F_k, the U^p_k level for the stratum p of lam;
+* ``in_Ukp``: the filtration sets U^p_k of the square case;
 * ``minimal_elements`` / ``lambda_p_mu``: the finitely many minimal
   members of a layer, indexed by partitions;
-* ``decompose_weight``: head/tail coordinates of a weight relative to its
-  stratum, inverse to building it from a minimal element.
+* ``decompose_weight`` and ``lambda_of_p``: head/tail coordinates of a
+  weight relative to its stratum, and its embedding into length m.
 
 The Hodge-ideal theory behind I_k and F_k lives in the hodgeideals module.
 """
@@ -37,7 +34,7 @@ The Hodge-ideal theory behind I_k and F_k lives in the hodgeideals module.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from functools import lru_cache
 from math import comb, inf
 from typing import Callable, NamedTuple
 
@@ -45,7 +42,6 @@ from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum, 
 from .weights import (
     _check_total,
     _decreasing_runs,
-    _wp_member,
     check_weight,
     is_partition,
     partitions_of,
@@ -64,24 +60,15 @@ def classify(lam, space: MatrixSpace):
 
     For square spaces the supports partition the dominant weights and the
     unique index is returned as an int. For m > n there is no such
-    statement, so the full (possibly empty) list of matching indices is
-    returned instead.
-    """
+    statement, and at most one index matches: the list of matching
+    indices is returned instead."""
     _check_space(space)
-    return _classify(check_weight(lam, space.n), space)
-
-
-def _classify(lam: tuple[int, ...], space: MatrixSpace):
-    # classify for a tuple already known to be dominant of length n. As
-    # lam_i - i strictly decreases, lam is in W^p exactly when b <= p <= a,
-    # for a = #{i : lam_i >= i-n} and b = #{i : lam_i >= i-m} >= a; and
-    # b = a unless lam_(a+1) >= a+1-m.
-    n, a = space.n, 0
-    while a < n and lam[a] > a - n:
-        a += 1
-    if space.is_square:
-        return a
-    return [] if a < n and lam[a] > a - space.m else [a]
+    lam = check_weight(lam, space.n)
+    for p in range(space.n + 1):
+        # W^p takes no parameter: its interval is everything or empty.
+        if _parameter_interval(_rows("Wp", space, p), lam)[0] < inf:
+            return p if space.is_square else [p]
+    return []
 
 
 def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:
@@ -90,51 +77,10 @@ def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:
     return WeightSet(space, "Wpd", p, d).contains(lam)
 
 
-def _wpd_member(lam: tuple[int, ...], p: int, d: int, space: MatrixSpace) -> bool:
-    """`in_Wpd` for a dominant lam of length n, p in 0..n and d >= 0."""
-    # -d - c_p, with c_p = (m-p)(n-p) the codimension of the stratum
-    return _wp_member(lam, p, space) and sum(lam[p:]) == -d - (space.m - p) * (space.n - p)
-
-
 def in_Ukp(lam, p: int, k: int, space: MatrixSpace) -> bool:
     """Membership in U^p_k (square spaces only): lam_p >= p-n >= lam_{p+1}
     together with lam_{p+1} + ... + lam_n >= -comb(n-p+1, 2) - k."""
     return WeightSet(space, "Ukp", p, k).contains(lam)
-
-
-def _Ukp_level(lam: tuple[int, ...], p: int, space: MatrixSpace) -> int | float:
-    """The least k with lam in U^p_k, -(lam_{p+1} + ... + lam_n) -
-    comb(n-p+1, 2), or inf when lam is not in W^p; for a square space,
-    p in 0..n and a tuple already known to be dominant of length n."""
-    if not _wp_member(lam, p, space):
-        return inf
-    return -sum(lam[p:]) - comb(space.n - p + 1, 2)
-
-
-def _Fk_level(lam: tuple[int, ...], space: MatrixSpace) -> int:
-    """The least k with lam in F_k, the U^p_k level for the stratum p of
-    lam, read without a second W^p test; for a square space and a tuple
-    already known to be dominant of length n."""
-    p = _classify(lam, space)
-    return -sum(lam[p:]) - comb(space.n - p + 1, 2)
-
-
-def _in_symbolic_power(mu: tuple[int, ...], p: int, d: int) -> bool:
-    """Membership of a partition mu in J_p^(d), for p in 1..n:
-    mu_p + ... + mu_n >= d, with d <= 0 the unit ideal."""
-    return d <= 0 or sum(mu[p - 1:]) >= d
-
-
-def _hodge_ideal_level(mu: tuple[int, ...], n: int) -> int | float:
-    """The largest k with the partition mu (of length n) in the k-th Hodge
-    ideal, or inf when n = 1: the tail inequality of p < n reads
-    (n-p)*(k-1) <= T_p + comb(n-p, 2), with T_p = mu_p + ... + mu_n, and
-    holds exactly for k <= 1 + (T_p + comb(n-p, 2)) // (n-p). Its right
-    side grows with k, so I_k shrinks as k grows and membership is the
-    threshold k <= level; the p = n inequality always holds."""
-    # T_p for p = n down to 1, paired with j = n - p.
-    tails = enumerate(accumulate(reversed(mu)))
-    return min((1 + (t + comb(j, 2)) // j for j, t in tails if j), default=inf)
 
 
 def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:
@@ -172,13 +118,29 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
     _check_stratum(space, p)
     n, m = space.n, space.m
     lam = check_weight(lam, n)
-    if not _wp_member(lam, p, space):
+    if not in_Wp(lam, p, space):
         raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
     mu = tuple((p - m) - lam[n - i] for i in range(1, n - p + 1))
     gamma = tuple(lam[i] - (p - n) for i in range(p))
     if (mu and not is_partition(mu)) or (gamma and not is_partition(gamma)):
         raise RuntimeError(f"{lam} split into non-partitions mu={mu}, gamma={gamma}")
     return mu, gamma
+
+
+def lambda_of_p(lam, p: int, space: MatrixSpace) -> tuple[int, ...]:
+    """Embed a length-n weight of the rank-p support into length m:
+
+        (lam_1, ..., lam_p, (p-n)^(m-n), lam_{p+1}+(m-n), ..., lam_n+(m-n))
+
+    The result is dominant exactly when lam belongs to the rank-p weight
+    set, which is required. For square spaces the map is the identity.
+    """
+    _check_stratum(space, p)
+    lam = check_weight(lam, space.n)
+    if not in_Wp(lam, p, space):
+        raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
+    shift = space.m - space.n
+    return lam[:p] + ((p - space.n),) * shift + tuple(x + shift for x in lam[p:])
 
 
 def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
@@ -195,52 +157,48 @@ def compose_weight(mu, gamma, p: int, space: MatrixSpace) -> tuple[int, ...]:
 
 
 def _wp_piece(space: MatrixSpace, p: int, tail_lo=None, tail_hi=None) -> tuple:
-    """The rows of W^p, lam_p >= p-n and lam_{p+1} <= p-m, with tail rows
-    tail_lo <= lam_{p+1} + ... + lam_n <= tail_hi (p < n), as one piece of
-    `weights._decreasing_runs`: rows (i, entry_lo, entry_hi, tail_lo,
-    tail_hi) at 0-based positions i, None being no bound. The tail of
-    p = n is empty, so a kind decides its rows there itself."""
+    """The rows of W^p, lam_p >= p-n and lam_{p+1} <= p-m, with the tail
+    rows tail_lo <= lam_{p+1} + ... + lam_n <= tail_hi, as one piece:
+    rows (i, entry_lo, entry_hi, tail_lo, tail_hi) at 0-based positions
+    i in 0..n, None being no bound and a tail bound (const, slope) being
+    const + slope*x in the kind's parameter x. A row at n bounds the
+    empty tail of p = n."""
     head = ((p - 1, p - space.n, None, None, None),) if p > 0 else ()
-    if p == space.n:
+    if p == space.n and tail_lo is None and tail_hi is None:
         return head
-    return (*head, (p, None, p - space.m, tail_lo, tail_hi))
+    return (*head, (p, None, p - space.m if p < space.n else None, tail_lo, tail_hi))
 
 
-def _ukp_pieces(space: MatrixSpace, p: int, k: int) -> list[tuple]:
-    # W^p with lam_{p+1} + ... + lam_n >= -comb(n-p+1, 2) - k; at p = n
-    # the tail is empty and that row reads 0 >= -1 - k.
-    tail = -comb(space.n - p + 1, 2) - k
-    if p == space.n:
-        return [_wp_piece(space, p)] if tail <= 0 else []
-    return [_wp_piece(space, p, tail)]
+def _ukp_pieces(space: MatrixSpace, p: int) -> list[tuple]:
+    # W^p with lam_{p+1} + ... + lam_n >= -comb(n-p+1, 2) - k.
+    return [_wp_piece(space, p, (-comb(space.n - p + 1, 2), -1))]
 
 
-def _wpd_pieces(s) -> list[tuple]:
-    # W^p with lam_{p+1} + ... + lam_n = -d - c_p; at p = n that reads
-    # 0 = -d.
-    space, p = s.space, s.p
-    tail = -s.param - (space.m - p) * (space.n - p)
-    if p == space.n:
-        return [_wp_piece(space, p)] if tail == 0 else []
+def _wpd_pieces(space: MatrixSpace, p: int) -> list[tuple]:
+    # W^p with lam_{p+1} + ... + lam_n = -d - c_p.
+    tail = (-(space.m - p) * (space.n - p), -1)
     return [_wp_piece(space, p, tail, tail)]
 
 
-def _partition_piece(n: int, tail_lo: dict[int, int]) -> tuple:
+def _partition_piece(n: int, tail_lo: dict) -> tuple:
     # lam_n >= 0, and lam_{i+1} + ... + lam_n >= tail_lo[i] (0-based i).
     rows = [(i, None, None, tail_lo.get(i), None) for i in range(n - 1) if i in tail_lo]
     return (*rows, (n - 1, 0, None, tail_lo.get(n - 1), None))
 
 
-def _hodge_ideal_exponents(n: int, k: int) -> tuple[int, ...]:
+def _hodge_ideal_pieces(space: MatrixSpace, _) -> list[tuple]:
+    # mu_q + ... + mu_n >= (n-q)(k-1) - comb(n-q, 2) = (n-q)k - comb(n-q+1, 2)
+    # for q = 1..n, at 0-based position q-1.
+    n = space.n
+    return [_partition_piece(n, {q - 1: (-comb(n - q + 1, 2), n - q) for q in range(1, n + 1)})]
+
+
+def _hodge_ideal_exponents(space: MatrixSpace, k: int) -> tuple[int, ...]:
     """The exponents (n-p)(k-1) - comb(n-p, 2), p = 1..n, of the symbolic
-    powers cutting out the k-th Hodge ideal; the one of p = n is 0."""
-    return tuple((n - p) * (k - 1) - comb(n - p, 2) for p in range(1, n + 1))
-
-
-def _hodge_ideal_pieces(s) -> list[tuple]:
-    # mu_p + ... + mu_n >= the exponent of p, for p = 1..n.
-    n = s.space.n
-    return [_partition_piece(n, dict(enumerate(_hodge_ideal_exponents(n, s.param))))]
+    powers cutting out the k-th Hodge ideal, read off I_k's rows at k; the
+    one of p = n is 0."""
+    [piece] = _rows("HodgeIdeal", space, None)
+    return tuple(const + slope * k for _, _, _, (const, slope), _ in piece)
 
 
 class _Spec(NamedTuple):
@@ -251,38 +209,83 @@ class _Spec(NamedTuple):
     param_min: float | None  # lower bound on the parameter; None: takes none
     partitions_only: bool
     keywords: bool  # descriptor written "Ik(n=2,k=3)" rather than "Wp(3,2,1)"
-    core: Callable  # (lam, weight_set) -> bool, for a lam already checked
-    pieces: Callable  # weight_set -> its disjoint pieces, rows as in _wp_piece
+    # (space, p) -> the kind's pieces of rows, tail bounds affine in the
+    # parameter, as `_parameter_interval` reads them.
+    pieces: Callable
 
 
 _SPECS = {
     "Wp": _Spec("Wp", ("m", "n", "p"), 0, None, False, False,
-                lambda lam, s: _wp_member(lam, s.p, s.space),
-                lambda s: [_wp_piece(s.space, s.p)]),
-    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), 0, 0, False, False,
-                 lambda lam, s: _wpd_member(lam, s.p, s.param, s.space),
-                 _wpd_pieces),
-    "Ukp": _Spec("Ukp", ("n", "p", "k"), 0, -inf, False, False,
-                 lambda lam, s: s.param >= _Ukp_level(lam, s.p, s.space),
-                 lambda s: _ukp_pieces(s.space, s.p, s.param)),
+                lambda space, p: [_wp_piece(space, p)]),
+    "Wpd": _Spec("Wpd", ("m", "n", "p", "d"), 0, 0, False, False, _wpd_pieces),
+    "Ukp": _Spec("Ukp", ("n", "p", "k"), 0, -inf, False, False, _ukp_pieces),
     "empty": _Spec("Empty", ("m", "n", "p"), 0, None, False, False,
-                   lambda lam, s: False,
-                   lambda s: []),
+                   lambda space, p: []),
     "SymbolicPower": _Spec("Jpd", ("n", "p", "d"), 1, -inf, True, True,
-                           lambda lam, s: _in_symbolic_power(lam, s.p, s.param),
-                           lambda s: [_partition_piece(s.space.n, {s.p - 1: s.param})]),
-    "HodgeIdeal": _Spec("Ik", ("n", "k"), None, 0, True, True,
-                        lambda lam, s: s.param <= _hodge_ideal_level(lam, s.space.n),
-                        _hodge_ideal_pieces),
+                           lambda space, p: [_partition_piece(space.n, {p - 1: (0, 1)})]),
+    "HodgeIdeal": _Spec("Ik", ("n", "k"), None, 0, True, True, _hodge_ideal_pieces),
     # F_k: the disjoint union of U^p_k over the strata p = 0..n.
     "FkSdet": _Spec("FkSdet", ("n", "k"), None, 0, False, True,
-                    lambda lam, s: s.param >= _Fk_level(lam, s.space),
-                    lambda s: [
-                        piece for p in range(s.space.n + 1)
-                        for piece in _ukp_pieces(s.space, p, s.param)
+                    lambda space, _: [
+                        piece for p in range(space.n + 1) for piece in _ukp_pieces(space, p)
                     ]),
 }
 _KIND_NAMED = {spec.name: kind for kind, spec in _SPECS.items()}
+
+
+def _rows(kind: str, space: MatrixSpace, p: int | None) -> tuple:
+    """The pieces of rows of a kind on (space, p), as ``_SPECS`` states
+    them, built once for each."""
+    return _built_rows(_SPECS[kind].pieces, space.m, space.n, p)
+
+
+@lru_cache(maxsize=1024)
+def _built_rows(pieces: Callable, m: int, n: int, p: int | None) -> tuple:
+    # Keyed by m and n, which hash faster than the space.
+    return tuple(pieces(MatrixSpace(m, n), p))
+
+
+def _parameter_interval(pieces, lam: tuple[int, ...]) -> tuple:
+    """The closed interval (low, high) of parameters x at which lam, a
+    dominant weight of length n, satisfies every row of some piece, the
+    rows as in ``_SPECS``; (inf, -inf) when no piece admits lam. The
+    parameter-free rows of several pieces are disjoint, so the first
+    piece whose parameter-free rows admit lam decides."""
+    for piece in pieces:
+        low, high = -inf, inf
+        for i, entry_lo, entry_hi, tail_lo, tail_hi in piece:
+            if entry_lo is not None and lam[i] < entry_lo or (
+                entry_hi is not None and lam[i] > entry_hi
+            ):
+                break
+            # Each tail bound read as slope*x <= gap: a cap on x for a
+            # positive slope, a floor for a negative one, and for slope 0
+            # a row that holds or fails at every x.
+            if tail_lo is not None:
+                const, slope = tail_lo
+                gap = sum(lam[i:]) - const
+                if slope > 0:
+                    if gap // slope < high:
+                        high = gap // slope
+                elif slope < 0:
+                    if -(gap // -slope) > low:
+                        low = -(gap // -slope)
+                elif gap < 0:
+                    break
+            if tail_hi is not None:
+                const, slope = tail_hi
+                slope, gap = -slope, const - sum(lam[i:])
+                if slope > 0:
+                    if gap // slope < high:
+                        high = gap // slope
+                elif slope < 0:
+                    if -(gap // -slope) > low:
+                        low = -(gap // -slope)
+                elif gap < 0:
+                    break
+        else:
+            return low, high
+    return inf, -inf
 
 
 class WeightSet(_Record):
@@ -334,16 +337,30 @@ class WeightSet(_Record):
         spec = _SPECS[self.kind]
         if spec.partitions_only and lam[-1] < 0:
             raise ValueError(f"{spec.name} lives in the polynomial ring; need a partition")
-        return spec.core(lam, self)
+        low, high = _parameter_interval(_rows(self.kind, self.space, self.p), lam)
+        return low <= high if self.param is None else low <= self.param <= high
 
     def _pieces(self) -> list[tuple]:
-        """The set's disjoint pieces, each a tuple of rows (i, entry_lo,
-        entry_hi, tail_lo, tail_hi) at entry positions i in 0..n-1:
-        entry_lo <= lam_i <= entry_hi and tail_lo <= lam_i + ... +
-        lam_{n-1} <= tail_hi, None being no bound. A dominant weight of
-        length n is a member exactly when it satisfies every row of some
-        piece."""
-        return _SPECS[self.kind].pieces(self)
+        """The set's disjoint pieces, its rows evaluated at its parameter:
+        tuples of rows (i, entry_lo, entry_hi, tail_lo, tail_hi) at
+        positions i in 0..n-1, entry_lo <= lam_i <= entry_hi and tail_lo
+        <= lam_i + ... + lam_{n-1} <= tail_hi, None being no bound. A row
+        at n, on the empty tail, keeps its piece if 0 meets its bounds."""
+        n, x = self.space.n, self.param
+        found = []
+        for piece in _rows(self.kind, self.space, self.p):
+            rows = [
+                (i, entry_lo, entry_hi,
+                 None if tail_lo is None else tail_lo[0] + tail_lo[1] * x,
+                 None if tail_hi is None else tail_hi[0] + tail_hi[1] * x)
+                for i, entry_lo, entry_hi, tail_lo, tail_hi in piece
+            ]
+            if rows and rows[-1][0] == n:
+                _, _, _, tail_lo, tail_hi = rows.pop()
+                if tail_lo is not None and tail_lo > 0 or tail_hi is not None and tail_hi < 0:
+                    continue
+            found.append(tuple(rows))
+        return found
 
     def members(
         self, bound: int, total: int | tuple[int, int] | None = None

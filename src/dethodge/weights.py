@@ -14,7 +14,7 @@ builds has a completion and no step is a dead end, and it yields runs of
 the last entry: a head and the interval its last entry runs over.
 `dominant_tuples` is the walk with no rows, the runs expanded in
 lexicographic order, and `partitions_of` the same walk downwards. The
-weight sets of `repsets` walk their own rows.
+weight sets of `repsets` are defined by their rows alone, and walk them.
 """
 
 from __future__ import annotations
@@ -90,38 +90,10 @@ def strip_zeros(lam) -> tuple[int, ...]:
     return lam
 
 
-def _wp_member(lam, p: int, space: MatrixSpace) -> bool:
-    # Core membership test for the rank-p stratum weight support: the head
-    # must satisfy lam_p >= p-n (vacuous for p=0) and the tail
-    # lam_{p+1} <= p-m (vacuous for p=n). Assumes lam dominant of length n.
-    n = space.n
-    if p > 0 and lam[p - 1] < p - n:
-        return False
-    if p < n and lam[p] > p - space.m:
-        return False
-    return True
-
-
 def delta_p(p: int, space: MatrixSpace) -> tuple[int, ...]:
     """The distinguished weight ((p-n)^p, (p-m)^(n-p)) of the rank-p stratum."""
     _check_stratum(space, p)
     return ((p - space.n),) * p + ((p - space.m),) * (space.n - p)
-
-
-def lambda_of_p(lam, p: int, space: MatrixSpace) -> tuple[int, ...]:
-    """Embed a length-n weight of the rank-p support into length m:
-
-        (lam_1, ..., lam_p, (p-n)^(m-n), lam_{p+1}+(m-n), ..., lam_n+(m-n))
-
-    The result is dominant exactly when lam belongs to the rank-p weight
-    set, which is required. For square spaces the map is the identity.
-    """
-    _check_stratum(space, p)
-    lam = check_weight(lam, space.n)
-    if not _wp_member(lam, p, space):
-        raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
-    shift = space.m - space.n
-    return lam[:p] + ((p - space.n),) * shift + tuple(x + shift for x in lam[p:])
 
 
 class WeightBox(_Record):

@@ -311,8 +311,8 @@ def test_every_set_of_partitions_is_on_a_square_space():
 
 def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
     # One walk of the one piece of I_k, by runs: no dim_irrep, no weight
-    # check and no membership core on the way.
-    calls = {"_decreasing_runs": 0, "dim_irrep": 0, "check_weight": 0, "core": 0}
+    # check and no membership test, the one reader of the rows, on the way.
+    calls = {"_decreasing_runs": 0, "dim_irrep": 0, "check_weight": 0, "reader": 0}
 
     def spy(name, function):
         def counted(*args, **kwargs):
@@ -325,33 +325,34 @@ def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
     monkeypatch.setattr(characters, "dim_irrep", spy("dim_irrep", characters.dim_irrep))
     for module in (weights, repsets, characters, hodgeideals, oracle):
         monkeypatch.setattr(module, "check_weight", spy("check_weight", weights.check_weight))
-    for kind, spec in repsets._SPECS.items():
-        monkeypatch.setitem(repsets._SPECS, kind, spec._replace(core=spy("core", spec.core)))
+    monkeypatch.setattr(
+        repsets, "_parameter_interval", spy("reader", repsets._parameter_interval)
+    )
     assert cli.main(["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "12"]) == 0
     assert "d=12: 455" in capsys.readouterr().out
-    assert calls == {"_decreasing_runs": 1, "dim_irrep": 0, "check_weight": 0, "core": 0}
+    assert calls == {"_decreasing_runs": 1, "dim_irrep": 0, "check_weight": 0, "reader": 0}
 
 
 def test_members_and_hilbert_call_no_membership_core(monkeypatch):
-    # Every kind's members and graded dimensions come from its rows alone;
-    # contains keeps its core.
-    def refuse(lam, wset):
-        raise AssertionError(f"core called on {lam} for {wset.descriptor()}")
+    # Every kind's members and graded dimensions come from its rows,
+    # walked, and never from the reader that solves them for one weight;
+    # contains reads them through it.
+    def refuse(pieces, lam):
+        raise AssertionError(f"reader called on {lam}")
 
     sets = [wset for n in (1, 2, 3) for wset in every_kind_on(MatrixSpace(n, n))]
     sets += list(every_kind_on(MatrixSpace(3, 2)))
     expected = {wset: (wset.members(3), wset.members(3, total=(-2, 2))) for wset in sets}
     series = {wset: hilbert_series(wset, 6, box=None if wset.partitions_only else 3)
               for wset in sets if wset.space.is_square}
-    for kind, spec in repsets._SPECS.items():
-        monkeypatch.setitem(repsets._SPECS, kind, spec._replace(core=refuse))
+    monkeypatch.setattr(repsets, "_parameter_interval", refuse)
     for wset in sets:
         assert (wset.members(3), wset.members(3, total=(-2, 2))) == expected[wset]
         if wset in series:
             box = None if wset.partitions_only else 3
             assert hilbert_series(wset, 6, box=box) == series[wset]
             assert hilbert_function(wset, 4, box=box) == series[wset][4]
-        with pytest.raises(AssertionError, match="core called"):
+        with pytest.raises(AssertionError, match="reader called"):
             wset.contains((0,) * wset.space.n)
 
 

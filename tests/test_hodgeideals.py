@@ -1,6 +1,7 @@
 import math
 from math import comb
 
+import membership_reference as ref
 import pytest
 
 from dethodge import hodgeideals, repsets, suites
@@ -77,8 +78,14 @@ def test_in_hodge_ideal_examples():
         in_hodge_ideal((1, 0, 0), -1, space)
 
 
+def hodge_ideal_level(mu, n):
+    """The largest k with mu in I_k, solved from I_k's rows."""
+    rows = repsets._rows("HodgeIdeal", MatrixSpace(n, n), None)
+    return repsets._parameter_interval(rows, mu)[1]
+
+
 def test_hodge_ideal_core_matches_the_public_predicate():
-    # The unvalidated core against the public predicate and the tail
+    # The hand-derived level against the public predicate and the tail
     # inequalities, and all against I_k read as the intersection of the
     # symbolic powers J_p^(e_p).
     for n, bound in ((1, 12), (2, 8), (3, 6), (4, 4), (5, 3)):
@@ -86,7 +93,7 @@ def test_hodge_ideal_core_matches_the_public_predicate():
         for k in range(8):
             exponents = hodge_ideal_exponents(k, space)
             for mu in partitions_in_box(n, bound):
-                core = k <= repsets._hodge_ideal_level(mu, n)
+                core = k <= ref.hodge_ideal_level(mu, n)
                 assert core == in_hodge_ideal(mu, k, space), (mu, k)
                 assert core == in_ideal_by_tails(mu, k, n), (mu, k)
                 assert core == all(
@@ -242,7 +249,7 @@ def test_verify_equivalence_refuses_a_k_that_is_not_an_int_before_its_walk(k, mo
     def no_walk(*args):
         raise AssertionError("the box was walked")
 
-    monkeypatch.setattr(hodgeideals, "_Fk_level", no_walk)
+    monkeypatch.setattr(hodgeideals, "_parameter_interval", no_walk)
     with pytest.raises(TypeError, match=f"^k must be an int, got {k!r}"):
         verify_equivalence(MatrixSpace(3, 3), [1, k], 2)
 
@@ -276,37 +283,23 @@ def per_k_reference(space, k, bound):
     return report
 
 
-def shifted_core(monkeypatch, shift):
-    """Rebind the F_k level core to one whose levels sit `shift` off,
-    wherever it is called: in `verify_equivalence` and behind
-    `in_Fk_Sdet`, the FkSdet row of the weight-set table."""
-    core = repsets._Fk_level
-
-    def shifted(lam, space):
-        return core(lam, space) + shift
-
-    monkeypatch.setattr(hodgeideals, "_Fk_level", shifted)
-    monkeypatch.setattr(repsets, "_Fk_level", shifted)
-
-
-def strict_core(monkeypatch):
-    """Rebind the F_k level core to one whose levels sit one too high, so
-    it wrongly rejects the tight tail sums, the boundary of every U^p_k."""
-    shifted_core(monkeypatch, 1)
-
-
-def counting_classify(monkeypatch):
-    """Rebind the classifier behind the F_k level core to one that records
-    each weight it classifies, one per level computed; returns the
-    record."""
+def counting_reader(monkeypatch):
+    """Rebind the one reader of the rows, where `verify_equivalence` calls
+    it, to one that records the weight of each call and the kind whose
+    rows it solves, "FkSdet" for a filtration level and "HodgeIdeal" for
+    a Hodge-ideal level; returns the record."""
     calls = []
-    classify = repsets._classify
+    reader = repsets._parameter_interval
 
-    def counting(lam, space):
-        calls.append(lam)
-        return classify(lam, space)
+    def counting(pieces, lam):
+        space = MatrixSpace(len(lam), len(lam))
+        kind = next(
+            kind for kind in ("FkSdet", "HodgeIdeal") if pieces is repsets._rows(kind, space, None)
+        )
+        calls.append((kind, lam))
+        return reader(pieces, lam)
 
-    monkeypatch.setattr(repsets, "_classify", counting)
+    monkeypatch.setattr(hodgeideals, "_parameter_interval", counting)
     return calls
 
 
@@ -325,7 +318,7 @@ def test_verify_equivalence_needs_a_square_space():
 
 
 def test_verify_equivalence_refuses_a_negative_k_before_walking(monkeypatch):
-    calls = counting_classify(monkeypatch)
+    calls = counting_reader(monkeypatch)
     for ks in ([-1], [0, 3, -2]):
         with pytest.raises(ValueError, match=r"Hodge ideals are indexed by k >= 0"):
             verify_equivalence(MatrixSpace(2, 2), ks, 4)
@@ -334,20 +327,22 @@ def test_verify_equivalence_refuses_a_negative_k_before_walking(monkeypatch):
 
 @pytest.mark.parametrize("shift", [0, 1, -1], ids=["real-core", "strict-core", "loose-core"])
 @pytest.mark.parametrize("n,bound", [(1, 6), (2, 5), (3, 3), (4, 2)])
-def test_one_walk_matches_the_per_k_loop(monkeypatch, shift, n, bound):
-    # The strict core moves each level above the inequality side's, the
-    # loose one (admitting the tail sums one below the boundary) below it.
-    shifted_core(monkeypatch, shift)
-    calls = counting_classify(monkeypatch)
+def test_one_walk_matches_the_per_k_loop(monkeypatch, shift_rows, shift, n, bound):
+    # F_k's rows moved up put each level above the inequality side's;
+    # moved down (admitting the tail sums one below the boundary), below.
+    shift_rows("FkSdet", shift)
+    calls = counting_reader(monkeypatch)
     space = MatrixSpace(n, n)
     ks = [0, 1, 2, 3, 4, 5]
     walked = verify_equivalence(space, ks, bound)
-    # One classification per box weight, and one per (partition, k) whose
-    # translate leaves the box, which needs k + 1 > bound.
-    outside = sum(
-        translate(mu, k)[-1] < -bound for mu in dominant_tuples(n, 0, bound) for k in ks
-    )
-    assert len(calls) == WeightBox(n, bound).count + outside
+    # One filtration level per box weight, and one per (partition, k)
+    # whose translate leaves the box, which needs k + 1 > bound; one
+    # Hodge-ideal level per partition.
+    partitions = list(dominant_tuples(n, 0, bound))
+    outside = sum(translate(mu, k)[-1] < -bound for mu in partitions for k in ks)
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("FkSdet") == WeightBox(n, bound).count + outside
+    assert kinds.count("HodgeIdeal") == len(partitions)
     assert (outside > 0) == (max(ks) + 1 > bound)
     reference = [per_k_reference(space, k, bound) for k in ks]
     assert walked == reference
@@ -355,7 +350,7 @@ def test_one_walk_matches_the_per_k_loop(monkeypatch, shift, n, bound):
 
 
 def test_equivalence_suite_classifies_each_box_weight_once(monkeypatch):
-    calls = counting_classify(monkeypatch)
+    calls = counting_reader(monkeypatch)
     reports = suites.equivalence()
     levels = 6
     box_weights = sum(WeightBox(n, box).count for n, box in suites.EQUIVALENCE_GRID.items())
@@ -365,8 +360,10 @@ def test_equivalence_suite_classifies_each_box_weight_once(monkeypatch):
     assert box_weights == 6966
     # The box side once per weight; every translate of the suite's
     # partitions lies inside its box, so the partition side reads the
-    # levels the walk decided.
-    assert len(calls) == box_weights
+    # levels the walk decided, and solves one Hodge-ideal level each.
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("FkSdet") == box_weights
+    assert kinds.count("HodgeIdeal") == partitions == len(calls) - box_weights
     assert len(reports) == levels * len(suites.EQUIVALENCE_GRID)
     assert sum(report.checks for report in reports) == levels * (box_weights + partitions)
 
@@ -379,11 +376,12 @@ def test_verify_equivalence_beyond_the_suite_grid(n, bound, checks):
         assert report.ok, report.failures[:3]
 
 
-def test_verify_equivalence_sees_a_core_that_moves_the_boundary(monkeypatch):
-    # Both sides of each comparison are computed by their own code: a
-    # filtration core that wrongly rejects the tight tail sums of U^p_k
-    # must show up on the inequality side and on the Hodge-ideal side.
-    strict_core(monkeypatch)
+def test_verify_equivalence_sees_a_core_that_moves_the_boundary(shift_rows):
+    # Both sides of each comparison are computed by their own code: F_k
+    # rows that wrongly reject the tight tail sums of U^p_k must show up
+    # on the inequality side and on the Hodge-ideal side. Moved up by one,
+    # they put every filtration level one too high.
+    shift_rows("FkSdet", 1)
     [report] = verify_equivalence(MatrixSpace(2, 2), [2], 6)
     assert not report.ok
     on_weights = [f for f in report.failures if "weight" in f]
@@ -400,7 +398,8 @@ def test_hodge_ideal_level_is_the_membership_threshold():
     # closed form at once, against the tail inequalities one k at a time.
     for n in range(1, 7):
         for mu in dominant_tuples(n, 0, 8):
-            level = repsets._hodge_ideal_level(mu, n)
+            level = hodge_ideal_level(mu, n)
+            assert level == ref.hodge_ideal_level(mu, n), mu
             assert [in_ideal_by_tails(mu, k, n) for k in range(11)] == [
                 k <= level for k in range(11)
             ], mu
@@ -408,19 +407,50 @@ def test_hodge_ideal_level_is_the_membership_threshold():
 
 
 @pytest.mark.parametrize("shift", [1, -1], ids=["loose-level", "strict-level"])
-def test_verify_equivalence_sees_a_hodge_ideal_level_off_by_one(monkeypatch, shift):
+def test_verify_equivalence_sees_a_hodge_ideal_level_off_by_one(shift_rows, shift):
     # A Hodge-ideal level one too high admits the partitions just outside
     # I_k, one too low rejects those on its boundary: failures on the
     # partition side only, each with the ideal side wrong in that direction.
-    level = hodgeideals._hodge_ideal_level
-    monkeypatch.setattr(
-        hodgeideals, "_hodge_ideal_level", lambda mu, n: level(mu, n) + shift
-    )
+    # On 2 x 2 matrices I_k has one row of slope 1, mu_1 + mu_2 >= k - 1,
+    # so moving its constant down by one raises every level by one.
+    shift_rows("HodgeIdeal", -shift, at=-2)
+    assert hodge_ideal_level((0, 0), 2) == 1 + shift
     [report] = verify_equivalence(MatrixSpace(2, 2), [2], 6)
     assert not report.ok
     assert all("partition" in f for f in report.failures)
     for failure in report.failures:
         assert failure["ideal"] == (shift > 0) != failure["filtration"]
+
+
+def minimal_exponent_failures():
+    """The n in 1..12 where the Hodge-ideal level of the zero partition,
+    solved from I_k's rows, is not what the minimal exponent of det asks.
+
+    I_k(D) is the unit ideal exactly when k <= a - 1, for a the minimal
+    exponent of D: minus the largest root of b(s)/(s+1) (Saito, Hodge
+    ideals and microlocal V-filtration, 2016; Mustata-Popa, Forum Math.
+    Sigma 2020). det has b-function (s+1)...(s+n), by Cayley's identity,
+    so for n >= 2 its minimal exponent is 2: I_1 is the unit ideal and
+    I_2 is not. The zero partition, the constants, lies in I_k exactly
+    when I_k is the unit ideal, so its level must be 1. At n = 1, det is
+    a coordinate, a smooth divisor, and every I_k is the unit ideal. The
+    rows encode nothing of b-functions, so the check shares no reasoning
+    with them."""
+    wanted = {n: math.inf if n == 1 else 1 for n in range(1, 13)}
+    return [n for n, level in wanted.items() if hodge_ideal_level((0,) * n, n) != level]
+
+
+def test_the_hodge_ideals_see_the_minimal_exponent_of_det():
+    assert minimal_exponent_failures() == []
+
+
+@pytest.mark.parametrize("by", [1, -1])
+def test_the_minimal_exponent_check_sees_a_moved_row_of_Ik(shift_rows, by):
+    # The row of p = n-1, mu_{n-1} + mu_n >= k - 1, decides the level of
+    # the zero partition. Moved up by one, it leaves no k >= 1 with the
+    # constants in I_k; moved down, I_2 is the unit ideal at n = 2.
+    shift_rows("HodgeIdeal", by, at=-2)
+    assert minimal_exponent_failures() == ([2] if by < 0 else list(range(2, 13)))
 
 
 def test_rank_one_filtration_levels():

@@ -53,10 +53,11 @@ from dethodge.repsets import (
     classify,
     compose_weight,
     decompose_weight,
+    lambda_of_p,
     lambda_p_mu,
     minimal_elements,
 )
-from dethodge.weights import WeightBox, delta_p, lambda_of_p
+from dethodge.weights import WeightBox, delta_p
 
 
 def test_space_validation():

@@ -163,14 +163,12 @@ def test_filtration_support_matches_the_per_k_scan():
 
 @pytest.mark.parametrize("shift", [1, -1], ids=["strict-core", "loose-core"])
 @pytest.mark.parametrize("n", [1, 3, 6])
-def test_filtration_support_fails_at_the_boundary_of_a_shifted_core(monkeypatch, shift, n):
-    # A U^p_k core whose levels sit one too high rejects the witness at the
-    # threshold k = (n-p)^2; one whose levels sit one too low admits it at
-    # k = (n-p)^2 - 1, which exists for p < n. Every other level agrees.
-    import dethodge.mhmweights as mhm
-
-    core = mhm._Ukp_level
-    monkeypatch.setattr(mhm, "_Ukp_level", lambda lam, p, space: core(lam, p, space) + shift)
+def test_filtration_support_fails_at_the_boundary_of_a_shifted_core(shift_rows, shift, n):
+    # U^p_k rows whose levels sit one too high (their tail constant moved
+    # up by one) reject the witness at the threshold k = (n-p)^2; one too
+    # low admits it at k = (n-p)^2 - 1, which exists for p < n. Every
+    # other level agrees.
+    shift_rows("Ukp", shift)
     kmax = 2 * n * n
     report = filtration_support_check(MatrixSpace(n, n), kmax, 3 * n)
     boundary = [(p, (n - p) ** 2 - (shift < 0)) for p in range(n + 1)]

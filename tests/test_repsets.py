@@ -1,5 +1,7 @@
+import random
 from math import comb, inf
 
+import membership_reference as ref
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,8 @@ from dethodge.matrixspace import MatrixSpace, codim_stratum
 from dethodge import repsets
 from dethodge.repsets import (
     WeightSet,
-    _Ukp_level,
+    _parameter_interval,
+    _rows,
     classify,
     compose_weight,
     decompose_weight,
@@ -23,7 +26,6 @@ from dethodge.repsets import (
 from dethodge.weights import (
     WeightBox,
     _decreasing_runs,
-    _wp_member,
     check_weight,
     delta_p,
     dominant_tuples,
@@ -63,13 +65,15 @@ def test_classify_rectangular_is_a_list():
 
 
 def test_classify_by_counting_matches_the_scan():
-    # The scan over every stratum is the oracle for the counting in _classify.
+    # The W^p rows against two references: the scan of the hand-written
+    # W^p test over every stratum, and the counting classifier.
     for n in range(1, 5):
         for m in range(n, n + 4):
             space = MatrixSpace(m, n)
             for lam in WeightBox(n, 7):
-                hits = [p for p in range(n + 1) if _wp_member(lam, p, space)]
+                hits = [p for p in range(n + 1) if ref.wp_member(lam, p, space)]
                 assert classify(lam, space) == (hits[0] if m == n else hits), (space, lam)
+                assert ref.classify(lam, space) == classify(lam, space), (space, lam)
                 assert len(hits) <= 1
 
 
@@ -116,18 +120,21 @@ def test_in_Ukp_rank_one_interval():
 
 
 def in_Ukp_by_definition(lam, p, k, n):
-    return _wp_member(lam, p, MatrixSpace(n, n)) and sum(lam[p:]) >= -comb(n - p + 1, 2) - k
+    return ref.wp_member(lam, p, MatrixSpace(n, n)) and sum(lam[p:]) >= -comb(n - p + 1, 2) - k
 
 
 def test_Ukp_level_is_the_least_member_level():
-    # Oracle: U^p_k term by term, at every level k in -12..6. The level
-    # must be the least k with lam in U^p_k, and infinite exactly off W^p.
+    # Oracle: U^p_k term by term, at every level k in -12..6. The least
+    # end of the interval solved from the rows must be the least k with
+    # lam in U^p_k, the hand-derived level, and infinite exactly off W^p.
     for n in (1, 2, 3):
         space = MatrixSpace(n, n)
         for lam in WeightBox(n, 5):
             for p in range(n + 1):
-                level = _Ukp_level(lam, p, space)
-                assert (level == inf) == (not _wp_member(lam, p, space)), (lam, p)
+                level, top = _parameter_interval(_rows("Ukp", space, p), lam)
+                assert level == ref.ukp_level(lam, p, space), (lam, p)
+                assert (level == inf) == (not ref.wp_member(lam, p, space)), (lam, p)
+                assert top == (inf if level < inf else -inf), (lam, p)
                 for k in range(-12, 7):
                     member = in_Ukp_by_definition(lam, p, k, n)
                     assert (k >= level) == member, (lam, p, k)
@@ -135,6 +142,105 @@ def test_Ukp_level_is_the_least_member_level():
                 if level != inf:
                     assert in_Ukp_by_definition(lam, p, level, n)
                     assert not in_Ukp_by_definition(lam, p, level - 1, n)
+
+
+def test_the_rows_solve_to_every_reference_level():
+    # The one reader on each kind's rows against the hand-derived cores
+    # of membership_reference, on every weight of the grid: the W^p test,
+    # the single d of a layer, the F_k level (least end) and the I_k and
+    # J_p^(d) levels (greatest end), on square and m > n spaces.
+    for n in range(1, 6):
+        bound = 6 if n <= 3 else 3
+        for space in (MatrixSpace(n, n), MatrixSpace(n + 1, n), MatrixSpace(n + 3, n)):
+            for lam in WeightBox(n, bound):
+                for p in range(n + 1):
+                    low, high = _parameter_interval(_rows("Wp", space, p), lam)
+                    assert (low <= high) == ref.wp_member(lam, p, space), (space, lam, p)
+                    low, high = _parameter_interval(_rows("Wpd", space, p), lam)
+                    layers = [d for d in range(-60, 60) if ref.wpd_member(lam, p, d, space)]
+                    assert layers == ([low] if low <= high else []), (space, lam, p)
+                    assert low == high or low > high
+                if space.is_square:
+                    low, high = _parameter_interval(_rows("FkSdet", space, None), lam)
+                    assert (low, high) == (ref.fk_level(lam, space), inf), lam
+        space = MatrixSpace(n, n)
+        for mu in dominant_tuples(n, 0, 9 if n <= 4 else 6):
+            low, high = _parameter_interval(_rows("HodgeIdeal", space, None), mu)
+            assert (low, high) == (-inf, ref.hodge_ideal_level(mu, n)), mu
+            for p in range(1, n + 1):
+                low, high = _parameter_interval(_rows("SymbolicPower", space, p), mu)
+                assert low == -inf
+                assert [d <= high for d in range(-2, 40)] == [
+                    ref.in_symbolic_power(mu, p, d) for d in range(-2, 40)
+                ], (mu, p)
+
+
+def random_piece(rng, n):
+    """One piece of rows at distinct positions in 0..n, entry bounds
+    (none at n) and tail bounds with slopes in -3..3, some of them 0."""
+    rows = []
+    for i in sorted(rng.sample(range(n + 1), rng.randint(1, n + 1))):
+        entry = [rng.choice([None, rng.randint(-3, 3)]) if i < n else None for _ in range(2)]
+        tails = [rng.choice([None, (rng.randint(-9, 9), rng.randint(-3, 3))]) for _ in range(2)]
+        rows.append((i, *entry, *tails))
+    return tuple(rows)
+
+
+def test_the_reader_solves_any_rows_as_the_scan_of_the_parameter_does():
+    # The reader against a scan of x over a window that holds every
+    # finite end: a piece holds at x when every row does, with the tail
+    # bounds evaluated at x. The rows of the kinds use slopes -1, 0 and
+    # the Hodge ideal's n-q only; these use any slope in -3..3, zero
+    # included, on lower and upper tail bounds alike.
+    rng = random.Random(20260)
+    window = range(-80, 81)
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        piece = random_piece(rng, n)
+        lam = tuple(sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True))
+        low, high = _parameter_interval([piece], lam)
+        at = [x for x in window if all(
+            (entry_lo is None or lam[i] >= entry_lo) and (entry_hi is None or lam[i] <= entry_hi)
+            and (tail_lo is None or sum(lam[i:]) >= tail_lo[0] + tail_lo[1] * x)
+            and (tail_hi is None or sum(lam[i:]) <= tail_hi[0] + tail_hi[1] * x)
+            for i, entry_lo, entry_hi, tail_lo, tail_hi in piece
+        )]
+        assert at == [x for x in window if low <= x <= high], (piece, lam, low, high)
+        assert low in (-inf, inf) or abs(low) < 40, (piece, lam)
+        assert high in (-inf, inf) or abs(high) < 40, (piece, lam)
+
+
+def holds_without_the_parameter(piece, lam):
+    """lam against a piece's rows that do not involve the parameter: its
+    entry bounds, and tail bounds of slope 0."""
+    n = len(lam)
+    for i, entry_lo, entry_hi, tail_lo, tail_hi in piece:
+        if i < n and not (entry_lo is None or lam[i] >= entry_lo):
+            return False
+        if i < n and not (entry_hi is None or lam[i] <= entry_hi):
+            return False
+        tail = sum(lam[i:])
+        if tail_lo is not None and tail_lo[1] == 0 and tail < tail_lo[0]:
+            return False
+        if tail_hi is not None and tail_hi[1] == 0 and tail > tail_hi[0]:
+            return False
+    return True
+
+
+def test_the_pieces_are_disjoint_without_the_parameter():
+    # The reader lets the first piece whose parameter-free rows admit a
+    # weight decide: sound because no weight passes those rows of two
+    # pieces, the W^p of F_k's pieces U^p_k being disjoint.
+    for n in range(1, 5):
+        for space in (MatrixSpace(n, n), MatrixSpace(n + 1, n)):
+            for kind, spec in repsets._SPECS.items():
+                if "m" not in spec.args and not space.is_square:
+                    continue
+                for p in [None] if spec.p_min is None else range(spec.p_min, n + 1):
+                    pieces = _rows(kind, space, p)
+                    for lam in WeightBox(n, 4):
+                        held = sum(holds_without_the_parameter(piece, lam) for piece in pieces)
+                        assert held <= 1, (kind, space, p, lam)
 
 
 def test_Ukp_nested_and_inside_Wp():
@@ -330,7 +436,7 @@ def test_layers_partition_the_support():
 
 
 def test_decompose_weight_raises_on_a_non_partition_split(monkeypatch):
-    monkeypatch.setattr(repsets, "_wp_member", lambda lam, p, space: True)
+    monkeypatch.setattr(repsets, "in_Wp", lambda lam, p, space: True)
     with pytest.raises(RuntimeError):
         decompose_weight((0, 0), 0, MatrixSpace(2, 2))
 

@@ -10,7 +10,9 @@ that ``dataclasses`` would bring in. Every public method or property of
 ``LaurentPoly`` is read somewhere in the package outside its class, so
 the tables' row type grows no API that only the tests use. Every slot
 width of a packed product is sized by ``qseries._slot_bound``, so no
-second width rule grows beside it."""
+second width rule grows beside it. Each weight-set kind is defined once,
+by its rows in ``repsets._SPECS``: no membership core or level function
+grows beside them."""
 
 import ast
 import builtins
@@ -336,6 +338,33 @@ def test_qseries_has_one_polynomial_type():
     tree = _trees()["qseries.py"]
     classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
     assert classes == ["LaurentPoly", "DecompositionTable"]
+
+
+def second_definitions(trees):
+    """(module, name) of every function whose name reads like a membership
+    test or a level of its own, `_*_member` or `_*_level`."""
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and re.fullmatch(r"_\w+_(member|level)", node.name)
+    ]
+
+
+def test_every_weight_set_kind_is_defined_once_by_its_rows():
+    # A kind is its rows, solved by one reader: no membership field beside
+    # them on _Spec, and no hand-derived membership core or level anywhere
+    # in the package, which would be a second definition to drift.
+    trees = _trees()
+    [spec] = [
+        node for node in trees["repsets.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_Spec"
+    ]
+    fields = [node.target.id for node in spec.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["name", "args", "p_min", "param_min", "partitions_only", "keywords", "pieces"]
+    assert second_definitions(trees) == []
+    assert second_definitions({"t": ast.parse("def _wp_member(): pass\ndef _Fk_level(): pass")})
 
 
 def test_laurent_poly_has_no_public_name_the_package_does_not_read():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dethodge.characters import dim_irrep
 from dethodge.hodgeideals import in_hodge_ideal
 from dethodge.matrixspace import MatrixSpace
-from dethodge.repsets import WeightSet, in_Wp
+from dethodge.repsets import WeightSet, in_Wp, lambda_of_p
 from dethodge import weights
 from dethodge.weights import (
     WeightBox,
@@ -19,7 +19,6 @@ from dethodge.weights import (
     dominant_tuples,
     dual,
     is_dominant,
-    lambda_of_p,
     leq,
     pad,
     partitions_of,
