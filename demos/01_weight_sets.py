@@ -6,13 +6,15 @@ predicate arithmetic on weakly decreasing integer tuples. This script
 walks through the basic moves.
 """
 
+from math import comb
+
 from dethodge import (
     MatrixSpace,
-    WeightBox,
     WeightSet,
     classify,
     decompose_weight,
     delta_p,
+    dominant_tuples,
     dual,
     in_Wp,
     in_Wpd,
@@ -24,10 +26,11 @@ from dethodge import (
 space = MatrixSpace(3, 3)
 print(f"working on {space} matrices\n")
 
-print("A weight box is a finite truncation of the dominant weights.")
-box = WeightBox(3, 2)
-members = list(box)
-print(f"box(length=3, bound=2): {box.count} weights, first five: {members[:5]}\n")
+print("A weight box is a finite truncation of the dominant weights: the")
+print("weakly decreasing tuples with entries in [-b, b], comb(2b+n, n) of them.")
+box = list(dominant_tuples(3, -2, 2))
+assert len(box) == comb(2 * 2 + 3, 3)
+print(f"box(length=3, bound=2): {len(box)} weights, first five: {box[:5]}\n")
 
 print("Duality reverses and negates; it is an involution:")
 lam = (3, 1, 0)

@@ -77,7 +77,6 @@ from .repsets import (
     parse_weight_set,
 )
 from .weights import (
-    WeightBox,
     delta_p,
     dominant_tuples,
     dual,

@@ -42,7 +42,7 @@ from math import comb
 from .matrixspace import MatrixSpace, _check_int, _check_space
 from .reporting import VerificationReport
 from .repsets import WeightSet, _hodge_ideal_exponents, _parameter_interval, _rows
-from .weights import WeightBox, check_weight, dominant_tuples
+from .weights import check_weight, dominant_tuples
 
 
 def in_symbolic_power(mu, p: int, d: int, space: MatrixSpace) -> bool:
@@ -170,8 +170,9 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     of the interval solved from I_k's rows, computed once and compared
     with every k. The filtration side reads the level of the translate
     mu - ((k+1)^n) from the walk, and solves it on its own only when it
-    lies outside the box, which needs k + 1 > bound. A k that is not an
-    int, or is negative, is refused before the walk. Each report lists
+    lies outside the box, which needs k + 1 > bound. A k or a bound that
+    is not an int, or is negative, is refused before the walk. Each report
+    counts the comb(2*bound + n, n) weights of its box and lists
     its box failures first, then its partition failures."""
     _check_space(space)
     if not space.is_square:
@@ -179,11 +180,13 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     ks = tuple(ks)
     for k in ks:
         hodge_ideal_exponents(k, space)  # refuses a k that is not an int >= 0
+    _check_int("bound", bound)
+    if bound < 0:
+        raise ValueError("box bound must be nonnegative")
     n = space.n
-    box = WeightBox(n, bound)
     reports = [
         VerificationReport(
-            "hodge-filtration-equivalence", {"n": n, "k": k, "box": bound}, box.count
+            "hodge-filtration-equivalence", {"n": n, "k": k, "box": bound}, comb(2 * bound + n, n)
         )
         for k in ks
     ]
@@ -193,7 +196,7 @@ def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationR
     filtration_rows = _rows("FkSdet", space, None)
     ideal_rows = _rows("HodgeIdeal", space, None)
     levels = {}
-    for lam in box:
+    for lam in dominant_tuples(n, -bound, bound):
         level = levels[lam] = _parameter_interval(filtration_rows, lam)[0]
         slack = min(map(operator.add, accumulate(reversed(lam)), offsets))
         if level == -slack:

@@ -5,15 +5,14 @@ its index p checked in one place, `_check_stratum`. Its numerology: the
 dimension p*(m+n-p), the codimension (m-p)*(n-p) and (for m > n) the
 cohomological degree in which it supports local cohomology.
 
-The package's value types (`MatrixSpace`, ``weights.WeightBox``,
-``repsets.WeightSet``, ``qseries.DecompositionTable`` and
-``reporting.VerificationReport``) are slotted classes on one base,
-`_Record`. It gives them what a frozen dataclass would: equality and hash
-over the fields for the same class only, the dataclass repr, refused
-assignment and deletion, and pickling and copying through the
-constructor. The package does not import the dataclasses module, which
-loads inspect, ast, dis and tokenize and would take three times as long
-as the rest of the package to import.
+The package's value types (`MatrixSpace`, ``repsets.WeightSet``,
+``qseries.DecompositionTable`` and ``reporting.VerificationReport``) are
+slotted classes on one base, `_Record`. It gives them what a frozen
+dataclass would: equality and hash over the fields for the same class
+only, the dataclass repr, refused assignment and deletion, and pickling
+and copying through the constructor. The package does not import the
+dataclasses module, which loads inspect, ast, dis and tokenize and would
+take three times as long as the rest of the package to import.
 """
 
 from __future__ import annotations

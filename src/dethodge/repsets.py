@@ -39,13 +39,7 @@ from math import comb, inf
 from typing import Callable, NamedTuple
 
 from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum, _Record
-from .weights import (
-    _check_total,
-    _decreasing_runs,
-    check_weight,
-    is_partition,
-    partitions_of,
-)
+from .weights import _decreasing_runs, check_weight, is_partition, partitions_of
 
 
 def in_Wp(lam, p: int, space: MatrixSpace) -> bool:
@@ -122,8 +116,6 @@ def decompose_weight(lam, p: int, space: MatrixSpace):
         raise ValueError(f"{lam} is not in the rank-{p} weight set of {space}")
     mu = tuple((p - m) - lam[n - i] for i in range(1, n - p + 1))
     gamma = tuple(lam[i] - (p - n) for i in range(p))
-    if (mu and not is_partition(mu)) or (gamma and not is_partition(gamma)):
-        raise RuntimeError(f"{lam} split into non-partitions mu={mu}, gamma={gamma}")
     return mu, gamma
 
 
@@ -362,15 +354,12 @@ class WeightSet(_Record):
             found.append(tuple(rows))
         return found
 
-    def members(
-        self, bound: int, total: int | tuple[int, int] | None = None
-    ) -> list[tuple[int, ...]]:
-        """All members with entries in [-bound, bound], lexicographic, and
-        with `total` (an int, or a closed interval (t_lo, t_hi)) only those
-        whose entries sum to it; a set of partitions enumerates only the
-        partitions. Each piece is walked by its rows, with no membership
-        test, and several pieces are merged."""
-        walks = self._walks(bound, total)
+    def members(self, bound: int) -> list[tuple[int, ...]]:
+        """All members with entries in [-bound, bound], lexicographic; a
+        set of partitions enumerates only the partitions. Each piece is
+        walked by its rows, with no membership test, and several pieces
+        are merged."""
+        walks = self._walks(bound)
         found = [
             head + (x,) for walk in walks for head, low, high in walk for x in range(low, high + 1)
         ]
@@ -378,16 +367,19 @@ class WeightSet(_Record):
             found.sort()
         return found
 
-    def _walks(self, bound: int, total=None) -> list:
+    def _walks(self, bound: int, totals: tuple[int, int] | None = None) -> list:
         """The members of `members` as one walk per piece, each yielding
-        the runs (head, low, high) of `weights._decreasing_runs`; the
-        arguments are checked here, before any walk starts."""
+        the runs (head, low, high) of `weights._decreasing_runs`; with
+        `totals`, a closed interval (t_lo, t_hi), only those whose entries
+        sum into it, the interval walked as one more row of each piece.
+        The bound is checked here, before any walk starts."""
         _check_int("bound", bound)
         if bound < 0:
             raise ValueError("box bound must be nonnegative")
-        total = _check_total(total)
-        n = self.space.n
-        return [_decreasing_runs(n, -bound, bound, piece, total) for piece in self._pieces()]
+        pieces = self._pieces()
+        if totals is not None:
+            pieces = [(*piece, (0, None, None, *totals)) for piece in pieces]
+        return [_decreasing_runs(self.space.n, -bound, bound, piece) for piece in pieces]
 
     def descriptor(self) -> str:
         spec = _SPECS[self.kind]

@@ -6,15 +6,15 @@ explicitly: embedding a partition into more variables is an explicit `pad`,
 never implicit. Display strips trailing zeros of partitions.
 
 One odometer enumerates, `_decreasing_runs`: the weights of a box that
-satisfy a piece's rows, bounds on single entries and on tail sums
-lam_i + ... + lam_n, optionally only those whose entries sum into a
-closed interval of totals (an exact total d is the interval [d, d]). It
-turns each row into a bound on the entry being placed, so every prefix it
-builds has a completion and no step is a dead end, and it yields runs of
-the last entry: a head and the interval its last entry runs over.
-`dominant_tuples` is the walk with no rows, the runs expanded in
-lexicographic order, and `partitions_of` the same walk downwards. The
-weight sets of `repsets` are defined by their rows alone, and walk them.
+satisfy one piece of rows, bounds on single entries and on tail sums
+lam_i + ... + lam_n. A closed interval of totals is one more tail row,
+on the whole weight. It turns each row into a bound on the entry being
+placed, so every prefix it builds has a completion and no step is a dead
+end, and it yields only runs of the last entry: a head and the interval
+its last entry runs over. `dominant_tuples` is the walk of the empty
+piece, the box, its runs expanded upwards, and `partitions_of` the walk
+of one total row, expanded downwards. The weight sets of `repsets` are
+defined by their rows alone, and walk them.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
 from typing import Iterator
 
-from .matrixspace import MatrixSpace, _check_int, _check_stratum, _Record
+from .matrixspace import MatrixSpace, _check_int, _check_stratum
 
 
 def is_dominant(entries) -> bool:
@@ -96,85 +95,37 @@ def delta_p(p: int, space: MatrixSpace) -> tuple[int, ...]:
     return ((p - space.n),) * p + ((p - space.m),) * (space.n - p)
 
 
-class WeightBox(_Record):
-    """Finite truncation of the dominant weights: all weakly decreasing
-    integer tuples of a given length with entries in [-bound, bound].
-
-    Iteration is lexicographic and duplicate-free; the total count is
-    comb(2*bound + length, length).
-    """
-
-    __slots__ = __match_args__ = ("length", "bound")
-
-    def __init__(self, length: int, bound: int):
-        _check_int("length", length)
-        _check_int("bound", bound)
-        if length < 1:
-            raise ValueError("box length must be at least 1")
-        if bound < 0:
-            raise ValueError("box bound must be nonnegative")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bound", bound)
-
-    @property
-    def count(self) -> int:
-        return comb(2 * self.bound + self.length, self.length)
-
-    def __iter__(self):
-        return dominant_tuples(self.length, -self.bound, self.bound)
-
-
-def dominant_tuples(
-    length: int, lo: int, hi: int, total: int | tuple[int, int] | None = None
-) -> Iterator[tuple[int, ...]]:
+def dominant_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing integer tuples of the given length with
-    entries in [lo, hi], in lexicographic order; with `total`, only those
-    whose entries sum to it. A total is an int d, or a closed interval
-    (t_lo, t_hi) of sums, the int d being (d, d); an empty interval yields
-    nothing. Length 0 yields the empty tuple (when the total is not given
-    or holds 0). The walk is `_decreasing_runs` with the total as its one
-    tail row, so no prefix it builds is a dead end.
-    """
+    entries in [lo, hi], in lexicographic order: comb(hi - lo + length,
+    length) of them when lo <= hi. Length 0 yields the empty tuple. The
+    walk is `_decreasing_runs` of the empty piece, its runs expanded
+    upwards."""
     _check_int("length", length)
     _check_int("lo", lo)
     _check_int("hi", hi)
-    return _decreasing_tuples(length, lo, hi, _check_total(total), descending=False)
+    if length < 1:
+        _check_length(length)
+        return iter([()])
+    runs = _decreasing_runs(length, lo, hi, ())
+    return (head + (x,) for head, low, high in runs for x in range(low, high + 1))
 
 
-def _check_total(total) -> tuple[int, int] | None:
-    """A `total` argument as a closed interval of sums, or None."""
-    if total is None:
-        return None
-    if not isinstance(total, tuple):
-        total = (total, total)
-    if len(total) != 2:
-        raise ValueError(f"total must be an int or a pair (t_lo, t_hi), got {total!r}")
-    for end in total:
-        _check_int("total", end)
-    return total
-
-
-def _decreasing_tuples(length, lo, hi, total, descending):
-    # The runs of _decreasing_runs, expanded as they are made: upwards, or
-    # downwards when descending.
+def _check_length(length: int) -> None:
     if length < 0:
         raise ValueError(f"tuple length {length} is negative")
-    if length == 0:
-        return iter([()] if total is None or total[0] <= 0 <= total[1] else [])
-    return _decreasing_runs(length, lo, hi, None, total, descending, expand=True)
 
 
 @lru_cache(maxsize=1024)
-def _plan(length, lo, hi, piece, total):
+def _plan(length, lo, hi, piece):
     """The tables `_decreasing_runs` walks one piece with, or None when the
     piece has no member with entries in [lo, hi]. See there. A plan
     depends on its arguments alone, so it is kept for the next walk that
     asks for it; the walks only read it."""
     n = length
-    rows = piece or ()
     # A row outside the box empties the piece, found before any table of
     # length n is built: most pieces of F_k in a small box are empty.
-    for i, entry_lo, entry_hi, tail_lo, tail_hi in rows:
+    for i, entry_lo, entry_hi, tail_lo, tail_hi in piece:
         if not 0 <= i < n:
             raise ValueError(f"a row at position {i} is outside 0..{n - 1}")
         if (entry_lo is not None and entry_lo > hi or entry_hi is not None and entry_hi < lo
@@ -185,7 +136,7 @@ def _plan(length, lo, hi, piece, total):
     # The box's own tail bounds; position n is the empty tail.
     tlo = [(n - i) * lo for i in range(n + 1)]
     thi = [(n - i) * hi for i in range(n + 1)]
-    for i, entry_lo, entry_hi, tail_lo, tail_hi in rows:
+    for i, entry_lo, entry_hi, tail_lo, tail_hi in piece:
         if entry_lo is not None and entry_lo > elo[i]:
             elo[i] = entry_lo
         if entry_hi is not None and entry_hi < ehi[i]:
@@ -196,9 +147,6 @@ def _plan(length, lo, hi, piece, total):
         if tail_hi is not None and tail_hi < thi[i]:
             thi[i] = tail_hi
     ehi = list(accumulate(ehi, min))
-    if total is not None:
-        tlo[0], thi[0] = max(tlo[0], total[0]), min(thi[0], total[1])
-        lower.add(0)
     first_row = min(lower, default=n)
     # From position n down: top[i] and least[i], the most and the least
     # entries i.. can sum to, and elo[i] raised by the tail rows. kinks
@@ -237,21 +185,19 @@ def _plan(length, lo, hi, piece, total):
     return elo, ehi, tlo, thi, least, lines, last
 
 
-def _decreasing_runs(
-    length, lo, hi, piece=None, total=None, descending=False, dead_ends=None, expand=False
-):
+def _decreasing_runs(length, lo, hi, piece, descending=False, dead_ends=None):
     """The weakly decreasing tuples of a positive length n with entries in
-    [lo, hi] that satisfy the rows of one piece and sum into `total`, as
-    runs (head, low, high): the tuples head + (x,) for x = low..high. Heads
-    come in lexicographic order, or in reverse when descending; with
-    `expand`, the tuples themselves come, in the same order. `dead_ends`,
-    a list, receives every prefix the walk builds that has no completion.
+    [lo, hi] that satisfy the rows of one piece, as runs (head, low, high):
+    the tuples head + (x,) for x = low..high. Heads come in lexicographic
+    order, or in reverse when descending. `dead_ends`, a list, receives
+    every prefix the walk builds that has no completion.
 
-    A piece is a tuple of rows (i, entry_lo, entry_hi, tail_lo, tail_hi),
-    at most one for each position i in 0..n-1: entry_lo <= lam_i <=
-    entry_hi and tail_lo <= T_i <= tail_hi for the tail sum T_i = lam_i +
-    ... + lam_{n-1}, None being no bound. The total is one more tail row,
-    at position 0.
+    A piece is a tuple of rows (i, entry_lo, entry_hi, tail_lo, tail_hi)
+    at positions i in 0..n-1: entry_lo <= lam_i <= entry_hi and tail_lo <=
+    T_i <= tail_hi for the tail sum T_i = lam_i + ... + lam_{n-1}, None
+    being no bound; rows at one position intersect. The empty piece is the
+    box. A closed interval [t_lo, t_hi] of totals is the row (0, None,
+    None, t_lo, t_hi), an exact total d the interval [d, d].
 
     The walk fills lam_0, lam_1, ... and carries [need_lo, need_hi], where
     T_j must lie: every tail row at or left of j, less the entries placed.
@@ -287,7 +233,7 @@ def _decreasing_runs(
     box with a total. The tests count the dead ends of every kind and of
     random pieces: none.
     """
-    plan = _plan(length, lo, hi, piece, total)
+    plan = _plan(length, lo, hi, piece)
     if plan is None:
         return
     # The last entry's run is what its own bounds, the entry before it, y,
@@ -296,12 +242,7 @@ def _decreasing_runs(
     elo, ehi, tlo, thi, least, lines, (last_lo, last_hi) = plan
     if length == 1:
         if last_lo <= last_hi:
-            if not expand:
-                yield (), last_lo, last_hi
-            elif descending:
-                yield from zip(range(last_hi, last_lo - 1, -1))
-            else:
-                yield from zip(range(last_lo, last_hi + 1))
+            yield (), last_lo, last_hi
         return
     # An odometer over the stem, the entries before the last two, without
     # recursion, so the length is not bounded by the interpreter's
@@ -310,9 +251,9 @@ def _decreasing_runs(
     # move does, the entries right of it restart at the start of their
     # ranges. need_lo[j] and need_hi[j] hold [need_lo, need_hi] of entry
     # j, rest_lo and rest_hi those of the entry being placed.
-    pen, last = length - 2, length - 1
+    pen = length - 2
     step = -1 if descending else 1
-    values = [0] * length  # the stem, then y and x when expanding
+    values = [0] * pen  # the stem
     ends = [0] * pen  # the last value of each stem entry's range
     need_lo = [0] * pen
     need_hi = [0] * pen
@@ -349,36 +290,22 @@ def _decreasing_runs(
             continue
         else:
             # The entry before the last runs over [low, high]; for each y
-            # there the last entry runs over what the rows and y leave. In
-            # a box walk upwards they leave [last_lo, y] for every y.
-            if expand and not descending and rest_lo - low <= last_lo and (
-                high <= last_hi and high + high <= rest_hi
-            ):
-                for values[pen] in range(low, high + 1):
-                    for values[last] in range(last_lo, values[pen] + 1):
-                        yield tuple(values)
-            else:
-                stem = tuple(values[:pen])
-                for y in range(high, low - 1, -1) if descending else range(low, high + 1):
-                    first = rest_lo - y
-                    if first < last_lo:
-                        first = last_lo
-                    final = rest_hi - y
-                    if final > y:
-                        final = y
-                    if final > last_hi:
-                        final = last_hi
-                    if first > final:
-                        if dead_ends is not None:
-                            dead_ends.append(stem + (y,))
-                    elif not expand:
-                        yield stem + (y,), first, final
-                    else:
-                        values[pen] = y
-                        for values[last] in (
-                            range(final, first - 1, -1) if descending else range(first, final + 1)
-                        ):
-                            yield tuple(values)
+            # there the last entry runs over what the rows and y leave.
+            stem = tuple(values)
+            for y in range(high, low - 1, -1) if descending else range(low, high + 1):
+                first = rest_lo - y
+                if first < last_lo:
+                    first = last_lo
+                final = rest_hi - y
+                if final > y:
+                    final = y
+                if final > last_hi:
+                    final = last_hi
+                if first > final:
+                    if dead_ends is not None:
+                        dead_ends.append(stem + (y,))
+                else:
+                    yield stem + (y,), first, final
         j -= 1
         while j >= 0 and values[j] == ends[j]:
             j -= 1
@@ -401,4 +328,8 @@ def partitions_of(size: int, parts: int) -> Iterator[tuple[int, ...]]:
     reverse order."""
     _check_int("size", size)
     _check_int("parts", parts)
-    return _decreasing_tuples(parts, 0, size, (size, size), descending=True)
+    if parts < 1:
+        _check_length(parts)
+        return iter([()] if size == 0 else [])
+    runs = _decreasing_runs(parts, 0, size, ((0, None, None, size, size),), descending=True)
+    return (head + (x,) for head, low, high in runs for x in range(high, low - 1, -1))

@@ -32,7 +32,7 @@ from dethodge.repsets import (
     decompose_weight,
     minimal_elements,
 )
-from dethodge.weights import WeightBox, leq, partitions_of
+from dethodge.weights import dominant_tuples, leq, partitions_of
 
 SEED = 1729
 
@@ -55,7 +55,7 @@ def test_criterion_01_filtration_ideal_equivalence():
 def test_criterion_02_low_hodge_ideals():
     for n in range(1, 6):
         space = MatrixSpace(n, n)
-        partitions = [lam for lam in WeightBox(n, 6) if lam[-1] >= 0]
+        partitions = [lam for lam in dominant_tuples(n, -6, 6) if lam[-1] >= 0]
         for mu in partitions:
             assert in_hodge_ideal(mu, 0, space)
             assert in_hodge_ideal(mu, 1, space)
@@ -163,7 +163,7 @@ def test_criterion_10_hilbert_oracle():
 def test_criterion_11_minimal_elements():
     for n in (1, 2, 3):
         space = MatrixSpace(n, n)
-        box = list(WeightBox(n, 8))
+        box = list(dominant_tuples(n, -8, 8))
         for p in range(n + 1):
             for d in range(5):
                 mins = minimal_elements(p, d, space)

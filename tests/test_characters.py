@@ -17,7 +17,7 @@ from dethodge.characters import (
 )
 from dethodge.repsets import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
-from dethodge.weights import WeightBox, pad, partitions_of
+from dethodge.weights import dominant_tuples, pad, partitions_of
 
 
 def ssyt_count(lam, N):
@@ -227,7 +227,7 @@ def test_hilbert_function_box_matches_the_filtered_box():
         for bound in range(6):
             for wset in sets:
                 by_size = {}
-                for lam in WeightBox(n, bound):
+                for lam in dominant_tuples(n, -bound, bound):
                     if wset.contains(lam):
                         by_size[sum(lam)] = by_size.get(sum(lam), 0) + dim_irrep(lam, n) ** 2
                 for d in range(-n * bound, n * bound + 1):
@@ -269,11 +269,14 @@ def every_kind_on(space):
 
 def hilbert_by_degree(wset, d, box):
     """The per-degree sum that hilbert_series replaced: both dimensions of
-    every member of size d, each through dim_irrep."""
+    every member of size d, each through dim_irrep, the members of the box
+    filtered by size."""
     m, n = wset.space.m, wset.space.n
     bound = d if box is None else box
     return sum(
-        dim_irrep(pad(lam, m), m) * dim_irrep(lam, n) for lam in wset.members(bound, total=d)
+        dim_irrep(pad(lam, m), m) * dim_irrep(lam, n)
+        for lam in wset.members(bound)
+        if sum(lam) == d
     )
 
 
@@ -342,12 +345,12 @@ def test_members_and_hilbert_call_no_membership_core(monkeypatch):
 
     sets = [wset for n in (1, 2, 3) for wset in every_kind_on(MatrixSpace(n, n))]
     sets += list(every_kind_on(MatrixSpace(3, 2)))
-    expected = {wset: (wset.members(3), wset.members(3, total=(-2, 2))) for wset in sets}
+    expected = {wset: wset.members(3) for wset in sets}
     series = {wset: hilbert_series(wset, 6, box=None if wset.partitions_only else 3)
               for wset in sets if wset.space.is_square}
     monkeypatch.setattr(repsets, "_parameter_interval", refuse)
     for wset in sets:
-        assert (wset.members(3), wset.members(3, total=(-2, 2))) == expected[wset]
+        assert wset.members(3) == expected[wset]
         if wset in series:
             box = None if wset.partitions_only else 3
             assert hilbert_series(wset, 6, box=box) == series[wset]

@@ -17,11 +17,11 @@ from dethodge.hodgeideals import (
 from dethodge.matrixspace import MatrixSpace
 from dethodge.reporting import VerificationReport
 from dethodge.repsets import WeightSet, parse_weight_set
-from dethodge.weights import WeightBox, dominant_tuples, leq
+from dethodge.weights import dominant_tuples, leq
 
 
 def partitions_in_box(n, bound):
-    return [lam for lam in WeightBox(n, bound) if lam[-1] >= 0]
+    return [lam for lam in dominant_tuples(n, -bound, bound) if lam[-1] >= 0]
 
 
 def in_ideal_by_tails(mu, k, n):
@@ -268,7 +268,7 @@ def per_k_reference(space, k, bound):
     report = VerificationReport(
         "hodge-filtration-equivalence", {"n": n, "k": k, "box": bound}
     )
-    for lam in WeightBox(n, bound):
+    for lam in dominant_tuples(n, -bound, bound):
         lhs = in_Fk_Sdet(lam, k, space)
         rhs = all(sum(lam[s:]) >= -comb(n - s + 1, 2) - k for s in range(n))
         report.checks += 1
@@ -341,7 +341,7 @@ def test_one_walk_matches_the_per_k_loop(monkeypatch, shift_rows, shift, n, boun
     partitions = list(dominant_tuples(n, 0, bound))
     outside = sum(translate(mu, k)[-1] < -bound for mu in partitions for k in ks)
     kinds = [kind for kind, _ in calls]
-    assert kinds.count("FkSdet") == WeightBox(n, bound).count + outside
+    assert kinds.count("FkSdet") == comb(2 * bound + n, n) + outside
     assert kinds.count("HodgeIdeal") == len(partitions)
     assert (outside > 0) == (max(ks) + 1 > bound)
     reference = [per_k_reference(space, k, bound) for k in ks]
@@ -353,7 +353,7 @@ def test_equivalence_suite_classifies_each_box_weight_once(monkeypatch):
     calls = counting_reader(monkeypatch)
     reports = suites.equivalence()
     levels = 6
-    box_weights = sum(WeightBox(n, box).count for n, box in suites.EQUIVALENCE_GRID.items())
+    box_weights = sum(comb(2 * box + n, n) for n, box in suites.EQUIVALENCE_GRID.items())
     partitions = sum(
         len(list(dominant_tuples(n, 0, box))) for n, box in suites.EQUIVALENCE_GRID.items()
     )
@@ -521,7 +521,7 @@ def test_ideal_weight_set_members():
     assert (1, 0) in members and (2, 2) in members
     assert (0, 0) not in members
     assert all(mu[-1] >= 0 for mu in members)
-    box = [mu for mu in WeightBox(2, 2) if mu[-1] >= 0 and ideal.contains(mu)]
+    box = [mu for mu in dominant_tuples(2, -2, 2) if mu[-1] >= 0 and ideal.contains(mu)]
     assert members == box
 
 

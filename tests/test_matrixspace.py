@@ -57,7 +57,7 @@ from dethodge.repsets import (
     lambda_p_mu,
     minimal_elements,
 )
-from dethodge.weights import WeightBox, delta_p
+from dethodge.weights import delta_p
 
 
 def test_space_validation():
@@ -173,7 +173,6 @@ ONE = LaurentPoly({0: 1})
 # had as dataclasses.
 VALUES = [
     (MatrixSpace, {"m": 3, "n": 2}, "MatrixSpace(m=3, n=2)"),
-    (WeightBox, {"length": 2, "bound": 3}, "WeightBox(length=2, bound=3)"),
     (
         WeightSet,
         {"space": MatrixSpace(2, 2), "kind": "HodgeIdeal", "p": None, "param": 2},
@@ -233,8 +232,7 @@ def test_frozen_value_types_refuse_assignment_and_deletion(cls, fields, text):
 def test_value_types_differ_by_class_and_by_each_field():
     space = MatrixSpace(3, 2)
     assert MatrixSpace(3, 2) != MatrixSpace(3, 1) != MatrixSpace(2, 1)
-    assert WeightBox(2, 3) != WeightBox(3, 2)
-    assert WeightBox(3, 2) != MatrixSpace(3, 2)
+    assert WeightSet(space, "Wp", 1) != MatrixSpace(3, 2)
     assert WeightSet(space, "Wp", 1) != WeightSet(space, "empty", 1)
     assert WeightSet(space, "Wpd", 1, 2) != WeightSet(space, "Wpd", 0, 2)
     assert WeightSet(space, "Wpd", 1, 2) != WeightSet(space, "Wpd", 1, 3)
@@ -270,9 +268,9 @@ def test_verification_report_is_mutable_unhashable_and_owns_its_lists():
     [
         (MatrixSpace, (True, True), "m and n"),
         (MatrixSpace, (2, False), "m and n"),
-        (WeightBox, (2, 1.5), "bound"),
-        (WeightBox, (2.0, 1), "length"),
-        (WeightBox, (True, 1), "length"),
+        (verify_equivalence, (SQUARE, [0], 1.5), "bound"),
+        (verify_equivalence, (SQUARE, [0], True), "bound"),
+        (verify_equivalence, (SQUARE, [0], 2.0), "bound"),
         (WeightSet, (MatrixSpace(2, 2), "HodgeIdeal", None, 1.5), "param"),
         (WeightSet, (MatrixSpace(2, 2), "Wp", 1.0), "p"),
         (WeightSet, (MatrixSpace(2, 2), "Wpd", 1, True), "param"),
@@ -368,10 +366,10 @@ def test_public_functions_return_or_refuse_what_they_are_given(data):
 def test_range_errors_keep_their_messages():
     with pytest.raises(ValueError, match=r"need m >= n >= 1, got m=1, n=2"):
         MatrixSpace(1, 2)
-    with pytest.raises(ValueError, match="box length must be at least 1"):
-        WeightBox(0, 1)
+    with pytest.raises(ValueError, match="the localization at the determinant needs a square space"):
+        verify_equivalence(WIDE, [0], 1)
     with pytest.raises(ValueError, match="box bound must be nonnegative"):
-        WeightBox(1, -1)
+        verify_equivalence(SQUARE, [0], -1)
     with pytest.raises(ValueError, match=r"stratum index p=3 outside 0..2"):
         WeightSet(MatrixSpace(2, 2), "Wp", 3)
     with pytest.raises(ValueError, match=r"stratum index p=3 outside 0..2"):

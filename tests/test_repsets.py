@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb, inf
 
 import membership_reference as ref
@@ -24,11 +25,11 @@ from dethodge.repsets import (
     parse_weight_set,
 )
 from dethodge.weights import (
-    WeightBox,
     _decreasing_runs,
     check_weight,
     delta_p,
     dominant_tuples,
+    is_partition,
     leq,
 )
 
@@ -51,7 +52,7 @@ def test_classify_square_examples():
 def test_classify_square_partitions_the_box():
     for n in (2, 3, 4):
         space = MatrixSpace(n, n)
-        for lam in WeightBox(n, 6):
+        for lam in dominant_tuples(n, -6, 6):
             hits = [p for p in range(n + 1) if in_Wp(lam, p, space)]
             assert len(hits) == 1
             assert classify(lam, space) == hits[0]
@@ -70,7 +71,7 @@ def test_classify_by_counting_matches_the_scan():
     for n in range(1, 5):
         for m in range(n, n + 4):
             space = MatrixSpace(m, n)
-            for lam in WeightBox(n, 7):
+            for lam in dominant_tuples(n, -7, 7):
                 hits = [p for p in range(n + 1) if ref.wp_member(lam, p, space)]
                 assert classify(lam, space) == (hits[0] if m == n else hits), (space, lam)
                 assert ref.classify(lam, space) == classify(lam, space), (space, lam)
@@ -97,7 +98,7 @@ def test_delta_in_Wp0():
 
 def test_partition_tail_sum_lands_in_d0():
     space = MatrixSpace(3, 3)
-    for lam in WeightBox(3, 3):
+    for lam in dominant_tuples(3, -3, 3):
         if lam[-1] >= 0:
             assert in_Wpd(lam, 3, 0, space)
 
@@ -129,7 +130,7 @@ def test_Ukp_level_is_the_least_member_level():
     # lam in U^p_k, the hand-derived level, and infinite exactly off W^p.
     for n in (1, 2, 3):
         space = MatrixSpace(n, n)
-        for lam in WeightBox(n, 5):
+        for lam in dominant_tuples(n, -5, 5):
             for p in range(n + 1):
                 level, top = _parameter_interval(_rows("Ukp", space, p), lam)
                 assert level == ref.ukp_level(lam, p, space), (lam, p)
@@ -152,7 +153,7 @@ def test_the_rows_solve_to_every_reference_level():
     for n in range(1, 6):
         bound = 6 if n <= 3 else 3
         for space in (MatrixSpace(n, n), MatrixSpace(n + 1, n), MatrixSpace(n + 3, n)):
-            for lam in WeightBox(n, bound):
+            for lam in dominant_tuples(n, -bound, bound):
                 for p in range(n + 1):
                     low, high = _parameter_interval(_rows("Wp", space, p), lam)
                     assert (low <= high) == ref.wp_member(lam, p, space), (space, lam, p)
@@ -238,7 +239,7 @@ def test_the_pieces_are_disjoint_without_the_parameter():
                     continue
                 for p in [None] if spec.p_min is None else range(spec.p_min, n + 1):
                     pieces = _rows(kind, space, p)
-                    for lam in WeightBox(n, 4):
+                    for lam in dominant_tuples(n, -4, 4):
                         held = sum(holds_without_the_parameter(piece, lam) for piece in pieces)
                         assert held <= 1, (kind, space, p, lam)
 
@@ -247,7 +248,7 @@ def test_Ukp_nested_and_inside_Wp():
     space = MatrixSpace(3, 3)
     for p in range(4):
         for k in range(5):
-            for lam in WeightBox(3, 5):
+            for lam in dominant_tuples(3, -5, 5):
                 if in_Ukp(lam, p, k, space):
                     assert in_Wp(lam, p, space)
                     assert in_Ukp(lam, p, k + 1, space)
@@ -258,7 +259,7 @@ def test_Ukp_difference_is_a_layer():
     for p in range(4):
         lowest = comb(3 - p, 2)
         for k in range(7):
-            for lam in WeightBox(3, 6):
+            for lam in dominant_tuples(3, -6, 6):
                 diff = in_Ukp(lam, p, k, space) and not (
                     k > 0 and in_Ukp(lam, p, k - 1, space)
                 )
@@ -275,7 +276,7 @@ def test_module_interval_property_of_unions():
     # the union of the supports for p' >= p is the set lam_p >= p-n, and
     # that set is upward closed under the componentwise order
     space = MatrixSpace(3, 3)
-    box = list(WeightBox(3, 4))
+    box = list(dominant_tuples(3, -4, 4))
     for p in range(4):
         union = {
             lam for lam in box if any(in_Wp(lam, q, space) for q in range(p, 4))
@@ -307,7 +308,7 @@ def test_minimal_elements_are_minimal_and_dominate():
                 for b in mins:
                     if a != b:
                         assert not leq(a, b)
-            for lam in WeightBox(3, 8):
+            for lam in dominant_tuples(3, -8, 8):
                 if in_Wpd(lam, p, d, space):
                     assert any(leq(mn, lam) for mn in mins)
 
@@ -343,10 +344,26 @@ def test_compose_weight_refuses_what_decompose_weight_never_returns():
 
 def test_decompose_weight_round_trip():
     space = MatrixSpace(3, 3)
-    for lam in WeightBox(3, 6):
+    for lam in dominant_tuples(3, -6, 6):
         p = classify(lam, space)
         mu, gamma = decompose_weight(lam, p, space)
         assert compose_weight(mu, gamma, p, space) == lam
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (6, 3)])
+def test_decompose_weight_splits_every_member_into_partitions(m, n):
+    # Membership alone makes both splits partitions: the weight is
+    # dominant, lam_{p+1} <= p - m and lam_p >= p - n. So decompose_weight
+    # has nothing left to check after in_Wp, on square and wide spaces.
+    space = MatrixSpace(m, n)
+    for lam in dominant_tuples(n, -5, 5):
+        for p in range(n + 1):
+            if not in_Wp(lam, p, space):
+                continue
+            mu, gamma = decompose_weight(lam, p, space)
+            assert (len(mu), len(gamma)) == (n - p, p), (space, lam, p)
+            assert all(is_partition(part) for part in (mu, gamma) if part), (space, lam, p)
+            assert compose_weight(mu, gamma, p, space) == lam, (space, lam, p)
 
 
 @st.composite
@@ -424,7 +441,7 @@ def test_weight_set_validation():
 
 def test_layers_partition_the_support():
     space = MatrixSpace(4, 4)
-    for lam in WeightBox(4, 4):
+    for lam in dominant_tuples(4, -4, 4):
         for p in range(5):
             if not in_Wp(lam, p, space):
                 continue
@@ -433,12 +450,6 @@ def test_layers_partition_the_support():
             assert d >= 0
             hits = [e for e in range(d + 3) if in_Wpd(lam, p, e, space)]
             assert hits == [d]
-
-
-def test_decompose_weight_raises_on_a_non_partition_split(monkeypatch):
-    monkeypatch.setattr(repsets, "in_Wp", lambda lam, p, space: True)
-    with pytest.raises(RuntimeError):
-        decompose_weight((0, 0), 0, MatrixSpace(2, 2))
 
 
 @pytest.mark.parametrize(
@@ -534,6 +545,18 @@ def admitted_weight_sets(space):
                     pass
 
 
+def members_summing_into(wset, bound, t_lo, t_hi):
+    """The members with entries in [-bound, bound] whose entries sum into
+    [t_lo, t_hi], from the walks that hilbert sums, each piece's with the
+    interval as one more row, expanded and merged."""
+    return sorted(
+        head + (x,)
+        for walk in wset._walks(bound, (t_lo, t_hi))
+        for head, low, high in walk
+        for x in range(low, high + 1)
+    )
+
+
 def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
     # contains against the inequalities on every weight of the box, and
     # members, in total, per size and per interval of sizes, against the
@@ -547,7 +570,7 @@ def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
                 lo = 0 if wset.partitions_only else -bound
                 box = dominant_tuples(n, lo, bound)
                 walk = [lam for lam in box if member_by_inequalities(wset, lam)]
-                for lam in WeightBox(n, bound):
+                for lam in dominant_tuples(n, -bound, bound):
                     if lam[-1] < 0 and wset.partitions_only:
                         with pytest.raises(ValueError, match="need a partition"):
                             wset.contains(lam)
@@ -557,22 +580,26 @@ def test_every_kind_matches_its_inequalities_and_enumerates_its_members():
                 assert wset.members(bound) == walk, wset
                 for d in range(-n * bound - 1, n * bound + 2):
                     by_size = [lam for lam in walk if sum(lam) == d]
-                    assert wset.members(bound, total=d) == by_size, (wset, d)
+                    assert members_summing_into(wset, bound, d, d) == by_size, (wset, d)
                     in_interval = [lam for lam in walk if d <= sum(lam) <= d + n]
-                    assert wset.members(bound, total=(d, d + n)) == in_interval, (wset, d)
+                    assert members_summing_into(wset, bound, d, d + n) == in_interval, (wset, d)
     # Per n: the seven kinds on the square space, 21n + 24 sets, and W^p,
     # W^p_d and the empty set on the (n+1) x n space, 7(n+1) sets.
     assert sets == sum(21 * n + 24 + 7 * (n + 1) for n in range(1, 5))
 
 
-@pytest.mark.parametrize(
-    "bound,total,field",
-    [(1.5, None, "bound"), (True, None, "bound"), (1, 1.5, "total"), (1, (0, 2.5), "total")],
-)
-def test_members_refuse_bounds_that_are_not_ints(bound, total, field):
+@pytest.mark.parametrize("bound", [1.5, True, 2.0, Fraction(2)], ids=repr)
+def test_members_refuse_bounds_that_are_not_ints(bound):
+    # An integral value of another type is refused too, not read as an int.
     wset = WeightSet(MatrixSpace(2, 2), "Wp", 1)
-    with pytest.raises(TypeError, match=f"^{field} must be an int"):
-        wset.members(bound, total)
+    with pytest.raises(TypeError, match="^bound must be an int"):
+        wset.members(bound)
+
+
+def test_members_refuse_a_negative_bound():
+    wset = WeightSet(MatrixSpace(2, 2), "Wp", 1)
+    with pytest.raises(ValueError, match="^box bound must be nonnegative$"):
+        wset.members(-1)
 
 
 def satisfies_rows(piece, lam):
@@ -599,7 +626,7 @@ def test_every_kind_is_its_rows_and_its_pieces_are_disjoint():
                 pieces = wset._pieces()
                 positions = [[row[0] for row in piece] for piece in pieces]
                 assert all(sorted(set(at)) == at and set(at) <= set(range(n)) for at in positions)
-                for lam in WeightBox(n, bound):
+                for lam in dominant_tuples(n, -bound, bound):
                     held = sum(satisfies_rows(piece, lam) for piece in pieces)
                     assert held <= 1, (wset, lam)
                     if lam[-1] < 0 and wset.partitions_only:
@@ -611,7 +638,8 @@ def test_every_kind_is_its_rows_and_its_pieces_are_disjoint():
 def test_no_walk_of_a_piece_meets_a_dead_end():
     # Every prefix the walk builds has a completion, for every kind on the
     # test grid and every shape of total, and on the boxes and degree
-    # intervals that hilbert walks: the range of each entry is exact.
+    # intervals that hilbert walks: the range of each entry is exact. A
+    # total is one more row of the piece, at position 0.
     walks = 0
     cases = []
     for n in range(1, 5):
@@ -626,8 +654,9 @@ def test_no_walk_of_a_piece_meets_a_dead_end():
     for wset, bound, totals in cases:
         for piece in wset._pieces():
             for total in totals:
+                walked = piece if total is None else (*piece, (0, None, None, *total))
                 dead_ends = []
-                for _ in _decreasing_runs(wset.space.n, -bound, bound, piece, total,
+                for _ in _decreasing_runs(wset.space.n, -bound, bound, walked,
                                           dead_ends=dead_ends):
                     pass
                 walks += 1

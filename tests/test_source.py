@@ -17,11 +17,14 @@ grows beside them."""
 import ast
 import builtins
 import importlib
+import inspect
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from dethodge import repsets, weights
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "dethodge").glob("*.py"))
@@ -249,12 +252,12 @@ def test_the_lint_finds_what_it_looks_for():
     ]
     assert unseeded_draws(ast.parse("import random\nrng = random.Random(7)\n")) == []
     source = (
-        '"""``WeightBox`` ``WeightBox.count`` ``repsets.WeightSet.descriptor``\n'
+        '"""``WeightSet`` ``WeightSet.contains`` ``repsets.WeightSet.descriptor``\n'
         "``python -m dethodge`` ``dethodge`` ``nope`` ``qseries.nope``\n"
-        "``nomodule.f`` ``WeightBox.nope``\n"
-        "`WeightBox.count` `oracle.line_vanishing_order` `verify oracle`\n"
+        "``nomodule.f`` ``WeightSet.nope``\n"
+        "`WeightSet.contains` `oracle.line_vanishing_order` `verify oracle`\n"
         '`gone` `oracle.symbolic_membership`"""\n'
-        "from dethodge.weights import WeightBox\n"
+        "from dethodge.repsets import WeightSet\n"
         "def f(space, *rows, **options):\n"
         '    """`space.m` `rows` `options` `len` `math.comb` `json.nope`\n'
         '    `f` `qseries._solved_rows` `g` `used`"""\n'
@@ -264,12 +267,12 @@ def test_the_lint_finds_what_it_looks_for():
         "    def used(self, depth):\n"
         '        """`self.used` `width` `depth` `used` `Row` `height`"""\n'
         "        def inner(x):\n"
-        '            """`x` `depth` `width` `WeightBox.count`"""\n'
+        '            """`x` `depth` `width` `WeightSet.contains`"""\n'
     )
     module = type(sys)("fake")
     exec(source, module.__dict__)
     assert unresolved_doc_names(module, source) == [
-        "nope", "qseries.nope", "nomodule.f", "WeightBox.nope",
+        "nope", "qseries.nope", "nomodule.f", "WeightSet.nope",
         "gone", "oracle.symbolic_membership",
         "json.nope", "qseries._solved_rows", "g", "used",
         "size",
@@ -340,6 +343,27 @@ def test_qseries_has_one_polynomial_type():
     assert classes == ["LaurentPoly", "DecompositionTable"]
 
 
+def test_the_odometer_has_one_walk_shape():
+    # One input shape, a piece of rows, a total being one more row of it,
+    # and one output shape, runs: no separate total, no expanding flag, and
+    # no box type beside the walk of the empty piece.
+    def parameters(function):
+        return list(inspect.signature(function).parameters)
+
+    assert parameters(weights._decreasing_runs) == [
+        "length", "lo", "hi", "piece", "descending", "dead_ends"
+    ]
+    assert parameters(weights._plan) == ["length", "lo", "hi", "piece"]
+    records = [
+        node.name for node in _trees()["weights.py"].body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "_Record" for base in node.bases)
+    ]
+    assert records == []
+    assert "total" not in parameters(weights.dominant_tuples)
+    assert "total" not in parameters(repsets.WeightSet.members)
+
+
 def second_definitions(trees):
     """(module, name) of every function whose name reads like a membership
     test or a level of its own, `_*_member` or `_*_level`."""
@@ -382,7 +406,6 @@ def test_value_types_have_no_public_name_the_package_does_not_read():
         for module, class_name in [
             ("qseries.py", "DecompositionTable"),
             ("matrixspace.py", "MatrixSpace"),
-            ("weights.py", "WeightBox"),
             ("repsets.py", "WeightSet"),
             ("reporting.py", "VerificationReport"),
         ]

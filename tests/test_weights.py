@@ -1,6 +1,8 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -9,10 +11,9 @@ from hypothesis import strategies as st
 from dethodge.characters import dim_irrep
 from dethodge.hodgeideals import in_hodge_ideal
 from dethodge.matrixspace import MatrixSpace
-from dethodge.repsets import WeightSet, in_Wp, lambda_of_p
+from dethodge.repsets import in_Wp, lambda_of_p
 from dethodge import weights
 from dethodge.weights import (
-    WeightBox,
     _decreasing_runs,
     check_weight,
     delta_p,
@@ -74,7 +75,7 @@ def test_dual_examples():
 def test_dual_involution_and_order_reversal():
     for bound in range(4):
         for n in (1, 2, 3):
-            box = list(WeightBox(n, bound))
+            box = list(dominant_tuples(n, -bound, bound))
             for lam in box:
                 assert dual(dual(lam)) == lam
                 assert is_dominant(dual(lam))
@@ -91,7 +92,7 @@ def test_leq_examples():
 
 
 def test_leq_reflexive():
-    for lam in WeightBox(2, 2):
+    for lam in dominant_tuples(2, -2, 2):
         assert leq(lam, lam)
 
 
@@ -117,7 +118,7 @@ def test_lambda_of_p_examples():
 
 def test_lambda_of_p_identity_on_square_spaces():
     space = MatrixSpace(3, 3)
-    for lam in WeightBox(3, 3):
+    for lam in dominant_tuples(3, -3, 3):
         p = next(p for p in range(4) if in_Wp(lam, p, space))
         assert lambda_of_p(lam, p, space) == lam
 
@@ -131,7 +132,7 @@ def test_lambda_of_p_output_dominant():
     for m in range(1, 6):
         for n in range(1, min(m, 4) + 1):
             space = MatrixSpace(m, n)
-            for lam in WeightBox(n, 4):
+            for lam in dominant_tuples(n, -4, 4):
                 for p in range(n + 1):
                     if in_Wp(lam, p, space):
                         out = lambda_of_p(lam, p, space)
@@ -140,8 +141,8 @@ def test_lambda_of_p_output_dominant():
 
 
 def test_weight_box_small():
-    assert list(WeightBox(1, 1)) == [(-1,), (0,), (1,)]
-    assert list(WeightBox(2, 1)) == [
+    assert list(dominant_tuples(1, -1, 1)) == [(-1,), (0,), (1,)]
+    assert list(dominant_tuples(2, -1, 1)) == [
         (-1, -1),
         (0, -1),
         (0, 0),
@@ -154,12 +155,11 @@ def test_weight_box_small():
 def test_weight_box_counts_and_order():
     for n in range(1, 5):
         for bound in range(6):
-            box = WeightBox(n, bound)
-            members = list(box)
-            assert len(members) == box.count
+            members = list(dominant_tuples(n, -bound, bound))
+            assert len(members) == comb(2 * bound + n, n)
             assert members == sorted(set(members))
             assert all(is_dominant(w) for w in members)
-    assert WeightBox(3, 2).count == 35
+    assert len(list(dominant_tuples(3, -2, 2))) == 35
 
 
 def test_pad_and_strip():
@@ -183,19 +183,42 @@ def test_dominant_tuples_degenerate():
     assert list(dominant_tuples(2, 1, 0)) == []
 
 
-def test_dominant_tuples_with_a_total_match_the_filtered_box():
+def expand(runs, descending=False):
+    """The tuples of the runs (head, low, high) of `_decreasing_runs`, in
+    the walk's order."""
+    return [
+        head + (x,)
+        for head, low, high in runs
+        for x in (range(high, low - 1, -1) if descending else range(low, high + 1))
+    ]
+
+
+def walk_total(length, lo, hi, t_lo, t_hi):
+    """The tuples of the box [lo, hi]^length whose entries sum into [t_lo,
+    t_hi]: the walk of the one total row."""
+    return expand(_decreasing_runs(length, lo, hi, ((0, None, None, t_lo, t_hi),)))
+
+
+def test_a_total_row_walks_the_filtered_box():
     for length in range(1, 5):
         for bound in range(6):
-            box = list(WeightBox(length, bound))
+            box = list(dominant_tuples(length, -bound, bound))
             for total in range(-length * bound - 1, length * bound + 2):
                 expected = [lam for lam in box if sum(lam) == total]
-                assert list(dominant_tuples(length, -bound, bound, total=total)) == expected
-    assert list(dominant_tuples(3, 0, 4, total=5)) == sorted(
-        lam for lam in partitions_of(5, 3) if lam[0] <= 4
-    )
-    assert list(dominant_tuples(0, -3, 1, total=0)) == [()]
-    assert list(dominant_tuples(0, -3, 1, total=1)) == []
-    assert list(dominant_tuples(2, 1, 0, total=1)) == []
+                assert walk_total(length, -bound, bound, total, total) == expected
+    assert walk_total(3, 0, 4, 5, 5) == sorted(lam for lam in partitions_of(5, 3) if lam[0] <= 4)
+    assert walk_total(2, 1, 0, 1, 1) == []
+
+
+def test_a_total_row_meets_a_row_at_position_0_in_their_intersection():
+    # _plan intersects two rows at one position, the max of the lows and
+    # the min of the highs: a total appended to a piece that already bounds
+    # the whole sum walks the intersection of the two intervals.
+    for length in range(1, 4):
+        for a, b, c, d in product(range(-3, 3), repeat=4):
+            rows = ((0, None, None, a, b), (0, None, None, c, d))
+            got = expand(_decreasing_runs(length, -1, 1, rows))
+            assert got == walk_total(length, -1, 1, max(a, c), min(b, d)), (length, rows)
 
 
 def recursive_dominant_tuples(length, lo, hi, total=None):
@@ -247,9 +270,9 @@ def test_dominant_tuples_match_the_recursive_enumeration():
             for hi in range(lo - 1, 4):
                 expected = list(recursive_dominant_tuples(length, lo, hi))
                 assert list(dominant_tuples(length, lo, hi)) == expected
-                for total in range(length * lo - 1, length * hi + 2):
+                for total in range(length * lo - 1, length * hi + 2) if length else ():
                     expected = list(recursive_dominant_tuples(length, lo, hi, total))
-                    assert list(dominant_tuples(length, lo, hi, total=total)) == expected
+                    assert walk_total(length, lo, hi, total, total) == expected
 
 
 @given(
@@ -263,15 +286,10 @@ def test_dominant_tuples_match_the_recursive_enumeration():
 )
 def test_a_total_interval_is_the_unconstrained_walk_filtered_by_total(length, lo, hi, t_lo, width):
     t_hi = t_lo + width
-    walk = list(dominant_tuples(length, lo, hi))
-    expected = [lam for lam in walk if t_lo <= sum(lam) <= t_hi]
-    assert list(dominant_tuples(length, lo, hi, total=(t_lo, t_hi))) == expected
-    assert list(dominant_tuples(length, lo, hi, total=(t_lo, t_lo))) == list(
-        dominant_tuples(length, lo, hi, total=t_lo)
-    )
-    assert list(dominant_tuples(length, lo, hi, total=t_lo)) == [
-        lam for lam in walk if sum(lam) == t_lo
-    ]
+    if length:
+        walk = list(dominant_tuples(length, lo, hi))
+        expected = [lam for lam in walk if t_lo <= sum(lam) <= t_hi]
+        assert walk_total(length, lo, hi, t_lo, t_hi) == expected
     size = max(hi, 0)
     assert list(partitions_of(size, length)) == list(recursive_partitions_of(size, length))
 
@@ -284,7 +302,7 @@ def test_partitions_of_match_the_recursive_enumeration():
 
 def test_enumerations_longer_than_the_recursion_limit():
     assert list(dominant_tuples(3000, 0, 0)) == [(0,) * 3000]
-    assert list(dominant_tuples(3000, -1, 0, total=-1)) == [(0,) * 2999 + (-1,)]
+    assert walk_total(3000, -1, 0, -1, -1) == [(0,) * 2999 + (-1,)]
     assert list(partitions_of(1, 3000)) == [(1,) + (0,) * 2999]
     assert len(list(partitions_of(3, 3000))) == 3
 
@@ -298,12 +316,11 @@ def test_dominant_tuples_refuse_a_negative_length():
     "walk,args,field",
     [
         (dominant_tuples, (2, 0, 1.5), "hi"),
+        (dominant_tuples, (2, 0, True), "hi"),
         (dominant_tuples, (2, -0.5, 1), "lo"),
+        (dominant_tuples, (2, False, 1), "lo"),
         (dominant_tuples, (2.0, 0, 1), "length"),
         (dominant_tuples, (True, 0, 1), "length"),
-        (dominant_tuples, (2, 0, 3, 1.5), "total"),
-        (dominant_tuples, (2, 0, 3, (0, 2.5)), "total"),
-        (dominant_tuples, (2, 0, 3, (False, 2)), "total"),
         (partitions_of, (2.5, 2), "size"),
         (partitions_of, (2, 2.0), "parts"),
         (partitions_of, (True, 1), "size"),
@@ -314,17 +331,6 @@ def test_enumerations_refuse_bounds_that_are_not_ints(walk, args, field):
     # would otherwise run the odometer past its end, or yield float entries.
     with pytest.raises(TypeError, match=f"^{field} must be an int"):
         walk(*args)
-
-
-@pytest.mark.parametrize("total", [(1, 2, 3), (1,), ()], ids=repr)
-def test_a_total_that_is_not_a_pair_is_refused_by_the_call(total):
-    # Not by the generator's first step, with a bare unpacking error: the
-    # walk is built and never started.
-    message = rf"^total must be an int or a pair \(t_lo, t_hi\), got {re.escape(repr(total))}$"
-    with pytest.raises(ValueError, match=message):
-        dominant_tuples(2, 0, 3, total)
-    with pytest.raises(ValueError, match=message):
-        WeightSet(MatrixSpace(3, 3), "Wp", 1).members(2, total)
 
 
 def satisfies_rows(piece, lam):
@@ -339,7 +345,8 @@ def satisfies_rows(piece, lam):
 
 @st.composite
 def pieces(draw):
-    """A length, a box [lo, hi], one piece of rows and maybe a total."""
+    """A length, a box [lo, hi], one piece of rows and maybe a total, an
+    interval of sums."""
     n = draw(st.integers(1, 5))
     lo = draw(st.integers(-4, 1))
     hi = draw(st.integers(lo - 1, 4))
@@ -358,21 +365,17 @@ def pieces(draw):
 @given(pieces(), st.booleans())
 def test_runs_of_a_piece_are_the_filtered_box_and_meet_no_dead_end(case, descending):
     # The oracle is the recursive enumeration of the box, filtered by the
-    # rows and the total.
+    # rows and the total. The walk takes the total as one more row, at
+    # position 0, where the piece may have a row of its own.
     n, lo, hi, piece, total = case
+    walked = piece if total is None else (*piece, (0, None, None, *total))
     dead_ends = []
-    runs = list(_decreasing_runs(n, lo, hi, piece, total, descending, dead_ends=dead_ends))
-    step = -1 if descending else 1
-    got = [
-        head + (x,)
-        for head, low, high in runs
-        for x in (range(high, low - 1, -1) if descending else range(low, high + 1))
-    ]
+    runs = list(_decreasing_runs(n, lo, hi, walked, descending, dead_ends=dead_ends))
     want = [
         lam for lam in recursive_dominant_tuples(n, lo, hi)
         if satisfies_rows(piece, lam) and (total is None or total[0] <= sum(lam) <= total[1])
     ]
-    assert got == (want if step == 1 else want[::-1])
+    assert expand(runs, descending) == (want[::-1] if descending else want)
     assert all(low <= high for _, low, high in runs)
     assert dead_ends == []
 
@@ -390,6 +393,6 @@ def test_dead_ends_are_counted(monkeypatch):
 
     monkeypatch.setattr(weights, "_plan", without_lines)
     dead_ends = []
-    runs = list(_decreasing_runs(3, 0, 3, None, (9, 9), dead_ends=dead_ends))
+    runs = list(_decreasing_runs(3, 0, 3, ((0, None, None, 9, 9),), dead_ends=dead_ends))
     assert runs == [((3, 3), 3, 3)]
     assert dead_ends == [(3, 0), (3, 1), (3, 2)]
