@@ -13,9 +13,9 @@ from dethodge import (
     grassmannian_poincare,
     pushforward_DpY,
     q_binomial,
+    qbinomial_identity_verdicts,
     solve_pushforward_OYp,
     stalk_poly,
-    verify_qbinomial_identity,
 )
 
 print("Gaussian binomials are the building blocks; they are genuine")
@@ -49,7 +49,7 @@ for p in range(4):
 print()
 
 print("The equality of routes encodes a q-binomial convolution identity:")
-print(f"  spot check (a,b,c)=(3,4,2): {verify_qbinomial_identity(3, 4, 2)}\n")
+print(f"  spot check (a,b,c)=(3,4,2): {qbinomial_identity_verdicts(3, 4, 2)[2]}\n")
 
 print("The full table for the simple module on the maximal-rank resolution")
 print("adds a Grassmannian-bundle prefactor. Two classical sanity cases:")

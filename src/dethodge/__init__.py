@@ -9,7 +9,6 @@ the matrix entries.
 
 from .characters import (
     cauchy_check,
-    dim_irrep,
     hilbert_function,
     hilbert_series,
     lr_coefficient,
@@ -38,7 +37,6 @@ from .mhmweights import (
     local_cohomology_weight,
     local_weight_ledger_check,
     square_start_levels_consistency,
-    square_weight_layer,
     start_level,
     weight_ledger,
 )
@@ -53,14 +51,11 @@ from .qseries import (
     LaurentPoly,
     closed_form_OYp,
     grassmannian_poincare,
-    pushforward_structure_checks,
     pushforward_DpY,
-    pushforward_prefactor,
     q_binomial,
     qbinomial_identity_verdicts,
     solve_pushforward_OYp,
     stalk_poly,
-    verify_qbinomial_identity,
 )
 from .reporting import VerificationReport
 from .repsets import (
@@ -68,7 +63,6 @@ from .repsets import (
     classify,
     compose_weight,
     decompose_weight,
-    in_Ukp,
     in_Wp,
     in_Wpd,
     lambda_of_p,

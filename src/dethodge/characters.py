@@ -9,9 +9,9 @@ over the interval of totals 0..dmax, as runs head + (x,) of the last
 entry, and adds each member's squared dimension to its degree (every set
 summed is on a square space). Along a run the dimension is dim(head), one
 GL_{n-1} product per head, times the n-1 factors that pair the last
-entry with the others. `dim_irrep` checks its weight and hands it to the
-unchecked product `_dim`, which the sums call directly on the heads their
-walks produce. A Cauchy-type identity against a plain binomial count
+entry with the others. The product `_dim` takes no check of its own: the
+sums call it on the heads their walks produce, which are dominant by
+construction. A Cauchy-type identity against a plain binomial count
 keeps the dimension formula honest.
 """
 
@@ -19,29 +19,23 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .matrixspace import MatrixSpace, _check_int, _check_space, codim_stratum
+from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum, codim_stratum
 from .reporting import VerificationReport
 from .repsets import WeightSet, compose_weight, lambda_p_mu
-from .weights import check_weight, is_partition, pad, partitions_of, strip_zeros
+from .weights import is_partition, pad, partitions_of, strip_zeros
 
 LR_SIZE_CAP = 20
 
 
-def dim_irrep(lam, N: int) -> int:
+def _dim(lam: tuple[int, ...]) -> int:
     """Dimension of the irreducible GL_N representation with highest
-    weight lam, by the product formula
+    weight lam, a dominant tuple of length N, by the product formula
 
         prod_{i<j} (lam_i - lam_j + j - i) / (j - i).
 
     Invariant under adding a constant to every entry (determinant twist).
     Pairs with lam_i = lam_j contribute 1 and are skipped, so the work
-    grows with the pairs of unequal entries, not with N^2.
-    """
-    return _dim(check_weight(lam, N))
-
-
-def _dim(lam: tuple[int, ...]) -> int:
-    # dim_irrep for a tuple already known to be dominant, of length N.
+    grows with the pairs of unequal entries, not with N^2."""
     N = len(lam)
     num = 1
     den = 1
@@ -143,7 +137,7 @@ def tensor_decomposition_check(gamma, p: int, mu, space: MatrixSpace) -> Verific
     beta dominates the minimal element with tail sum strictly above
     -|mu| - c_p. Non-partition weights are shifted to partitions before
     the LR computation; a uniform shift does not change multiplicities."""
-    _check_space(space)
+    _check_stratum(space, p)
     if not space.is_square:
         raise ValueError("the tensor-step check is stated for square spaces")
     n = space.n

@@ -39,7 +39,7 @@ import operator
 from itertools import accumulate
 from math import comb
 
-from .matrixspace import MatrixSpace, _check_int, _check_space
+from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum
 from .reporting import VerificationReport
 from .repsets import WeightSet, _hodge_ideal_exponents, _parameter_interval, _rows
 from .weights import check_weight, dominant_tuples
@@ -143,7 +143,7 @@ def translate(mu, k: int) -> tuple[int, ...]:
     """Shift mu -> mu - ((k+1)^n), the weight effect of dividing by the
     (k+1)-st power of the determinant."""
     _check_int("k", k)
-    return tuple(x - (k + 1) for x in mu)
+    return tuple(x - (k + 1) for x in check_weight(mu))
 
 
 def verify_equivalence(space: MatrixSpace, ks, bound: int) -> list[VerificationReport]:
@@ -225,6 +225,9 @@ def grF_Dp_layer(p: int, level: int, start: int, space: MatrixSpace) -> WeightSe
     """Weight support of the Hodge-graded piece of the rank-p simple module
     at the given filtration level, when the filtration starts at `start`:
     empty below the start, and the layer W^p_{level-start} from there on."""
+    _check_stratum(space, p)
+    _check_int("level", level)
+    _check_int("start", start)
     if level < start:
         return WeightSet(space, "empty", p)
     return WeightSet(space, "Wpd", p, level - start)

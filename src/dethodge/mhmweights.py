@@ -41,17 +41,6 @@ def _twist(space: MatrixSpace, p: int) -> int:
     return -comb(n - p + 1, 2) - (n - p) * (space.m - n)
 
 
-def square_weight_layer(space: MatrixSpace, p: int) -> tuple[int, int]:
-    """(w_p, k_p) = (d_p - 2k_p, `_twist`) for the weight-graded layer of
-    the localization at the determinant carried by the rank-p stratum
-    (square spaces); in closed form w_p = n^2 + n - p."""
-    d_p = dim_stratum(space, p)
-    if not space.is_square:
-        raise ValueError("weight layers of the determinant localization need m = n")
-    k = _twist(space, p)
-    return d_p - 2 * k, k
-
-
 def square_start_levels_consistency(space: MatrixSpace) -> VerificationReport:
     """Numerical sanity of the square weight ledger: w_p strictly drops by
     exactly 1 with p, the start levels l_p = comb(n-p, 2) satisfy
@@ -140,6 +129,7 @@ def local_weight_ledger_check(mmax: int) -> VerificationReport:
     """Arithmetic consistency of the local cohomology weights for all
     spaces with m <= mmax: the weight matches d_p - 2k' and the degree
     identity w' = (n-p)(m-n) + mn + n - p."""
+    _check_int("mmax", mmax)
     report = VerificationReport("local-cohomology-weights", {"mmax": mmax})
     for m in range(2, mmax + 1):
         for n in range(1, m):

@@ -46,7 +46,7 @@ each diagonal once and in order, by checked divisions by 1 - q^j.
 `qbinomial_identity_verdicts(a, b, cmax)` checks the q-Vandermonde
 convolution for every c <= cmax of one (a, b), comparing both sides as
 packed integers in one slot width, the largest `_slot_bound` of a right
-side; `verify_qbinomial_identity` is its verdict at one c.
+side.
 """
 
 from __future__ import annotations
@@ -378,6 +378,7 @@ def stalk_poly(i: int, k: int, space: MatrixSpace) -> LaurentPoly:
     point of rank k, encoded as q^(-d_i) * qbin(n-k, i-k) at q^2. Defined
     for 0 <= k <= i (the point must lie in the closure)."""
     _check_stratum(space, i, "i")
+    _check_int("k", k)
     if not 0 <= k <= i:
         raise ValueError(f"stalk formula needs 0 <= k <= i, got k={k}, i={i}")
     return _at_q_squared(q_binomial(space.n - k, i - k), -dim_stratum(space, i))
@@ -388,7 +389,9 @@ class DecompositionTable(_Record):
     resolution: entries[i] is a Laurent polynomial whose q^j coefficient
     is the multiplicity of the rank-i simple module in cohomological
     degree j. Only indices 0 <= i <= p occur and all coefficients are
-    nonnegative; zero entries are omitted. Frozen; its dict of entries
+    nonnegative; zero entries are omitted. Entries come as a dict from
+    int indices to `LaurentPoly`, and anything else is refused with a
+    TypeError before the entries are sorted. Frozen; its dict of entries
     makes it unhashable."""
 
     __slots__ = __match_args__ = ("space", "p", "entries")
@@ -396,6 +399,12 @@ class DecompositionTable(_Record):
 
     def __init__(self, space: MatrixSpace, p: int, entries: dict):
         _check_stratum(space, p)
+        if not isinstance(entries, dict):
+            raise TypeError(f"entries must be a dict, got {entries!r}")
+        for i, poly in entries.items():
+            _check_int("summand index", i)
+            if not isinstance(poly, LaurentPoly):
+                raise TypeError(f"entry {i} must be a LaurentPoly, got {poly!r}")
         clean = {}
         for i in sorted(entries):
             poly = entries[i]
@@ -472,15 +481,6 @@ def closed_form_OYp(space: MatrixSpace, p: int) -> DecompositionTable:
     return _table(space, p, _closed_rows(space, p, _dense(0, (1,))), 0)
 
 
-def pushforward_prefactor(space: MatrixSpace, p: int) -> LaurentPoly:
-    """The Grassmannian-bundle factor q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2
-    relating the rank-p simple module on the maximal-rank resolution to
-    the structure sheaf of the rank-p resolution."""
-    _check_stratum(space, p)
-    m, n = space.m, space.n
-    return _at_q_squared(q_binomial(m - p, n - p), -(n - p) * (m - n))
-
-
 def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> DecompositionTable:
     """Full multiplicity table for the pushforward of the rank-p simple
     module on the maximal-rank resolution:
@@ -488,10 +488,11 @@ def pushforward_DpY(space: MatrixSpace, p: int, route: str = "closed") -> Decomp
         entries[i] = q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2
                      * q^(-(m-n-p+i)(p-i)) * qbin(m-n, p-i)@q^2,
 
-    the `pushforward_prefactor` times the table of the rank-p resolution's
-    structure sheaf. Both routes build row i as g_i * qbin(m-p, n-p) in
-    t = q^2, taken to q by `_table`: route "closed" by `_closed_rows` from
-    the top row qbin(m-p, n-p), route "solver" by multiplying each g_i of
+    the Grassmannian-bundle prefactor q^(-(n-p)(m-n)) * qbin(m-p, n-p)@q^2
+    times the table of the rank-p resolution's structure sheaf. Both
+    routes build row i as g_i * qbin(m-p, n-p) in t = q^2, taken to q by
+    `_table`: route "closed" by `_closed_rows` from the top row
+    qbin(m-p, n-p), route "solver" by multiplying each g_i of
     `_solved_in_t` by qbin(m-p, n-p), which is packed once per slot width.
     """
     _check_stratum(space, p)
@@ -583,23 +584,12 @@ def qbinomial_identity_verdicts(a: int, b: int, cmax: int) -> list[bool]:
     return verdicts
 
 
-def verify_qbinomial_identity(a: int, b: int, c: int) -> bool:
-    """The q-Vandermonde convolution at one c: the verdict for c of
-    `qbinomial_identity_verdicts`."""
-    _check_int("c", c)
-    return qbinomial_identity_verdicts(a, b, c)[c]
-
-
-def pushforward_structure_checks(space: MatrixSpace, p: int) -> VerificationReport:
-    """Structural facts about the pushforward table of the rank-p simple
-    module: (a) only summand indices i <= p occur; (b) the top degree of
-    entry i is (n-p)(m-n) + (p-i)(m-n-p+i); (c) degree (n-i)(m-n) carries
-    a nonzero multiplicity in entry i exactly when i = p."""
-    return _structure_checks(pushforward_DpY(space, p))
-
-
 def _structure_checks(table: DecompositionTable) -> VerificationReport:
-    """`pushforward_structure_checks` of a table already built."""
+    """Structural facts about the pushforward table of the rank-p simple
+    module, `pushforward_DpY`: (a) only summand indices i <= p occur; (b)
+    the top degree of entry i is (n-p)(m-n) + (p-i)(m-n-p+i); (c) degree
+    (n-i)(m-n) carries a nonzero multiplicity in entry i exactly when
+    i = p."""
     space, p = table.space, table.p
     m, n = space.m, space.n
     report = VerificationReport("pushforward-structure", {"m": m, "n": n, "p": p})

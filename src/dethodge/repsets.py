@@ -22,7 +22,6 @@ member. The public predicates are ``WeightSet`` calls:
 * ``in_Wp``: the support W^p of the simple module of the rank-p stratum,
   and ``classify``, the stratum whose W^p rows admit a weight;
 * ``in_Wpd``: its layer W^p_d cut out by the tail sum -d - c_p;
-* ``in_Ukp``: the filtration sets U^p_k of the square case;
 * ``minimal_elements`` / ``lambda_p_mu``: the finitely many minimal
   members of a layer, indexed by partitions;
 * ``decompose_weight`` and ``lambda_of_p``: head/tail coordinates of a
@@ -69,12 +68,6 @@ def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:
     """Membership in the layer W^p_d: in W^p with tail sum
     lam_{p+1} + ... + lam_n equal to -d - c_p."""
     return WeightSet(space, "Wpd", p, d).contains(lam)
-
-
-def in_Ukp(lam, p: int, k: int, space: MatrixSpace) -> bool:
-    """Membership in U^p_k (square spaces only): lam_p >= p-n >= lam_{p+1}
-    together with lam_{p+1} + ... + lam_n >= -comb(n-p+1, 2) - k."""
-    return WeightSet(space, "Ukp", p, k).contains(lam)
 
 
 def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:

@@ -20,8 +20,8 @@ from dethodge.mhmweights import (
     generation_level_Sdet,
     local_cohomology_weight,
     square_start_levels_consistency,
-    square_weight_layer,
     start_level,
+    weight_ledger,
 )
 from dethodge.oracle import ideal_power_hilbert
 from dethodge.qseries import LaurentPoly, pushforward_DpY
@@ -103,14 +103,15 @@ def test_criterion_06_pushforward_structure():
 def test_criterion_07_weight_ledger():
     for n in range(1, 9):
         space = MatrixSpace(n, n)
-        for p in range(n + 1):
-            w, k = square_weight_layer(space, p)
+        rows = weight_ledger(space)
+        for row in rows:
+            p, w, k = row["p"], row["layer"], row["twist"]
             assert w == n * n + n - p
             assert k == -comb(n - p + 1, 2)
             assert w == p * (2 * n - p) - 2 * k
             assert start_level(space, p, k) == comb(n - p, 2)
-        for p in range(n):
-            assert square_weight_layer(space, p)[0] - square_weight_layer(space, p + 1)[0] == 1
+        for row, after in zip(rows, rows[1:]):
+            assert after["layer"] - row["layer"] == 1
         assert generation_level_Sdet(space) == comb(n, 2)
         assert square_start_levels_consistency(space).ok
     for m in range(2, 9):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dethodge import characters, cli, hodgeideals, oracle, repsets, weights
 from dethodge.characters import (
     cauchy_check,
-    dim_irrep,
     hilbert_function,
     hilbert_series,
     lr_coefficient,
@@ -17,7 +16,13 @@ from dethodge.characters import (
 )
 from dethodge.repsets import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
-from dethodge.weights import dominant_tuples, pad, partitions_of
+from dethodge.weights import check_weight, dominant_tuples, pad, partitions_of
+
+
+def dim_irrep(lam, N):
+    """The tests' dimension oracle: the weight checked to be dominant of
+    length N, then the package's product formula."""
+    return characters._dim(check_weight(lam, N))
 
 
 def ssyt_count(lam, N):
@@ -313,9 +318,9 @@ def test_every_set_of_partitions_is_on_a_square_space():
 
 
 def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
-    # One walk of the one piece of I_k, by runs: no dim_irrep, no weight
-    # check and no membership test, the one reader of the rows, on the way.
-    calls = {"_decreasing_runs": 0, "dim_irrep": 0, "check_weight": 0, "reader": 0}
+    # One walk of the one piece of I_k, by runs: no weight check and no
+    # membership test, the one reader of the rows, on the way.
+    calls = {"_decreasing_runs": 0, "check_weight": 0, "reader": 0}
 
     def spy(name, function):
         def counted(*args, **kwargs):
@@ -325,15 +330,16 @@ def test_one_hilbert_request_walks_its_members_once(monkeypatch, capsys):
         return counted
 
     monkeypatch.setattr(repsets, "_decreasing_runs", spy("_decreasing_runs", weights._decreasing_runs))
-    monkeypatch.setattr(characters, "dim_irrep", spy("dim_irrep", characters.dim_irrep))
-    for module in (weights, repsets, characters, hodgeideals, oracle):
+    # characters imports no check_weight: its product formula takes the
+    # dominant heads of the walk as they come.
+    for module in (weights, repsets, hodgeideals, oracle):
         monkeypatch.setattr(module, "check_weight", spy("check_weight", weights.check_weight))
     monkeypatch.setattr(
         repsets, "_parameter_interval", spy("reader", repsets._parameter_interval)
     )
     assert cli.main(["hilbert", "--set", "Ik(n=2,k=3)", "--dmax", "12"]) == 0
     assert "d=12: 455" in capsys.readouterr().out
-    assert calls == {"_decreasing_runs": 1, "dim_irrep": 0, "check_weight": 0, "reader": 0}
+    assert calls == {"_decreasing_runs": 1, "check_weight": 0, "reader": 0}
 
 
 def test_members_and_hilbert_call_no_membership_core(monkeypatch):

@@ -15,7 +15,9 @@ a list of ``dethodge`` invocations, in text and JSON form:
 * ``filtration.json``: ``--weight``, ``--box``, both, and the default;
 * ``oracle_check.json``: three (n, p) cases at the default seed and at 7;
 * ``usage.json``: every ``--help``, argparse's usage errors and the
-  ``ValueError`` refusals that exit 2.
+  ``ValueError`` refusals that exit 2;
+* ``demos.json``: the exit code and stdout of each script in ``demos/``,
+  run in its own process and replayed by ``tests/test_demos.py``.
 
 The first two files keep stdout only; the others keep stderr as well.
 Usage and help text is argparse's, formatted for an 80-column terminal
@@ -261,3 +263,8 @@ if __name__ == "__main__":
         records = [json.dumps(invoke(argv, name)) for argv in cases()]
         (GOLDEN_DIR / name).write_text("[\n" + ",\n".join(records) + "\n]\n")
         print(f"wrote {GOLDEN_DIR / name}")
+    from test_demos import DEMOS, GOLDEN as DEMO_GOLDEN, demo_record, run_demo
+
+    records = [json.dumps(demo_record(demo, run_demo(demo))) for demo in DEMOS]
+    DEMO_GOLDEN.write_text("[\n" + ",\n".join(records) + "\n]\n")
+    print(f"wrote {DEMO_GOLDEN}")

@@ -220,6 +220,8 @@ def test_in_Fk_Sdet_examples():
 def test_translate():
     assert translate((1, 1), 0) == (0, 0)
     assert translate((2, 1, 1), 3) == (-2, -3, -3)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        translate((0, 5), 1)
 
 
 NOT_INTS = [1.5, 2.0, True, None, "2"]

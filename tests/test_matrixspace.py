@@ -17,6 +17,7 @@ from dethodge.matrixspace import (
 )
 from dethodge.characters import cauchy_check, tensor_decomposition_check
 from dethodge.hodgeideals import (
+    grF_Dp_layer,
     hodge_ideal_exponents,
     in_symbolic_power,
     minimal_generators,
@@ -26,8 +27,8 @@ from dethodge.mhmweights import (
     filtration_support_check,
     generation_level_Sdet,
     local_cohomology_weight,
+    local_weight_ledger_check,
     square_start_levels_consistency,
-    square_weight_layer,
     start_level,
     weight_ledger,
 )
@@ -42,8 +43,6 @@ from dethodge.qseries import (
     LaurentPoly,
     closed_form_OYp,
     pushforward_DpY,
-    pushforward_prefactor,
-    pushforward_structure_checks,
     solve_pushforward_OYp,
     stalk_poly,
 )
@@ -131,15 +130,15 @@ STRATUM_INDEX_TAKERS = [
     ("minimal_elements", "p", WIDE, lambda s, p: minimal_elements(p, 0, s)),
     ("decompose_weight", "p", WIDE, lambda s, p: decompose_weight((0, -2), p, s)),
     ("start_level", "p", WIDE, lambda s, p: start_level(s, p, 0)),
-    ("square_weight_layer", "p", SQUARE, lambda s, p: square_weight_layer(s, p)),
     ("local_cohomology_weight", "p", WIDE, lambda s, p: local_cohomology_weight(s, p)),
     ("stalk_poly", "i", WIDE, lambda s, p: stalk_poly(p, 0, s)),
     ("DecompositionTable", "p", WIDE, lambda s, p: DecompositionTable(s, p, {})),
     ("solve_pushforward_OYp", "p", WIDE, lambda s, p: solve_pushforward_OYp(s, p)),
     ("closed_form_OYp", "p", WIDE, lambda s, p: closed_form_OYp(s, p)),
-    ("pushforward_prefactor", "p", WIDE, lambda s, p: pushforward_prefactor(s, p)),
     ("pushforward_DpY", "p", WIDE, lambda s, p: pushforward_DpY(s, p)),
-    ("pushforward_structure_checks", "p", WIDE, lambda s, p: pushforward_structure_checks(s, p)),
+    ("grF_Dp_layer", "p", WIDE, lambda s, p: grF_Dp_layer(p, 1, 0, s)),
+    ("tensor_decomposition_check", "p", SQUARE,
+     lambda s, p: tensor_decomposition_check((), p, (), s)),
 ]
 TAKER_IDS = [row[0] for row in STRATUM_INDEX_TAKERS]
 
@@ -291,6 +290,18 @@ def test_verification_report_is_mutable_unhashable_and_owns_its_lists():
         (line_vanishing_order, ((1, 0, 0), SQUARE, 1, SAMPLER, 2.0), "trials"),
         (line_vanishing_order, ((1, 0, 0), SQUARE, 1, (SQUARE, 0)), "sampler"),
         (dcep_cross_validation_upto, (SQUARE, [(1, 0, 0)], 1, True, SAMPLER), "dmax"),
+        (DecompositionTable, (MatrixSpace(2, 2), 1, {0.5: ONE}), "summand index"),
+        (DecompositionTable, (MatrixSpace(2, 2), 1, {True: ONE}), "summand index"),
+        (DecompositionTable, (MatrixSpace(2, 2), 1, {"a": ONE, 0: ONE}), "summand index"),
+        (DecompositionTable, (MatrixSpace(2, 2), 1, {0: 5}), "entry 0"),
+        (DecompositionTable, (MatrixSpace(2, 2), 1, {0: 0}), "entry 0"),
+        (DecompositionTable, (MatrixSpace(2, 2), 1, [(0, ONE)]), "entries"),
+        (local_weight_ledger_check, (True,), "mmax"),
+        (local_weight_ledger_check, ("3",), "mmax"),
+        (grF_Dp_layer, (1, 2, True, SQUARE), "start"),
+        (grF_Dp_layer, (1, 2.0, 0, SQUARE), "level"),
+        (stalk_poly, (1, False, WIDE), "k"),
+        (stalk_poly, (1, 0.0, WIDE), "k"),
     ],
 )
 def test_integer_fields_refuse_everything_but_ints(cls, args, field):
@@ -342,6 +353,15 @@ ARGUMENTS = st.one_of(
     st.text(max_size=3),
     st.sampled_from([MatrixSpace(2, 2), MatrixSpace(3, 2)]),
     st.lists(st.integers(-2, 5), max_size=3).map(tuple),
+    # Maps such as a table's entries or a polynomial's coefficients.
+    st.dictionaries(
+        st.one_of(st.integers(-2, 5), st.floats(-3, 6)),
+        st.one_of(
+            st.integers(-2, 5),
+            st.sampled_from([ONE, LaurentPoly({-1: 2, 1: 1}), LaurentPoly({0: -1})]),
+        ),
+        max_size=3,
+    ),
 )
 
 

@@ -12,33 +12,28 @@ from dethodge.mhmweights import (
     local_cohomology_weight,
     local_weight_ledger_check,
     square_start_levels_consistency,
-    square_weight_layer,
     start_level,
     weight_ledger,
 )
-from dethodge.repsets import in_Ukp
+from dethodge.repsets import WeightSet
 from dethodge.weights import delta_p, dominant_tuples
 
 
+def layers(space):
+    """(layer, twist) of each row of the square ledger, p = n down to 0."""
+    return [(row["layer"], row["twist"]) for row in weight_ledger(space)]
+
+
 def test_square_weight_layer_values():
-    space = MatrixSpace(2, 2)
-    assert [square_weight_layer(space, p) for p in (2, 1, 0)] == [
-        (4, 0),
-        (5, -1),
-        (6, -3),
-    ]
+    assert layers(MatrixSpace(2, 2)) == [(4, 0), (5, -1), (6, -3)]
     for n in range(1, 9):
-        w_n, k_n = square_weight_layer(MatrixSpace(n, n), n)
-        assert (w_n, k_n) == (n * n, 0)
-    with pytest.raises(ValueError):
-        square_weight_layer(MatrixSpace(3, 2), 1)
+        assert layers(MatrixSpace(n, n))[0] == (n * n, 0)
 
 
 def test_square_weight_layer_consistency():
     for n in range(1, 9):
         space = MatrixSpace(n, n)
-        for p in range(n + 1):
-            w, k = square_weight_layer(space, p)
+        for p, (w, k) in zip(range(n, -1, -1), layers(space)):
             assert w == n * n + n - p
             assert k == -comb(n - p + 1, 2)
             assert w == dim_stratum(space, p) - 2 * k
@@ -47,8 +42,7 @@ def test_square_weight_layer_consistency():
 def test_start_level():
     space = MatrixSpace(3, 3)
     for p in range(4):
-        _, k_p = square_weight_layer(space, p)
-        assert start_level(space, p, k_p) == comb(3 - p, 2)
+        assert start_level(space, p, _twist(space, p)) == comb(3 - p, 2)
         assert start_level(space, p, 0) == codim_stratum(space, p)
     assert start_level(space, 3, 0) == 0
 
@@ -63,8 +57,7 @@ def test_square_ledger_report():
     for n in range(1, 9):
         report = square_start_levels_consistency(MatrixSpace(n, n))
         assert report.ok, report.failures
-    ws = [square_weight_layer(MatrixSpace(1, 1), p)[0] for p in (0, 1)]
-    assert ws == [2, 1]
+    assert [w for w, _ in layers(MatrixSpace(1, 1))] == [1, 2]
 
 
 @pytest.mark.parametrize("m,n", [(8, 8), (10, 8)])
@@ -145,7 +138,7 @@ def scan_support_failures(space, kmax, box):
         for k in range(kmax + 1):
             expected = k >= threshold
             if expected:
-                observed = in_Ukp(witness, p, k - comb(n - p + 1, 2), space)
+                observed = WeightSet(space, "Ukp", p, k - comb(n - p + 1, 2)).contains(witness)
             else:
                 observed = not all(s < -k for s in tail_sums)
             if observed != expected:
@@ -193,7 +186,7 @@ def test_twist_matches_the_closed_forms():
                 w = dim_stratum(space, p) - 2 * k
                 if m == n:
                     assert (k, w) == (-comb(n - p + 1, 2), n * n + n - p)
-                    assert square_weight_layer(space, p) == (w, k)
+                    assert weight_ledger(space)[n - p]["layer"] == w
                 else:
                     assert k == -comb(n - p + 1, 2) - (n - p) * (m - n)
                     assert w == m * n + (n - p) * (m - n + 1)

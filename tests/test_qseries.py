@@ -16,14 +16,11 @@ from dethodge.qseries import (
     LaurentPoly,
     closed_form_OYp,
     grassmannian_poincare,
-    pushforward_structure_checks,
     pushforward_DpY,
-    pushforward_prefactor,
     q_binomial,
     qbinomial_identity_verdicts,
     solve_pushforward_OYp,
     stalk_poly,
-    verify_qbinomial_identity,
 )
 
 
@@ -234,6 +231,13 @@ def test_pushforward_parity():
                     assert len(parities) == 1
 
 
+def prefactor(space, p):
+    """The Grassmannian-bundle prefactor q^(-(n-p)(m-n)) * qbin(m-p, n-p)
+    at q^2, from q_binomial."""
+    m, n = space.m, space.n
+    return LaurentPoly(shifted(at_q_squared(q_binomial(m - p, n - p)), -(n - p) * (m - n)))
+
+
 def test_pushforward_prefactor_consistency():
     # Both routes against the product oracle: the prefactor times the
     # structure sheaf's table, by LaurentPoly products, with that table from
@@ -241,7 +245,7 @@ def test_pushforward_prefactor_consistency():
     spaces = [MatrixSpace(m, n) for m in range(1, 9) for n in range(1, min(m, 5) + 1)]
     for space in spaces + [MatrixSpace(40, 20)]:
         for p in range(space.n + 1):
-            pre = pushforward_prefactor(space, p)
+            pre = prefactor(space, p)
             tables = {route: pushforward_DpY(space, p, route=route) for route in ("closed", "solver")}
             for base in (closed_form_OYp(space, p), solve_by_stretched_substitution(space, p)):
                 for route, table in tables.items():
@@ -252,7 +256,7 @@ def test_pushforward_prefactor_consistency():
 
 def test_the_closed_route_checks_its_divisions(monkeypatch):
     space, p = MatrixSpace(7, 4), 3
-    pushforward_prefactor(space, p)  # the prefactor's q-binomial is cached and correct
+    q_binomial(space.m - p, space.n - p)  # the prefactor's q-binomial is cached and correct
     original = qseries._times_one_minus_q
 
     def corrupted(coeffs, s):
@@ -278,14 +282,19 @@ def laurent_identity(a, b, c):
     return sparse(qseries.q_binomial(a + b, c)) == rhs
 
 
+def verdict_at(a, b, c):
+    """The packed q-Vandermonde verdict at one c."""
+    return qbinomial_identity_verdicts(a, b, c)[c]
+
+
 def test_qbinomial_identity_examples():
-    assert verify_qbinomial_identity(1, 1, 1)
-    assert verify_qbinomial_identity(0, 0, 0)
+    assert verdict_at(1, 1, 1)
+    assert verdict_at(0, 0, 0)
     for a in range(9):
         for b in range(9):
             for c in range(9):
                 # The packed comparison and the Laurent sum both hold.
-                assert verify_qbinomial_identity(a, b, c), (a, b, c)
+                assert verdict_at(a, b, c), (a, b, c)
                 assert laurent_identity(a, b, c), (a, b, c)
 
 
@@ -300,8 +309,6 @@ def test_identity_verdicts_match_the_laurent_sums():
     for args in ((-1, 2, 3), (2, -1, 3), (2, 3, -1)):
         with pytest.raises(ValueError):
             qbinomial_identity_verdicts(*args)
-    with pytest.raises(ValueError):
-        verify_qbinomial_identity(2, 3, -1)
 
 
 def test_qidentity_suite_reports_exactly_what_a_bumped_coefficient_breaks(monkeypatch):
@@ -363,7 +370,7 @@ def test_packed_identity_sees_a_perturbed_q_binomial(monkeypatch, perturb):
 
     monkeypatch.setattr(qseries, "q_binomial", perturbed)
     cases = [(a, b, c) for a in range(7) for b in range(7) for c in range(7)]
-    verdicts = [verify_qbinomial_identity(*case) for case in cases]
+    verdicts = [verdict_at(*case) for case in cases]
     if perturb in (_top_term_added, _negative_term_added):
         # Where c > a + b both sides are zero, and zero is left as it is.
         # Elsewhere an extra term breaks the value at q = 1, and a negative
@@ -376,7 +383,7 @@ def test_packed_identity_sees_a_perturbed_q_binomial(monkeypatch, perturb):
         assert all(verdicts) == (perturb is _shifted_by_lower_index)
     monkeypatch.undo()
     # No packing of a perturbed polynomial outlives the perturbation.
-    assert all(verify_qbinomial_identity(*case) for case in cases)
+    assert all(verdict_at(*case) for case in cases)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +412,7 @@ def test_packed_identity_keeps_its_guards(monkeypatch, patch, case, holds):
     monkeypatch.setattr(
         qseries, "q_binomial", lambda a, b: patch[a, b] if (a, b) in patch else genuine(a, b)
     )
-    assert verify_qbinomial_identity(*case) == laurent_identity(*case) == holds
+    assert verdict_at(*case) == laurent_identity(*case) == holds
     a, b, _ = case
     assert qbinomial_identity_verdicts(a, b, 3) == [laurent_identity(a, b, c) for c in range(4)]
 
@@ -459,9 +466,9 @@ def test_every_entry_has_the_hard_lefschetz_shape():
 
 def test_pushforward_structure_reports():
     for p in range(3):
-        report = pushforward_structure_checks(MatrixSpace(3, 2), p)
+        report = qseries._structure_checks(pushforward_DpY(MatrixSpace(3, 2), p))
         assert report.ok, report.failures
-    report = pushforward_structure_checks(MatrixSpace(4, 2), 2)
+    report = qseries._structure_checks(pushforward_DpY(MatrixSpace(4, 2), 2))
     assert report.ok
     table = pushforward_DpY(MatrixSpace(4, 2), 2)
     assert table.entries[0].max_exp == 0
@@ -684,7 +691,6 @@ def clear_q_binomial_caches():
         ("N", lambda: grassmannian_poincare(1, True)),
         ("a", lambda: qbinomial_identity_verdicts(True, 2, 1)),
         ("cmax", lambda: qbinomial_identity_verdicts(2, 2, 1.0)),
-        ("c", lambda: verify_qbinomial_identity(2, 2, True)),
     ],
 )
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])

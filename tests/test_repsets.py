@@ -17,7 +17,6 @@ from dethodge.repsets import (
     classify,
     compose_weight,
     decompose_weight,
-    in_Ukp,
     in_Wp,
     in_Wpd,
     lambda_p_mu,
@@ -101,6 +100,11 @@ def test_partition_tail_sum_lands_in_d0():
     for lam in dominant_tuples(3, -3, 3):
         if lam[-1] >= 0:
             assert in_Wpd(lam, 3, 0, space)
+
+
+def in_Ukp(lam, p, k, space):
+    """Membership in U^p_k, which has no predicate of its own."""
+    return WeightSet(space, "Ukp", p, k).contains(lam)
 
 
 def test_in_Ukp_examples():

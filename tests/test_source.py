@@ -12,7 +12,11 @@ the tables' row type grows no API that only the tests use. Every slot
 width of a packed product is sized by ``qseries._slot_bound``, so no
 second width rule grows beside it. Each weight-set kind is defined once,
 by its rows in ``repsets._SPECS``: no membership core or level function
-grows beside them."""
+grows beside them. Every public function of the package has one home:
+it is read by other code of the package (or is a ``cli.cmd_*`` command),
+it is listed as library API in the README's ``## Library`` section and
+used by the demo or benchmark file named there, or it is kept for an open
+ROADMAP item in ``KEPT_FOR_ROADMAP``."""
 
 import ast
 import builtins
@@ -22,12 +26,20 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from dethodge import repsets, weights
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "dethodge").glob("*.py"))
+# Public functions that no served path, demo or benchmark calls yet, each
+# kept for the open ROADMAP item that is to serve it.
+KEPT_FOR_ROADMAP = {
+    "hodgeideals.grF_Dp_layer": "item 14, the associated graded of each simple module",
+    "mhmweights.local_cohomology_weight": "item 3, Hodge filtrations on local cohomology",
+}
 # Modules that take most of an import's time and that the package does not
 # need: dataclasses, and what it loads.
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -194,6 +206,68 @@ def unread_public_names(trees, module, class_name):
     return [name for name in public if name not in read]
 
 
+def _loads(tree):
+    """How often each name is loaded, bare or as an attribute, in a tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unhomed_functions(trees, homes):
+    """module.name of every public module-level function that no code of
+    the package loads by name outside the function's own body (``__init__``
+    not counted, since it only re-exports), that is not a ``cli.cmd_*``
+    command (``cli.main`` dispatches them by name), and that is not in
+    `homes`."""
+    trees = {module: tree for module, tree in trees.items() if module != "__init__.py"}
+    loads = sum(map(_loads, trees.values()), Counter())
+    return [
+        f"{module[:-3]}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and loads[node.name] == _loads(node)[node.name]
+        and not (module == "cli.py" and node.name.startswith("cmd_"))
+        and f"{module[:-3]}.{node.name}" not in homes
+    ]
+
+
+LIBRARY_ENTRY = re.compile(r"^\* `(\w+)\.(\w+)`: `([\w/.]+)`", re.MULTILINE)
+
+
+def library_entries(readme):
+    """(module, name, file) of each bullet of the README's ``## Library``
+    section, written "* `module.name`: `file`" and any comment after it."""
+    section = readme.partition("\n## Library\n")[2].partition("\n## ")[0]
+    return LIBRARY_ENTRY.findall(section)
+
+
+def stray_library_entries(entries):
+    """module.name of each library entry that is not a public function of
+    its module, or whose file, under ``demos/`` or ``bench/``, does not
+    use the name."""
+    found = []
+    for module, name, path in entries:
+        try:
+            function = getattr(importlib.import_module(f"dethodge.{module}"), name, None)
+        except ImportError:
+            function = None
+        file = ROOT / path
+        if not (
+            inspect.isfunction(function)
+            and function.__module__ == f"dethodge.{module}"
+            and not name.startswith("_")
+            and path.startswith(("demos/", "bench/"))
+            and file.is_file()
+            and re.search(rf"\b{name}\b", file.read_text())
+        ):
+            found.append(f"{module}.{name}")
+    return found
+
+
 def _calls(node, name):
     """Is the node a call of the function `name`, bare or as an attribute?"""
     if not isinstance(node, ast.Call):
@@ -299,6 +373,52 @@ def test_the_lint_finds_what_it_looks_for():
         "w = qseries._slot_width(total)\n"
     )
     assert unbounded_widths(widths) == [4, 5, 6]
+    package = {
+        "a.py": ast.parse(
+            "def served(): ...\n"
+            "def by_attribute(): ...\n"
+            "def only_imported(): ...\n"
+            "def recursive():\n"
+            "    return recursive()\n"
+            "def listed(): ...\n"
+            "def _private(): ...\n"
+            "async def exported(): ...\n"
+            "class Row:\n"
+            "    def method(self): ...\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import only_imported, served\n"
+            "from . import a\n"
+            "x = served() + a.by_attribute()\n"
+        ),
+        "cli.py": ast.parse("def cmd_run(args): ...\ndef main(): ...\n"),
+        "__init__.py": ast.parse("from .a import exported\nexported()\n"),
+    }
+    assert unhomed_functions(package, {"a.listed"}) == [
+        "a.only_imported", "a.recursive", "a.exported", "cli.main"
+    ]
+    readme = (
+        "# Title\n\n## Library\n\nText naming `weights.leq`.\n\n"
+        "* `weights.dual`: `demos/01_weight_sets.py`\n"
+        "* `weights.leq`: `bench/tracer.py`, which counts\n  its calls\n"
+        "* `weights.nope`: `demos/01_weight_sets.py`\n"
+        "* `weights._plan`: `demos/01_weight_sets.py`\n"
+        "* `weights.dual`: `demos/03_decomposition_tables.py`\n"
+        "* `weights.dual`: `tests/test_weights.py`\n"
+        "* `weights.dual`: `demos/none.py`\n"
+        "* `nomodule.f`: `demos/01_weight_sets.py`\n"
+        "* `repsets.check_weight`: `demos/01_weight_sets.py`\n"
+        "\n## Next\n\n* `weights.pad`: `demos/01_weight_sets.py`\n"
+    )
+    entries = library_entries(readme)
+    assert [f"{module}.{name}" for module, name, _ in entries] == [
+        "weights.dual", "weights.leq", "weights.nope", "weights._plan", "weights.dual",
+        "weights.dual", "weights.dual", "nomodule.f", "repsets.check_weight",
+    ]
+    assert stray_library_entries(entries) == [
+        "weights.nope", "weights._plan", "weights.dual", "weights.dual", "weights.dual",
+        "nomodule.f", "repsets.check_weight",
+    ]
 
 
 def test_no_module_asserts():
@@ -412,6 +532,23 @@ def test_value_types_have_no_public_name_the_package_does_not_read():
         if (names := unread_public_names(trees, module, class_name))
     }
     assert not found, f"public names that no code outside the class reads: {found}"
+
+
+def test_every_public_function_is_served_or_listed():
+    # A public function is served (read by other code of the package, or a
+    # cli.cmd_* command), library API listed in the README and used by the
+    # demo or benchmark file it names, or kept for an open ROADMAP item:
+    # one home each, so what only the tests call moves to the tests.
+    entries = library_entries((ROOT / "README.md").read_text())
+    listed = [f"{module}.{name}" for module, name, _ in entries]
+    homes = {*listed, *KEPT_FOR_ROADMAP}
+    trees = _trees()
+    assert unhomed_functions(trees, homes) == [], "public functions with no home"
+    assert stray_library_entries(entries) == []
+    # Each listed or kept name is a public function that the package does
+    # not serve, with one home: listed once, or kept.
+    assert homes <= set(unhomed_functions(trees, set()))
+    assert len(listed) == len(set(listed)) and not set(listed) & set(KEPT_FOR_ROADMAP)
 
 
 def test_importing_the_package_loads_no_heavy_module():

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dethodge.characters import dim_irrep
 from dethodge.hodgeideals import in_hodge_ideal
 from dethodge.matrixspace import MatrixSpace
-from dethodge.repsets import in_Wp, lambda_of_p
+from dethodge.repsets import classify, in_Wp, lambda_of_p
 from dethodge import weights
 from dethodge.weights import (
     _decreasing_runs,
@@ -63,7 +62,7 @@ def test_non_integral_weights_reach_no_predicate():
     with pytest.raises(ValueError, match="2.7, 0.9"):
         in_hodge_ideal((2.7, 0.9), 1, space)
     with pytest.raises(ValueError, match="1.5"):
-        dim_irrep((1.5, 0), 2)
+        classify((1.5, 0), space)
     assert check_weight((Fraction(2), 1.0)) == (2, 1)
 
 
