@@ -11,7 +11,6 @@ from .characters import (
     cauchy_check,
     hilbert_function,
     hilbert_series,
-    lr_coefficient,
     tensor_decomposition_check,
     tensor_expansion,
 )

@@ -1,22 +1,23 @@
 """Dimension and multiplicity arithmetic for GL representations.
 
 Dimensions come from the standard product formula over positive roots,
-tensor product multiplicities from direct enumeration of
-Littlewood-Richardson skew tableaux (desk scale, with a hard size cap),
-and graded dimensions of weight-set modules from one walk over the
-members of a set: `hilbert_series` walks the rows of a set's pieces once
-over the interval of totals 0..dmax, as runs head + (x,) of the last
-entry, and adds each member's squared dimension to its degree (every set
-summed is on a square space). Along a run the dimension is dim(head), one
-GL_{n-1} product per head, times the n-1 factors that pair the last
-entry with the others. The product `_dim` takes no check of its own: the
-sums call it on the heads their walks produce, which are dominant by
-construction. A Cauchy-type identity against a plain binomial count
-keeps the dimension formula honest.
+tensor products from one walk over their Littlewood-Richardson tableaux
+that emits every constituent with its multiplicity (desk scale, with a
+hard size cap), and graded dimensions of weight-set modules from one
+walk over the members of a set: `hilbert_series` walks the rows of a
+set's pieces once over the interval of totals 0..dmax, as runs
+head + (x,) of the last entry, and adds each member's squared dimension
+to its degree (every set summed is on a square space). Along a run the
+dimension is dim(head), one GL_{n-1} product per head, times the n-1
+factors that pair the last entry with the others. The product `_dim`
+takes no check of its own: the sums call it on the heads their walks
+produce, which are dominant by construction. A Cauchy-type identity
+against a plain binomial count keeps the dimension formula honest.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, factorial
 
 from .matrixspace import MatrixSpace, _check_int, _check_space, _check_stratum, codim_stratum
@@ -60,73 +61,57 @@ def _as_partition(entries) -> tuple[int, ...]:
     return v
 
 
-def lr_coefficient(gamma, beta, lam) -> int:
-    """Littlewood-Richardson coefficient: the multiplicity of the irrep of
-    highest weight lam inside the tensor product indexed by gamma and
-    beta, computed by counting LR skew tableaux of shape lam/gamma and
-    content beta. Symmetric in gamma and beta; zero when the sizes do not
-    add up. Inputs are capped at |lam| <= 20."""
-    g = _as_partition(gamma)
-    b = _as_partition(beta)
-    l = _as_partition(lam)
-    if sum(l) > LR_SIZE_CAP:
-        raise ValueError(f"|lam| = {sum(l)} exceeds the desk-scale cap {LR_SIZE_CAP}")
-    if sum(g) + sum(b) != sum(l):
-        return 0
-    if len(g) > len(l) or any(g[i] > l[i] for i in range(len(g))):
-        return 0
-    if not b:
-        return 1 if g == l else 0
-
-    # Cells of the skew shape in reverse reading order (each row right to
-    # left); filling in this order lets the lattice-word condition be
-    # enforced on prefixes as we go.
-    inner = g + (0,) * (len(l) - len(g))
-    cells = []
-    for r in range(len(l)):
-        cells.extend((r, c) for c in range(l[r] - 1, inner[r] - 1, -1))
-
-    nvals = len(b)
-    counts = [0] * (nvals + 1)
-    filled: dict[tuple[int, int], int] = {}
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        above = filled.get((r - 1, c))
-        right = filled.get((r, c + 1))
-        lo = 1 if above is None else above + 1
-        hi = nvals if right is None else right
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= b[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            counts[v] += 1
-            filled[(r, c)] = v
-            total += place(idx + 1)
-            counts[v] -= 1
-            del filled[(r, c)]
-        return total
-
-    return place(0)
-
-
 def tensor_expansion(nu, gamma, max_parts: int) -> dict[tuple[int, ...], int]:
     """Decomposition of the tensor product of the irreps indexed by the
     partitions nu and gamma in GL with at most max_parts rows, as a map
-    constituent -> multiplicity (constituents zero-padded to max_parts)."""
+    constituent -> multiplicity (constituents zero-padded to max_parts, in
+    decreasing lexicographic order). |nu| + |gamma| is capped at 20.
+
+    One depth-first walk over the LR tableaux of content gamma on nu
+    (Fulton, Young Tableaux, ch. 5): letter i fills a horizontal strip of
+    gamma_i boxes row by row, and in every row the i's placed so far never
+    outnumber the (i-1)'s in the rows above it. A partial strip is cut when
+    the rows below can no longer hold the boxes left. Each finished filling
+    adds 1 to the multiplicity of its shape."""
     nu = _as_partition(nu)
     gamma = _as_partition(gamma)
+    _check_int("max_parts", max_parts)
+    if max_parts < 0:
+        raise ValueError(f"max_parts must be nonnegative, got {max_parts}")
     total = sum(nu) + sum(gamma)
-    out: dict[tuple[int, ...], int] = {}
-    for lam in partitions_of(total, max_parts):
-        c = lr_coefficient(nu, gamma, lam)
-        if c:
-            out[lam] = c
-    return out
+    if total > LR_SIZE_CAP:
+        raise ValueError(f"|nu| + |gamma| = {total} exceeds the desk-scale cap {LR_SIZE_CAP}")
+    n = max_parts
+    if len(nu) > n or len(gamma) > n:
+        return {}
+    if not gamma:
+        return {pad(nu, n): 1}
+    expansion: dict[tuple[int, ...], int] = {}
+    # A frame: the letter i being placed, the shape so far (its rows above
+    # the strip's next row already hold their i's), the strip's boxes per
+    # row so far, the i's still to place, and the number of (i-1)'s above
+    # each row (never binding for the first letter).
+    stack = [(0, pad(nu, n), (), gamma[0], (gamma[0],) * n)]
+    while stack:
+        i, shape, strip, left, above = stack.pop()
+        r = len(strip)
+        if r == n:
+            # The cut leaves no box over at the last row: the strip is done.
+            if i + 1 == len(gamma):
+                expansion[shape] = expansion.get(shape, 0) + 1
+            else:
+                above = tuple(accumulate(strip, initial=0))
+                stack.append((i + 1, shape, (), gamma[i + 1], above))
+            continue
+        row = shape[r]
+        # Above row 0 there is no row to cap the strip; the rows below hold
+        # shape[r] - shape[-1] boxes of a strip at most.
+        hi = left if r == 0 else min(left, shape[r - 1] - strip[r - 1] - row)
+        hi = min(hi, above[r] - (gamma[i] - left))
+        for a in range(max(0, left - row + shape[-1]), hi + 1):
+            grown = shape[:r] + (row + a,) + shape[r + 1:]
+            stack.append((i, grown, strip + (a,), left - a, above))
+    return dict(sorted(expansion.items(), reverse=True))
 
 
 def tensor_decomposition_check(gamma, p: int, mu, space: MatrixSpace) -> VerificationReport:

@@ -67,6 +67,7 @@ def classify(lam, space: MatrixSpace):
 def in_Wpd(lam, p: int, d: int, space: MatrixSpace) -> bool:
     """Membership in the layer W^p_d: in W^p with tail sum
     lam_{p+1} + ... + lam_n equal to -d - c_p."""
+    _check_int("d", d)
     return WeightSet(space, "Wpd", p, d).contains(lam)
 
 
@@ -92,6 +93,7 @@ def lambda_p_mu(p: int, mu, space: MatrixSpace) -> tuple[int, ...]:
 def minimal_elements(p: int, d: int, space: MatrixSpace) -> list[tuple[int, ...]]:
     """All minimal elements of the layer W^p_d under the componentwise
     order, one for each partition of d with at most n-p parts."""
+    _check_int("d", d)
     if d < 0:
         raise ValueError("layer index d must be nonnegative")
     _check_stratum(space, p)

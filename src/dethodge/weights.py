@@ -73,6 +73,7 @@ def leq(mu, lam) -> bool:
 
 def pad(lam, length: int) -> tuple[int, ...]:
     """Extend a partition by trailing zeros to the given length."""
+    _check_int("length", length)
     lam = tuple(lam)
     if length < len(lam):
         raise ValueError("pad cannot shorten a weight")

@@ -10,13 +10,13 @@ from dethodge.characters import (
     cauchy_check,
     hilbert_function,
     hilbert_series,
-    lr_coefficient,
     tensor_decomposition_check,
     tensor_expansion,
 )
 from dethodge.repsets import WeightSet, parse_weight_set
 from dethodge.matrixspace import MatrixSpace
 from dethodge.weights import check_weight, dominant_tuples, pad, partitions_of
+from lr_reference import expansion_by_coefficients, lr_coefficient
 
 
 def dim_irrep(lam, N):
@@ -155,10 +155,53 @@ def test_dim_irrep_branches_by_lr_coefficients(case):
     for k in range(size + 1):
         for gamma in partitions_of(k, p):
             for beta in partitions_of(size - k, N - p):
-                c = lr_coefficient(gamma, beta, lam)
-                if c:
-                    total += c * dim(gamma, p) * dim(beta, N - p)
+                c = tensor_expansion(gamma, beta, N).get(lam, 0)
+                total += c * dim(gamma, p) * dim(beta, N - p)
     assert total == dim_irrep(lam, N)
+
+
+def test_tensor_expansion_matches_the_coefficients_one_by_one():
+    # The walk over LR tableaux against lr_coefficient of every candidate
+    # partition, dict order included: every nu and gamma of size at most 6
+    # with at most max_parts parts, max_parts 1..5.
+    cases = 0
+    for max_parts in range(1, 6):
+        pool = [lam for size in range(7) for lam in partitions_of(size, max_parts)]
+        for nu in pool:
+            for gamma in pool:
+                got = tensor_expansion(nu, gamma, max_parts)
+                want = expansion_by_coefficients(nu, gamma, max_parts)
+                assert list(got.items()) == list(want.items()), (nu, gamma, max_parts)
+                cases += 1
+    assert cases == 2404
+
+
+@pytest.mark.parametrize(
+    "nu,gamma,max_parts,want",
+    [
+        # Too many parts on either side: no constituent fits.
+        ((1, 1, 1), (1,), 2, {}),
+        ((1,), (1, 1, 1), 2, {}),
+        ((), (1,), 0, {}),
+        ((1,), (), 0, {}),
+        ((), (), 0, {(): 1}),
+        ((2, 1), (), 3, {(2, 1, 0): 1}),
+        ((), (2, 1), 3, {(2, 1, 0): 1}),
+    ],
+)
+def test_tensor_expansion_edges(nu, gamma, max_parts, want):
+    assert tensor_expansion(nu, gamma, max_parts) == want
+    assert expansion_by_coefficients(nu, gamma, max_parts) == want
+
+
+def test_tensor_expansion_refuses_before_the_walk():
+    # The cap holds even where no constituent could fit.
+    with pytest.raises(ValueError, match=r"^\|nu\| \+ \|gamma\| = 22 exceeds the desk-scale cap 20"):
+        tensor_expansion((11,), (11,), 0)
+    with pytest.raises(ValueError, match="^max_parts must be nonnegative, got -1"):
+        tensor_expansion((1,), (1,), -1)
+    with pytest.raises(ValueError, match=r"^\(1, 2\) is not a partition"):
+        tensor_expansion((1, 2), (1,), 3)
 
 
 def test_tensor_decomposition_check_examples():

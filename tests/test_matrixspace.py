@@ -15,7 +15,7 @@ from dethodge.matrixspace import (
     dim_stratum,
     local_cohomology_degree,
 )
-from dethodge.characters import cauchy_check, tensor_decomposition_check
+from dethodge.characters import cauchy_check, tensor_decomposition_check, tensor_expansion
 from dethodge.hodgeideals import (
     grF_Dp_layer,
     hodge_ideal_exponents,
@@ -52,11 +52,12 @@ from dethodge.repsets import (
     classify,
     compose_weight,
     decompose_weight,
+    in_Wpd,
     lambda_of_p,
     lambda_p_mu,
     minimal_elements,
 )
-from dethodge.weights import delta_p
+from dethodge.weights import delta_p, pad
 
 
 def test_space_validation():
@@ -302,6 +303,14 @@ def test_verification_report_is_mutable_unhashable_and_owns_its_lists():
         (grF_Dp_layer, (1, 2.0, 0, SQUARE), "level"),
         (stalk_poly, (1, False, WIDE), "k"),
         (stalk_poly, (1, 0.0, WIDE), "k"),
+        (minimal_elements, (1, "a", SQUARE), "d"),
+        (minimal_elements, (1, 0.5, SQUARE), "d"),
+        (in_Wpd, ((0, 0, -1), 2, True, SQUARE), "d"),
+        (pad, ((1,), True), "length"),
+        (pad, ((), True), "length"),
+        (pad, ((1,), 2.0), "length"),
+        (tensor_expansion, ((1,), (1,), True), "max_parts"),
+        (tensor_expansion, ((1,), (1,), 2.0), "max_parts"),
     ],
 )
 def test_integer_fields_refuse_everything_but_ints(cls, args, field):
